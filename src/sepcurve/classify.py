@@ -23,14 +23,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .critical import (
-    PairMatching,
-    PolynomialPair,
-    corollary1_lhs,
-    hypothesis_I,
-    match_pairs,
-    theorem1_lhs,
-)
+from .critical import PairMatching, PolynomialPair, corollary1_lhs, theorem1_lhs
 from .linfactor import LinearFactorWitness, find_linear_factor
 
 
@@ -208,8 +201,8 @@ def classify(pair: PolynomialPair) -> Verdict:
     witness = find_linear_factor(pair)
     if witness is not None:
         trace.append(f"linear factor found ({witness.description})")
-        hyp_p = hypothesis_I(pair.p)
-        hyp_q = hypothesis_I(pair.q)
+        hyp_p = pair.critical_p().hypothesis_I
+        hyp_q = pair.critical_q().hypothesis_I
         if n == m and hyp_p and hyp_q:
             rule, case = "Theorem 3 case 1", 1
         else:
@@ -251,8 +244,8 @@ def classify(pair: PolynomialPair) -> Verdict:
             f"max(n0, m0) + 4 = {gap})"
         )
 
-    hyp_p = hypothesis_I(pair.p)
-    hyp_q = hypothesis_I(pair.q)
+    hyp_p = pair.critical_p().hypothesis_I
+    hyp_q = pair.critical_q().hypothesis_I
     if not (hyp_p and hyp_q):
         failed = tuple(
             f"simple critical values for {side}"
@@ -270,7 +263,7 @@ def classify(pair: PolynomialPair) -> Verdict:
             trace=tuple(trace),
         )
 
-    matching = match_pairs(pair)
+    matching = pair.matching()
     t1 = theorem1_lhs(matching)
     c1 = corollary1_lhs(matching)
     fired = []

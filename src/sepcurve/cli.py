@@ -17,7 +17,7 @@ import time
 from typing import Optional
 
 from .classify import Outcome, Verdict, classify
-from .critical import PairMatching, PolynomialPair, corollary1_lhs, match_pairs, theorem1_lhs
+from .critical import PairMatching, PolynomialPair, corollary1_lhs, theorem1_lhs
 from .geometry import genus_if_supported
 from .instances import (
     CASE_IDS,
@@ -217,7 +217,7 @@ def _run_classify(args) -> int:
     pair = PolynomialPair(p, q)
     t1 = time.perf_counter()
     verdict = classify(pair)
-    matching = verdict.matching or match_pairs(pair)
+    matching = pair.matching()
     t2 = time.perf_counter()
     timings = None
     if args.timings:

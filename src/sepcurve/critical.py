@@ -6,21 +6,15 @@ multiplicity (the order of vanishing of P'), each group carried as a
 monic squarefree factor together with the monic polynomial whose
 roots are the critical values of that group.  All matching between
 the P-side and the Q-side happens through gcds of those value
-polynomials, never through the points themselves.
+polynomials, never through the points themselves.  Each polynomial's
+data is computed once, by :func:`analyze`, and cached on the pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rpoly import (
-    Poly,
-    poly_gcd,
-    is_squarefree,
-    squarefree_decomposition,
-    squarefree_part,
-    resultant_shift,
-)
+from .rpoly import Poly, poly_gcd, resultant_shift, squarefree_decomposition
 
 
 @dataclass(frozen=True)
@@ -28,22 +22,49 @@ class CriticalClass:
     """One multiplicity class: ``factor`` is monic squarefree, its roots
     are the critical points where the derivative vanishes to order
     ``multiplicity`` exactly, and ``values`` is the monic polynomial of
-    the corresponding critical values (degree == factor degree)."""
+    the corresponding critical values (degree == factor degree).
+    ``value_parts`` is the Yun decomposition of ``values``: (monic
+    factor, j) parts, a value taken by j points of the class showing up
+    with j here."""
 
     factor: Poly
     multiplicity: int
     values: Poly
+    value_parts: tuple  # of (Poly, int)
 
 
 @dataclass(frozen=True)
 class CriticalStructure:
+    """Everything the verdicts need about one polynomial's critical
+    points, computed once by :func:`analyze`: the multiplicity classes
+    of P' with their value polynomials and Yun parts; ``radical``, the
+    monic squarefree polynomial of all distinct critical values; and
+    ``value_multiplicities``, largest first, the number of critical
+    points taking each of those values."""
+
     poly: Poly
     classes: tuple  # of CriticalClass, multiplicities strictly increasing
+    radical: Poly
+    value_multiplicities: tuple  # of int, one per root of radical
 
     @property
     def point_count(self) -> int:
         """Number of distinct critical points."""
         return sum(c.factor.degree for c in self.classes)
+
+    @property
+    def hypothesis_I(self) -> bool:
+        """All critical values simple: one distinct value per distinct
+        critical point, i.e. deg radical == point_count."""
+        return self.radical.degree == self.point_count
+
+    @property
+    def parts_coprime(self) -> bool:
+        """No value is taken in two classes, so the value parts of all
+        classes are pairwise coprime and their degrees sum to deg radical."""
+        return self.radical.degree == sum(
+            f.degree for c in self.classes for f, _ in c.value_parts
+        )
 
     def multiset(self) -> tuple:
         """Per-point multiplicities, largest first."""
@@ -55,35 +76,60 @@ class CriticalStructure:
 
 
 def analyze(p: Poly) -> CriticalStructure:
-    """Critical structure of a polynomial of degree >= 2."""
+    """Critical structure of a polynomial of degree >= 2: one
+    ``resultant_shift`` and one Yun decomposition per class."""
     if p.degree < 2:
         raise ValueError(f"degree must be at least 2, got {p.degree}")
     classes = []
+    atoms = []  # pairwise coprime (factor, points per value) so far
     for factor, mult in squarefree_decomposition(p.derivative()).parts:
-        classes.append(CriticalClass(factor, mult, resultant_shift(factor, p)))
-    return CriticalStructure(p, tuple(classes))
+        values = resultant_shift(factor, p)
+        parts = squarefree_decomposition(values).parts
+        new = []
+        for f, j in parts:
+            # parts of one class are coprime, but an earlier class may
+            # take some of the same values: split those off
+            for i, (a, k) in enumerate(atoms):
+                g = poly_gcd(a, f)
+                if g.degree > 0:
+                    atoms[i], f = (a // g, k), f // g
+                    new.append((g, k + j))
+            new.append((f, j))
+        atoms = [(a, k) for a, k in atoms + new if a.degree > 0]
+        classes.append(CriticalClass(factor, mult, values, parts))
+    radical = Poly.one()
+    for a, _ in atoms:
+        radical = radical * a
+    counts = sorted((k for a, k in atoms for _ in range(a.degree)), reverse=True)
+    return CriticalStructure(p, tuple(classes), radical, tuple(counts))
 
 
 def hypothesis_I(p: Poly) -> bool:
     """True when all critical values of p are simple, i.e. no two
     critical points (of any multiplicity) share a value.
 
+    The class value polynomials multiply to
+    resultant_shift(squarefree_part(P'), P), so this holds exactly when
+    the radical of all critical values has degree ``point_count``.  A
+    squarefree value polynomial in each class is not enough: x^3 (x-1)^2
+    takes the value 0 in two classes.
+
     >>> hypothesis_I(Poly([0, -3, 0, 1]))   # x^3 - 3x, values +-2
     True
     >>> hypothesis_I(Poly([0, 0, -2, 0, 1]))  # x^4 - 2x^2, values -1, 0, -1
     False
     """
-    if p.degree < 2:
-        raise ValueError(f"degree must be at least 2, got {p.degree}")
-    all_values = resultant_shift(squarefree_part(p.derivative()), p)
-    return is_squarefree(all_values)
+    return analyze(p).hypothesis_I
 
 
 class PolynomialPair:
     """The two sides of P(x) - Q(y), normalized so deg p >= deg q.
 
     ``swapped`` records whether the constructor exchanged the inputs to
-    keep that normalization.
+    keep that normalization.  The pair caches what is computed from it:
+    each side's :class:`CriticalStructure` (``critical_p``/``critical_q``)
+    and their :class:`PairMatching` (``matching``), each computed on
+    first use only.
     """
 
     __slots__ = ("p", "q", "swapped", "_cs")
@@ -129,15 +175,19 @@ class PolynomialPair:
                 return k
         return 0
 
+    def _cached(self, key, compute, arg):
+        if key not in self._cs:
+            self._cs[key] = compute(arg)
+        return self._cs[key]
+
     def critical_p(self) -> CriticalStructure:
-        if "p" not in self._cs:
-            self._cs["p"] = analyze(self.p)
-        return self._cs["p"]
+        return self._cached("p", analyze, self.p)
 
     def critical_q(self) -> CriticalStructure:
-        if "q" not in self._cs:
-            self._cs["q"] = analyze(self.q)
-        return self._cs["q"]
+        return self._cached("q", analyze, self.q)
+
+    def matching(self) -> "PairMatching":
+        return self._cached("matching", match_pairs, self)
 
     def __repr__(self):
         return f"PolynomialPair(p={self.p.to_string()!r}, q={self.q.to_string()!r})"
@@ -175,11 +225,6 @@ class PairMatching:
         return len(self.matched_points)
 
     @property
-    def excess_pair_count(self) -> int:
-        """l1: matched pairs with p > q."""
-        return sum(1 for p, q in self.matched_points if p > q)
-
-    @property
     def p_point_count(self) -> int:
         return len(self.p_multiset)
 
@@ -188,47 +233,33 @@ class PairMatching:
         return len(self.q_multiset)
 
 
-def _value_multiplicity_parts(values: Poly):
-    """Split a value polynomial into (monic factor, value multiplicity)
-    parts; a value repeated j times inside one class shows up with
-    multiplicity j here."""
-    return squarefree_decomposition(values).parts
+def _unmatched_points(cs, parts, shared, other) -> tuple:
+    """Multiplicities, largest first, of the critical points of ``cs``
+    whose value ``other`` does not take.  ``shared[i]`` holds deg gcd of
+    parts[i] with each value part of ``other``; they sum to the degree
+    of its gcd with ``other.radical`` when those parts are coprime."""
+    coprime = other.parts_coprime
+    left = {c.multiplicity: c.factor.degree for c in cs.classes}
+    for (mult, f, j), degs in zip(parts, shared):
+        left[mult] -= j * (sum(degs) if coprime else poly_gcd(f, other.radical).degree)
+    return tuple(sorted((m for m, k in left.items() for _ in range(k)), reverse=True))
 
 
 def match_pairs(pair: PolynomialPair) -> PairMatching:
     cs_p = pair.critical_p()
     cs_q = pair.critical_q()
+    p_parts = [(c.multiplicity, f, j) for c in cs_p.classes for f, j in c.value_parts]
+    q_parts = [(c.multiplicity, f, j) for c in cs_q.classes for f, j in c.value_parts]
 
-    q_parts_by_class = [
-        (c.multiplicity, _value_multiplicity_parts(c.values)) for c in cs_q.classes
-    ]
-    p_parts_by_class = [
-        (c.multiplicity, _value_multiplicity_parts(c.values)) for c in cs_p.classes
-    ]
-
-    # radical of all critical values on each side, for the direct
-    # unmatched point counts
-    def radical(parts_by_class):
-        out = Poly.one()
-        for _, parts in parts_by_class:
-            for f, _ in parts:
-                g = poly_gcd(out, f)
-                out = out * (f // g)
-        return out
-
-    p_rad = radical(p_parts_by_class)
-    q_rad = radical(q_parts_by_class)
-
-    # pair counts: j*k*deg gcd over value-multiplicity parts
+    # deg gcd of every P-side value part with every Q-side one, once;
+    # pair counts are j*k*deg gcd
+    shared = [[poly_gcd(pf, qf).degree for _, qf, _ in q_parts] for _, pf, _ in p_parts]
     counts = {}
-    for p_mult, p_parts in p_parts_by_class:
-        for pf, j in p_parts:
-            for q_mult, q_parts in q_parts_by_class:
-                for qf, k in q_parts:
-                    d = poly_gcd(pf, qf).degree
-                    if d > 0:
-                        key = (p_mult, q_mult)
-                        counts[key] = counts.get(key, 0) + j * k * d
+    for (p_mult, _, j), degs in zip(p_parts, shared):
+        for (q_mult, _, k), d in zip(q_parts, degs):
+            if d > 0:
+                key = (p_mult, q_mult)
+                counts[key] = counts.get(key, 0) + j * k * d
 
     pair_classes = tuple(
         (p, q, counts[(p, q)]) for p, q in sorted(counts, reverse=True)
@@ -239,27 +270,8 @@ def match_pairs(pair: PolynomialPair) -> PairMatching:
         matched_points.extend([(p, q)] * c)
     matched_points.sort(reverse=True)
 
-    # matched point counts per side, against the other side's radical
-    def matched_point_count(parts_by_class, other_rad):
-        total = 0
-        per_class = []
-        for mult, parts in parts_by_class:
-            m = sum(j * poly_gcd(f, other_rad).degree for f, j in parts)
-            per_class.append((mult, m))
-            total += m
-        return total, per_class
-
-    p_matched, p_per_class = matched_point_count(p_parts_by_class, q_rad)
-    q_matched, q_per_class = matched_point_count(q_parts_by_class, p_rad)
-
-    unmatched_p_points = []
-    for cls, (mult, m) in zip(cs_p.classes, p_per_class):
-        unmatched_p_points.extend([mult] * (cls.factor.degree - m))
-    unmatched_p_points.sort(reverse=True)
-    unmatched_q_points = []
-    for cls, (mult, m) in zip(cs_q.classes, q_per_class):
-        unmatched_q_points.extend([mult] * (cls.factor.degree - m))
-    unmatched_q_points.sort(reverse=True)
+    unmatched_p = _unmatched_points(cs_p, p_parts, shared, cs_q)
+    unmatched_q = _unmatched_points(cs_q, q_parts, list(zip(*shared)), cs_p)
 
     matched_p_mass = sum(p * c for p, q, c in pair_classes)
     matched_q_mass = sum(q * c for p, q, c in pair_classes)
@@ -269,12 +281,12 @@ def match_pairs(pair: PolynomialPair) -> PairMatching:
         deg_q=pair.m,
         pair_classes=pair_classes,
         matched_points=tuple(matched_points),
-        unmatched_p_points=tuple(unmatched_p_points),
-        unmatched_q_points=tuple(unmatched_q_points),
+        unmatched_p_points=unmatched_p,
+        unmatched_q_points=unmatched_q,
         unmatched_p_mass=pair.n - 1 - matched_p_mass,
         unmatched_q_mass=pair.m - 1 - matched_q_mass,
-        unmatched_alpha_count=cs_p.point_count - p_matched,
-        unmatched_beta_count=cs_q.point_count - q_matched,
+        unmatched_alpha_count=len(unmatched_p),
+        unmatched_beta_count=len(unmatched_q),
         p_multiset=cs_p.multiset(),
         q_multiset=cs_q.multiset(),
     )

@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .critical import PairMatching, PolynomialPair, match_pairs
+from .critical import PairMatching, PolynomialPair
 
 
 class UnsupportedRegionError(ValueError):
@@ -220,6 +220,4 @@ def genus_if_supported(
     """Profile + genus in one step; unequal degrees report UNSUPPORTED."""
     if pair.n != pair.m:
         return DeficiencyReport(delta=None, genus=None, method=GenusMethod.UNSUPPORTED)
-    if matching is None:
-        matching = match_pairs(pair)
-    return genus_from_profile(singular_profile(matching))
+    return genus_from_profile(singular_profile(matching or pair.matching()))

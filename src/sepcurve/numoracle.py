@@ -6,7 +6,8 @@ cluster picture is compared against what the exact layer claims.  Two
 disks that stay disjoint certify distinctness; overlap proves nothing
 and is resolved by doubling the precision up to a cap.  Outcomes are
 three-valued — agreement, certified disagreement, or ambiguity — and
-none of them ever feeds a verdict.
+none of them ever feeds a verdict.  ``mpmath`` is imported on first
+use, so importing the package or its CLI does not load it.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath
-
-from .critical import PairMatching, PolynomialPair, analyze, hypothesis_I, match_pairs
-from .rpoly import Poly, is_squarefree, resultant_shift, squarefree_decomposition, squarefree_part
+from .critical import CriticalStructure, PairMatching, PolynomialPair, analyze
+from .rpoly import Poly, is_squarefree, resultant_shift
 
 DEFAULT_PRECISION = 256
 PRECISION_CAP = 4096
@@ -46,9 +45,11 @@ class ComplexApprox:
 
     @property
     def value(self):
+        import mpmath
         return mpmath.mpc(self.real, self.imag)
 
     def overlaps(self, other: "ComplexApprox") -> bool:
+        import mpmath
         with mpmath.workprec(PRECISION_CAP + _GUARD):
             d = abs(self.value - other.value)
             return d <= self.radius + other.radius
@@ -88,10 +89,12 @@ class HypothesisOracle:
 
 
 def _to_mpf(x):
+    import mpmath
     return mpmath.mpf(int(x.numerator)) / mpmath.mpf(int(x.denominator))
 
 
 def _horner(coeffs, z):
+    import mpmath
     acc = mpmath.mpc(0)
     for c in reversed(coeffs):
         acc = acc * z + c
@@ -107,6 +110,7 @@ def complex_roots(p: Poly, precision_bits: int = DEFAULT_PRECISION):
     shrink the disks (multiplicities are handled symbolically upstream,
     so repeated roots are a caller bug).
     """
+    import mpmath
     if p.degree < 1:
         raise ValueError(f"need a nonconstant polynomial, got degree {p.degree}")
     if not is_squarefree(p):
@@ -153,6 +157,7 @@ def complex_roots(p: Poly, precision_bits: int = DEFAULT_PRECISION):
 
 def _value_disk(p: Poly, root: ComplexApprox, extra_radius=None):
     """Disk certified to contain p(z) for every z in the root disk."""
+    import mpmath
     coeffs = [_to_mpf(c) for c in p.coeffs]
     z = root.value
     center = _horner(coeffs, z)
@@ -193,6 +198,7 @@ def cluster_disks(disks) -> ClusterReport:
     """Group disks by overlap (transitively); ambiguous while any group
     still has more than one member, since coincidence is never certified
     numerically — only refined until it either splits or stays put."""
+    import mpmath
     with mpmath.workprec(PRECISION_CAP + _GUARD):
         groups = _cluster_indices(list(disks))
         clusters = []
@@ -204,12 +210,12 @@ def cluster_disks(disks) -> ClusterReport:
         )
 
 
-def _critical_value_disks(p: Poly, precision_bits: int):
-    """(point multiplicity, value disk) for every critical point of p."""
+def _critical_value_disks(cs: CriticalStructure, precision_bits: int):
+    """(point multiplicity, value disk) for every critical point of cs.poly."""
     out = []
-    for cls in analyze(p).classes:
+    for cls in cs.classes:
         for root in complex_roots(cls.factor, precision_bits):
-            out.append((cls.multiplicity, _value_disk(p, root)))
+            out.append((cls.multiplicity, _value_disk(cs.poly, root)))
     return out
 
 
@@ -249,27 +255,24 @@ def corroborate_hypothesis_I(
     """Numerically re-check whether all critical values of p are simple.
 
     Compares the observed cluster-size multiset of the critical values
-    against the exact one (the root multiplicities of the shifted
-    resultant).  Distinctness is certified by disjoint disks; observed
-    coincidence is only ever "consistent", so a matching picture counts
-    as agreement and a certified split of an exact coincidence is a
-    disagreement.
+    against the exact one, ``value_multiplicities`` from :func:`analyze`.
+    Distinctness is certified by disjoint disks; observed coincidence is
+    only ever "consistent", so a matching picture counts as agreement
+    and a certified split of an exact coincidence is a disagreement.
     """
-    symbolic = hypothesis_I(p)
-    all_values = resultant_shift(squarefree_part(p.derivative()), p)
-    expected = []
-    for factor, mult in squarefree_decomposition(all_values).parts:
-        expected.extend([mult] * factor.degree)
-    expected.sort(reverse=True)
+    import mpmath
+    cs = analyze(p)
+    symbolic = cs.hypothesis_I
+    expected = cs.value_multiplicities
 
     prec = precision_bits
     sizes = ()
     while True:
         with mpmath.workprec(prec + _GUARD):
-            disks = [d for _, d in _critical_value_disks(p, prec)]
+            disks = [d for _, d in _critical_value_disks(cs, prec)]
             groups = _cluster_indices(disks)
             sizes = tuple(sorted((len(g) for g in groups), reverse=True))
-            if list(sizes) == expected:
+            if sizes == expected:
                 return HypothesisOracle(OracleOutcome.AGREE, symbolic, prec, sizes)
             if not _can_pack(sizes, expected):
                 return HypothesisOracle(OracleOutcome.DISAGREE, symbolic, prec, sizes)
@@ -293,9 +296,9 @@ def verify_pair_counts(
     refute (a claimed coincidence that separates) is a disagreement;
     unresolved overlap escalates precision and then reports ambiguity.
     """
-    if pm is None:
-        pm = match_pairs(pp)
-    if not (hypothesis_I(pp.p) and hypothesis_I(pp.q)):
+    import mpmath
+    pm = pm or pp.matching()
+    if not (pp.critical_p().hypothesis_I and pp.critical_q().hypothesis_I):
         return PairCountOracle(
             OracleOutcome.AMBIGUOUS,
             precision_bits,
@@ -311,8 +314,8 @@ def verify_pair_counts(
     detail = ""
     while True:
         with mpmath.workprec(prec + _GUARD):
-            tagged = [("P", m, d) for m, d in _critical_value_disks(pp.p, prec)]
-            tagged += [("Q", m, d) for m, d in _critical_value_disks(pp.q, prec)]
+            tagged = [("P", m, d) for m, d in _critical_value_disks(pp.critical_p(), prec)]
+            tagged += [("Q", m, d) for m, d in _critical_value_disks(pp.critical_q(), prec)]
             groups = _cluster_indices([d for _, _, d in tagged])
             mixed, single_p, single_q = [], [], []
             unresolved = False
@@ -375,6 +378,7 @@ def check_resultant_product(
     check passes only when the exact value sits inside them at every
     sample.
     """
+    import mpmath
     if ys is None:
         from .rationals import Rat
 

@@ -32,7 +32,6 @@ from .critical import (
     PairMatching,
     corollary1_lhs,
     homogenized_meta,
-    match_pairs,
     theorem1_lhs,
 )
 
@@ -155,13 +154,6 @@ def order_bounds(p: int, q: int) -> OrderBounds:
     if q == p + 2 and p >= 2:
         bound = max(bound, 3, -(-(p + 3) // 2))
     return OrderBounds(bound, (o0, o1))
-
-
-def _branch_orders(p: int, q: int):
-    """Per-branch orders (ord of z0-a*z2, ord of z1-b*z2) at a matched
-    point, on the normalization."""
-    g = math.gcd(p + 1, q + 1)
-    return (q + 1) // g, (p + 1) // g
 
 
 _FACTOR_RANK = {"z": 0, "chord": 1, "alpha": 2, "beta": 3}
@@ -535,9 +527,7 @@ def emit_witnesses(verdict: Verdict):
     """
     if verdict.outcome is not Outcome.HYPERBOLIC:
         raise ValueError("no witness for low-genus verdicts")
-    matching = verdict.matching
-    if matching is None:
-        matching = match_pairs(verdict.pair)
+    matching = verdict.matching or verdict.pair.matching()
     try:
         emitter = _EMITTERS[verdict.rule]
     except KeyError:
@@ -656,7 +646,7 @@ def check_regularity(
             v1 = den_beta.get(i, 0)
             if v0 == 0 and v1 == 0:
                 continue
-            o0, o1 = _branch_orders(p, q)
+            o0, o1 = order_bounds(p, q).ratio
             if form.wronskian == W12:
                 ord_w = o1 - 1
             elif form.wronskian == W20:
@@ -707,10 +697,7 @@ def verify_witnesses(verdict: Verdict, matching: Optional[PairMatching] = None):
     independence note.  Any unsatisfied check means the emitted form
     contradicts its own rule — callers should treat that as a bug.
     """
-    if matching is None:
-        matching = verdict.matching
-    if matching is None:
-        matching = match_pairs(verdict.pair)
+    matching = matching or verdict.matching or verdict.pair.matching()
     meta = homogenized_meta(verdict.pair) if verdict.pair is not None else None
     forms = emit_witnesses(verdict)
     reports = tuple(

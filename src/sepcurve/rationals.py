@@ -50,12 +50,3 @@ def rat(num, den=1):
             return Rat(Fraction(num))
         return Rat(num)
     return Rat(num) / Rat(den)
-
-
-def is_integer(x) -> bool:
-    return x.denominator == 1
-
-
-def as_fraction(x) -> Fraction:
-    """Backend-independent view, mainly for interop with mpmath."""
-    return Fraction(int(x.numerator), int(x.denominator))

@@ -38,10 +38,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_coerce(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _set_coeffs(self, [_coerce(c) for c in coeffs])
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -102,7 +99,7 @@ class Poly:
         return hash(self.coeffs)
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return _trusted([-c for c in self.coeffs])
 
     def __add__(self, other):
         if not isinstance(other, Poly):
@@ -113,7 +110,7 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Poly(out)
+        return _trusted(out)
 
     __radd__ = __add__
 
@@ -128,7 +125,7 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = _coerce(other)
-            return Poly(tuple(c * a for a in self.coeffs))
+            return _trusted([c * a for a in self.coeffs])
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero()
@@ -138,7 +135,7 @@ class Poly:
                 continue
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-        return Poly(out)
+        return _trusted(out)
 
     __rmul__ = __mul__
 
@@ -173,7 +170,7 @@ class Poly:
             if c != 0:
                 for j, dj in enumerate(div):
                     rem[k + j] -= c * dj
-        return Poly(quo), Poly(rem[: len(div) - 1])
+        return _trusted(quo), _trusted(rem[: len(div) - 1])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -186,7 +183,7 @@ class Poly:
         if isinstance(value, Poly):
             acc = Poly.zero()
             for c in reversed(self.coeffs):
-                acc = acc * value + Poly.constant(c)
+                acc = acc * value + _trusted([c])
             return acc
         acc = ZERO
         v = rat(value)
@@ -197,7 +194,7 @@ class Poly:
     # -- calculus / normal forms ---------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly([rat(k) * self.coeffs[k] for k in range(1, len(self.coeffs))])
+        return _trusted([k * self.coeffs[k] for k in range(1, len(self.coeffs))])
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -218,7 +215,7 @@ class Poly:
         for c in self.coeffs:
             out.append(c * pw)
             pw *= s
-        return Poly(out)
+        return _trusted(out)
 
     # -- formatting -----------------------------------------------------
 
@@ -252,6 +249,20 @@ class Poly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+
+def _set_coeffs(poly: Poly, cs: list) -> None:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    object.__setattr__(poly, "coeffs", tuple(cs))
+
+
+def _trusted(cs: list) -> Poly:
+    """Poly from a list whose entries are already of the rational type
+    (kernel results): strips trailing zeros, skips the coercion."""
+    poly = object.__new__(Poly)
+    _set_coeffs(poly, cs)
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +383,7 @@ def _interpolate(points) -> Poly:
         for j, (xj, _) in enumerate(points):
             if j == i:
                 continue
-            num = num * Poly((-xj, 1))
+            num = num * _trusted([-xj, ONE])
             den *= xi - xj
         out = out + num * (yi / den)
     return out

@@ -8,12 +8,14 @@ intentional schema change with
 """
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import sepcurve.critical as critical
 from sepcurve.cli import main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -155,6 +157,39 @@ def test_oracle_precision_flag(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert code == 10  # x - y divides
     assert rep["oracle"]["numeric"]["precision_bits"] == 512
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [("x^7 + x", "x^7 + 2*x"), ("x^5", "x^5 + x"), ("x^3", "x^3"), ("x^5", "x^2")],
+)
+def test_matching_is_computed_once_per_call(p, q, monkeypatch, capsys):
+    calls = []
+    original = critical.match_pairs
+
+    def counting(pair):
+        calls.append(pair)
+        return original(pair)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("sepcurve") and getattr(mod, "match_pairs", None) is original:
+            monkeypatch.setattr(mod, "match_pairs", counting)
+    main(["classify", "--p", p, "--q", q, "--json", "--witness", "--oracle", "geometry"])
+    json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+
+
+def test_cli_import_does_not_load_mpmath():
+    src = pathlib.Path(__file__).parent.parent / "src"
+    code = "import sys, sepcurve.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def _regen():

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sepcurve.critical as critical
 from helpers import poly_of
+from sepcurve.classify import classify
 from sepcurve.critical import (
     PolynomialPair,
     analyze,
@@ -12,8 +16,15 @@ from sepcurve.critical import (
     match_pairs,
     theorem1_lhs,
 )
+from sepcurve.instances import random_polynomial
 from sepcurve.rationals import rat
-from sepcurve.rpoly import Poly
+from sepcurve.rpoly import (
+    Poly,
+    is_squarefree,
+    resultant_shift,
+    squarefree_decomposition,
+    squarefree_part,
+)
 
 rationals = st.builds(rat, st.integers(-6, 6), st.integers(1, 4))
 
@@ -58,6 +69,92 @@ def test_values_with_shared_roots_are_not_squarefree():
     assert cls.values == poly_of(0, 1) * poly_of(1, 1) ** 2  # y (y+1)^2
     assert not hypothesis_I(poly_of(0, 0, -2, 0, 1))
     assert hypothesis_I(poly_of(0, -3, 0, 1))
+
+
+def _integral(p_prime: Poly, constant) -> Poly:
+    return Poly([constant] + [c / (k + 1) for k, c in enumerate(p_prime.coeffs)])
+
+
+@st.composite
+def polys_multiclass(draw):
+    """P whose derivative has several Yun classes: either P itself a
+    product of powers of linear factors (repeated roots of P are
+    critical points, and their value is shared), or the integral of
+    one (values usually distinct)."""
+    roots = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
+    prod = Poly.one()
+    for r in roots:
+        prod = prod * poly_of(-r, 1) ** draw(st.integers(1, 3))
+    if prod.degree < 2 or draw(st.booleans()):
+        return _integral(prod, draw(rationals))
+    return prod + Poly.constant(draw(rationals))
+
+
+def _all_values(p: Poly) -> Poly:
+    """The direct route: all critical values, one resultant_shift."""
+    return resultant_shift(squarefree_part(p.derivative()), p)
+
+
+def _hypothesis_I_reference(p: Poly) -> bool:
+    return is_squarefree(_all_values(p))
+
+
+def _value_multiplicities_reference(p: Poly) -> tuple:
+    parts = squarefree_decomposition(_all_values(p)).parts
+    return tuple(sorted((k for f, k in parts for _ in range(f.degree)), reverse=True))
+
+
+@given(p=st.one_of(polys_deg2plus(max_degree=6), polys_multiclass()))
+@settings(deadline=None, max_examples=120)
+def test_hypothesis_I_matches_the_all_values_route(p):
+    assert hypothesis_I(p) == _hypothesis_I_reference(p)
+    cs = analyze(p)
+    assert cs.radical == squarefree_part(_all_values(p))
+    assert cs.value_multiplicities == _value_multiplicities_reference(p)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        poly_of(0, 0, 0, 1) * poly_of(-1, 1) ** 2,  # x^3 (x-1)^2: 0 in two classes
+        poly_of(0, 0, -2, 0, 1),  # x^4 - 2x^2: -1 twice in one class
+        poly_of(-1, 0, 1) ** 2 * poly_of(0, 0, 1),  # x^2 (x^2-1)^2
+        poly_of(-1, 0, 1) ** 3 * poly_of(0, 1) ** 2 + poly_of(3),
+        poly_of(0, -3, 0, 1),
+    ],
+)
+def test_value_multiplicities_pinned(p):
+    assert analyze(p).value_multiplicities == _value_multiplicities_reference(p)
+
+
+def test_hypothesis_I_pinned_radical_degree_rule():
+    p = poly_of(0, 0, 0, 1) * poly_of(-1, 1) ** 2  # x^3 (x-1)^2
+    cs = analyze(p)
+    assert [c.multiplicity for c in cs.classes] == [1, 2]
+    # each class alone has simple values; 0 is taken in both classes
+    assert all(len(c.value_parts) == 1 and c.value_parts[0][1] == 1 for c in cs.classes)
+    assert (cs.radical.degree, cs.point_count) == (2, 3)
+    assert not hypothesis_I(p) and not _hypothesis_I_reference(p)
+    assert not hypothesis_I(poly_of(0, 0, -2, 0, 1))  # x^4 - 2x^2
+    assert hypothesis_I(poly_of(0, -3, 0, 1))  # x^3 - 3x
+    assert analyze(poly_of(0, -3, 0, 1)).radical == poly_of(-4, 0, 1)
+
+
+def test_classify_shifts_once_per_class_per_side(monkeypatch):
+    calls = []
+
+    def counting(s, p):
+        calls.append(p)
+        return resultant_shift(s, p)
+
+    monkeypatch.setattr(critical, "resultant_shift", counting)
+    rng = random.Random(10)
+    pair = PolynomialPair(*(random_polynomial(rng, 10, 10, sparse=False) for _ in "pq"))
+    verdict = classify(pair)
+    assert verdict.matching is pair.matching()
+    assert calls.count(pair.p) == len(pair.critical_p().classes)
+    assert calls.count(pair.q) == len(pair.critical_q().classes)
+    assert len(calls) == len(pair.critical_p().classes) + len(pair.critical_q().classes)
 
 
 @given(p=polys_deg2plus())

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import poly_of
-from sepcurve.rationals import rat
+from sepcurve.rationals import Rat, rat
 from sepcurve.rpoly import (
     Poly,
     is_squarefree,
@@ -32,6 +32,16 @@ def test_evaluation_and_derivative():
     assert p(rat(2)) == 32 - 6 + 1
     assert p.derivative() == poly_of(-3, 0, 0, 0, 5)
     assert Poly.constant(7).derivative().is_zero
+
+
+@given(a=small_polys, b=nonzero_polys)
+@settings(deadline=None, max_examples=60)
+def test_kernel_results_keep_normalized_rational_coefficients(a, b):
+    q, r = divmod(a, b)
+    for p in (a + b, a - b, a * b, -a, q, r, a.derivative(), a.scale_argument(rat(-2, 3)), a(b)):
+        assert all(type(c) is Rat for c in p.coeffs)
+        assert not p.coeffs or p.coeffs[-1] != 0
+    assert all(type(c) is Rat for c in Poly([1, 2, 3]).derivative().coeffs)
 
 
 def test_division_by_zero_raises():
