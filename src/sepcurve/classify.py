@@ -48,15 +48,6 @@ class Verdict:
     trace: tuple = ()
 
 
-def _matched_p_list(matching: PairMatching):
-    """Matched-pair p multiplicities, descending (index order)."""
-    return [p for p, q in matching.matched_points]
-
-
-def _matched_q_list(matching: PairMatching):
-    return sorted((q for p, q in matching.matched_points), reverse=True)
-
-
 def sufficient_conditions(matching: PairMatching, trace=None):
     """All of the small sufficient hyperbolicity conditions that hold
     for these aggregates (equal degrees, both sides with simple
@@ -70,8 +61,8 @@ def sufficient_conditions(matching: PairMatching, trace=None):
     umq = matching.unmatched_q_mass
     t1 = theorem1_lhs(matching)
     c1 = corollary1_lhs(matching)
-    ps = _matched_p_list(matching)
-    qs = _matched_q_list(matching)
+    ps = [p for p, _ in matching.matched_points]  # descending: index order
+    qs = sorted((q for _, q in matching.matched_points), reverse=True)
 
     if l0 >= 2 and t1 == 2:
         fired.append("big2(a)")
@@ -175,21 +166,6 @@ def matching_case_ids(matching: PairMatching, has_linear_factor: bool):
     if n == 5 and l0 == 2 and l == 2 and h == 2 and pts == ((2, 2), (2, 2)):
         ids.append(7)
     return ids
-
-
-def match_exceptional_case(
-    pair: Optional[PolynomialPair],
-    matching: PairMatching,
-    linear_witness: Optional[LinearFactorWitness] = None,
-) -> Optional[int]:
-    """First exceptional shape (1-7) the instance falls into, or None.
-
-    ``pair`` may be None when only aggregate data is being probed; the
-    linear-factor test then relies on ``linear_witness`` alone."""
-    if linear_witness is None and pair is not None:
-        linear_witness = find_linear_factor(pair)
-    ids = matching_case_ids(matching, linear_witness is not None)
-    return ids[0] if ids else None
 
 
 def classify(pair: PolynomialPair) -> Verdict:

@@ -17,7 +17,7 @@ import time
 from typing import Optional
 
 from .classify import Outcome, Verdict, classify
-from .critical import PairMatching, PolynomialPair, corollary1_lhs, theorem1_lhs
+from .critical import PolynomialPair, corollary1_lhs, theorem1_lhs
 from .geometry import genus_if_supported
 from .instances import (
     CASE_IDS,
@@ -29,7 +29,7 @@ from .instances import (
 )
 from .numoracle import DEFAULT_PRECISION, verify_pair_counts
 from .oneforms import verify_witnesses
-from .parsepoly import ParseError, parse_poly
+from .parsepoly import parse_poly
 
 EXIT_BY_OUTCOME = {
     Outcome.HYPERBOLIC: 0,
@@ -48,13 +48,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _critical_summary(pair: PolynomialPair, matching: PairMatching) -> dict:
+def _critical_summary(pair: PolynomialPair) -> dict:
     def classes(cs):
         return [
             {"multiplicity": c.multiplicity, "degree": c.factor.degree}
             for c in cs.classes
         ]
 
+    matching = pair.matching()
     return {
         "p_classes": classes(pair.critical_p()),
         "q_classes": classes(pair.critical_q()),
@@ -66,29 +67,26 @@ def _critical_summary(pair: PolynomialPair, matching: PairMatching) -> dict:
     }
 
 
-def _witness_texts(verdict: Verdict, matching: PairMatching) -> list:
-    forms, _reports = verify_witnesses(verdict, matching)
+def _witness_texts(verdict: Verdict) -> list:
+    """The audited witness forms; a form failing its own regularity
+    audit is an internal fault, never printed."""
+    forms, reports = verify_witnesses(verdict)
+    if not all(r.overall for r in reports):
+        raise RuntimeError(f"witness audit failed for rule {verdict.rule!r}")
     return [f.to_text() for f in forms]
 
 
-def _oracle_block(
-    pair: PolynomialPair,
-    matching: PairMatching,
-    which: str,
-    precision: int,
-) -> dict:
+def _oracle_block(pair: PolynomialPair, which: str, precision: int) -> dict:
     block = {}
     if which in ("geometry", "both"):
-        rep = genus_if_supported(pair, matching)
+        rep = genus_if_supported(pair)
         block["geometry"] = {
             "delta": rep.delta,
             "genus": rep.genus,
             "method": rep.method.value,
         }
     if which in ("numeric", "both"):
-        rep = verify_pair_counts(
-            pair, matching, precision_bits=precision, cap=max(4096, precision)
-        )
+        rep = verify_pair_counts(pair, precision_bits=precision, cap=max(4096, precision))
         block["numeric"] = {
             "outcome": rep.outcome.value,
             "precision_bits": rep.precision_bits,
@@ -101,7 +99,6 @@ def build_report(
     p_text: str,
     q_text: str,
     verdict: Verdict,
-    matching: PairMatching,
     *,
     witness: bool = False,
     oracle: Optional[str] = None,
@@ -112,12 +109,14 @@ def build_report(
 
     The critical summary describes the normalized orientation (degree of
     P at least degree of Q); ``swapped`` records whether that orientation
-    reversed the inputs.
+    reversed the inputs.  Every count comes from the pair's one cached
+    matching.
     """
     pair = verdict.pair
+    matching = pair.matching()
     witness_forms = []
     if witness and verdict.outcome is Outcome.HYPERBOLIC:
-        witness_forms = _witness_texts(verdict, matching)
+        witness_forms = _witness_texts(verdict)
     return {
         "schema": 1,
         "input": {"p": p_text, "q": q_text},
@@ -134,10 +133,8 @@ def build_report(
         "linear_witness": (
             verdict.linear_witness.description if verdict.linear_witness else None
         ),
-        "critical": _critical_summary(pair, matching),
-        "oracle": (
-            _oracle_block(pair, matching, oracle, precision) if oracle else None
-        ),
+        "critical": _critical_summary(pair),
+        "oracle": _oracle_block(pair, oracle, precision) if oracle else None,
         "timings": timings,
     }
 
@@ -178,6 +175,16 @@ def render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _build_argparser() -> _Parser:
     ap = _Parser(prog="sepcurve", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -198,7 +205,7 @@ def _build_argparser() -> _Parser:
         help="cross-check with the genus count and/or certified numerics",
     )
     cl.add_argument(
-        "--precision", type=int, default=DEFAULT_PRECISION, metavar="BITS",
+        "--precision", type=_positive_int, default=DEFAULT_PRECISION, metavar="BITS",
         help=f"numeric oracle working precision (default {DEFAULT_PRECISION})",
     )
     cl.add_argument(
@@ -212,12 +219,15 @@ def _build_argparser() -> _Parser:
 
 def _run_classify(args) -> int:
     t0 = time.perf_counter()
-    p = parse_poly(args.p)
-    q = parse_poly(args.q)
-    pair = PolynomialPair(p, q)
+    try:
+        p = parse_poly(args.p)
+        q = parse_poly(args.q)
+        pair = PolynomialPair(p, q)
+    except ValueError as exc:  # ParseError included
+        raise _UsageError(str(exc)) from exc
     t1 = time.perf_counter()
     verdict = classify(pair)
-    matching = pair.matching()
+    pair.matching()  # the report reads it; time it with the verdict
     t2 = time.perf_counter()
     timings = None
     if args.timings:
@@ -229,7 +239,6 @@ def _run_classify(args) -> int:
         p.to_string(),
         q.to_string(),
         verdict,
-        matching,
         witness=args.witness,
         oracle=args.oracle,
         precision=args.precision,
@@ -285,13 +294,14 @@ def _run_selftest() -> int:
 
 
 def main(argv=None) -> int:
-    ap = _build_argparser()
+    """Usage and input errors exit 1; anything else raised is an
+    internal fault and propagates."""
     try:
-        args = ap.parse_args(argv)
+        args = _build_argparser().parse_args(argv)
         if args.command == "selftest":
             return _run_selftest()
         return _run_classify(args)
-    except (_UsageError, ParseError, ValueError) as exc:
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

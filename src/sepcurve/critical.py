@@ -197,25 +197,24 @@ class PolynomialPair:
 class PairMatching:
     """Aggregate matching data between the two critical structures.
 
-    ``pair_classes`` holds (p, q, count): count critical points of P of
-    multiplicity p sharing their value with a critical point of Q of
-    multiplicity q, sorted by (p, q) descending.  The unmatched masses
-    are residuals: deg - 1 minus the matched multiplicity mass on each
-    side (so the mass identity holds by construction; they are genuine
-    unmatched sums exactly when each shared value is simple on both
-    sides, e.g. under hypothesis_I).
+    Stored, as :func:`match_pairs` measures them: the degrees,
+    ``matched_points`` (one (p, q) per critical point of P of
+    multiplicity p sharing its value with a critical point of Q of
+    multiplicity q, sorted descending), the multiplicities of the
+    unmatched points on each side and each side's full multiset.
+
+    Derived: the counts, and the unmatched masses.  The masses are
+    residuals, deg - 1 minus the matched multiplicity mass on each side,
+    so the mass identity holds by construction; they equal the sums of
+    the unmatched points exactly when each shared value is simple on
+    both sides, e.g. under hypothesis_I.
     """
 
     deg_p: int
     deg_q: int
-    pair_classes: tuple  # of (p, q, count)
     matched_points: tuple  # per matched point (p, q), sorted descending
     unmatched_p_points: tuple  # multiplicities, descending
     unmatched_q_points: tuple
-    unmatched_p_mass: int
-    unmatched_q_mass: int
-    unmatched_alpha_count: int
-    unmatched_beta_count: int
     p_multiset: tuple
     q_multiset: tuple
 
@@ -231,6 +230,14 @@ class PairMatching:
     @property
     def q_point_count(self) -> int:
         return len(self.q_multiset)
+
+    @property
+    def unmatched_p_mass(self) -> int:
+        return self.deg_p - 1 - sum(p for p, _ in self.matched_points)
+
+    @property
+    def unmatched_q_mass(self) -> int:
+        return self.deg_q - 1 - sum(q for _, q in self.matched_points)
 
 
 def _unmatched_points(cs, parts, shared, other) -> tuple:
@@ -261,32 +268,14 @@ def match_pairs(pair: PolynomialPair) -> PairMatching:
                 key = (p_mult, q_mult)
                 counts[key] = counts.get(key, 0) + j * k * d
 
-    pair_classes = tuple(
-        (p, q, counts[(p, q)]) for p, q in sorted(counts, reverse=True)
-    )
-
-    matched_points = []
-    for p, q, c in pair_classes:
-        matched_points.extend([(p, q)] * c)
-    matched_points.sort(reverse=True)
-
-    unmatched_p = _unmatched_points(cs_p, p_parts, shared, cs_q)
-    unmatched_q = _unmatched_points(cs_q, q_parts, list(zip(*shared)), cs_p)
-
-    matched_p_mass = sum(p * c for p, q, c in pair_classes)
-    matched_q_mass = sum(q * c for p, q, c in pair_classes)
-
     return PairMatching(
         deg_p=pair.n,
         deg_q=pair.m,
-        pair_classes=pair_classes,
-        matched_points=tuple(matched_points),
-        unmatched_p_points=unmatched_p,
-        unmatched_q_points=unmatched_q,
-        unmatched_p_mass=pair.n - 1 - matched_p_mass,
-        unmatched_q_mass=pair.m - 1 - matched_q_mass,
-        unmatched_alpha_count=len(unmatched_p),
-        unmatched_beta_count=len(unmatched_q),
+        matched_points=tuple(
+            sorted((pq for pq, c in counts.items() for _ in range(c)), reverse=True)
+        ),
+        unmatched_p_points=_unmatched_points(cs_p, p_parts, shared, cs_q),
+        unmatched_q_points=_unmatched_points(cs_q, q_parts, list(zip(*shared)), cs_p),
         p_multiset=cs_p.multiset(),
         q_multiset=cs_q.multiset(),
     )
@@ -296,14 +285,14 @@ def theorem1_lhs(matching: PairMatching) -> int:
     """Sum of (p - q) over matched pairs with p > q, plus the unmatched
     P-side mass."""
     return (
-        sum((p - q) * c for p, q, c in matching.pair_classes if p > q)
+        sum(p - q for p, q in matching.matched_points if p > q)
         + matching.unmatched_p_mass
     )
 
 
 def corollary1_lhs(matching: PairMatching) -> int:
     return (
-        sum((q - p) * c for p, q, c in matching.pair_classes if q > p)
+        sum(q - p for p, q in matching.matched_points if q > p)
         + matching.unmatched_q_mass
     )
 
@@ -322,17 +311,11 @@ class HomogenizedCurveMeta:
     n0: int
     m0: int
     inner_degree: int  # m'
-    inner_degree_q: int  # m''
     z2_exponent_in_dz2: int
 
 
 def homogenized_meta(pair: PolynomialPair) -> HomogenizedCurveMeta:
-    if pair.n == pair.m:
-        inner = max(pair.n0, pair.m0)
-        inner_q = pair.m0
-    else:
-        inner = max(pair.n0, pair.m)
-        inner_q = pair.m
+    inner = max(pair.n0, pair.m0 if pair.n == pair.m else pair.m)
     z2exp = pair.n - inner - 1
     assert z2exp >= 0
     return HomogenizedCurveMeta(
@@ -341,6 +324,5 @@ def homogenized_meta(pair: PolynomialPair) -> HomogenizedCurveMeta:
         n0=pair.n0,
         m0=pair.m0,
         inner_degree=inner,
-        inner_degree_q=inner_q,
         z2_exponent_in_dz2=z2exp,
     )

@@ -214,10 +214,9 @@ def genus_from_profile(profile: SingularProfile) -> DeficiencyReport:
     return DeficiencyReport(delta=delta, genus=None, method=GenusMethod.UNSUPPORTED)
 
 
-def genus_if_supported(
-    pair: PolynomialPair, matching: Optional[PairMatching] = None
-) -> DeficiencyReport:
-    """Profile + genus in one step; unequal degrees report UNSUPPORTED."""
+def genus_if_supported(pair: PolynomialPair) -> DeficiencyReport:
+    """Profile + genus in one step, from the pair's cached matching;
+    unequal degrees report UNSUPPORTED."""
     if pair.n != pair.m:
         return DeficiencyReport(delta=None, genus=None, method=GenusMethod.UNSUPPORTED)
-    return genus_from_profile(singular_profile(matching or pair.matching()))
+    return genus_from_profile(singular_profile(pair.matching()))

@@ -48,22 +48,6 @@ class ComplexApprox:
         import mpmath
         return mpmath.mpc(self.real, self.imag)
 
-    def overlaps(self, other: "ComplexApprox") -> bool:
-        import mpmath
-        with mpmath.workprec(PRECISION_CAP + _GUARD):
-            d = abs(self.value - other.value)
-            return d <= self.radius + other.radius
-
-    def is_distinct_from(self, other: "ComplexApprox") -> bool:
-        return not self.overlaps(other)
-
-
-@dataclass(frozen=True)
-class ClusterReport:
-    __slots__ = ("clusters", "ambiguous")
-    clusters: tuple  # of (center: ComplexApprox, count: int)
-    ambiguous: bool
-
 
 @dataclass(frozen=True)
 class PairCountOracle:
@@ -194,22 +178,6 @@ def _cluster_indices(disks):
     return sorted(groups.values(), key=lambda g: (-len(g), g))
 
 
-def cluster_disks(disks) -> ClusterReport:
-    """Group disks by overlap (transitively); ambiguous while any group
-    still has more than one member, since coincidence is never certified
-    numerically — only refined until it either splits or stays put."""
-    import mpmath
-    with mpmath.workprec(PRECISION_CAP + _GUARD):
-        groups = _cluster_indices(list(disks))
-        clusters = []
-        for g in groups:
-            rep = min(g, key=lambda i: disks[i].radius)
-            clusters.append((disks[rep], len(g)))
-        return ClusterReport(
-            clusters=tuple(clusters), ambiguous=any(len(g) > 1 for g in groups)
-        )
-
-
 def _critical_value_disks(cs: CriticalStructure, precision_bits: int):
     """(point multiplicity, value disk) for every critical point of cs.poly."""
     out = []
@@ -261,6 +229,8 @@ def corroborate_hypothesis_I(
     and a certified split of an exact coincidence is a disagreement.
     """
     import mpmath
+    if precision_bits < 1:
+        raise ValueError(f"precision_bits must be at least 1, got {precision_bits}")
     cs = analyze(p)
     symbolic = cs.hypothesis_I
     expected = cs.value_multiplicities
@@ -297,6 +267,8 @@ def verify_pair_counts(
     unresolved overlap escalates precision and then reports ambiguity.
     """
     import mpmath
+    if precision_bits < 1:
+        raise ValueError(f"precision_bits must be at least 1, got {precision_bits}")
     pm = pm or pp.matching()
     if not (pp.critical_p().hypothesis_I and pp.critical_q().hypothesis_I):
         return PairCountOracle(

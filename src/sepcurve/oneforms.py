@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .classify import Outcome, Verdict
 from .critical import (
     HomogenizedCurveMeta,
     PairMatching,
-    corollary1_lhs,
     homogenized_meta,
     theorem1_lhs,
 )
@@ -113,22 +112,12 @@ class RegularityReport:
     notes: tuple
 
 
-class OrderBounds(tuple):
+class OrderBounds(NamedTuple):
     """(bound, ratio): ord(z0 - a*z2) >= bound and the exact relation
     ord0 : ord1 = ratio[0] : ratio[1] at a matched (p, q) point."""
 
-    __slots__ = ()
-
-    def __new__(cls, bound, ratio):
-        return super().__new__(cls, (bound, ratio))
-
-    @property
-    def bound(self):
-        return self[0]
-
-    @property
-    def ratio(self):
-        return self[1]
+    bound: int
+    ratio: tuple
 
 
 def order_bounds(p: int, q: int) -> OrderBounds:
@@ -144,7 +133,7 @@ def order_bounds(p: int, q: int) -> OrderBounds:
     >>> order_bounds(2, 4).bound
     5
     >>> order_bounds(3, 3)
-    (1, (1, 1))
+    OrderBounds(bound=1, ratio=(1, 1))
     """
     if p < 1 or q < 1:
         raise ValueError(f"multiplicities must be at least 1 (got p={p}, q={q})")
@@ -456,16 +445,9 @@ def _mirrored_matching(matching):
     mirrored = PairMatching(
         deg_p=matching.deg_q,
         deg_q=matching.deg_p,
-        pair_classes=tuple(
-            sorted(((q, p, c) for p, q, c in matching.pair_classes), reverse=True)
-        ),
         matched_points=tuple((q, p) for q, p, _ in tagged),
         unmatched_p_points=matching.unmatched_q_points,
         unmatched_q_points=matching.unmatched_p_points,
-        unmatched_p_mass=matching.unmatched_q_mass,
-        unmatched_q_mass=matching.unmatched_p_mass,
-        unmatched_alpha_count=matching.unmatched_beta_count,
-        unmatched_beta_count=matching.unmatched_alpha_count,
         p_multiset=matching.q_multiset,
         q_multiset=matching.p_multiset,
     )

@@ -21,22 +21,12 @@ def make_matching(matched, unm_p=(), unm_q=(), deg=None):
     m = 1 + sum(q for _, q in matched) + sum(unm_q)
     if deg is not None:
         n, m = deg
-    classes = {}
-    for p, q in matched:
-        classes[(p, q)] = classes.get((p, q), 0) + 1
     return PairMatching(
         deg_p=n,
         deg_q=m,
-        pair_classes=tuple(
-            sorted(((p, q, c) for (p, q), c in classes.items()), reverse=True)
-        ),
         matched_points=matched,
         unmatched_p_points=unm_p,
         unmatched_q_points=unm_q,
-        unmatched_p_mass=sum(unm_p),
-        unmatched_q_mass=sum(unm_q),
-        unmatched_alpha_count=len(unm_p),
-        unmatched_beta_count=len(unm_q),
         p_multiset=tuple(sorted([p for p, _ in matched] + list(unm_p), reverse=True)),
         q_multiset=tuple(sorted([q for _, q in matched] + list(unm_q), reverse=True)),
     )

@@ -8,10 +8,8 @@ import functools
 import random
 import time
 
-from helpers import poly_of
 from sepcurve.classify import Outcome, classify, matching_case_ids
 from sepcurve.critical import (
-    PolynomialPair,
     analyze,
     hypothesis_I,
     match_pairs,
@@ -109,7 +107,7 @@ def test_criterion_2_exceptional_round_trip():
             )
 
     for label, v in verdicts.items():
-        rep = genus_if_supported(v.pair, v.matching)
+        rep = genus_if_supported(v.pair)
         if rep.genus is None:
             continue
         if v.outcome is Outcome.HAS_LOW_GENUS_COMPONENT:

@@ -1,0 +1,44 @@
+"""The names the benchmark under perfbench/ reaches inside sepcurve.
+
+The traced run rebinds every function listed in ``perfbench/tracing.py``
+``LAYERS`` and reads the oracles' ``precision_bits`` argument; renaming
+or dropping any of them breaks the benchmark, so they are pinned here.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import pathlib
+
+from sepcurve import numoracle, rationals
+from sepcurve.classify import Verdict
+
+TRACING = pathlib.Path(__file__).parent.parent / "perfbench" / "tracing.py"
+
+
+def _layers():
+    # loaded by path: importing perfbench as a package would run its
+    # environment set-up inside the test process
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYERS
+
+
+def test_traced_layers_are_callable():
+    layers = _layers()
+    assert layers
+    for module, names in layers.items():
+        mod = importlib.import_module(f"sepcurve.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"sepcurve.{module}.{name}"
+
+
+def test_oracles_keep_precision_bits():
+    for fn in (numoracle.corroborate_hypothesis_I, numoracle.verify_pair_counts):
+        assert "precision_bits" in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_verdict_matching_and_backend_name():
+    assert "matching" in inspect.signature(Verdict).parameters
+    assert isinstance(rationals.BACKEND, str)

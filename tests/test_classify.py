@@ -4,7 +4,6 @@ from helpers import make_matching, poly_of
 from sepcurve.classify import (
     Outcome,
     classify,
-    match_exceptional_case,
     matching_case_ids,
     sufficient_conditions,
 )
@@ -156,13 +155,11 @@ def test_case_shape_ids_on_synthetic_aggregates():
     # case 7: two double-double points at degree 5
     m = make_matching([(2, 2), (2, 2)], deg=(5, 5))
     assert matching_case_ids(m, has_linear_factor=False) == [7]
+    # a linear factor puts case 1 first, ahead of any shape
+    assert matching_case_ids(m, has_linear_factor=True) == [1, 7]
+    # and a shape outside the list matches nothing
+    m = make_matching([(3, 3), (3, 3)])
+    assert matching_case_ids(m, has_linear_factor=False) == []
     # low degrees always land in case 2
     m = make_matching([(1, 1)], unm_p=(1,), unm_q=(1,), deg=(3, 3))
     assert 2 in matching_case_ids(m, has_linear_factor=False)
-
-
-def test_match_exceptional_case_reports_first():
-    m = make_matching([(2, 2), (2, 2)], deg=(5, 5))
-    assert match_exceptional_case(None, m) == 7
-    m = make_matching([(3, 3), (3, 3)])
-    assert match_exceptional_case(None, m) is None

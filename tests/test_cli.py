@@ -7,16 +7,20 @@ intentional schema change with
     python3 tests/test_cli.py --regen
 """
 
+import dataclasses
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
+import sepcurve.cli as cli
 import sepcurve.critical as critical
 from sepcurve.cli import main
+from sepcurve.oneforms import MalformedFormError
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -157,6 +161,55 @@ def test_oracle_precision_flag(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert code == 10  # x - y divides
     assert rep["oracle"]["numeric"]["precision_bits"] == 512
+
+
+@pytest.mark.parametrize("bits", ["0", "-1", "-8"])
+def test_precision_must_be_positive(bits, capsys):
+    # P = Q resolves at the first precision step, so a missing guard
+    # shows up as a report, not as a hang
+    t0 = time.perf_counter()
+    code = main(
+        ["classify", "--p", "x^3 - 3*x", "--q", "x^3 - 3*x", "--json",
+         "--oracle", "numeric", f"--precision={bits}"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "--precision" in captured.err
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize(
+    "fault", [MalformedFormError("bad degrees"), ValueError("internal"), ArithmeticError("kernel")]
+)
+def test_internal_faults_are_not_usage_errors(fault, monkeypatch):
+    def broken(pair):
+        raise fault
+
+    monkeypatch.setattr(cli, "classify", broken)
+    with pytest.raises(type(fault)):
+        main(["classify", "--p", "x^5", "--q", "x^5 + x"])
+
+
+def test_emitter_fault_is_not_a_usage_error(monkeypatch):
+    real = cli.classify
+    monkeypatch.setattr(
+        cli, "classify", lambda pair: dataclasses.replace(real(pair), rule="no such rule")
+    )
+    with pytest.raises(ValueError, match="no witness emitter"):
+        main(["classify", "--p", "x^5", "--q", "x^5 + x", "--witness"])
+
+
+def test_unaudited_witness_is_never_printed(monkeypatch, capsys):
+    real = cli.verify_witnesses
+
+    def failing_audit(verdict, matching=None):
+        forms, reports = real(verdict, matching)
+        return forms, tuple(dataclasses.replace(r, overall=False) for r in reports)
+
+    monkeypatch.setattr(cli, "verify_witnesses", failing_audit)
+    with pytest.raises(RuntimeError, match="witness audit failed"):
+        main(["classify", "--p", "x^5", "--q", "x^5 + x", "--witness"])
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(

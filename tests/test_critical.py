@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sepcurve.critical as critical
-from helpers import poly_of
+from helpers import make_matching, poly_of
 from sepcurve.classify import classify
 from sepcurve.critical import (
     PolynomialPair,
@@ -17,6 +17,7 @@ from sepcurve.critical import (
     theorem1_lhs,
 )
 from sepcurve.instances import random_polynomial
+from sepcurve.oneforms import _mirrored_matching
 from sepcurve.rationals import rat
 from sepcurve.rpoly import (
     Poly,
@@ -195,7 +196,7 @@ def test_match_pairs_disjoint_values():
     m = match_pairs(pair)
     assert m.matched_points == ()
     assert m.unmatched_p_mass == 6 and m.unmatched_q_mass == 6
-    assert m.unmatched_alpha_count == 6 and m.unmatched_beta_count == 6
+    assert m.unmatched_p_points == (1,) * 6 and m.unmatched_q_points == (1,) * 6
 
 
 def test_match_pairs_unequal_degree_overlap():
@@ -226,12 +227,23 @@ def test_match_pairs_aggregate_invariants(p, q):
     assert sum(pm for pm, _ in m.matched_points) + m.unmatched_p_mass == pair.n - 1
     assert sum(qm for _, qm in m.matched_points) + m.unmatched_q_mass == pair.m - 1
     assert m.matched_points == tuple(sorted(m.matched_points, reverse=True))
-    assert sum(c for _, _, c in m.pair_classes) == m.matched_pair_count
     assert m.p_multiset == tuple(
         sorted([pm for pm, _ in m.matched_points] + list(m.unmatched_p_points), reverse=True)
     )
-    assert len(m.unmatched_p_points) == m.unmatched_alpha_count
     assert sum(m.unmatched_p_points) == m.unmatched_p_mass
+    # with simple values the matched and unmatched points determine the
+    # rest: the synthetic builder reproduces the measured matching
+    if pair.critical_p().hypothesis_I and pair.critical_q().hypothesis_I:
+        rebuilt = make_matching(
+            m.matched_points, m.unmatched_p_points, m.unmatched_q_points,
+            deg=(m.deg_p, m.deg_q),
+        )
+        assert rebuilt == m
+    # exchanging the roles twice gives back the matching and its indices
+    mirrored, index_map = _mirrored_matching(m)
+    back, back_map = _mirrored_matching(mirrored)
+    assert back == m
+    assert all(index_map[back_map[i]] == i for i in range(1, m.matched_pair_count + 1))
 
 
 def test_homogenized_meta_bookkeeping():

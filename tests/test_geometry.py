@@ -1,7 +1,6 @@
 import pytest
 
 from helpers import make_matching
-from sepcurve.critical import match_pairs
 from sepcurve.geometry import (
     GenusMethod,
     IrreducibilityVerdict,
@@ -112,7 +111,7 @@ def test_genus_if_supported_on_instances():
 
     for k in (3, 4):
         pair = theorem3_pair(k)
-        rep = genus_if_supported(pair, match_pairs(pair))
+        rep = genus_if_supported(pair)
         if rep.genus is not None:
             assert rep.genus >= 2
 

@@ -9,7 +9,6 @@ from sepcurve.instances import random_polynomial
 from sepcurve.numoracle import (
     OracleOutcome,
     check_resultant_product,
-    cluster_disks,
     complex_roots,
     corroborate_hypothesis_I,
     verify_pair_counts,
@@ -40,21 +39,12 @@ def test_roots_pairwise_disjoint():
     assert all(abs(a - b) < 1e-60 for a, b in zip(reals, (-1, 0, 1)))
     for i, a in enumerate(roots):
         for b in roots[i + 1 :]:
-            assert not a.overlaps(b)
-            assert a.is_distinct_from(b)
+            assert abs(a.value - b.value) > a.radius + b.radius
 
 
 def test_non_squarefree_input_refused():
     with pytest.raises(ValueError, match="squarefree"):
         complex_roots(poly_of(0, 0, 1))
-
-
-def test_cluster_disks_flags_coincidence():
-    disks = complex_roots(poly_of(-1, 0, 1), 256) + complex_roots(poly_of(-1, 1), 256)
-    report = cluster_disks(disks)
-    assert report.ambiguous  # 1 occurs twice; those disks must overlap
-    sizes = sorted((count for _rep, count in report.clusters), reverse=True)
-    assert sizes == [2, 1]
 
 
 def test_hypothesis_corroboration_simple_and_clustered():
@@ -64,6 +54,17 @@ def test_hypothesis_corroboration_simple_and_clustered():
     rep = corroborate_hypothesis_I(poly_of(0, 0, -2, 0, 1))  # x^4 - 2x^2
     assert rep.outcome is OracleOutcome.AGREE and rep.symbolic is False
     assert rep.cluster_sizes == (2, 1)
+
+
+@pytest.mark.parametrize("bits", [0, -8])
+def test_oracles_refuse_nonpositive_precision(bits):
+    # x^3 - 3x resolves at the first precision step: without the guard
+    # both oracles answer instead of hanging
+    p = poly_of(0, -3, 0, 1)
+    with pytest.raises(ValueError, match="precision_bits"):
+        corroborate_hypothesis_I(p, precision_bits=bits)
+    with pytest.raises(ValueError, match="precision_bits"):
+        verify_pair_counts(PolynomialPair(p, p), precision_bits=bits)
 
 
 def test_pair_count_recount_agreement():
