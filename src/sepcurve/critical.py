@@ -3,10 +3,11 @@ P(x) - Q(y) = 0.
 
 The critical points of P are the roots of P'; they are grouped by
 multiplicity (the order of vanishing of P'), each group carried as a
-monic squarefree factor together with the monic polynomial whose
-roots are the critical values of that group.  All matching between
-the P-side and the Q-side happens through gcds of those value
-polynomials, never through the points themselves.  Each polynomial's
+monic squarefree factor.  The critical values are carried once, in a
+value table: pairwise coprime monic squarefree pieces, each with the
+multiplicities of the critical points that take each of its roots.
+All matching between the P-side and the Q-side happens through gcds of
+those pieces, never through the points themselves.  Each polynomial's
 data is computed once, by :func:`analyze`, and cached on the pair.
 """
 
@@ -19,33 +20,27 @@ from .rpoly import Poly, poly_gcd, resultant_shift, squarefree_decomposition
 
 @dataclass(frozen=True)
 class CriticalClass:
-    """One multiplicity class: ``factor`` is monic squarefree, its roots
-    are the critical points where the derivative vanishes to order
-    ``multiplicity`` exactly, and ``values`` is the monic polynomial of
-    the corresponding critical values (degree == factor degree).
-    ``value_parts`` is the Yun decomposition of ``values``: (monic
-    factor, j) parts, a value taken by j points of the class showing up
-    with j here."""
+    """One multiplicity class: ``factor`` is monic squarefree and its
+    roots are the critical points where the derivative vanishes to order
+    ``multiplicity`` exactly."""
 
     factor: Poly
     multiplicity: int
-    values: Poly
-    value_parts: tuple  # of (Poly, int)
 
 
 @dataclass(frozen=True)
 class CriticalStructure:
     """Everything the verdicts need about one polynomial's critical
     points, computed once by :func:`analyze`: the multiplicity classes
-    of P' with their value polynomials and Yun parts; ``radical``, the
-    monic squarefree polynomial of all distinct critical values; and
-    ``value_multiplicities``, largest first, the number of critical
-    points taking each of those values."""
+    of P' and the value table ``values``, a tuple of (piece, mults).
+    The pieces are pairwise coprime, monic and squarefree, their product
+    is the polynomial of all distinct critical values, and each root of
+    a piece is the value of exactly the critical points whose
+    multiplicities are listed, largest first, in ``mults``."""
 
     poly: Poly
     classes: tuple  # of CriticalClass, multiplicities strictly increasing
-    radical: Poly
-    value_multiplicities: tuple  # of int, one per root of radical
+    values: tuple  # of (Poly, tuple of int)
 
     @property
     def point_count(self) -> int:
@@ -54,65 +49,59 @@ class CriticalStructure:
 
     @property
     def hypothesis_I(self) -> bool:
-        """All critical values simple: one distinct value per distinct
-        critical point, i.e. deg radical == point_count."""
-        return self.radical.degree == self.point_count
+        """All critical values simple: every value is taken by exactly
+        one critical point."""
+        return all(len(mults) == 1 for _, mults in self.values)
 
     @property
-    def parts_coprime(self) -> bool:
-        """No value is taken in two classes, so the value parts of all
-        classes are pairwise coprime and their degrees sum to deg radical."""
-        return self.radical.degree == sum(
-            f.degree for c in self.classes for f, _ in c.value_parts
-        )
+    def value_multiplicities(self) -> tuple:
+        """Number of critical points taking each distinct critical
+        value, largest first."""
+        counts = (len(mults) for f, mults in self.values for _ in range(f.degree))
+        return tuple(sorted(counts, reverse=True))
 
     def multiset(self) -> tuple:
-        """Per-point multiplicities, largest first."""
-        out = []
-        for c in self.classes:
-            out.extend([c.multiplicity] * c.factor.degree)
-        out.sort(reverse=True)
-        return tuple(out)
+        """Per-point multiplicities, largest first: each critical point
+        takes exactly one value of the table."""
+        out = (mu for f, mults in self.values for mu in mults * f.degree)
+        return tuple(sorted(out, reverse=True))
 
 
 def analyze(p: Poly) -> CriticalStructure:
     """Critical structure of a polynomial of degree >= 2: one
-    ``resultant_shift`` and one Yun decomposition per class."""
+    ``resultant_shift`` and one Yun decomposition per class.
+
+    >>> cs = analyze(Poly([0, 0, -2, 0, 1]))  # x^4 - 2x^2: 0 once, -1 twice
+    >>> [(f.to_string("y"), mults) for f, mults in cs.values]
+    [('y', (1,)), ('y + 1', (1, 1))]
+    """
     if p.degree < 2:
         raise ValueError(f"degree must be at least 2, got {p.degree}")
     classes = []
-    atoms = []  # pairwise coprime (factor, points per value) so far
+    table = []  # pairwise coprime (piece, mults) so far
     for factor, mult in squarefree_decomposition(p.derivative()).parts:
-        values = resultant_shift(factor, p)
-        parts = squarefree_decomposition(values).parts
         new = []
-        for f, j in parts:
-            # parts of one class are coprime, but an earlier class may
-            # take some of the same values: split those off
-            for i, (a, k) in enumerate(atoms):
+        for f, j in squarefree_decomposition(resultant_shift(factor, p)).parts:
+            # each root of f is taken by j points of this class; an
+            # earlier class may take some of the same values: split them off
+            mults = (mult,) * j
+            for i, (a, a_mults) in enumerate(table):
                 g = poly_gcd(a, f)
                 if g.degree > 0:
-                    atoms[i], f = (a // g, k), f // g
-                    new.append((g, k + j))
-            new.append((f, j))
-        atoms = [(a, k) for a, k in atoms + new if a.degree > 0]
-        classes.append(CriticalClass(factor, mult, values, parts))
-    radical = Poly.one()
-    for a, _ in atoms:
-        radical = radical * a
-    counts = sorted((k for a, k in atoms for _ in range(a.degree)), reverse=True)
-    return CriticalStructure(p, tuple(classes), radical, tuple(counts))
+                    table[i], f = (a // g, a_mults), f // g
+                    new.append((g, tuple(sorted(a_mults + mults, reverse=True))))
+            new.append((f, mults))
+        table = [(a, ms) for a, ms in table + new if a.degree > 0]
+        classes.append(CriticalClass(factor, mult))
+    return CriticalStructure(p, tuple(classes), tuple(table))
 
 
 def hypothesis_I(p: Poly) -> bool:
     """True when all critical values of p are simple, i.e. no two
-    critical points (of any multiplicity) share a value.
-
-    The class value polynomials multiply to
-    resultant_shift(squarefree_part(P'), P), so this holds exactly when
-    the radical of all critical values has degree ``point_count``.  A
-    squarefree value polynomial in each class is not enough: x^3 (x-1)^2
-    takes the value 0 in two classes.
+    critical points (of any multiplicity) share a value: every piece of
+    the value table is taken by one point.  A squarefree value
+    polynomial in each class is not enough: x^3 (x-1)^2 takes the value
+    0 in two classes.
 
     >>> hypothesis_I(Poly([0, -3, 0, 1]))   # x^3 - 3x, values +-2
     True
@@ -199,9 +188,9 @@ class PairMatching:
 
     Stored, as :func:`match_pairs` measures them: the degrees,
     ``matched_points`` (one (p, q) per critical point of P of
-    multiplicity p sharing its value with a critical point of Q of
-    multiplicity q, sorted descending), the multiplicities of the
-    unmatched points on each side and each side's full multiset.
+    multiplicity p and critical point of Q of multiplicity q with the
+    same value, sorted descending), the multiplicities of the unmatched
+    points on each side and each side's full multiset.
 
     Derived: the counts, and the unmatched masses.  The masses are
     residuals, deg - 1 minus the matched multiplicity mass on each side,
@@ -240,42 +229,35 @@ class PairMatching:
         return self.deg_q - 1 - sum(q for _, q in self.matched_points)
 
 
-def _unmatched_points(cs, parts, shared, other) -> tuple:
-    """Multiplicities, largest first, of the critical points of ``cs``
-    whose value ``other`` does not take.  ``shared[i]`` holds deg gcd of
-    parts[i] with each value part of ``other``; they sum to the degree
-    of its gcd with ``other.radical`` when those parts are coprime."""
-    coprime = other.parts_coprime
-    left = {c.multiplicity: c.factor.degree for c in cs.classes}
-    for (mult, f, j), degs in zip(parts, shared):
-        left[mult] -= j * (sum(degs) if coprime else poly_gcd(f, other.radical).degree)
-    return tuple(sorted((m for m, k in left.items() for _ in range(k)), reverse=True))
-
-
 def match_pairs(pair: PolynomialPair) -> PairMatching:
-    cs_p = pair.critical_p()
-    cs_q = pair.critical_q()
-    p_parts = [(c.multiplicity, f, j) for c in cs_p.classes for f, j in c.value_parts]
-    q_parts = [(c.multiplicity, f, j) for c in cs_q.classes for f, j in c.value_parts]
+    """Match the critical points of P and Q that share a value.
 
-    # deg gcd of every P-side value part with every Q-side one, once;
-    # pair counts are j*k*deg gcd
-    shared = [[poly_gcd(pf, qf).degree for _, qf, _ in q_parts] for _, pf, _ in p_parts]
-    counts = {}
-    for (p_mult, _, j), degs in zip(p_parts, shared):
-        for (q_mult, _, k), d in zip(q_parts, degs):
-            if d > 0:
-                key = (p_mult, q_mult)
-                counts[key] = counts.get(key, 0) + j * k * d
+    ``matched_points`` has one (p, q) per (P point, Q point) with equal
+    values, i.e. one per affine singular point of P(x) - Q(y) = 0 over a
+    shared value; the unmatched points are those whose value the other
+    side does not take.  One gcd per (P piece, Q piece) of the value
+    tables: d shared roots pair every P multiplicity of the piece with
+    every Q multiplicity, d times.
+    """
+    cs_p, cs_q = pair.critical_p(), pair.critical_q()
+    # deg gcd of every P piece with every Q piece, once
+    shared = [[poly_gcd(pf, qf).degree for qf, _ in cs_q.values] for pf, _ in cs_p.values]
+    matched = []
+    for (_, p_mults), degs in zip(cs_p.values, shared):
+        for (_, q_mults), d in zip(cs_q.values, degs):
+            matched += [(a, b) for a in p_mults for b in q_mults] * d
+
+    def unmatched(table, shared):
+        # a piece's roots the other side does not take, with their points
+        left = (mults * (f.degree - sum(degs)) for (f, mults), degs in zip(table, shared))
+        return tuple(sorted((mu for ms in left for mu in ms), reverse=True))
 
     return PairMatching(
         deg_p=pair.n,
         deg_q=pair.m,
-        matched_points=tuple(
-            sorted((pq for pq, c in counts.items() for _ in range(c)), reverse=True)
-        ),
-        unmatched_p_points=_unmatched_points(cs_p, p_parts, shared, cs_q),
-        unmatched_q_points=_unmatched_points(cs_q, q_parts, list(zip(*shared)), cs_p),
+        matched_points=tuple(sorted(matched, reverse=True)),
+        unmatched_p_points=unmatched(cs_p.values, shared),
+        unmatched_q_points=unmatched(cs_q.values, zip(*shared)),
         p_multiset=cs_p.multiset(),
         q_multiset=cs_q.multiset(),
     )
@@ -303,14 +285,11 @@ class HomogenizedCurveMeta:
 
     For n == m the effective inner degree is max(n0, m0); otherwise the
     whole Q side sits at degree m.  The z2 partial derivative carries a
-    guaranteed factor z2^(n - inner_degree - 1).
+    guaranteed factor z2^(n - inner degree - 1).
     """
 
     n: int
     m: int
-    n0: int
-    m0: int
-    inner_degree: int  # m'
     z2_exponent_in_dz2: int
 
 
@@ -318,11 +297,4 @@ def homogenized_meta(pair: PolynomialPair) -> HomogenizedCurveMeta:
     inner = max(pair.n0, pair.m0 if pair.n == pair.m else pair.m)
     z2exp = pair.n - inner - 1
     assert z2exp >= 0
-    return HomogenizedCurveMeta(
-        n=pair.n,
-        m=pair.m,
-        n0=pair.n0,
-        m0=pair.m0,
-        inner_degree=inner,
-        z2_exponent_in_dz2=z2exp,
-    )
+    return HomogenizedCurveMeta(n=pair.n, m=pair.m, z2_exponent_in_dz2=z2exp)

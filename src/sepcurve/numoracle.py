@@ -139,7 +139,7 @@ def complex_roots(p: Poly, precision_bits: int = DEFAULT_PRECISION):
         return tuple(out)
 
 
-def _value_disk(p: Poly, root: ComplexApprox, extra_radius=None):
+def _value_disk(p: Poly, root: ComplexApprox):
     """Disk certified to contain p(z) for every z in the root disk."""
     import mpmath
     coeffs = [_to_mpf(c) for c in p.coeffs]
@@ -152,10 +152,7 @@ def _value_disk(p: Poly, root: ComplexApprox, extra_radius=None):
         if k and c:
             drift += abs(c) * ((az + r) ** k - az**k)
     slack = (abs(center) + drift + 1) * mpmath.mpf(2) ** (-(mpmath.mp.prec - 8))
-    radius = drift + slack
-    if extra_radius is not None:
-        radius += extra_radius
-    return ComplexApprox(real=center.real, imag=center.imag, radius=radius)
+    return ComplexApprox(real=center.real, imag=center.imag, radius=drift + slack)
 
 
 def _cluster_indices(disks):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sepcurve.critical as critical
@@ -22,6 +22,7 @@ from sepcurve.rationals import rat
 from sepcurve.rpoly import (
     Poly,
     is_squarefree,
+    poly_gcd,
     resultant_shift,
     squarefree_decomposition,
     squarefree_part,
@@ -44,7 +45,7 @@ def test_analyze_cubic():
     cls = cs.classes[0]
     assert cls.multiplicity == 1
     assert cls.factor == poly_of(-1, 0, 1)  # x^2 - 1
-    assert cls.values == poly_of(-4, 0, 1)  # values are +-2
+    assert cs.values == ((poly_of(-4, 0, 1), (1,)),)  # values +-2, one point each
     assert cs.point_count == 2
     assert cs.multiset() == (1, 1)
 
@@ -67,7 +68,9 @@ def test_values_with_shared_roots_are_not_squarefree():
     # x^4 - 2x^2 sends +-1 to the same value
     cs = analyze(poly_of(0, 0, -2, 0, 1))
     (cls,) = cs.classes
-    assert cls.values == poly_of(0, 1) * poly_of(1, 1) ** 2  # y (y+1)^2
+    assert cls.multiplicity == 1
+    # 0 is taken by x = 0, -1 by both x = +-1
+    assert dict(cs.values) == {poly_of(0, 1): (1,), poly_of(1, 1): (1, 1)}
     assert not hypothesis_I(poly_of(0, 0, -2, 0, 1))
     assert hypothesis_I(poly_of(0, -3, 0, 1))
 
@@ -110,8 +113,15 @@ def _value_multiplicities_reference(p: Poly) -> tuple:
 def test_hypothesis_I_matches_the_all_values_route(p):
     assert hypothesis_I(p) == _hypothesis_I_reference(p)
     cs = analyze(p)
-    assert cs.radical == squarefree_part(_all_values(p))
+    product = Poly.one()
+    for f, _ in cs.values:
+        assert f.lc == 1
+        product = product * f
+    assert product == squarefree_part(_all_values(p))
     assert cs.value_multiplicities == _value_multiplicities_reference(p)
+    # every critical point takes exactly one value of the table
+    by_class = [c.multiplicity for c in cs.classes for _ in range(c.factor.degree)]
+    assert cs.multiset() == tuple(sorted(by_class, reverse=True))
 
 
 @pytest.mark.parametrize(
@@ -133,12 +143,12 @@ def test_hypothesis_I_pinned_radical_degree_rule():
     cs = analyze(p)
     assert [c.multiplicity for c in cs.classes] == [1, 2]
     # each class alone has simple values; 0 is taken in both classes
-    assert all(len(c.value_parts) == 1 and c.value_parts[0][1] == 1 for c in cs.classes)
-    assert (cs.radical.degree, cs.point_count) == (2, 3)
+    assert dict(cs.values) == {poly_of(0, 1): (2, 1), poly_of(rat(-108, 3125), 1): (1,)}
+    assert (sum(f.degree for f, _ in cs.values), cs.point_count) == (2, 3)
     assert not hypothesis_I(p) and not _hypothesis_I_reference(p)
     assert not hypothesis_I(poly_of(0, 0, -2, 0, 1))  # x^4 - 2x^2
     assert hypothesis_I(poly_of(0, -3, 0, 1))  # x^3 - 3x
-    assert analyze(poly_of(0, -3, 0, 1)).radical == poly_of(-4, 0, 1)
+    assert analyze(poly_of(0, -3, 0, 1)).values == ((poly_of(-4, 0, 1), (1,)),)
 
 
 def test_classify_shifts_once_per_class_per_side(monkeypatch):
@@ -165,7 +175,7 @@ def test_multiplicity_mass_identity(p):
     assert sum(c.multiplicity * c.factor.degree for c in cs.classes) == p.degree - 1
     for c in cs.classes:
         assert c.factor.lc == 1
-        assert c.values.degree == c.factor.degree
+    assert sum(f.degree * len(mults) for f, mults in cs.values) == cs.point_count
 
 
 def test_pair_normalization_and_shape_counts():
@@ -217,23 +227,80 @@ def test_threshold_counts_on_pinned_pairs():
     assert theorem1_lhs(m) == 6 and corollary1_lhs(m) == 6
 
 
-@given(p=polys_deg2plus(max_degree=6), q=polys_deg2plus(max_degree=6))
+def _class_value_parts(p: Poly) -> list:
+    """(class multiplicity, value Yun part, points per value) for every
+    Yun class of P', each class shifted on its own."""
+    return [
+        (mult, f, j)
+        for factor, mult in squarefree_decomposition(p.derivative()).parts
+        for f, j in squarefree_decomposition(resultant_shift(factor, p)).parts
+    ]
+
+
+def _matching_reference(pair: PolynomialPair):
+    """(matched, unmatched P, unmatched Q, every shared value taken by
+    one point on each side) by the per-class route: j*k*deg gcd matched
+    pairs per pair of value parts, unmatched points against the other
+    side's distinct critical values."""
+    p_parts, q_parts = _class_value_parts(pair.p), _class_value_parts(pair.q)
+    matched = []
+    for pm, pf, j in p_parts:
+        for qm, qf, k in q_parts:
+            matched += [(pm, qm)] * (j * k * poly_gcd(pf, qf).degree)
+    rad_p = squarefree_part(_all_values(pair.p))
+    rad_q = squarefree_part(_all_values(pair.q))
+
+    def unmatched(parts, other_rad):
+        left = [
+            [mult] * (j * (f.degree - poly_gcd(f, other_rad).degree)) for mult, f, j in parts
+        ]
+        return tuple(sorted((mult for ms in left for mult in ms), reverse=True))
+
+    # a shared value taken by a P points and b Q points gives a*b pairs
+    simple = len(matched) == poly_gcd(rad_p, rad_q).degree
+    return (
+        tuple(sorted(matched, reverse=True)),
+        unmatched(p_parts, rad_q),
+        unmatched(q_parts, rad_p),
+        simple,
+    )
+
+
+# x^4 + 2x^3 + x^2/2 - x/2 + 1: two of its three critical points share a value
+_TWO_POINT_VALUE = Poly([rat(1), rat(-1, 2), rat(1, 2), rat(2), rat(1)])
+
+
+@given(
+    p=st.one_of(polys_deg2plus(max_degree=6), polys_multiclass()),
+    q=st.one_of(polys_deg2plus(max_degree=6), polys_multiclass()),
+)
+# shared values taken by several critical points
+@example(p=poly_of(0, 0, 4, 0, 1), q=poly_of(0, 0, 4, 0, 1))  # x^4 + 4x^2
+@example(p=_TWO_POINT_VALUE, q=_TWO_POINT_VALUE)
+@example(p=poly_of(0, 0, 0, 0, 1), q=poly_of(1, 0, -2, 0, 1))  # l0 = 2: two tacnodes
 @settings(deadline=None, max_examples=40)
 def test_match_pairs_aggregate_invariants(p, q):
     pair = PolynomialPair(p, q)
     m = match_pairs(pair)
+    *reference, simple = _matching_reference(pair)
+    assert [m.matched_points, m.unmatched_p_points, m.unmatched_q_points] == reference
     # masses: matched + unmatched account for every critical point,
     # with multiplicity, on each side
     assert sum(pm for pm, _ in m.matched_points) + m.unmatched_p_mass == pair.n - 1
     assert sum(qm for _, qm in m.matched_points) + m.unmatched_q_mass == pair.m - 1
     assert m.matched_points == tuple(sorted(m.matched_points, reverse=True))
-    assert m.p_multiset == tuple(
-        sorted([pm for pm, _ in m.matched_points] + list(m.unmatched_p_points), reverse=True)
-    )
-    assert sum(m.unmatched_p_points) == m.unmatched_p_mass
-    # with simple values the matched and unmatched points determine the
-    # rest: the synthetic builder reproduces the measured matching
-    if pair.critical_p().hypothesis_I and pair.critical_q().hypothesis_I:
+    # with every shared value taken by one point on each side, each
+    # critical point is matched once or unmatched, and the matched and
+    # unmatched points determine the rest
+    if simple:
+        assert m.p_multiset == tuple(
+            sorted([pm for pm, _ in m.matched_points] + list(m.unmatched_p_points), reverse=True)
+        )
+        assert m.q_multiset == tuple(
+            sorted([qm for _, qm in m.matched_points] + list(m.unmatched_q_points), reverse=True)
+        )
+        assert sum(m.unmatched_p_points) == m.unmatched_p_mass
+        assert sum(m.unmatched_q_points) == m.unmatched_q_mass
         rebuilt = make_matching(
             m.matched_points, m.unmatched_p_points, m.unmatched_q_points,
             deg=(m.deg_p, m.deg_q),
@@ -249,11 +316,9 @@ def test_match_pairs_aggregate_invariants(p, q):
 def test_homogenized_meta_bookkeeping():
     pair = PolynomialPair(poly_of(0, 1, 0, 0, 0, 0, 0, 1), poly_of(0, 2, 0, 0, 0, 0, 0, 1))
     meta = homogenized_meta(pair)
-    assert (meta.n, meta.m, meta.n0, meta.m0) == (7, 7, 1, 1)
-    assert meta.inner_degree == 1
-    assert meta.z2_exponent_in_dz2 == 5
+    assert (meta.n, meta.m) == (7, 7)
+    assert meta.z2_exponent_in_dz2 == 5  # n == m: inner degree max(n0, m0) = 1
 
     pair = PolynomialPair(poly_of(0, 0, 0, 0, 0, 1), poly_of(0, 0, 1))
     meta = homogenized_meta(pair)
-    assert meta.inner_degree == 2
-    assert meta.z2_exponent_in_dz2 == 2
+    assert meta.z2_exponent_in_dz2 == 2  # n > m: inner degree m = 2
