@@ -92,9 +92,13 @@ def complex_roots(p: Poly, precision_bits: int = DEFAULT_PRECISION):
     radius of each disk is the classical a posteriori bound
     deg(p) * |correction| at the final iterate.  Raise the precision to
     shrink the disks (multiplicities are handled symbolically upstream,
-    so repeated roots are a caller bug).
+    so repeated roots are a caller bug and raise ValueError).
     """
-    import mpmath
+    _require_squarefree(p)
+    return _isolate(p, precision_bits)
+
+
+def _require_squarefree(p: Poly) -> None:
     if p.degree < 1:
         raise ValueError(f"need a nonconstant polynomial, got degree {p.degree}")
     if not is_squarefree(p):
@@ -102,6 +106,11 @@ def complex_roots(p: Poly, precision_bits: int = DEFAULT_PRECISION):
             "polynomial must be squarefree for numeric root isolation "
             f"(got {p.to_string()})"
         )
+
+
+def _isolate(p: Poly, precision_bits: int):
+    """complex_roots for a p already proven nonconstant and squarefree."""
+    import mpmath
     n = p.degree
     with mpmath.workprec(precision_bits + _GUARD):
         lc = _to_mpf(p.lc)
@@ -176,12 +185,20 @@ def _cluster_indices(disks):
 
 
 def _critical_value_disks(cs: CriticalStructure, precision_bits: int):
-    """(point multiplicity, value disk) for every critical point of cs.poly."""
+    """(point multiplicity, value disk) for every critical point of
+    cs.poly.  The class factors must already be proven squarefree
+    (:func:`_require_critical_squarefree`, once per oracle call)."""
     out = []
     for cls in cs.classes:
-        for root in complex_roots(cls.factor, precision_bits):
+        for root in _isolate(cls.factor, precision_bits):
             out.append((cls.multiplicity, _value_disk(cs.poly, root)))
     return out
+
+
+def _require_critical_squarefree(*structures: CriticalStructure) -> None:
+    for cs in structures:
+        for cls in cs.classes:
+            _require_squarefree(cls.factor)
 
 
 def _can_pack(cluster_sizes, parts):
@@ -229,6 +246,7 @@ def corroborate_hypothesis_I(
     if precision_bits < 1:
         raise ValueError(f"precision_bits must be at least 1, got {precision_bits}")
     cs = analyze(p)
+    _require_critical_squarefree(cs)
     symbolic = cs.hypothesis_I
     expected = cs.value_multiplicities
 
@@ -275,6 +293,7 @@ def verify_pair_counts(
             None,
             "hypothesis I fails symbolically; the per-point recount is not certified",
         )
+    _require_critical_squarefree(pp.critical_p(), pp.critical_q())
     expected_pairs = tuple(sorted(pm.matched_points, reverse=True))
     expected_unm_p = tuple(sorted(pm.unmatched_p_points, reverse=True))
     expected_unm_q = tuple(sorted(pm.unmatched_q_points, reverse=True))

@@ -9,7 +9,11 @@ Grammar (whitespace-insensitive, no implicit multiplication):
     rational := integer ['/' integer]
 
 All arithmetic is exact; "(x-1)^2*(x+2)" comes back expanded.  Errors
-carry the 0-based character position where scanning gave up.
+carry the 0-based character position where scanning gave up.  Oversized
+input fails before anything large is built: a literal longer than the
+interpreter converts to int, a product or power of degree above
+MAX_DEGREE, or a power whose exponent times the bit size of its base's
+largest coefficient exceeds MAX_POWER_BITS.
 
 >>> parse_poly("x^5 - 3*x + 1").coeffs == (1, -3, 0, 0, 0, 1)
 True
@@ -22,6 +26,9 @@ from __future__ import annotations
 from .rationals import rat
 from .rpoly import Poly
 
+MAX_DEGREE = 256
+MAX_POWER_BITS = 1 << 16
+
 
 class ParseError(ValueError):
     """Syntax error with the offending position attached."""
@@ -29,6 +36,11 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+def _is_digit(ch: str) -> bool:
+    """0-9 only: str.isdigit also accepts digits int() refuses, like '²'."""
+    return ch.isascii() and ch.isdigit()
 
 
 class _Scanner:
@@ -60,12 +72,16 @@ class _Scanner:
     def integer(self, what: str) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
             got = self.text[start] if start < len(self.text) else "end of input"
             raise ParseError(f"expected {what}, got {got!r}", start)
-        return int(self.text[start : self.pos])
+        digits = self.text[start : self.pos]
+        try:
+            return int(digits)
+        except ValueError:  # ASCII digits only: past the interpreter's digit limit
+            raise ParseError(f"{what} of {len(digits)} digits is too long", start) from None
 
 
 def parse_poly(text: str) -> Poly:
@@ -93,10 +109,18 @@ def _expr(sc: _Scanner) -> Poly:
             return acc
 
 
+def _check_degree(degree: int, at: int):
+    if degree > MAX_DEGREE:
+        raise ParseError(f"degree {degree} exceeds the cap of {MAX_DEGREE}", at)
+
+
 def _term(sc: _Scanner) -> Poly:
     acc = _factor(sc)
     while sc.take("*"):
-        acc = acc * _factor(sc)
+        at = sc.pos - 1
+        rhs = _factor(sc)
+        _check_degree(acc.degree + rhs.degree, at)
+        acc = acc * rhs
     return acc
 
 
@@ -107,6 +131,13 @@ def _factor(sc: _Scanner) -> Poly:
         e = sc.integer("integer exponent")
         if e < 1:
             raise ParseError("exponent must be a positive integer", at)
+        _check_degree(base.degree * e, at)
+        bits = max(
+            (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in base.coeffs),
+            default=0,
+        )
+        if e * bits > MAX_POWER_BITS:
+            raise ParseError(f"power of {e} * {bits} bits exceeds the cap of {MAX_POWER_BITS}", at)
         return base**e
     return base
 
@@ -121,7 +152,7 @@ def _atom(sc: _Scanner) -> Poly:
     if ch == "x":
         sc.take("x")
         return Poly.x()
-    if ch.isdigit():
+    if _is_digit(ch):
         num = sc.integer("number")
         if sc.take("/"):
             at = sc.pos

@@ -5,18 +5,22 @@ Coefficients are stored low-to-high with trailing zeros stripped, so
 empty coefficient tuple and ``degree`` is -1 for it.
 
 The module also carries the exact kernels the rest of the package is
-built on: monic Euclidean gcd, squarefree (multiplicity)
-decomposition, resultants, and the root-image polynomial
-``resultant_shift`` (the monic polynomial whose roots are P(a) for a
-running over the roots of S).
+built on: gcd, squarefree (multiplicity) decomposition, resultants, and
+the root-image polynomial ``resultant_shift`` (the monic polynomial
+whose roots are P(a) for a running over the roots of S).  The gcd and
+resultant kernels clear denominators once and run the subresultant
+remainder sequence (Collins 1967; Brown & Traub 1971) on Python ints,
+so ``Rat`` appears only at their boundary; every division the
+algorithms prove exact is checked.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from math import gcd, lcm
 
-from .rationals import ONE, ZERO, rat
+from .rationals import ONE, ZERO, Rat, rat
 
 
 def _coerce(value):
@@ -271,15 +275,25 @@ def _trusted(cs: list) -> Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd, normalizing each Euclidean remainder to keep
-    coefficients small."""
+    """Monic gcd: the last nonzero member of the subresultant remainder
+    sequence of the primitive integer multiples of a and b, made monic
+    once.
+
+    >>> poly_gcd(Poly([-1, 0, 1]), Poly([2, -3, 1])).to_string()  # (x-1)(x+1), (x-1)(x-2)
+    'x - 1'
+    """
     if a.is_zero and b.is_zero:
         return Poly.zero()
-    while not b.is_zero:
-        a, b = b, (a % b)
-        if not b.is_zero:
-            b = b.monic()
-    return a.monic()
+    if a.is_zero or b.is_zero:
+        return (b if a.is_zero else a).monic()
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) > 1:
+        a, b, _, _ = _subresultant_prs(a, b)
+    if b:  # the sequence ends in a nonzero constant
+        return Poly.one()
+    return _trusted([Rat(c, a[-1]) for c in a])
 
 
 def is_squarefree(p: Poly) -> bool:
@@ -345,54 +359,134 @@ def squarefree_decomposition(p: Poly) -> MultiplicityDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# resultants
+# integer kernels (gcd and resultants over Z) and resultants over Q
 # ---------------------------------------------------------------------------
 
 
-def resultant(a: Poly, b: Poly):
-    """Resultant over Q by the Euclidean remainder sequence.
+def _exact_div(a: int, b: int) -> int:
+    """a / b for a division the kernel proves exact; a remainder means
+    the kernel is wrong, never the input."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("exact kernel division left a remainder")
+    return q
 
-    Uses Res(A, B) = (-1)^(deg A * deg B) * lc(B)^(deg A - deg R) * Res(B, R)
-    with R = A mod B, and Res(A, c) = c^deg A for constants c.
+
+def _integer_multiple(p: Poly):
+    """(d, coefficients of d * p) with d the least common denominator."""
+    d = lcm(*(int(c.denominator) for c in p.coeffs))
+    return d, [int(c.numerator) * _exact_div(d, int(c.denominator)) for c in p.coeffs]
+
+
+def _primitive(p: Poly) -> list:
+    """Coefficients of the primitive integer multiple of a nonzero p
+    (sign of the leading coefficient kept)."""
+    _, cs = _integer_multiple(p)
+    g = gcd(*cs)
+    return [_exact_div(c, g) for c in cs]
+
+
+def _prem(a: list, b: list) -> list:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b of integer
+    coefficient lists (low to high), deg a >= deg b >= 1."""
+    r = list(a)
+    lb, nb = b[-1], len(b) - 1
+    for k in range(len(a) - len(b), -1, -1):
+        c = r.pop()
+        if lb != 1:
+            r = [lb * x for x in r]
+        if c:
+            for j in range(nb):
+                r[k + j] -= c * b[j]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _subresultant_prs(a: list, b: list):
+    """Run the subresultant remainder sequence of integer polynomials,
+    deg a >= deg b >= 1, until its next member has degree < 1
+    (Cohen, GTM 138, Alg. 3.3.1 and 3.3.7).
+
+    Returns (a, b, h, s): a is the last member of positive degree, b the
+    next one ([] when a divides the previous member, a nonzero constant
+    otherwise), h the running subresultant scale and s the sign of the
+    resultant accumulated over the steps.
+    """
+    g = h = s = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) & (len(b) - 1) & 1:
+            s = -s
+        r = _prem(a, b)
+        scale = g * h**delta
+        a, b = b, [_exact_div(c, scale) for c in r]
+        g = a[-1]
+        if delta:
+            h = _exact_div(g**delta, h ** (delta - 1))
+    return a, b, h, s
+
+
+def _int_resultant(a: list, b: list) -> int:
+    """Resultant of two nonzero integer polynomials (Cohen, GTM 138,
+    Alg. 3.3.7); Res(A, c) = c^deg A for constants c."""
+    da, db = len(a) - 1, len(b) - 1
+    if db == 0:
+        return b[0] ** da
+    if da == 0:
+        return a[0] ** db
+    ca, cb = gcd(*a), gcd(*b)
+    scale = ca**db * cb**da
+    a, b = [_exact_div(c, ca) for c in a], [_exact_div(c, cb) for c in b]
+    sign = 1
+    if da < db:
+        a, b = b, a
+        if da & db & 1:
+            sign = -1
+    a, b, h, s = _subresultant_prs(a, b)
+    if not b:
+        return 0
+    d = len(a) - 1
+    return sign * s * scale * _exact_div(b[0] ** d, h ** (d - 1))
+
+
+def resultant(a: Poly, b: Poly):
+    """Resultant over Q: the integer resultant of the integer multiples
+    da * a and db * b, divided once by da^deg b * db^deg a.
+
+    >>> resultant(Poly([-1, 0, 1]), Poly([-2, 1])) == 3  # x^2 - 1 at x = 2
+    True
     """
     if a.is_zero or b.is_zero:
         return ZERO
-    acc = ONE
-    while True:
-        if b.degree == 0:
-            return acc * b.lc**a.degree
-        if a.degree == 0:
-            return acc * a.lc**b.degree
-        r = a % b
-        if r.is_zero:
-            return ZERO
-        if (a.degree * b.degree) % 2:
-            acc = -acc
-        acc *= b.lc ** (a.degree - r.degree)
-        a, b = b, r
+    da, ia = _integer_multiple(a)
+    db, ib = _integer_multiple(b)
+    return Rat(_int_resultant(ia, ib), da**b.degree * db**a.degree)
 
 
-def _interpolate(points) -> Poly:
-    """Lagrange interpolation through (x_i, y_i) with distinct x_i."""
-    out = Poly.zero()
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        num = Poly.one()
-        den = ONE
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            num = num * _trusted([-xj, ONE])
-            den *= xi - xj
-        out = out + num * (yi / den)
+def _interpolate_integer(values: list) -> list:
+    """Coefficients of the integer polynomial U with U(k) = values[k],
+    k = 0..n: Newton forward differences (Delta^k U(0) / k! is the k-th
+    falling-factorial coefficient, an integer for U in Z[y]), then Horner
+    on the falling factorials y(y - 1)...(y - k + 1)."""
+    newton, diffs, fact = [], list(values), 1
+    for k in range(len(values)):
+        fact *= k or 1
+        newton.append(_exact_div(diffs[0], fact))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    out = [newton.pop()]
+    for k in range(len(newton) - 1, -1, -1):
+        out = [0] + out  # out * (y - k) + newton[k]
+        for i in range(len(out) - 1):
+            out[i] -= k * out[i + 1]
+        out[0] += newton[k]
     return out
 
 
 def _sylvester_resultant_shift(s: Poly, p: Poly) -> Poly:
     """Independent route: Res_x(S(x), y - P(x)) as a determinant over
     Q[y], fraction-free (Bareiss) elimination."""
-    ds, dp = s.degree, p.degree
+    ds, dp = s.degree, max(p.degree, 0)  # P = 0 gives the row y
     size = ds + dp
     # rows of S coefficients (entries constant in y), then rows of y - P(x)
     m = [[Poly.zero() for _ in range(size)] for _ in range(size)]
@@ -430,10 +524,14 @@ def resultant_shift(s: Poly, p: Poly) -> Poly:
     """Monic polynomial whose roots are P(a), a running over the roots
     of S with multiplicity; degree equals deg S.
 
-    S must be monic of degree >= 1.  Computed by evaluation at
-    deg S + 1 rational points and interpolation; with
-    SEPCURVE_DEBUG_CHECKS=1 an independent determinant route is run
-    and compared.
+    S must be monic of degree >= 1.  P is first reduced mod S, which
+    keeps every P(a).  With S = s/sigma and P mod S = r/rho for integer
+    polynomials s and r, U(y) = Res_x(s, rho*y - r) =
+    sigma^deg r * rho^deg S * prod (y - P(a)) lies in Z[y]; it is
+    evaluated by integer resultants at y = 0..deg S, interpolated in
+    integers and divided once by sigma^deg r * rho^deg S.  With
+    SEPCURVE_DEBUG_CHECKS=1 an independent determinant route is run and
+    compared.
 
     >>> resultant_shift(Poly([-1, 0, 1]), Poly([0, 0, 1])).to_string("y")
     'y^2 - 2*y + 1'
@@ -442,13 +540,19 @@ def resultant_shift(s: Poly, p: Poly) -> Poly:
         raise ValueError("first argument must be nonconstant")
     if s.lc != 1:
         raise ValueError("first argument must be monic")
-    pts = []
-    c = 0
-    while len(pts) < s.degree + 1:
-        val = resultant(s, Poly.constant(c) - p)
-        pts.append((rat(c), val))
-        c += 1
-    out = _interpolate(pts)
+    n = s.degree
+    r = p % s
+    if r.degree < 1:  # every P(a) is the constant r
+        out = _trusted([-r.coeff(0), ONE]) ** n
+    else:
+        sigma, si = _integer_multiple(s)
+        rho, ri = _integer_multiple(r)
+        neg = [-c for c in ri]
+        u = _interpolate_integer(
+            [_int_resultant(si, [rho * k + neg[0]] + neg[1:]) for k in range(n + 1)]
+        )
+        d = sigma**r.degree * rho**n
+        out = _trusted([Rat(c, d) for c in u])
     if out.degree != s.degree or out.lc != 1:
         raise ArithmeticError("interpolated image polynomial is malformed")
     if os.environ.get("SEPCURVE_DEBUG_CHECKS"):

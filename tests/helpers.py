@@ -2,7 +2,7 @@
 
 from sepcurve.classify import Outcome, Verdict
 from sepcurve.critical import PairMatching
-from sepcurve.rationals import Rat
+from sepcurve.rationals import ONE, ZERO, Rat
 from sepcurve.rpoly import Poly
 
 
@@ -35,3 +35,37 @@ def make_matching(matched, unm_p=(), unm_q=(), deg=None):
 def hyperbolic_verdict(rule, matching):
     """Synthetic Hyperbolic verdict for exercising the form emitters."""
     return Verdict(outcome=Outcome.HYPERBOLIC, rule=rule, pair=None, matching=matching)
+
+
+def reference_gcd(a, b):
+    """Monic gcd by Euclid over Q, each remainder made monic: the
+    reference the integer kernel is compared against."""
+    if a.is_zero and b.is_zero:
+        return Poly.zero()
+    while not b.is_zero:
+        a, b = b, (a % b)
+        if not b.is_zero:
+            b = b.monic()
+    return a.monic()
+
+
+def reference_resultant(a, b):
+    """Resultant by the Euclidean remainder sequence over Q, with
+    Res(A, B) = (-1)^(deg A * deg B) * lc(B)^(deg A - deg R) * Res(B, R)
+    for R = A mod B and Res(A, c) = c^deg A: the reference the integer
+    kernel is compared against."""
+    if a.is_zero or b.is_zero:
+        return ZERO
+    acc = ONE
+    while True:
+        if b.degree == 0:
+            return acc * b.lc**a.degree
+        if a.degree == 0:
+            return acc * a.lc**b.degree
+        r = a % b
+        if r.is_zero:
+            return ZERO
+        if (a.degree * b.degree) % 2:
+            acc = -acc
+        acc *= b.lc ** (a.degree - r.degree)
+        a, b = b, r

@@ -1,9 +1,11 @@
 import random
+from unittest import mock
 
 import mpmath
 import pytest
 
 from helpers import poly_of
+from sepcurve import numoracle
 from sepcurve.critical import PolynomialPair, hypothesis_I, match_pairs
 from sepcurve.instances import random_polynomial
 from sepcurve.numoracle import (
@@ -13,7 +15,8 @@ from sepcurve.numoracle import (
     corroborate_hypothesis_I,
     verify_pair_counts,
 )
-from sepcurve.rpoly import squarefree_part
+from sepcurve.rationals import rat
+from sepcurve.rpoly import is_squarefree, squarefree_part
 
 
 def test_roots_of_x2_plus_1():
@@ -45,6 +48,24 @@ def test_roots_pairwise_disjoint():
 def test_non_squarefree_input_refused():
     with pytest.raises(ValueError, match="squarefree"):
         complex_roots(poly_of(0, 0, 1))
+
+
+def test_oracle_proves_each_factor_squarefree_once():
+    # x^4 - 2x^2 + 2^-2000 x climbs to 2048 bits over four precision
+    # steps; its one critical class factor is a cubic
+    p = poly_of(0, rat(1, 2**2000), -2, 0, 1)
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return is_squarefree(f)
+
+    with mock.patch.object(numoracle, "is_squarefree", counting):
+        assert corroborate_hypothesis_I(p).precision_bits == 2048
+        assert [f.degree for f in calls] == [3]
+        calls.clear()
+        verify_pair_counts(PolynomialPair(p, p))
+        assert [f.degree for f in calls] == [3, 3]
 
 
 def test_hypothesis_corroboration_simple_and_clustered():

@@ -50,6 +50,8 @@ def test_leading_minus():
         ("", "end of input"),
         ("x +", "end of input"),
         ("3//2", "denominator"),
+        ("x^²", "integer exponent"),
+        ("²", "expected a number"),
     ],
 )
 def test_errors_carry_position(text, fragment):
@@ -59,6 +61,31 @@ def test_errors_carry_position(text, fragment):
     assert "position" in str(err.value)
     assert isinstance(err.value.position, int)
     assert 0 <= err.value.position <= len(text)
+
+
+@pytest.mark.parametrize(
+    "text,position,fragment",
+    [
+        ("x + " + "1" * 5000, 4, "too long"),
+        ("x^" + "9" * 5000, 2, "too long"),
+        ("x^1000000000", 2, "degree 1000000000"),
+        ("(x + 1)^1000000000", 8, "degree"),
+        ("x^200 * x^57", 6, "degree 257"),
+        ("2^1000000000", 2, "power"),
+        ("((2^1000)^1000)^1000", 10, "power"),
+    ],
+)
+def test_oversized_input_fails_before_expanding(text, position, fragment):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text)
+    assert fragment in str(err.value)
+    assert err.value.position == position
+
+
+def test_caps_sit_above_real_inputs():
+    assert parse_poly("x^256").degree == 256
+    assert parse_poly("x^200 * x^56").degree == 256
+    assert parse_poly("1/2^4800 * x").coeff(1) == rat(1, 2**4800)
 
 
 def test_no_implicit_multiplication():

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import poly_of
+from helpers import poly_of, reference_gcd, reference_resultant
 from sepcurve.rationals import Rat, rat
 from sepcurve.rpoly import (
     Poly,
+    _exact_div,
     is_squarefree,
     poly_gcd,
     resultant,
@@ -18,6 +19,24 @@ rationals = st.builds(rat, st.integers(-9, 9), st.integers(1, 6))
 polys = st.builds(Poly, st.lists(rationals, max_size=8))
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
 small_polys = st.builds(Poly, st.lists(rationals, max_size=5))
+bits70 = st.builds(rat, st.integers(-(2**70), 2**70), st.integers(1, 2**65))
+dyadic = st.builds(lambda s, k: rat(s, 2**k), st.sampled_from([-3, -1, 1, 3]), st.integers(0, 4800))
+
+
+@st.composite
+def spiked_polys(draw, max_degree, spike, spikes):
+    """Small rational coefficients, degree <= max_degree, with up to
+    `spikes` of them replaced by `spike` draws.  The sizes keep the
+    Euclid-over-Q references under a second per call."""
+    size = draw(st.integers(0, max_degree + 1))
+    cs = draw(st.lists(rationals, min_size=size, max_size=size))
+    for _ in range(draw(st.integers(0, spikes)) if cs else 0):
+        cs[draw(st.integers(0, len(cs) - 1))] = draw(spike)
+    return Poly(cs)
+
+
+# degree <= 24 with a 70-bit / 65-bit coefficient, or degree <= 4 with 2^-k, k <= 4800
+wide_polys = st.one_of(spiked_polys(24, bits70, 1), spiked_polys(4, dyadic, 2))
 
 
 def test_construction_normalizes_trailing_zeros():
@@ -148,6 +167,63 @@ def test_resultant_of_constant():
     assert resultant(Poly.constant(3), poly_of(1, 2, 3)) == 9
 
 
+@given(a=wide_polys, b=wide_polys)
+@settings(deadline=None, max_examples=40)
+def test_integer_kernels_match_euclid_over_q(a, b):
+    """gcd and resultant on the integer remainder sequence equal the
+    Euclid-over-Q references, including zero, constant and
+    negative-leading inputs."""
+    for x, y in ((a, b), (-b, a)):
+        g = poly_gcd(x, y)
+        assert g == reference_gcd(x, y)
+        assert all(type(c) is Rat for c in g.coeffs)
+        res = resultant(x, y)
+        assert res == reference_resultant(x, y) and type(res) is Rat
+
+
+@given(
+    a=spiked_polys(8, bits70, 1),
+    b=small_polys,
+    c=st.one_of(spiked_polys(4, bits70, 1), spiked_polys(2, dyadic, 1)),
+    k=st.integers(1, 3),
+)
+@settings(deadline=None, max_examples=30)
+def test_integer_kernels_on_shared_and_repeated_factors(a, b, c, k):
+    for x, y in ((a * c**k, b * c), (c**k, c * a)):
+        assert poly_gcd(x, y) == reference_gcd(x, y)
+        assert resultant(x, y) == reference_resultant(x, y)
+
+
+@given(
+    s=st.one_of(spiked_polys(7, bits70, 1), spiked_polys(3, dyadic, 2)),
+    p=wide_polys,
+)
+@settings(deadline=None, max_examples=30)
+def test_resultant_shift_matches_resultants_off_the_nodes(s, p):
+    """resultant_shift(S, P)(y) == Res(S, y - P) for monic S, at points
+    other than the interpolation nodes 0..deg S."""
+    s = Poly((s.coeffs or (0,)) + (1,))
+    out = resultant_shift(s, p)
+    assert out.degree == s.degree and out.lc == 1
+    assert all(type(c) is Rat for c in out.coeffs)
+    for y in (rat(-1), rat(s.degree + 1), rat(-7, 3)):
+        assert out(y) == reference_resultant(s, Poly.constant(y) - p)
+
+
+def test_resultant_shift_when_p_mod_s_is_constant_or_zero():
+    x = Poly.x()
+    assert resultant_shift(x, x * x) == poly_of(0, 1)  # P mod S = 0: y
+    s = poly_of(-1, 0, 1)
+    assert resultant_shift(s, x**3 - x + 4) == poly_of(16, -8, 1)  # (y - 4)^2
+    assert resultant_shift(s, Poly.constant(rat(-1, 2))) == poly_of(rat(1, 4), 1, 1)
+
+
+def test_exact_division_refuses_a_remainder():
+    assert _exact_div(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        _exact_div(7, 2)
+
+
 def test_resultant_shift_example():
     # critical values of x^2 relative to x^2 - 1: both roots map to -1
     out = resultant_shift(poly_of(-1, 0, 1), poly_of(0, 0, 1))
@@ -161,14 +237,23 @@ def test_resultant_shift_rejects_bad_first_argument():
         resultant_shift(poly_of(1, 2), poly_of(0, 0, 1))  # not monic
 
 
+# rational, non-monic P of degree 8-12
+long_polys = st.builds(
+    lambda cs, lead: Poly(cs + [lead]),
+    st.lists(rationals, min_size=8, max_size=12),
+    rationals.filter(lambda c: c not in (0, 1)),
+)
+
+
 @given(
     sdata=st.lists(st.integers(-4, 4), min_size=1, max_size=3),
-    p=small_polys,
+    p=st.one_of(small_polys, long_polys),
 )
 @settings(deadline=None, max_examples=60)
 def test_resultant_shift_dual_route(sdata, p):
-    """With debug checks on, resultant_shift compares the interpolation
-    route against a Sylvester determinant and raises on any mismatch."""
+    """With debug checks on, resultant_shift compares the integer
+    interpolation route against a Sylvester determinant and raises on
+    any mismatch."""
     import os
     from unittest import mock
 
