@@ -1,12 +1,21 @@
 """Detection of linear factors y = s*x + t of P(x) - Q(y).
 
-Any such factor forces s^n = lc(P)/lc(Q) (equal degrees n) and pins t
-as an explicit rational expression in s, so the search happens in the
-quotient ring Q[z]/(z^n - lc(P)/lc(Q)): substitute y = z*x + t(z),
-collect the x-coefficients of the difference, and take their gcd with
-the modulus.  A nonconstant gcd g means every root of g gives a
-factor; the claim is then re-verified from scratch in Q[z]/(g) before
-a witness is returned, so a reported witness is always sound.
+Any such factor needs equal degrees n.  Centre both sides:
+P(x) = P~(x + a) and Q(y) = Q~(y + b) with a = p_(n-1)/(n*p_n) and
+b = q_(n-1)/(n*q_n), so that neither P~ nor Q~ has a u^(n-1) term.
+Then y = s*x + t is a factor exactly when P~(u) = Q~(s*u) and
+t = s*a - b (Kozen & Landau, J. Symb. Comp. 7, 1989), that is when
+
+* p~_0 = q~_0 and p~_k = 0 exactly when q~_k = 0, and
+* s^n = p_n/q_n and s^k = p~_k/q~_k for every other k.
+
+The common roots of z^e - c and z^k - r are all the roots of
+z^gcd(e, k) - c^u*r^v (u*e + v*k = gcd(e, k)) when
+c^(k/gcd) = r^(e/gcd), and none otherwise.  Folding that rule over k
+gives the scales as the roots of one monic binomial, from integer gcds
+on exponents and rational powers.  Before a witness is returned the
+claim P(x) = Q(z*x + t(z)) in Q[z]/(g) is re-verified exactly from the
+centred forms, without the fold, so a reported witness is always sound.
 """
 
 from __future__ import annotations
@@ -14,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .critical import PolynomialPair
-from .rationals import ONE, rat
-from .rpoly import Poly, poly_gcd
+from .rationals import ONE, Rat, rat
+from .rpoly import Poly, _integer_multiple, _trusted
 
 
 @dataclass(frozen=True)
@@ -44,40 +53,73 @@ class LinearFactorWitness:
         return self.shift_numerator(s) / self.shift_denominator
 
 
-def _mul_x_polys(a, b, modulus):
-    """Multiply two polynomials in x whose coefficients are residues
-    mod ``modulus`` (lists indexed by x-power)."""
-    out = [Poly.zero()] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai.is_zero:
+def _taylor_shift(p: Poly, h) -> Poly:
+    """p(x + h) for rational h = a/b: synthetic division by x - a on the
+    integer polynomial C(w) = sum d*p_k * b^(n-k) * w^k, since
+    d * b^n * p(x + a/b) = C(b*x + a)."""
+    n = p.degree
+    a, b = int(h.numerator), int(h.denominator)
+    d, cs = _integer_multiple(p)
+    b_pows = [1]
+    for _ in range(n):
+        b_pows.append(b_pows[-1] * b)
+    cs = [c * b_pows[n - k] for k, c in enumerate(cs)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            cs[j] += a * cs[j + 1]
+    return _trusted([Rat(c, d * b_pows[n - k]) for k, c in enumerate(cs)])
+
+
+def _bezout(e: int, k: int):
+    """(u, v) with u*e + v*k = gcd(e, k)."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while k:
+        quo, (e, k) = e // k, (k, e % k)
+        u0, u1 = u1, u0 - quo * u1
+        v0, v1 = v1, v0 - quo * v1
+    return u0, v0
+
+
+def _scale_binomial(pc: tuple, qc: tuple):
+    """(e, c) such that the scales s with P~(u) = Q~(s*u) are exactly
+    the roots of z^e - c, or None when there are none.  ``pc`` and
+    ``qc`` are the centred coefficients, low to high."""
+    n = len(pc) - 1
+    if pc[0] != qc[0] or any(bool(pc[k]) != bool(qc[k]) for k in range(1, n - 1)):
+        return None
+    e, c = n, pc[n] / qc[n]
+    for k in range(n - 2, 0, -1):
+        if not qc[k]:
             continue
-        for j, bj in enumerate(b):
-            if bj.is_zero:
-                continue
-            out[i + j] = (out[i + j] + ai * bj) % modulus
-    return out
+        r = pc[k] / qc[k]
+        u, v = _bezout(e, k)
+        g = u * e + v * k
+        if c ** (k // g) != r ** (e // g):
+            return None
+        e, c = g, c**u * r**v
+    return e, c
 
 
-def _difference_coefficients(pair: PolynomialPair, modulus: Poly):
-    """x-coefficients of P(x) - Q(z*x + t(z)) as residues mod
-    ``modulus``, together with (t numerator, t denominator)."""
-    p, q, n = pair.p, pair.q, pair.n
-    shift_num = (
-        Poly.constant(p.coeff(n - 1)) - Poly.monomial(q.coeff(n - 1), n - 1)
-    ) * Poly.x()
-    shift_den = rat(n) * p.lc
-    t0 = (shift_num % modulus) * (ONE / shift_den)
-    # Horner for Q(z*x + t) over (Q[z]/modulus)[x]
-    subst = [t0 % modulus, Poly.x() % modulus]
-    acc = [Poly.zero()]
-    for c in reversed(q.coeffs):
-        acc = _mul_x_polys(acc, subst, modulus)
-        acc[0] = (acc[0] + Poly.constant(c)) % modulus
-    diff = []
-    for k in range(n + 1):
-        composed = acc[k] if k < len(acc) else Poly.zero()
-        diff.append((Poly.constant(p.coeff(k)) - composed) % modulus)
-    return diff, shift_num, shift_den
+def _centre(p: Poly):
+    """(P~, a) with P(x) = P~(x + a) and no x^(n-1) term in P~."""
+    a = p.coeff(p.degree - 1) / (p.degree * p.lc)
+    return _taylor_shift(p, -a), a
+
+
+def _verify(p: Poly, p_centred: tuple, q: Poly, q_centred: tuple, g: Poly, t: Poly) -> bool:
+    """P(x) = Q(z*x + t(z)) in Q[z]/(g), checked from the centred forms
+    (P~, a) and (Q~, b) without the exponent fold: P~(x + a) = P and
+    Q~(y + b) = Q, then p~_k = q~_k * z^k and t = z*a - b mod g, which
+    give P(x) = Q~(z*(x + a)) = Q~(z*x + t + b) = Q(z*x + t)."""
+    (pt, a), (qt, b) = p_centred, q_centred
+    if _taylor_shift(pt, a) != p or _taylor_shift(qt, b) != q:
+        return False
+    z_k = Poly.one()
+    for k in range(p.degree + 1):
+        if not (pt.coeff(k) - z_k * qt.coeff(k)).is_zero:
+            return False
+        z_k = (z_k * Poly.x()) % g
+    return ((t - Poly((-b, a))) % g).is_zero
 
 
 def find_linear_factor(pair: PolynomialPair):
@@ -88,30 +130,28 @@ def find_linear_factor(pair: PolynomialPair):
     """
     if pair.n != pair.m:
         return None
-    n = pair.n
-    modulus = Poly.monomial(1, n) - Poly.constant(pair.p.lc / pair.q.lc)
-
-    diff, shift_num, shift_den = _difference_coefficients(pair, modulus)
-    assert diff[n].is_zero and diff[n - 1].is_zero, "top coefficients must cancel"
-
-    g = modulus
-    for k in range(n - 2, -1, -1):
-        g = poly_gcd(g, diff[k])
-        if g.degree == 0:
-            return None
-
-    # independent re-verification in the smaller quotient ring
-    rediff, _, _ = _difference_coefficients(pair, g)
-    if any(not d.is_zero for d in rediff):
+    p, q, n = pair.p, pair.q, pair.n
+    p_centred, q_centred = _centre(p), _centre(q)
+    binomial = _scale_binomial(p_centred[0].coeffs, q_centred[0].coeffs)
+    if binomial is None:
         return None
+    e, c = binomial
+    g = Poly.monomial(1, e) - Poly.constant(c)
+
+    shift_num = (
+        Poly.constant(p.coeff(n - 1)) - Poly.monomial(q.coeff(n - 1), n - 1)
+    ) * Poly.x() % g
+    shift_den = rat(n) * p.lc
+    if not _verify(p, p_centred, q, q_centred, g, shift_num * (ONE / shift_den)):
+        raise ArithmeticError("linear-factor witness failed its exact re-verification")
 
     return LinearFactorWitness(
         scale_minpoly=g,
-        shift_numerator=shift_num % g,
+        shift_numerator=shift_num,
         shift_denominator=shift_den,
         description=(
             f"family of {g.degree} linear factor(s) y - (s*x + t): "
             f"s any root of {g.to_string('s')}, "
-            f"t = ({(shift_num % g).to_string('s')}) / ({shift_den})"
+            f"t = ({shift_num.to_string('s')}) / ({shift_den})"
         ),
     )

@@ -12,8 +12,11 @@ All arithmetic is exact; "(x-1)^2*(x+2)" comes back expanded.  Errors
 carry the 0-based character position where scanning gave up.  Oversized
 input fails before anything large is built: a literal longer than the
 interpreter converts to int, a product or power of degree above
-MAX_DEGREE, or a power whose exponent times the bit size of its base's
-largest coefficient exceeds MAX_POWER_BITS.
+MAX_DEGREE, a power whose exponent times the bit size of its base's
+largest coefficient exceeds MAX_POWER_BITS, or a product whose factors'
+largest coefficients together exceed MAX_POWER_BITS bits.  Terms are
+collected sparsely, as a dict from exponent to nonzero coefficient, and
+the Poly is built once at the end.
 
 >>> parse_poly("x^5 - 3*x + 1").coeffs == (1, -3, 0, 0, 0, 1)
 True
@@ -23,8 +26,8 @@ True
 
 from __future__ import annotations
 
-from .rationals import rat
-from .rpoly import Poly
+from .rationals import ONE, ZERO, rat
+from .rpoly import Poly, _trusted
 
 MAX_DEGREE = 256
 MAX_POWER_BITS = 1 << 16
@@ -88,23 +91,75 @@ def parse_poly(text: str) -> Poly:
     """Parse an exact polynomial in x.  Raises ParseError on anything
     outside the grammar, pointing at the offending character."""
     sc = _Scanner(text)
-    poly = _expr(sc)
+    terms = _expr(sc)
     sc.skip_ws()
     if sc.pos != len(sc.text):
         raise ParseError(f"unexpected {sc.text[sc.pos]!r}", sc.pos)
-    return poly
+    coeffs = [ZERO] * (_degree(terms) + 1)
+    for k, c in terms.items():
+        coeffs[k] = c
+    return _trusted(coeffs)
 
 
-def _expr(sc: _Scanner) -> Poly:
+def _degree(terms: dict) -> int:
+    return max(terms, default=-1)
+
+
+def _bits(terms: dict) -> int:
+    """Bit size of the largest numerator or denominator (0 for zero)."""
+    return max(
+        (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in terms.values()),
+        default=0,
+    )
+
+
+def _neg(terms: dict) -> dict:
+    return {k: -c for k, c in terms.items()}
+
+
+def _add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k, ZERO) + c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
+def _mul(a: dict, b: dict) -> dict:
+    out = {}
+    for i, ai in a.items():
+        for j, bj in b.items():
+            out[i + j] = out.get(i + j, ZERO) + ai * bj
+    return {k: c for k, c in out.items() if c}
+
+
+def _pow(base: dict, e: int) -> dict:
+    if len(base) == 1:
+        ((k, c),) = base.items()
+        return {k * e: c**e}
+    result = {0: ONE}
+    while e:
+        if e & 1:
+            result = _mul(result, base)
+        e >>= 1
+        if e:
+            base = _mul(base, base)
+    return result
+
+
+def _expr(sc: _Scanner) -> dict:
     negate = sc.take("-")
     acc = _term(sc)
     if negate:
-        acc = -acc
+        acc = _neg(acc)
     while True:
         if sc.take("+"):
-            acc = acc + _term(sc)
+            acc = _add(acc, _term(sc))
         elif sc.take("-"):
-            acc = acc - _term(sc)
+            acc = _add(acc, _neg(_term(sc)))
         else:
             return acc
 
@@ -114,35 +169,38 @@ def _check_degree(degree: int, at: int):
         raise ParseError(f"degree {degree} exceeds the cap of {MAX_DEGREE}", at)
 
 
-def _term(sc: _Scanner) -> Poly:
+def _check_bits(what: str, bits: int, at: int):
+    if bits > MAX_POWER_BITS:
+        raise ParseError(f"{what} bits exceeds the cap of {MAX_POWER_BITS}", at)
+
+
+def _term(sc: _Scanner) -> dict:
     acc = _factor(sc)
     while sc.take("*"):
         at = sc.pos - 1
         rhs = _factor(sc)
-        _check_degree(acc.degree + rhs.degree, at)
-        acc = acc * rhs
+        _check_degree(_degree(acc) + _degree(rhs), at)
+        a_bits, r_bits = _bits(acc), _bits(rhs)
+        _check_bits(f"product of {a_bits} + {r_bits}", a_bits + r_bits, at)
+        acc = _mul(acc, rhs)
     return acc
 
 
-def _factor(sc: _Scanner) -> Poly:
+def _factor(sc: _Scanner) -> dict:
     base = _atom(sc)
     if sc.take("^"):
         at = sc.pos
         e = sc.integer("integer exponent")
         if e < 1:
             raise ParseError("exponent must be a positive integer", at)
-        _check_degree(base.degree * e, at)
-        bits = max(
-            (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in base.coeffs),
-            default=0,
-        )
-        if e * bits > MAX_POWER_BITS:
-            raise ParseError(f"power of {e} * {bits} bits exceeds the cap of {MAX_POWER_BITS}", at)
-        return base**e
+        _check_degree(_degree(base) * e, at)
+        bits = _bits(base)
+        _check_bits(f"power of {e} * {bits}", e * bits, at)
+        return _pow(base, e)
     return base
 
 
-def _atom(sc: _Scanner) -> Poly:
+def _atom(sc: _Scanner) -> dict:
     ch = sc.peek()
     if ch == "(":
         sc.take("(")
@@ -151,7 +209,7 @@ def _atom(sc: _Scanner) -> Poly:
         return inner
     if ch == "x":
         sc.take("x")
-        return Poly.x()
+        return {1: ONE}
     if _is_digit(ch):
         num = sc.integer("number")
         if sc.take("/"):
@@ -159,7 +217,7 @@ def _atom(sc: _Scanner) -> Poly:
             den = sc.integer("denominator")
             if den == 0:
                 raise ParseError("zero denominator", at)
-            return Poly.constant(rat(num, den))
-        return Poly.constant(rat(num))
+            return {0: rat(num, den)} if num else {}
+        return {0: rat(num)} if num else {}
     got = ch or "end of input"
     raise ParseError(f"expected a number, 'x', or '(', got {got!r}", sc.pos)

@@ -2,8 +2,9 @@
 
 from sepcurve.classify import Outcome, Verdict
 from sepcurve.critical import PairMatching
-from sepcurve.rationals import ONE, ZERO, Rat
-from sepcurve.rpoly import Poly
+from sepcurve.linfactor import LinearFactorWitness
+from sepcurve.rationals import ONE, ZERO, Rat, rat
+from sepcurve.rpoly import Poly, poly_gcd
 
 
 def poly_of(*coeffs):
@@ -69,3 +70,74 @@ def reference_resultant(a, b):
             acc = -acc
         acc *= b.lc ** (a.degree - r.degree)
         a, b = b, r
+
+
+def _mul_x_polys(a, b, modulus):
+    """Multiply two polynomials in x whose coefficients are residues
+    mod ``modulus`` (lists indexed by x-power)."""
+    out = [Poly.zero()] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai.is_zero:
+            continue
+        for j, bj in enumerate(b):
+            if bj.is_zero:
+                continue
+            out[i + j] = (out[i + j] + ai * bj) % modulus
+    return out
+
+
+def _difference_coefficients(pair, modulus):
+    """x-coefficients of P(x) - Q(z*x + t(z)) as residues mod
+    ``modulus``, together with (t numerator, t denominator)."""
+    p, q, n = pair.p, pair.q, pair.n
+    shift_num = (
+        Poly.constant(p.coeff(n - 1)) - Poly.monomial(q.coeff(n - 1), n - 1)
+    ) * Poly.x()
+    shift_den = rat(n) * p.lc
+    t0 = (shift_num % modulus) * (ONE / shift_den)
+    # Horner for Q(z*x + t) over (Q[z]/modulus)[x]
+    subst = [t0 % modulus, Poly.x() % modulus]
+    acc = [Poly.zero()]
+    for c in reversed(q.coeffs):
+        acc = _mul_x_polys(acc, subst, modulus)
+        acc[0] = (acc[0] + Poly.constant(c)) % modulus
+    diff = []
+    for k in range(n + 1):
+        composed = acc[k] if k < len(acc) else Poly.zero()
+        diff.append((Poly.constant(p.coeff(k)) - composed) % modulus)
+    return diff, shift_num, shift_den
+
+
+def reference_linear_factor(pair):
+    """Linear-factor witness by the quotient-ring search: substitute
+    y = z*x + t(z) in Q[z]/(z^n - lc P/lc Q), take the gcd of the
+    modulus with every x-coefficient of the difference, and re-verify
+    in Q[z]/(g): the reference the centred search is compared against."""
+    if pair.n != pair.m:
+        return None
+    n = pair.n
+    modulus = Poly.monomial(1, n) - Poly.constant(pair.p.lc / pair.q.lc)
+
+    diff, shift_num, shift_den = _difference_coefficients(pair, modulus)
+    assert diff[n].is_zero and diff[n - 1].is_zero, "top coefficients must cancel"
+
+    g = modulus
+    for k in range(n - 2, -1, -1):
+        g = poly_gcd(g, diff[k])
+        if g.degree == 0:
+            return None
+
+    rediff, _, _ = _difference_coefficients(pair, g)
+    if any(not d.is_zero for d in rediff):
+        return None
+
+    return LinearFactorWitness(
+        scale_minpoly=g,
+        shift_numerator=shift_num % g,
+        shift_denominator=shift_den,
+        description=(
+            f"family of {g.degree} linear factor(s) y - (s*x + t): "
+            f"s any root of {g.to_string('s')}, "
+            f"t = ({(shift_num % g).to_string('s')}) / ({shift_den})"
+        ),
+    )

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,6 +75,8 @@ def test_errors_carry_position(text, fragment):
         ("x^200 * x^57", 6, "degree 257"),
         ("2^1000000000", 2, "power"),
         ("((2^1000)^1000)^1000", 10, "power"),
+        ("(2^32768)*(2^32768)", 9, "product of 32769 + 32769 bits"),
+        ("2^30000 * 2^30000 * 2^30000", 18, "product of 60001 + 30001 bits"),
     ],
 )
 def test_oversized_input_fails_before_expanding(text, position, fragment):
@@ -86,6 +90,17 @@ def test_caps_sit_above_real_inputs():
     assert parse_poly("x^256").degree == 256
     assert parse_poly("x^200 * x^56").degree == 256
     assert parse_poly("1/2^4800 * x").coeff(1) == rat(1, 2**4800)
+    assert parse_poly("2^32767 * 2^32767 * x") == Poly.monomial(rat(2**65534), 1)
+
+
+def test_long_products_of_capped_powers_fail_at_the_first_star():
+    text = "*".join(["3^32768"] * 400)
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_poly(text)
+    assert time.perf_counter() - start < 1
+    assert "product" in str(err.value)
+    assert err.value.position == 7
 
 
 def test_no_implicit_multiplication():
