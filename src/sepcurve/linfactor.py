@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .critical import PolynomialPair
-from .rationals import ONE, Rat, rat
-from .rpoly import Poly, _integer_multiple, _trusted
+from .rationals import ONE, rat
+from .rpoly import Poly
 
 
 @dataclass(frozen=True)
@@ -51,23 +51,6 @@ class LinearFactorWitness:
         if self.scale_minpoly(s) != 0:
             raise ValueError(f"{s} is not a root of the scale polynomial")
         return self.shift_numerator(s) / self.shift_denominator
-
-
-def _taylor_shift(p: Poly, h) -> Poly:
-    """p(x + h) for rational h = a/b: synthetic division by x - a on the
-    integer polynomial C(w) = sum d*p_k * b^(n-k) * w^k, since
-    d * b^n * p(x + a/b) = C(b*x + a)."""
-    n = p.degree
-    a, b = int(h.numerator), int(h.denominator)
-    d, cs = _integer_multiple(p)
-    b_pows = [1]
-    for _ in range(n):
-        b_pows.append(b_pows[-1] * b)
-    cs = [c * b_pows[n - k] for k, c in enumerate(cs)]
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            cs[j] += a * cs[j + 1]
-    return _trusted([Rat(c, d * b_pows[n - k]) for k, c in enumerate(cs)])
 
 
 def _bezout(e: int, k: int):
@@ -103,7 +86,7 @@ def _scale_binomial(pc: tuple, qc: tuple):
 def _centre(p: Poly):
     """(P~, a) with P(x) = P~(x + a) and no x^(n-1) term in P~."""
     a = p.coeff(p.degree - 1) / (p.degree * p.lc)
-    return _taylor_shift(p, -a), a
+    return p.shift_argument(-a), a
 
 
 def _verify(p: Poly, p_centred: tuple, q: Poly, q_centred: tuple, g: Poly, t: Poly) -> bool:
@@ -112,7 +95,7 @@ def _verify(p: Poly, p_centred: tuple, q: Poly, q_centred: tuple, g: Poly, t: Po
     Q~(y + b) = Q, then p~_k = q~_k * z^k and t = z*a - b mod g, which
     give P(x) = Q~(z*(x + a)) = Q~(z*x + t + b) = Q(z*x + t)."""
     (pt, a), (qt, b) = p_centred, q_centred
-    if _taylor_shift(pt, a) != p or _taylor_shift(qt, b) != q:
+    if pt.shift_argument(a) != p or qt.shift_argument(b) != q:
         return False
     z_k = Poly.one()
     for k in range(p.degree + 1):

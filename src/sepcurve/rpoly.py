@@ -208,8 +208,22 @@ class Poly:
         return self * (ONE / self.lc)
 
     def shift_argument(self, a) -> "Poly":
-        """p(x + a)."""
-        return self(Poly((a, 1)))
+        """p(x + a), by synthetic division on integers: with a = u/v and
+        d the common denominator of p, C(w) = sum d*p_k * v^(n-k) * w^k
+        satisfies d * v^n * p(x + u/v) = C(v*x + u), and the Taylor
+        shift of C by u is n rounds of synthetic division by w - u."""
+        a = rat(a)
+        u, v = int(a.numerator), int(a.denominator)
+        n = self.degree
+        d, cs = _integer_multiple(self)
+        v_pows = [1]
+        for _ in range(n):
+            v_pows.append(v_pows[-1] * v)
+        cs = [c * v_pows[n - k] for k, c in enumerate(cs)]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                cs[j] += u * cs[j + 1]
+        return _trusted([Rat(c, d * v_pows[n - k]) for k, c in enumerate(cs)])
 
     def scale_argument(self, s) -> "Poly":
         """p(s * x)."""

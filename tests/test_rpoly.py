@@ -77,6 +77,14 @@ def test_argument_transforms():
     assert q(x) == p(3 * x - rat(1, 2))
 
 
+@given(p=st.one_of(polys, wide_polys), a=st.one_of(rationals, bits70))
+def test_shift_argument_matches_composition(p, a):
+    shifted = p.shift_argument(a)
+    assert shifted == p(Poly((a, 1)))
+    assert all(type(c) is Rat for c in shifted.coeffs)
+    assert shifted.shift_argument(-a) == p
+
+
 @given(a=polys, b=polys, c=polys)
 def test_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
