@@ -51,62 +51,52 @@ class Verdict:
 def sufficient_conditions(matching: PairMatching, trace=None):
     """All of the small sufficient hyperbolicity conditions that hold
     for these aggregates (equal degrees, both sides with simple
-    critical values assumed).  Returns rule labels in check order."""
+    critical values assumed).  Returns rule labels in check order:
+    big2(a)..big2(c) on the matching, then big2c(a)..big2c(c), the same
+    conditions on the matching with the roles of P and Q exchanged."""
     fired = []
     notes = trace if trace is not None else []
     l0 = matching.matched_pair_count
-    l = matching.p_point_count
-    h = matching.q_point_count
-    ump = matching.unmatched_p_mass
-    umq = matching.unmatched_q_mass
-    t1 = theorem1_lhs(matching)
-    c1 = corollary1_lhs(matching)
-    ps = [p for p, _ in matching.matched_points]  # descending: index order
-    qs = sorted((q for _, q in matching.matched_points), reverse=True)
-
-    if l0 >= 2 and t1 == 2:
-        fired.append("big2(a)")
-    if l0 >= 1 and ump == 2:
-        if l0 == 1 and matching.matched_points[0] == (1, 3):
-            notes.append("big2(b) skipped: excluded shape (single pair (1,3))")
-        else:
-            fired.append("big2(b)")
-    if l0 >= 2 and l == l0 + 1:
-        exception_parts = [ump == 1, len(ps) >= 1 and ps[0] == 1, len(ps) >= 2 and ps[1] == 1]
-        if l0 == 2 and all(exception_parts):
-            notes.append(
-                "big2(c) skipped: excluded shape (two simple matched points "
-                "and one simple unmatched point)"
-            )
-        else:
-            if l0 == 2 and sum(exception_parts) == 2:
+    # (label, the excluded single pair as written, note suffix, matching)
+    for rule, single, side, m in (
+        ("big2", "(1,3)", "", matching),
+        ("big2c", "(3,1)", ", q side", matching.mirrored()),
+    ):
+        ump, pts = m.unmatched_p_mass, m.matched_points  # pts descending
+        if l0 >= 2 and theorem1_lhs(m) == 2:
+            fired.append(f"{rule}(a)")
+        if l0 >= 1 and ump == 2:
+            if l0 == 1 and pts[0] == (1, 3):
+                notes.append(f"{rule}(b) skipped: excluded shape (single pair {single})")
+            else:
+                fired.append(f"{rule}(b)")
+        if l0 >= 2 and m.p_point_count == l0 + 1:
+            exception_parts = [ump == 1, pts[0][0] == 1, pts[1][0] == 1]
+            if l0 == 2 and all(exception_parts):
                 notes.append(
-                    "big2(c) near-miss: two of the three excluded-shape "
-                    "equalities hold"
+                    f"{rule}(c) skipped: excluded shape (two simple matched points "
+                    f"and one simple unmatched point{side})"
                 )
-            fired.append("big2(c)")
-    if l0 >= 2 and c1 == 2:
-        fired.append("big2c(a)")
-    if l0 >= 1 and umq == 2:
-        if l0 == 1 and matching.matched_points[0] == (3, 1):
-            notes.append("big2c(b) skipped: excluded shape (single pair (3,1))")
-        else:
-            fired.append("big2c(b)")
-    if l0 >= 2 and h == l0 + 1:
-        exception_parts = [umq == 1, len(qs) >= 1 and qs[0] == 1, len(qs) >= 2 and qs[1] == 1]
-        if l0 == 2 and all(exception_parts):
-            notes.append(
-                "big2c(c) skipped: excluded shape (two simple matched points "
-                "and one simple unmatched point, q side)"
-            )
-        else:
-            if l0 == 2 and sum(exception_parts) == 2:
-                notes.append(
-                    "big2c(c) near-miss: two of the three excluded-shape "
-                    "equalities hold"
-                )
-            fired.append("big2c(c)")
+            else:
+                if l0 == 2 and sum(exception_parts) == 2:
+                    notes.append(
+                        f"{rule}(c) near-miss: two of the three excluded-shape "
+                        "equalities hold"
+                    )
+                fired.append(f"{rule}(c)")
     return fired
+
+
+def _case4_shape(m: PairMatching) -> bool:
+    """Case 4 as stated for P: one critical point of P, of multiplicity
+    k, matched at (k, k - 1) against Q's two points, of k - 1 and 1."""
+    pms = m.p_multiset
+    return (
+        len(pms) == 1
+        and m.q_point_count == 2
+        and m.q_multiset == (pms[0] - 1, 1)
+        and (pms[0], pms[0] - 1) in m.matched_points
+    )
 
 
 def matching_case_ids(matching: PairMatching, has_linear_factor: bool):
@@ -115,55 +105,26 @@ def matching_case_ids(matching: PairMatching, has_linear_factor: bool):
     The classifier reports the first; this helper exists for traces,
     diagnostics and tests of shapes that satisfy several definitions at
     once."""
-    n = matching.deg_p
-    l0 = matching.matched_pair_count
-    l = matching.p_point_count
-    h = matching.q_point_count
-    pts = matching.matched_points
-    pms = matching.p_multiset
-    qms = matching.q_multiset
-    ids = []
-    if has_linear_factor:
-        ids.append(1)
+    n, pts = matching.deg_p, matching.matched_points
+    pms, qms = matching.p_multiset, matching.q_multiset
+    ids = [1] if has_linear_factor else []
     if n in (2, 3):
         ids.append(2)
-    if n == 4 and (l0 >= 2 or (l0 == 1 and abs(pts[0][0] - pts[0][1]) == 2)):
+    if n == 4 and (len(pts) >= 2 or (len(pts) == 1 and abs(pts[0][0] - pts[0][1]) == 2)):
         ids.append(3)
-    if (
-        l == 1
-        and h == 2
-        and qms == (pms[0] - 1, 1)
-        and (pms[0], pms[0] - 1) in pts
-    ):
-        ids.append(4)
-    elif (
-        h == 1
-        and l == 2
-        and pms == (qms[0] - 1, 1)
-        and (qms[0] - 1, qms[0]) in pts
-    ):
+    if _case4_shape(matching) or _case4_shape(matching.mirrored()):
         ids.append(4)
     if (
-        l == 2
-        and h == 2
-        and len(pms) == 2
+        len(pms) == 2
         and pms[1] == 1
         and qms == pms
         and (pms[0], pms[0]) in pts
         and n == pms[0] + 2
     ):
         ids.append(5)
-    if (
-        n == 5
-        and l0 == 3
-        and l == 3
-        and h == 3
-        and pms == (2, 1, 1)
-        and qms == (2, 1, 1)
-        and pts == ((2, 2), (1, 1), (1, 1))
-    ):
+    if n == 5 and pms == qms == (2, 1, 1) and pts == ((2, 2), (1, 1), (1, 1)):
         ids.append(6)
-    if n == 5 and l0 == 2 and l == 2 and h == 2 and pts == ((2, 2), (2, 2)):
+    if n == 5 and len(pms) == len(qms) == 2 and pts == ((2, 2), (2, 2)):
         ids.append(7)
     return ids
 

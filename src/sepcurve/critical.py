@@ -111,6 +111,12 @@ def hypothesis_I(p: Poly) -> bool:
     return analyze(p).hypothesis_I
 
 
+def _top_inner_degree(p: Poly) -> int:
+    """Largest k with 1 <= k < deg p and a nonzero x^k coefficient in p
+    (0 when no such k exists)."""
+    return next((k for k in range(p.degree - 1, 0, -1) if p.coeff(k) != 0), 0)
+
+
 class PolynomialPair:
     """The two sides of P(x) - Q(y), normalized so deg p >= deg q.
 
@@ -150,19 +156,11 @@ class PolynomialPair:
 
     @property
     def n0(self) -> int:
-        """Largest k with 1 <= k < n and a nonzero x^k coefficient in p
-        (0 when no such k exists)."""
-        for k in range(self.n - 1, 0, -1):
-            if self.p.coeff(k) != 0:
-                return k
-        return 0
+        return _top_inner_degree(self.p)
 
     @property
     def m0(self) -> int:
-        for k in range(self.m - 1, 0, -1):
-            if self.q.coeff(k) != 0:
-                return k
-        return 0
+        return _top_inner_degree(self.q)
 
     def _cached(self, key, compute, arg):
         if key not in self._cs:
@@ -228,6 +226,27 @@ class PairMatching:
     def unmatched_q_mass(self) -> int:
         return self.deg_q - 1 - sum(q for _, q in self.matched_points)
 
+    def mirrored(self) -> "PairMatching":
+        """The matching of Q(y) - P(x) = 0: the roles of P and Q
+        exchanged, matched points turned to (q, p) and sorted descending
+        again.  Every Q-side rule is its P-side rule on this matching.
+
+        >>> m = PairMatching(5, 5, ((3, 1), (1, 2)), (), (1,), (3, 1), (2, 1, 1))
+        >>> m.mirrored().matched_points, m.mirrored().unmatched_p_points
+        (((2, 1), (1, 3)), (1,))
+        >>> m.mirrored().mirrored() == m
+        True
+        """
+        return PairMatching(
+            deg_p=self.deg_q,
+            deg_q=self.deg_p,
+            matched_points=tuple(sorted(((q, p) for p, q in self.matched_points), reverse=True)),
+            unmatched_p_points=self.unmatched_q_points,
+            unmatched_q_points=self.unmatched_p_points,
+            p_multiset=self.q_multiset,
+            q_multiset=self.p_multiset,
+        )
+
 
 def match_pairs(pair: PolynomialPair) -> PairMatching:
     """Match the critical points of P and Q that share a value.
@@ -273,10 +292,8 @@ def theorem1_lhs(matching: PairMatching) -> int:
 
 
 def corollary1_lhs(matching: PairMatching) -> int:
-    return (
-        sum(q - p for p, q in matching.matched_points if q > p)
-        + matching.unmatched_q_mass
-    )
+    """Theorem 1's lhs with the roles of P and Q exchanged."""
+    return theorem1_lhs(matching.mirrored())
 
 
 @dataclass(frozen=True)

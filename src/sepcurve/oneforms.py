@@ -23,7 +23,8 @@ the relevant side from l0+1 on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 from .classify import Outcome, Verdict
@@ -435,23 +436,12 @@ def _emit_theorem3(matching, rule):
 
 def _mirrored_matching(matching):
     """Matching with the P/Q roles exchanged, plus the map from new
-    matched-point indices back to the original ones."""
-    tagged = sorted(
-        ((q, p, k) for k, (p, q) in enumerate(matching.matched_points, 1)),
-        key=lambda t: (t[0], t[1]),
-        reverse=True,
-    )
-    index_map = {new: orig for new, (_, _, orig) in enumerate(tagged, 1)}
-    mirrored = PairMatching(
-        deg_p=matching.deg_q,
-        deg_q=matching.deg_p,
-        matched_points=tuple((q, p) for q, p, _ in tagged),
-        unmatched_p_points=matching.unmatched_q_points,
-        unmatched_q_points=matching.unmatched_p_points,
-        p_multiset=matching.q_multiset,
-        q_multiset=matching.p_multiset,
-    )
-    return mirrored, index_map
+    matched-point indices back to the original ones.  The sort is
+    stable, as in :meth:`PairMatching.mirrored`, so equal points keep
+    their order."""
+    pts = matching.matched_points
+    order = sorted(range(len(pts)), key=lambda k: pts[k][::-1], reverse=True)
+    return matching.mirrored(), {new: k + 1 for new, k in enumerate(order, 1)}
 
 
 _MIRROR_W = {W12: W20, W20: W12, W01: W01}
@@ -501,6 +491,12 @@ _EMITTERS = {
 }
 
 
+def _verdict_matching(verdict):
+    """The one matching a verdict's witnesses are emitted from and
+    audited against: the verdict's own, else its pair's."""
+    return verdict.matching or verdict.pair.matching()
+
+
 def emit_witnesses(verdict: Verdict):
     """The two 1-forms prescribed by the rule that fired.
 
@@ -509,7 +505,7 @@ def emit_witnesses(verdict: Verdict):
     """
     if verdict.outcome is not Outcome.HYPERBOLIC:
         raise ValueError("no witness for low-genus verdicts")
-    matching = verdict.matching or verdict.pair.matching()
+    matching = _verdict_matching(verdict)
     try:
         emitter = _EMITTERS[verdict.rule]
     except KeyError:
@@ -557,9 +553,7 @@ def check_regularity(
         )
     checks = []
 
-    den_kinds = set()
-    for (kind, idx), e in form.denominator_factors:
-        den_kinds.add("z2" if kind == "z" else kind)
+    den_kinds = {"z2" if kind == "z" else kind for (kind, _), _ in form.denominator_factors}
     for kind in sorted(den_kinds):
         expected = _PAIRED_W.get(kind)
         ok = expected is None or form.wronskian == expected
@@ -605,27 +599,15 @@ def check_regularity(
         )
 
     if matching is not None:
-        den_alpha = {}
-        den_beta = {}
-        for (kind, idx), e in form.denominator_factors:
-            if kind == "alpha":
-                den_alpha[idx] = den_alpha.get(idx, 0) + e
-            elif kind == "beta":
-                den_beta[idx] = den_beta.get(idx, 0) + e
-        num_alpha = {}
-        num_beta = {}
-        chords = {}
+        # total exponent per (kind, point index); a chord counts at both ends
+        den, num = defaultdict(int), defaultdict(int)
+        for tag, e in form.denominator_factors:
+            den[tag] += e
         for (kind, idx), e in form.numerator_factors:
-            if kind == "alpha":
-                num_alpha[idx] = num_alpha.get(idx, 0) + e
-            elif kind == "beta":
-                num_beta[idx] = num_beta.get(idx, 0) + e
-            elif kind == "chord":
-                for k in idx:
-                    chords[k] = chords.get(k, 0) + e
+            for k in idx if kind == "chord" else (idx,):
+                num[kind, k] += e
         for i, (p, q) in enumerate(matching.matched_points, 1):
-            v0 = den_alpha.get(i, 0)
-            v1 = den_beta.get(i, 0)
+            v0, v1 = den["alpha", i], den["beta", i]
             if v0 == 0 and v1 == 0:
                 continue
             o0, o1 = order_bounds(p, q).ratio
@@ -636,9 +618,9 @@ def check_regularity(
             else:
                 ord_w = min(o0, o1) - 1
             margin = (
-                chords.get(i, 0) * min(o0, o1)
-                + num_alpha.get(i, 0) * o0
-                + num_beta.get(i, 0) * o1
+                num["chord", i] * min(o0, o1)
+                + num["alpha", i] * o0
+                + num["beta", i] * o1
                 + ord_w
                 - v0 * o0
                 - v1 * o1
@@ -673,13 +655,17 @@ def check_regularity(
 
 
 def verify_witnesses(verdict: Verdict, matching: Optional[PairMatching] = None):
-    """Emit both witnesses for a Hyperbolic verdict and audit them.
+    """Emit both witnesses for a Hyperbolic verdict and audit them
+    against the matching they were emitted from; a ``matching`` passed
+    in stands in for the verdict's own in both steps.
 
     Returns (forms, reports); each report carries the shared
     independence note.  Any unsatisfied check means the emitted form
     contradicts its own rule — callers should treat that as a bug.
     """
-    matching = matching or verdict.matching or verdict.pair.matching()
+    if matching is not None:
+        verdict = replace(verdict, matching=matching)
+    matching = _verdict_matching(verdict)
     meta = homogenized_meta(verdict.pair) if verdict.pair is not None else None
     forms = emit_witnesses(verdict)
     reports = tuple(

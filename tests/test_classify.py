@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 from helpers import make_matching, poly_of
 from sepcurve.classify import (
@@ -8,11 +10,14 @@ from sepcurve.classify import (
     sufficient_conditions,
 )
 from sepcurve.critical import PolynomialPair, match_pairs
+from sepcurve.rationals import Rat
+from sepcurve.rpoly import Poly
 from sepcurve.instances import (
     CASE_IDS,
     case_instance,
     inconclusive_pair,
     random_affine_image,
+    random_polynomial,
     theorem1_pair,
     theorem2_pair,
     theorem3_pair,
@@ -163,3 +168,118 @@ def test_case_shape_ids_on_synthetic_aggregates():
     # low degrees always land in case 2
     m = make_matching([(1, 1)], unm_p=(1,), unm_q=(1,), deg=(3, 3))
     assert 2 in matching_case_ids(m, has_linear_factor=False)
+
+
+# --- exchanging P and Q ---
+
+# each Q-side rule label against its P-side rule
+_SWAP = {"Theorem 1": "Corollary 1"}
+_SWAP.update({f"big2({c})": f"big2c({c})" for c in "abc"})
+_SWAP.update({v: k for k, v in _SWAP.items()})
+
+
+def _swapped_labels(labels):
+    return Counter(_SWAP.get(r, r) for r in labels)
+
+
+def _antiderivative(a, b, s):
+    """The antiderivative of x^a (x - s)^b vanishing at 0: critical
+    points 0 and s of multiplicities a and b."""
+    x = Poly.x()
+    d = x**a * (x - s) ** b
+    return Poly([Rat(0)] + [d.coeff(k) / (k + 1) for k in range(d.degree + 1)])
+
+
+def _equal_degree_swap_pairs():
+    rng = random.Random(9)
+    pairs = [case_instance(cid) for cid in CASE_IDS]
+    pairs += [theorem3_pair(k) for k in range(3, 7)]
+    pairs += [random_affine_image(pair, rng) for pair in list(pairs)]
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        pairs.append(PolynomialPair(random_polynomial(rng, n, n), random_polynomial(rng, n, n)))
+    for _ in range(8):
+        p = random_polynomial(rng, 2, 6)
+        pairs.append(PolynomialPair(p, p))
+    # two critical points a side, one shared value: the small conditions
+    for total in range(2, 6):
+        for a, c in itertools.product(range(1, total), repeat=2):
+            for s in (1, -1):
+                p, q = _antiderivative(a, total - a, 1), _antiderivative(c, total - c, s)
+                pairs.append(PolynomialPair(p, q))
+    pairs.append(PolynomialPair(poly_of(0, 0, -2, 0, 1), poly_of(0, 1, 0, 0, 1)))
+    return pairs
+
+
+def test_swapping_p_and_q_mirrors_the_verdict():
+    fired, hyp_failures = Counter(), 0
+    for pair in _equal_degree_swap_pairs():
+        p, q = pair.p, pair.q
+        v, w = classify(PolynomialPair(p, q)), classify(PolynomialPair(q, p))
+        assert (w.outcome, w.case) == (v.outcome, v.case), pair
+        assert (w.hyp_p, w.hyp_q) == (v.hyp_q, v.hyp_p), pair
+        assert _swapped_labels(w.fired_rules) == Counter(v.fired_rules), pair
+        # the mirror against an independent computation of the swapped matching
+        assert match_pairs(PolynomialPair(q, p)) == match_pairs(PolynomialPair(p, q)).mirrored()
+        fired.update(v.fired_rules)
+        hyp_failures += not (v.hyp_p and v.hyp_q)
+    # the draws reach the small conditions and both branches of case 4
+    for rule in ("big2(a)", "big2(b)", "big2c(b)", "Theorem 3 case 4", "Corollary 1"):
+        assert fired[rule] > 0, rule
+    assert hyp_failures > 0
+
+
+def _small_equal_degree_matchings():
+    points = [(p, q) for p in range(1, 4) for q in range(1, 4)]
+    unmatched = [(), (1,), (2,), (1, 1)]
+    for k in range(4):
+        for matched in itertools.combinations_with_replacement(points, k):
+            for unm_p, unm_q in itertools.product(unmatched, repeat=2):
+                m = make_matching(matched, unm_p, unm_q)
+                if m.deg_p == m.deg_q:
+                    yield m
+                yield make_matching(matched, unm_p, unm_q, deg=(5, 5))
+
+
+def test_mirrored_matching_fires_the_mirrored_rules():
+    seen = Counter()
+    for m in _small_equal_degree_matchings():
+        fired = sufficient_conditions(m)
+        assert _swapped_labels(sufficient_conditions(m.mirrored())) == Counter(fired), m
+        for lf in (False, True):
+            ids = matching_case_ids(m, has_linear_factor=lf)
+            assert matching_case_ids(m.mirrored(), has_linear_factor=lf) == ids, m
+        seen.update(fired)
+        seen.update(f"case {i}" for i in matching_case_ids(m, has_linear_factor=False))
+    for label in ("big2(a)", "big2(b)", "big2(c)", "big2c(c)", "case 4", "case 6"):
+        assert seen[label] > 0, label
+
+
+def test_excluded_shape_and_near_miss_notes_on_both_sides():
+    def run(*args, **kwargs):
+        notes = []
+        return sufficient_conditions(make_matching(*args, **kwargs), notes), notes
+
+    assert run([(1, 3)], unm_p=(1, 1)) == (
+        [], ["big2(b) skipped: excluded shape (single pair (1,3))"]
+    )
+    assert run([(3, 1)], unm_q=(1, 1)) == (
+        [], ["big2c(b) skipped: excluded shape (single pair (3,1))"]
+    )
+    assert run([(1, 1), (1, 1)], unm_p=(1,), unm_q=(1,)) == (
+        [],
+        [
+            "big2(c) skipped: excluded shape (two simple matched points "
+            "and one simple unmatched point)",
+            "big2c(c) skipped: excluded shape (two simple matched points "
+            "and one simple unmatched point, q side)",
+        ],
+    )
+    # a double matched point breaks one of the three equalities on each side
+    assert run([(2, 2), (1, 1)], unm_p=(1,), unm_q=(1,)) == (
+        ["big2(c)", "big2c(c)"],
+        [
+            "big2(c) near-miss: two of the three excluded-shape equalities hold",
+            "big2c(c) near-miss: two of the three excluded-shape equalities hold",
+        ],
+    )

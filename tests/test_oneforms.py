@@ -18,7 +18,7 @@ from sepcurve.oneforms import (
 
 def assert_verified(rule, matching, *, expect_texts=None):
     v = hyperbolic_verdict(rule, matching)
-    forms, reports = verify_witnesses(v, matching)
+    forms, reports = verify_witnesses(v)
     assert len(forms) == 2
     for f, r in zip(forms, reports):
         bad = [c for c in r.checks if not c.satisfied]
