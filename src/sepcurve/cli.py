@@ -27,7 +27,7 @@ from .instances import (
     theorem2_pair,
     theorem3_pair,
 )
-from .numoracle import DEFAULT_PRECISION, verify_pair_counts
+from .numoracle import DEFAULT_PRECISION, PRECISION_CAP, verify_pair_counts
 from .oneforms import verify_witnesses
 from .parsepoly import parse_poly
 
@@ -86,7 +86,7 @@ def _oracle_block(pair: PolynomialPair, which: str, precision: int) -> dict:
             "method": rep.method.value,
         }
     if which in ("numeric", "both"):
-        rep = verify_pair_counts(pair, precision_bits=precision, cap=max(4096, precision))
+        rep = verify_pair_counts(pair, precision_bits=precision)
         block["numeric"] = {
             "outcome": rep.outcome.value,
             "precision_bits": rep.precision_bits,
@@ -175,13 +175,13 @@ def render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _positive_int(text: str) -> int:
+def _precision_bits(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    if not 1 <= value <= PRECISION_CAP:
+        raise argparse.ArgumentTypeError(f"must be an integer in 1..{PRECISION_CAP}, got {text!r}")
     return value
 
 
@@ -205,8 +205,8 @@ def _build_argparser() -> _Parser:
         help="cross-check with the genus count and/or certified numerics",
     )
     cl.add_argument(
-        "--precision", type=_positive_int, default=DEFAULT_PRECISION, metavar="BITS",
-        help=f"numeric oracle working precision (default {DEFAULT_PRECISION})",
+        "--precision", type=_precision_bits, default=DEFAULT_PRECISION, metavar="BITS",
+        help=f"numeric oracle start precision, 1..{PRECISION_CAP} (default {DEFAULT_PRECISION})",
     )
     cl.add_argument(
         "--timings", action="store_true",

@@ -232,7 +232,6 @@ def _can_pack(cluster_sizes, parts):
 def corroborate_hypothesis_I(
     p: Poly,
     precision_bits: int = DEFAULT_PRECISION,
-    cap: int = PRECISION_CAP,
 ) -> HypothesisOracle:
     """Numerically re-check whether all critical values of p are simple.
 
@@ -261,7 +260,7 @@ def corroborate_hypothesis_I(
                 return HypothesisOracle(OracleOutcome.AGREE, symbolic, prec, sizes)
             if not _can_pack(sizes, expected):
                 return HypothesisOracle(OracleOutcome.DISAGREE, symbolic, prec, sizes)
-        if prec * 2 > cap:
+        if prec * 2 > PRECISION_CAP:
             return HypothesisOracle(OracleOutcome.AMBIGUOUS, symbolic, prec, sizes)
         prec *= 2
 
@@ -270,7 +269,6 @@ def verify_pair_counts(
     pp: PolynomialPair,
     pm: Optional[PairMatching] = None,
     precision_bits: int = DEFAULT_PRECISION,
-    cap: int = PRECISION_CAP,
 ) -> PairCountOracle:
     """Recount the matched critical-value pairs with certified disks.
 
@@ -340,7 +338,7 @@ def verify_pair_counts(
                 detail = f"unconfirmed extra coincidences {list(extra)}"
             else:
                 detail = "same-side values still overlap"
-        if prec * 2 > cap:
+        if prec * 2 > PRECISION_CAP:
             return PairCountOracle(OracleOutcome.AMBIGUOUS, prec, None, None, detail)
         prec *= 2
 

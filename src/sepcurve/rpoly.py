@@ -7,11 +7,11 @@ empty coefficient tuple and ``degree`` is -1 for it.
 The module also carries the exact kernels the rest of the package is
 built on: gcd, squarefree (multiplicity) decomposition, resultants, and
 the root-image polynomial ``resultant_shift`` (the monic polynomial
-whose roots are P(a) for a running over the roots of S).  The gcd and
-resultant kernels clear denominators once and run the subresultant
-remainder sequence (Collins 1967; Brown & Traub 1971) on Python ints,
-so ``Rat`` appears only at their boundary; every division the
-algorithms prove exact is checked.
+whose roots are P(a) for a running over the roots of S).  Division,
+gcd and resultants clear denominators once and run one integer
+pseudo-division loop, which also drives the subresultant remainder
+sequence (Collins 1967; Brown & Traub 1971), so ``Rat`` appears only
+at their boundary; every division the algorithms prove exact is checked.
 """
 
 from __future__ import annotations
@@ -156,25 +156,22 @@ class Poly:
         return result
 
     def __divmod__(self, other: "Poly"):
-        """Exact field division with remainder."""
+        """Division with remainder over Q by one integer pseudo-division.
+
+        >>> [f.to_string() for f in divmod(Poly([1, 0, 1]), Poly([1, 2]))]
+        ['1/2*x - 1/4', '5/4']
+        """
         if not isinstance(other, Poly):
             other = Poly.constant(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return Poly.zero(), self
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dq = len(rem) - len(div)
-        quo = [ZERO] * (dq + 1)
-        inv_lc = ONE / div[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + len(div) - 1] * inv_lc
-            quo[k] = c
-            if c != 0:
-                for j, dj in enumerate(div):
-                    rem[k + j] -= c * dj
-        return _trusted(quo), _trusted(rem[: len(div) - 1])
+        da, ia = _integer_multiple(self)
+        db, ib = _integer_multiple(other)
+        q, r = _pseudo_divmod(ia, ib)
+        scale = da * ib[-1] ** len(q)
+        return _trusted([Rat(c * db, scale) for c in q]), _trusted([Rat(c, scale) for c in r])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -313,8 +310,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 def is_squarefree(p: Poly) -> bool:
     if p.is_zero:
         return False
-    if p.degree == 0:
-        return True
     return poly_gcd(p, p.derivative()).degree == 0
 
 
@@ -356,8 +351,10 @@ def squarefree_decomposition(p: Poly) -> MultiplicityDecomposition:
     if p.degree == 0:
         return MultiplicityDecomposition(content, ())
     p = p.monic()
-    parts = []
     g = poly_gcd(p, p.derivative())
+    if g.degree == 0:  # squarefree: spare the divisions by 1 and by p itself
+        return MultiplicityDecomposition(content, ((p, 1),))
+    parts = []
     b = p // g
     d = (p.derivative() // g) - b.derivative()
     i = 1
@@ -400,13 +397,16 @@ def _primitive(p: Poly) -> list:
     return [_exact_div(c, g) for c in cs]
 
 
-def _prem(a: list, b: list) -> list:
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b of integer
-    coefficient lists (low to high), deg a >= deg b >= 1."""
+def _pseudo_divmod(a: list, b: list):
+    """(q, r) with lc(b)^(deg a - deg b + 1) * a = q * b + r and deg r < deg b
+    for integer lists (low to high), deg a >= deg b >= 0 (Cohen, GTM 138, Alg.
+    3.1.2); the c popped at step k enters q as c * lc(b)^k, never rescaled."""
     r = list(a)
     lb, nb = b[-1], len(b) - 1
-    for k in range(len(a) - len(b), -1, -1):
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
         c = r.pop()
+        q[k] = c * lb**k
         if lb != 1:
             r = [lb * x for x in r]
         if c:
@@ -414,7 +414,7 @@ def _prem(a: list, b: list) -> list:
                 r[k + j] -= c * b[j]
     while r and not r[-1]:
         r.pop()
-    return r
+    return q, r
 
 
 def _subresultant_prs(a: list, b: list):
@@ -432,7 +432,7 @@ def _subresultant_prs(a: list, b: list):
         delta = len(a) - len(b)
         if (len(a) - 1) & (len(b) - 1) & 1:
             s = -s
-        r = _prem(a, b)
+        _, r = _pseudo_divmod(a, b)
         scale = g * h**delta
         a, b = b, [_exact_div(c, scale) for c in r]
         g = a[-1]
@@ -526,7 +526,8 @@ def _sylvester_resultant_shift(s: Poly, p: Poly) -> Poly:
             for j in range(k + 1, size):
                 num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
                 q, r = divmod(num, prev)
-                assert r.is_zero, "Bareiss division must be exact"
+                if not r.is_zero:
+                    raise ArithmeticError("Bareiss division left a remainder")
                 m[i][j] = q
             m[i][k] = Poly.zero()
         prev = m[k][k]

@@ -20,6 +20,7 @@ import pytest
 import sepcurve.cli as cli
 import sepcurve.critical as critical
 from sepcurve.cli import main
+from sepcurve.numoracle import PRECISION_CAP
 from sepcurve.oneforms import MalformedFormError
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -154,19 +155,22 @@ def test_selftest_passes(capsys):
 
 
 def test_oracle_precision_flag(capsys):
-    code = main(
-        ["classify", "--p", "x^3 - 3*x", "--q", "x^3 - 3*x", "--json",
-         "--oracle", "numeric", "--precision", "512"]
-    )
-    rep = json.loads(capsys.readouterr().out)
-    assert code == 10  # x - y divides
-    assert rep["oracle"]["numeric"]["precision_bits"] == 512
+    for bits in (512, PRECISION_CAP):  # PRECISION_CAP is the largest accepted
+        code = main(
+            ["classify", "--p", "x^3 - 3*x", "--q", "x^3 - 3*x", "--json",
+             "--oracle", "numeric", "--precision", str(bits)]
+        )
+        rep = json.loads(capsys.readouterr().out)
+        assert code == 10  # x - y divides
+        assert rep["oracle"]["numeric"]["precision_bits"] == bits
 
 
-@pytest.mark.parametrize("bits", ["0", "-1", "-8"])
+@pytest.mark.parametrize("bits", ["0", "-1", "-8", "4097", "262144"])
 def test_precision_must_be_positive(bits, capsys):
     # P = Q resolves at the first precision step, so a missing guard
-    # shows up as a report, not as a hang
+    # shows up as a report, not as a hang; above PRECISION_CAP one step
+    # can run for tens of seconds, so the flag is refused before any
+    # oracle work
     t0 = time.perf_counter()
     code = main(
         ["classify", "--p", "x^3 - 3*x", "--q", "x^3 - 3*x", "--json",

@@ -92,8 +92,19 @@ def test_ring_laws(a, b, c):
     assert a + b == b + a and a * b == b * a
 
 
-@given(a=polys, b=nonzero_polys)
+# divisors: small, wide, constant, and non-monic by a wide scalar
+divisors = st.one_of(
+    nonzero_polys,
+    wide_polys.filter(lambda p: not p.is_zero),
+    st.builds(Poly.constant, st.one_of(rationals, bits70, dyadic).filter(bool)),
+    st.builds(lambda p, c: p * c, nonzero_polys, st.one_of(bits70, dyadic).filter(bool)),
+)
+
+
+@given(a=st.one_of(polys, wide_polys), b=divisors)
+@settings(deadline=None)
 def test_divmod_identity(a, b):
+    # q * b + r == a with deg r < deg b pins (q, r) uniquely over Q
     q, r = divmod(a, b)
     assert q * b + r == a
     assert r.is_zero or r.degree < b.degree
