@@ -1,16 +1,21 @@
 """CLI contract tests.
 
 Golden files under tests/golden/ pin the full --json --witness
---oracle both reports for the pinned instances; regenerate after an
-intentional schema change with
+--oracle both reports for the pinned instances, and
+tests/golden/corpus.jsonl pins the --json --witness report, one per
+line, of a few hundred seeded pairs drawn from sepcurve.instances;
+regenerate both after an intentional schema change with
 
     python3 tests/test_cli.py --regen
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -19,11 +24,14 @@ import pytest
 
 import sepcurve.cli as cli
 import sepcurve.critical as critical
+import sepcurve.instances as ins
 from sepcurve.cli import main
 from sepcurve.numoracle import PRECISION_CAP
 from sepcurve.oneforms import MalformedFormError
+from sepcurve.rpoly import Poly
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+CORPUS = GOLDEN_DIR / "corpus.jsonl"
 
 GOLDEN_INSTANCES = {
     "case1": (("x^3", "x^3"), 10),
@@ -249,7 +257,88 @@ def test_cli_import_does_not_load_mpmath():
     assert out.stdout.strip() == "False"
 
 
+def _corpus_pairs():
+    """(P, Q) for the corpus, from fixed seeds: the case instances and
+    affine images of them, theorem3_pair for k = 3..11, the rule
+    representatives, linear-factor and perturbed pairs, random sparse
+    and dense pairs up to degree 20, multi-class pairs (powers of linear
+    factors and their integrals), pairs failing Hypothesis I and the
+    antiderivatives of x^a (x - 1)^b."""
+    rng = random.Random(20140908)
+    x = Poly.x()
+    pairs = []
+    for cid in ins.CASE_IDS:
+        pair = ins.case_instance(cid)
+        pairs += [pair] + [ins.random_affine_image(pair, rng) for _ in range(4)]
+    pairs += [ins.theorem3_pair(k) for k in range(3, 12)]
+    pairs += ins.random_theorem3_pool(8, rng)
+    for rule_pair in (ins.theorem1_pair(), ins.theorem2_pair(), ins.inconclusive_pair()):
+        pairs += [rule_pair] + [ins.random_affine_image(rule_pair, rng) for _ in range(2)]
+    pairs += [ins.random_linear_factor_pair(rng)[0] for _ in range(35)]
+    pairs += [ins.random_perturbed_pair(rng) for _ in range(35)]
+    pairs += [
+        (ins.random_polynomial(rng, 2, 9), ins.random_polynomial(rng, 2, 9))
+        for _ in range(50)
+    ]
+    pairs += [
+        (ins.random_polynomial(rng, 10, 20, sparse=False), ins.random_polynomial(rng, 8, 20))
+        for _ in range(12)
+    ]
+
+    def multiclass():
+        prod = Poly.constant(rng.choice([1, -2, 3]))
+        for r in rng.sample(range(-3, 4), rng.randint(1, 3)):
+            prod = prod * (x - r) ** rng.randint(1, 3)
+        if prod.degree < 2 or rng.random() < 0.5:
+            return _antiderivative(prod) + rng.randint(-3, 3)
+        return prod + rng.randint(-3, 3)
+
+    pairs += [(multiclass(), multiclass()) for _ in range(30)]
+    even = [x**4 - 2 * x**2, x**6 - 3 * x**4 + 3 * x**2, (x**2 - 1) ** 3, x**3 * (x - 1) ** 2]
+    for p in even:  # each fails Hypothesis I
+        pairs += [(p, p + 1), (p, x**4 - 2 * x**2 + 1), (p, ins.random_polynomial(rng, 2, 6))]
+    family = [_antiderivative(x**a * (x - 1) ** b) for a in range(1, 5) for b in range(1, 5)]
+    pairs += [(p, q) for p in family for q in family if rng.random() < 0.15]
+    out = []
+    for pair in pairs:
+        p, q = (pair.p, pair.q) if isinstance(pair, critical.PolynomialPair) else pair
+        if isinstance(pair, critical.PolynomialPair) and pair.swapped:
+            p, q = q, p
+        out.append((p.to_string(), q.to_string()))
+    return out
+
+
+def _antiderivative(p):
+    return Poly([0] + [c / (k + 1) for k, c in enumerate(p.coeffs)])
+
+
+def _corpus_argv(p, q, index):
+    """The corpus runs --oracle geometry on every pair and the numeric
+    oracle too on every 25th, which keeps its cost to about a second."""
+    oracle = "both" if index % 25 == 0 else "geometry"
+    return ["classify", f"--p={p}", f"--q={q}", "--json", "--witness", "--oracle", oracle]
+
+
+def _corpus_record(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) in (0, 10, 20), argv
+    return json.dumps(json.loads(out.getvalue()), sort_keys=True)
+
+
+def test_verdict_corpus_is_byte_stable():
+    lines = CORPUS.read_text().splitlines()
+    assert len(lines) >= 200
+    for index, line in enumerate(lines):
+        rep = json.loads(line)
+        argv = _corpus_argv(rep["input"]["p"], rep["input"]["q"], index)
+        assert _corpus_record(argv) == line, argv
+
+
 def _regen():
+    records = [_corpus_record(_corpus_argv(p, q, i)) for i, (p, q) in enumerate(_corpus_pairs())]
+    CORPUS.write_text("".join(r + "\n" for r in records))
+    print("wrote corpus,", len(records), "records")
     for name, ((p, q), _) in GOLDEN_INSTANCES.items():
         out = subprocess.run(
             [sys.executable, "-m", "sepcurve.cli", *_argv(p, q)],
