@@ -11,6 +11,7 @@ and is therefore kept out of golden runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -185,6 +186,10 @@ def _precision_bits(text: str) -> int:
     return value
 
 
+# One parser per process, built on first use so that importing builds
+# none: a parser holds reference cycles that only the cyclic collector
+# frees, so one per call would leave that garbage behind every call.
+@functools.cache
 def _build_argparser() -> _Parser:
     ap = _Parser(prog="sepcurve", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)

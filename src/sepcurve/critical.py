@@ -114,7 +114,7 @@ def hypothesis_I(p: Poly) -> bool:
 def _top_inner_degree(p: Poly) -> int:
     """Largest k with 1 <= k < deg p and a nonzero x^k coefficient in p
     (0 when no such k exists)."""
-    return next((k for k in range(p.degree - 1, 0, -1) if p.coeff(k) != 0), 0)
+    return next((k for k in range(p.degree - 1, 0, -1) if p.num[k]), 0)
 
 
 class PolynomialPair:

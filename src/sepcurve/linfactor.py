@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .critical import PolynomialPair
-from .rationals import ONE, rat
+from .rationals import ONE, Rat, rat
 from .rpoly import Poly
 
 
@@ -63,18 +63,23 @@ def _bezout(e: int, k: int):
     return u0, v0
 
 
-def _scale_binomial(pc: tuple, qc: tuple):
+def _scale_binomial(pt: Poly, qt: Poly):
     """(e, c) such that the scales s with P~(u) = Q~(s*u) are exactly
-    the roots of z^e - c, or None when there are none.  ``pc`` and
-    ``qc`` are the centred coefficients, low to high."""
-    n = len(pc) - 1
-    if pc[0] != qc[0] or any(bool(pc[k]) != bool(qc[k]) for k in range(1, n - 1)):
+    the roots of z^e - c, or None when there are none, for centred P~
+    and Q~ of equal degree n with p~_0 = q~_0.  Each ratio p~_k / q~_k
+    is formed once, cross-multiplied from the integer numerators."""
+    pn, qn, n = pt.num, qt.num, pt.degree
+    if any(bool(pn[k]) != bool(qn[k]) for k in range(1, n - 1)):
         return None
-    e, c = n, pc[n] / qc[n]
+
+    def ratio(k):
+        return Rat(pn[k] * qt.den, qn[k] * pt.den)
+
+    e, c = n, ratio(n)
     for k in range(n - 2, 0, -1):
-        if not qc[k]:
+        if not qn[k]:
             continue
-        r = pc[k] / qc[k]
+        r = ratio(k)
         u, v = _bezout(e, k)
         g = u * e + v * k
         if c ** (k // g) != r ** (e // g):
@@ -83,10 +88,9 @@ def _scale_binomial(pc: tuple, qc: tuple):
     return e, c
 
 
-def _centre(p: Poly):
-    """(P~, a) with P(x) = P~(x + a) and no x^(n-1) term in P~."""
-    a = p.coeff(p.degree - 1) / (p.degree * p.lc)
-    return p.shift_argument(-a), a
+def _centring_shift(p: Poly):
+    """a with P(x) = P~(x + a) and no x^(n-1) term in P~."""
+    return p.coeff(p.degree - 1) / (p.degree * p.lc)
 
 
 def _verify(p: Poly, p_centred: tuple, q: Poly, q_centred: tuple, g: Poly, t: Poly) -> bool:
@@ -114,8 +118,11 @@ def find_linear_factor(pair: PolynomialPair):
     if pair.n != pair.m:
         return None
     p, q, n = pair.p, pair.q, pair.n
-    p_centred, q_centred = _centre(p), _centre(q)
-    binomial = _scale_binomial(p_centred[0].coeffs, q_centred[0].coeffs)
+    a, b = _centring_shift(p), _centring_shift(q)
+    if p(-a) != q(-b):  # p~_0 != q~_0, so no scale matches: spare both shifts
+        return None
+    p_centred, q_centred = (p.shift_argument(-a), a), (q.shift_argument(-b), b)
+    binomial = _scale_binomial(p_centred[0], q_centred[0])
     if binomial is None:
         return None
     e, c = binomial

@@ -27,7 +27,7 @@ True
 from __future__ import annotations
 
 from .rationals import ONE, ZERO, rat
-from .rpoly import Poly, _trusted
+from .rpoly import Poly
 
 MAX_DEGREE = 256
 MAX_POWER_BITS = 1 << 16
@@ -95,10 +95,7 @@ def parse_poly(text: str) -> Poly:
     sc.skip_ws()
     if sc.pos != len(sc.text):
         raise ParseError(f"unexpected {sc.text[sc.pos]!r}", sc.pos)
-    coeffs = [ZERO] * (_degree(terms) + 1)
-    for k, c in terms.items():
-        coeffs[k] = c
-    return _trusted(coeffs)
+    return Poly([terms.get(k, ZERO) for k in range(_degree(terms) + 1)])
 
 
 def _degree(terms: dict) -> int:

@@ -1,17 +1,22 @@
 """Dense univariate polynomials over Q.
 
-Coefficients are stored low-to-high with trailing zeros stripped, so
-``coeffs[k]`` is the coefficient of x^k, the zero polynomial has an
-empty coefficient tuple and ``degree`` is -1 for it.
+A polynomial is stored as integer numerators over one denominator:
+``num[k] / den`` is the coefficient of x^k, ``num`` runs low to high
+with trailing zeros stripped, ``den`` is positive and
+gcd(den, *num) == 1.  The form is canonical, so equality and hashing
+compare the two fields; the zero polynomial is ``((), 1)`` and has
+degree -1.  Ring operations, calculus and the argument transforms run
+on the integers; ``Rat`` is built only where a rational leaves the
+module: ``coeff``, ``lc``, ``coeffs``, evaluation and ``resultant``.
 
 The module also carries the exact kernels the rest of the package is
 built on: gcd, squarefree (multiplicity) decomposition, resultants, and
 the root-image polynomial ``resultant_shift`` (the monic polynomial
 whose roots are P(a) for a running over the roots of S).  Division,
-gcd and resultants clear denominators once and run one integer
+gcd and resultants read the numerators directly and run one integer
 pseudo-division loop, which also drives the subresultant remainder
-sequence (Collins 1967; Brown & Traub 1971), so ``Rat`` appears only
-at their boundary; every division the algorithms prove exact is checked.
+sequence (Collins 1967; Brown & Traub 1971); every division the
+algorithms prove exact is checked.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import os
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .rationals import ONE, ZERO, Rat, rat
+from .rationals import ZERO, Rat, rat
 
 
 def _coerce(value):
@@ -37,12 +42,16 @@ class Poly:
     2
     >>> p(3) == 15
     True
+    >>> Poly([1, "1/2"]).num, Poly([1, "1/2"]).den
+    ((2, 1), 2)
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
-    def __init__(self, coeffs=()):
-        _set_coeffs(self, [_coerce(c) for c in coeffs])
+    def __new__(cls, coeffs=()):
+        cs = [_coerce(c) for c in coeffs]
+        d = lcm(*(c.denominator for c in cs))
+        return _make([c.numerator * (d // c.denominator) for c in cs], d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -51,11 +60,11 @@ class Poly:
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls(())
+        return _make([])
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((1,))
+        return _make([1])
 
     @classmethod
     def constant(cls, c) -> "Poly":
@@ -63,7 +72,7 @@ class Poly:
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls((0, 1))
+        return _make([0, 1])
 
     @classmethod
     def monomial(cls, c, k: int) -> "Poly":
@@ -74,47 +83,56 @@ class Poly:
     # -- basic queries -----------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as rationals, low to high."""
+        return tuple(Rat(c, self.den) for c in self.num)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def lc(self):
         """Leading coefficient; 0 for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else ZERO
+        return Rat(self.num[-1], self.den) if self.num else ZERO
 
     def coeff(self, k: int):
         """Coefficient of x^k (0 beyond the degree)."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            return Rat(self.num[k], self.den)
         return ZERO
 
     # -- arithmetic ----------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __neg__(self):
-        return _trusted([-c for c in self.coeffs])
+        return _make([-c for c in self.num], self.den)
 
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.constant(other)
-        a, b = self.coeffs, other.coeffs
+        a, b, d = self.num, other.num, self.den
+        if other.den != d:  # align the denominators by their lcm
+            d = lcm(d, other.den)
+            a = [c * (d // self.den) for c in a]
+            b = [c * (d // other.den) for c in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return _trusted(out)
+            out[i] += c
+        return _make(out, d)
 
     __radd__ = __add__
 
@@ -129,17 +147,17 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = _coerce(other)
-            return _trusted([c * a for a in self.coeffs])
-        a, b = self.coeffs, other.coeffs
+            return _make([c.numerator * a for a in self.num], c.denominator * self.den)
+        a, b = self.num, other.num
         if not a or not b:
             return Poly.zero()
-        out = [ZERO] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if ai == 0:
+            if not ai:
                 continue
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-        return _trusted(out)
+        return _make(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -167,11 +185,9 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return Poly.zero(), self
-        da, ia = _integer_multiple(self)
-        db, ib = _integer_multiple(other)
-        q, r = _pseudo_divmod(ia, ib)
-        scale = da * ib[-1] ** len(q)
-        return _trusted([Rat(c * db, scale) for c in q]), _trusted([Rat(c, scale) for c in r])
+        q, r = _pseudo_divmod(self.num, other.num)
+        scale = self.den * other.num[-1] ** len(q)
+        return _make([c * other.den for c in q], scale), _make(r, scale)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -180,57 +196,64 @@ class Poly:
         return divmod(self, other)[1]
 
     def __call__(self, value):
-        """Evaluate by Horner; also composes when given a Poly."""
+        """Evaluate by Horner on the numerators: at u/w the sum of
+        num_k * u^k * w^(n-k), divided once by den * w^n at the end.
+        Also composes when given a Poly."""
         if isinstance(value, Poly):
             acc = Poly.zero()
-            for c in reversed(self.coeffs):
-                acc = acc * value + _trusted([c])
-            return acc
-        acc = ZERO
+            for c in reversed(self.num):
+                acc = acc * value + _make([c])
+            return acc * Rat(1, self.den)
         v = rat(value)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        u, w, n = v.numerator, v.denominator, self.degree
+        acc, w_e, e = 0, 1, 0  # w_e = w^e: a zero coefficient costs no power of w
+        for k in range(n, -1, -1):
+            acc *= u
+            if self.num[k]:
+                w_e, e = w_e * w ** (n - k - e), n - k
+                acc += self.num[k] * w_e
+        return Rat(acc, self.den * w_e * w ** max(n - e, 0))
 
     # -- calculus / normal forms ---------------------------------------
 
     def derivative(self) -> "Poly":
-        return _trusted([k * self.coeffs[k] for k in range(1, len(self.coeffs))])
+        return _make([k * self.num[k] for k in range(1, len(self.num))], self.den)
 
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ValueError("zero polynomial has no monic form")
-        if self.lc == 1:
+        if self.num[-1] == self.den:
             return self
-        return self * (ONE / self.lc)
+        return _make(list(self.num), self.num[-1])
 
     def shift_argument(self, a) -> "Poly":
         """p(x + a), by synthetic division on integers: with a = u/v and
-        d the common denominator of p, C(w) = sum d*p_k * v^(n-k) * w^k
-        satisfies d * v^n * p(x + u/v) = C(v*x + u), and the Taylor
-        shift of C by u is n rounds of synthetic division by w - u."""
+        n = deg p, C(w) = sum num_k * v^(n-k) * w^k satisfies
+        v^n * p(x + u/v) = C(v*x + u) / den, and the Taylor shift of C
+        by u is n rounds of synthetic division by w - u."""
         a = rat(a)
-        u, v = int(a.numerator), int(a.denominator)
+        u, v = a.numerator, a.denominator
         n = self.degree
-        d, cs = _integer_multiple(self)
         v_pows = [1]
         for _ in range(n):
             v_pows.append(v_pows[-1] * v)
-        cs = [c * v_pows[n - k] for k, c in enumerate(cs)]
+        cs = [c * v_pows[n - k] for k, c in enumerate(self.num)]
         for i in range(n):
             for j in range(n - 1, i - 1, -1):
                 cs[j] += u * cs[j + 1]
-        return _trusted([Rat(c, d * v_pows[n - k]) for k, c in enumerate(cs)])
+        return _make([c * v_pows[k] for k, c in enumerate(cs)], self.den * v_pows[-1])
 
     def scale_argument(self, s) -> "Poly":
-        """p(s * x)."""
+        """p(s * x): with s = u/w, num_k * u^k * w^(n-k) over den * w^n."""
         s = rat(s)
-        pw = ONE
-        out = []
-        for c in self.coeffs:
-            out.append(c * pw)
-            pw *= s
-        return _trusted(out)
+        u, w = s.numerator, s.denominator
+        w_n = w ** max(self.degree, 0)
+        out, u_k, w_k = [], 1, w_n
+        for c in self.num:
+            out.append(c * u_k * w_k)
+            u_k *= u
+            w_k //= w
+        return _make(out, self.den * w_n)
 
     # -- formatting -----------------------------------------------------
 
@@ -266,17 +289,20 @@ class Poly:
         return " ".join(parts)
 
 
-def _set_coeffs(poly: Poly, cs: list) -> None:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    object.__setattr__(poly, "coeffs", tuple(cs))
-
-
-def _trusted(cs: list) -> Poly:
-    """Poly from a list whose entries are already of the rational type
-    (kernel results): strips trailing zeros, skips the coercion."""
+def _make(num: list, den: int = 1) -> Poly:
+    """The canonical Poly num/den for integer numerators and a nonzero
+    integer denominator: strips trailing zeros, makes den positive and
+    divides out gcd(den, *num)."""
+    while num and not num[-1]:
+        num.pop()
+    if den < 0:
+        num, den = [-c for c in num], -den
+    g = gcd(den, *num)
+    if g != 1:
+        num, den = [c // g for c in num], den // g
     poly = object.__new__(Poly)
-    _set_coeffs(poly, cs)
+    object.__setattr__(poly, "num", tuple(num))
+    object.__setattr__(poly, "den", den)
     return poly
 
 
@@ -297,14 +323,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return Poly.zero()
     if a.is_zero or b.is_zero:
         return (b if a.is_zero else a).monic()
-    a, b = _primitive(a), _primitive(b)
+    a, b = _primitive(a.num), _primitive(b.num)
     if len(a) < len(b):
         a, b = b, a
     if len(b) > 1:
         a, b, _, _ = _subresultant_prs(a, b)
     if b:  # the sequence ends in a nonzero constant
         return Poly.one()
-    return _trusted([Rat(c, a[-1]) for c in a])
+    return _make(a, a[-1])
 
 
 def is_squarefree(p: Poly) -> bool:
@@ -383,16 +409,9 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def _integer_multiple(p: Poly):
-    """(d, coefficients of d * p) with d the least common denominator."""
-    d = lcm(*(int(c.denominator) for c in p.coeffs))
-    return d, [int(c.numerator) * _exact_div(d, int(c.denominator)) for c in p.coeffs]
-
-
-def _primitive(p: Poly) -> list:
-    """Coefficients of the primitive integer multiple of a nonzero p
-    (sign of the leading coefficient kept)."""
-    _, cs = _integer_multiple(p)
+def _primitive(cs: tuple) -> list:
+    """The primitive part of nonzero integer coefficients (sign of the
+    leading coefficient kept)."""
     g = gcd(*cs)
     return [_exact_div(c, g) for c in cs]
 
@@ -465,17 +484,15 @@ def _int_resultant(a: list, b: list) -> int:
 
 
 def resultant(a: Poly, b: Poly):
-    """Resultant over Q: the integer resultant of the integer multiples
-    da * a and db * b, divided once by da^deg b * db^deg a.
+    """Resultant over Q: the integer resultant of the numerators of a
+    and b, divided once by den_a^deg b * den_b^deg a.
 
     >>> resultant(Poly([-1, 0, 1]), Poly([-2, 1])) == 3  # x^2 - 1 at x = 2
     True
     """
     if a.is_zero or b.is_zero:
         return ZERO
-    da, ia = _integer_multiple(a)
-    db, ib = _integer_multiple(b)
-    return Rat(_int_resultant(ia, ib), da**b.degree * db**a.degree)
+    return Rat(_int_resultant(a.num, b.num), a.den**b.degree * b.den**a.degree)
 
 
 def _interpolate_integer(values: list) -> list:
@@ -558,16 +575,13 @@ def resultant_shift(s: Poly, p: Poly) -> Poly:
     n = s.degree
     r = p % s
     if r.degree < 1:  # every P(a) is the constant r
-        out = _trusted([-r.coeff(0), ONE]) ** n
+        out = Poly((-r.coeff(0), 1)) ** n
     else:
-        sigma, si = _integer_multiple(s)
-        rho, ri = _integer_multiple(r)
-        neg = [-c for c in ri]
+        rho, neg = r.den, [-c for c in r.num]
         u = _interpolate_integer(
-            [_int_resultant(si, [rho * k + neg[0]] + neg[1:]) for k in range(n + 1)]
+            [_int_resultant(s.num, [rho * k + neg[0]] + neg[1:]) for k in range(n + 1)]
         )
-        d = sigma**r.degree * rho**n
-        out = _trusted([Rat(c, d) for c in u])
+        out = _make(u, s.den**r.degree * rho**n)
     if out.degree != s.degree or out.lc != 1:
         raise ArithmeticError("interpolated image polynomial is malformed")
     if os.environ.get("SEPCURVE_DEBUG_CHECKS"):

@@ -1,8 +1,9 @@
 """The names the benchmark under perfbench/ reaches inside sepcurve.
 
 The traced run rebinds every function listed in ``perfbench/tracing.py``
-``LAYERS`` and reads the oracles' ``precision_bits`` argument; renaming
-or dropping any of them breaks the benchmark, so they are pinned here.
+``LAYERS``, reads the oracles' ``precision_bits`` argument and the
+``.numerator``/``.denominator`` of ``Poly.coeffs``; renaming or dropping
+any of them breaks the benchmark, so they are pinned here.
 """
 
 import importlib
@@ -12,6 +13,7 @@ import pathlib
 
 from sepcurve import numoracle, rationals
 from sepcurve.classify import Verdict
+from sepcurve.rpoly import Poly
 
 TRACING = pathlib.Path(__file__).parent.parent / "perfbench" / "tracing.py"
 
@@ -41,4 +43,13 @@ def test_oracles_keep_precision_bits():
 
 def test_verdict_matching_and_backend_name():
     assert "matching" in inspect.signature(Verdict).parameters
-    assert isinstance(rationals.BACKEND, str)
+    assert rationals.BACKEND == "fractions"
+
+
+def test_poly_coeffs_are_rationals():
+    # peak_coeff_bits reads .numerator and .denominator off Poly.coeffs
+    coeffs = Poly([rationals.rat(-3, 4), 0, 5]).coeffs
+    assert coeffs == (rationals.rat(-3, 4), 0, 5)
+    for c in coeffs:
+        assert isinstance(c, rationals.Rat)
+        assert isinstance(c.numerator, int) and isinstance(c.denominator, int)

@@ -149,6 +149,16 @@ def test_negative_leading_coefficient_via_equals_form(capsys):
     capsys.readouterr()
 
 
+def test_argument_parser_is_built_once(monkeypatch, capsys):
+    # a parser per call leaves ~140 cyclic objects behind every call
+    main(["classify", "--p", "x^3", "--q", "x^3"])
+    built = []
+    monkeypatch.setattr(cli._Parser, "__init__", lambda self, *a, **kw: built.append(a))
+    assert main(["classify", "--p", "x^3", "--q", "x^3"]) == 10
+    capsys.readouterr()
+    assert built == []
+
+
 def test_timings_flag_adds_fields_without_breaking_schema(capsys):
     main(["classify", "--p", "x^3", "--q", "x^3", "--json", "--timings"])
     rep = json.loads(capsys.readouterr().out)

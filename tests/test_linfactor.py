@@ -115,6 +115,19 @@ def test_pinned_pairs_without_factor(p_text, q_text):
     assert find_linear_factor(_pair(p_text, q_text)) is None
 
 
+def test_unequal_centred_constants_skip_both_shifts(monkeypatch):
+    # a = b = 1/(6*3^10000) and p~_0 - q~_0 = P(-a) - Q(-a) = -2*a^2, so
+    # the pair is rejected before either side is shifted
+    calls = []
+    shift = Poly.shift_argument
+    monkeypatch.setattr(Poly, "shift_argument", lambda p, a: calls.append(a) or shift(p, a))
+    pair = _pair("3^10000*x^6 + x^5 + 5*x^2 + 1", "3^10000*x^6 + x^5 + 7*x^2 + 1")
+    assert find_linear_factor(pair) is None
+    assert calls == []
+    assert find_linear_factor(_pair("x^3 + x", "x^3 + x")) is not None
+    assert calls  # the counter sees the shifts of a pair that passes the guard
+
+
 def test_negative_bezout_exponent():
     # s^5 = 32 and s^3 = 8: s = 32^2 * 8^-3 = 2
     w = find_linear_factor(_pair("32*x^5 + 8*x^3", "x^5 + x^3"))

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,9 +59,15 @@ def test_evaluation_and_derivative():
 @settings(deadline=None, max_examples=60)
 def test_kernel_results_keep_normalized_rational_coefficients(a, b):
     q, r = divmod(a, b)
-    for p in (a + b, a - b, a * b, -a, q, r, a.derivative(), a.scale_argument(rat(-2, 3)), a(b)):
+    transformed = (a.derivative(), a.scale_argument(rat(-2, 3)), a.shift_argument(rat(-1, 2)))
+    for p in (a + b, a - b, a * b, -a, q, r, *transformed, a(b), b.monic()):
         assert all(type(c) is Rat for c in p.coeffs)
         assert not p.coeffs or p.coeffs[-1] != 0
+        # the canonical num/den form: positive den, nothing common, no trailing zero
+        assert all(type(c) is int for c in p.num) and type(p.den) is int
+        assert p.den > 0 and gcd(p.den, *p.num) == 1
+        assert not p.num or p.num[-1] != 0
+        assert Poly(p.coeffs) == p and hash(Poly(p.coeffs)) == hash(p)
     assert all(type(c) is Rat for c in Poly([1, 2, 3]).derivative().coeffs)
 
 
