@@ -146,6 +146,10 @@ class PolynomialPair:
     def __setattr__(self, name, value):
         raise AttributeError("PolynomialPair is immutable")
 
+    def __reduce__(self):
+        # rebuild from the inputs in their given order, so swapped survives
+        return PolynomialPair, ((self.q, self.p) if self.swapped else (self.p, self.q))
+
     @property
     def n(self) -> int:
         return self.p.degree

@@ -16,7 +16,10 @@ whose roots are P(a) for a running over the roots of S).  Division,
 gcd and resultants read the numerators directly and run one integer
 pseudo-division loop, which also drives the subresultant remainder
 sequence (Collins 1967; Brown & Traub 1971); every division the
-algorithms prove exact is checked.
+algorithms prove exact is checked.  Before that sequence, ``poly_gcd``
+tries to certify gcd 1 modulo one fixed prime p: when p divides neither
+leading coefficient, a gcd of degree 0 modulo p proves gcd 1 over Q;
+any other outcome takes the exact sequence.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through _make, not the blocked __setattr__
+        return _make, (list(self.num), self.den)
 
     # -- constructors ------------------------------------------------
 
@@ -316,6 +323,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     sequence of the primitive integer multiples of a and b, made monic
     once.
 
+    When the shorter operand has degree >= 2, a certificate modulo the
+    prime ``GCD_PRIME`` runs first: if p divides neither leading
+    coefficient, deg gcd(a mod p, b mod p) >= deg gcd(a, b) over Q, so
+    a gcd of degree 0 modulo p proves gcd 1 and the remainder sequence
+    is skipped.  Any other outcome, an unlucky prime included, takes the
+    remainder sequence, so the prime changes the cost, never the result.
+    With SEPCURVE_DEBUG_CHECKS=1 every certified gcd is also run through
+    the remainder sequence and compared.
+
     >>> poly_gcd(Poly([-1, 0, 1]), Poly([2, -3, 1])).to_string()  # (x-1)(x+1), (x-1)(x-2)
     'x - 1'
     """
@@ -326,6 +342,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     a, b = _primitive(a.num), _primitive(b.num)
     if len(a) < len(b):
         a, b = b, a
+    # a linear divisor costs one pseudo-division: certify from degree 2 on
+    if len(b) > 2 and _coprime_mod_p(a, b):
+        if os.environ.get("SEPCURVE_DEBUG_CHECKS") and not _subresultant_prs(a, b)[1]:
+            raise ArithmeticError("gcd routes disagree: certified 1 modulo p, not 1 over Q")
+        return Poly.one()
     if len(b) > 1:
         a, b, _, _ = _subresultant_prs(a, b)
     if b:  # the sequence ends in a nonzero constant
@@ -414,6 +435,40 @@ def _primitive(cs: tuple) -> list:
     leading coefficient kept)."""
     g = gcd(*cs)
     return [_exact_div(c, g) for c in cs]
+
+
+# The largest prime below 2^15: residue products stay below 2^30, within
+# one CPython digit, so Euclid modulo p runs on single-digit ints.  A
+# small prime declines more often (it divides a leading coefficient or
+# the resultant of a generic input with chance about 1/p), and a declined
+# certificate costs only the remainder sequence that follows anyway.
+GCD_PRIME = 32749
+
+
+def _coprime_mod_p(a: list, b: list) -> bool:
+    """True when integer polynomials a and b, deg a >= deg b, are
+    coprime modulo GCD_PRIME and the prime divides neither leading
+    coefficient, which proves gcd(a, b) = 1 over Q (Brown, JACM 18,
+    1971; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6).
+    False proves nothing: the caller falls back to the exact route."""
+    p = GCD_PRIME
+    if not a[-1] % p or not b[-1] % p:
+        return False
+    a, b = [c % p for c in a], [c % p for c in b]
+    while len(b) > 1:  # Euclid over GF(p)
+        neg_inv, nb = p - pow(b[-1], -1, p), len(b) - 1
+        r = a
+        for k in range(len(a) - len(b), -1, -1):
+            c = r.pop() * neg_inv % p  # adding c * x^k * b cancels the popped term
+            if c:
+                for j in range(nb):
+                    r[k + j] = (r[k + j] + c * b[j]) % p
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return False
+        a, b = b, r
+    return True
 
 
 def _pseudo_divmod(a: list, b: list):

@@ -2,6 +2,9 @@ import itertools
 import random
 from collections import Counter
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from helpers import make_matching, poly_of
 from sepcurve.classify import (
     Outcome,
@@ -10,13 +13,16 @@ from sepcurve.classify import (
     sufficient_conditions,
 )
 from sepcurve.critical import PolynomialPair, match_pairs
-from sepcurve.rationals import Rat
+from sepcurve.rationals import Rat, rat
 from sepcurve.rpoly import Poly
 from sepcurve.instances import (
     CASE_IDS,
+    affine_image,
     case_instance,
     inconclusive_pair,
     random_affine_image,
+    random_linear_factor_pair,
+    random_perturbed_pair,
     random_polynomial,
     theorem1_pair,
     theorem2_pair,
@@ -110,6 +116,60 @@ def test_verdicts_invariant_under_affine_images():
             image = classify(random_affine_image(base, rng))
             assert image.outcome is expected.outcome
             assert image.case == expected.case
+
+
+@st.composite
+def instance_pairs(draw):
+    """A pair from the instances generators: a case instance, the
+    Theorem 2 or a theorem3_pair, a linear-factor or perturbed pair, or
+    a random pair of degree up to 9."""
+    kinds = ["case", "theorem2", "theorem3", "linear factor", "perturbed", "random"]
+    kind = draw(st.sampled_from(kinds))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "case":
+        return case_instance(draw(st.sampled_from(CASE_IDS)))
+    if kind == "theorem2":
+        return theorem2_pair()
+    if kind == "theorem3":
+        return theorem3_pair(draw(st.integers(3, 11)))
+    if kind == "linear factor":
+        return random_linear_factor_pair(rng)[0]
+    if kind == "perturbed":
+        return random_perturbed_pair(rng)
+    return PolynomialPair(random_polynomial(rng, 2, 9), random_polynomial(rng, 2, 9))
+
+
+small_rats = st.builds(rat, st.integers(-7, 7), st.integers(1, 4))
+nonzero_rats = st.builds(rat, st.integers(1, 7).map(lambda k: k * (-1) ** k), st.integers(1, 4))
+
+
+def _verdict_and_aggregates(pair):
+    v = classify(pair)
+    hyp = (pair.critical_p().hypothesis_I, pair.critical_q().hypothesis_I)
+    return (v.outcome, v.rule, v.case, v.fired_rules, v.failed_hypotheses), (hyp, pair.matching())
+
+
+@given(pair=instance_pairs(), a=nonzero_rats, b=small_rats, c=nonzero_rats, d=small_rats)
+@settings(deadline=None, max_examples=150)
+def test_affine_images_keep_verdict_rule_and_aggregates(pair, a, b, c, d):
+    """x -> a x + b on P and y -> c y + d on Q map the curve onto an
+    isomorphic one, so the critical aggregates, the linear factors and
+    the verdict carry over."""
+    verdict, aggregates = _verdict_and_aggregates(pair)
+    image_verdict, image_aggregates = _verdict_and_aggregates(affine_image(pair, (a, b), (c, d)))
+    assert image_aggregates == aggregates
+    # the gap rule (Theorem 2) reads which coefficients are nonzero, and a
+    # shift b, d != 0 changes that: only there may the verdict move
+    if not ((b or d) and "Theorem 2" in (verdict[1], image_verdict[1])):
+        assert image_verdict == verdict
+
+
+@given(pair=instance_pairs(), v=small_rats)
+@settings(deadline=None, max_examples=60)
+def test_a_shared_constant_keeps_verdict_rule_and_aggregates(pair, v):
+    """P + v and Q + v define the same curve as P and Q."""
+    image = affine_image(pair, (1, 0), (1, 0), (1, v))
+    assert _verdict_and_aggregates(image) == _verdict_and_aggregates(pair)
 
 
 # --- aggregate-level rules on synthetic matchings ---

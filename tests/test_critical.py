@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -183,6 +185,19 @@ def test_pair_normalization_and_shape_counts():
     assert pair.swapped and (pair.n, pair.m) == (3, 2)
     with pytest.raises(ValueError):
         PolynomialPair(poly_of(0, 1), poly_of(0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "roundtrip", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))]
+)
+def test_pair_and_verdict_copies_keep_the_orientation(roundtrip):
+    for p, q in ((poly_of(0, 0, 1), poly_of(0, 0, 0, 1)), (poly_of(0, -3, 0, 1), poly_of(1, 0, 1))):
+        pair = PolynomialPair(p, q)
+        out = roundtrip(pair)
+        assert (out.p, out.q, out.swapped) == (pair.p, pair.q, pair.swapped)
+        assert out.matching() == pair.matching()
+        verdict = roundtrip(classify(pair))
+        assert verdict.pair.swapped == pair.swapped and verdict.rule == classify(pair).rule
 
 
 def test_subleading_support_index():

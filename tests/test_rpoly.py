@@ -1,12 +1,24 @@
+import copy
+import os
+import pickle
+import random
+import sys
+from collections import Counter
 from math import gcd
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import poly_of, reference_gcd, reference_resultant
+from sepcurve import rpoly
+from sepcurve.classify import classify
+from sepcurve.critical import PolynomialPair
+from sepcurve.instances import random_polynomial
 from sepcurve.rationals import Rat, rat
 from sepcurve.rpoly import (
+    GCD_PRIME,
     Poly,
     _exact_div,
     is_squarefree,
@@ -39,6 +51,23 @@ def spiked_polys(draw, max_degree, spike, spikes):
 
 # degree <= 24 with a 70-bit / 65-bit coefficient, or degree <= 4 with 2^-k, k <= 4800
 wide_polys = st.one_of(spiked_polys(24, bits70, 1), spiked_polys(4, dyadic, 2))
+
+# draws aimed at the gcd certificate modulo p = GCD_PRIME
+P = GCD_PRIME
+p_multiples = st.builds(lambda k, e: rat(k * P**e), st.integers(-3, 3).filter(bool), st.integers(1, 3))
+p_lead_polys = st.builds(  # a leading coefficient divisible by p: the certificate declines
+    lambda p, k: p + Poly.monomial(k * P, p.degree + 1), small_polys, st.integers(-2, 2).filter(bool)
+)
+modular_polys = st.one_of(spiked_polys(8, p_multiples, 3), p_lead_polys)
+
+
+@st.composite
+def roots_shared_mod_p(draw):
+    """(x - r) f against (x - r - k p) g: a root shared modulo p only,
+    so the certificate must not certify unless f and g cancel it."""
+    r, k = draw(st.integers(-5, 5)), draw(st.integers(-2, 2).filter(bool))
+    f, g = (draw(small_polys.filter(lambda p: p.degree >= 1)) for _ in range(2))
+    return poly_of(-r, 1) * f, poly_of(-r - k * P, 1) * g
 
 
 def test_construction_normalizes_trailing_zeros():
@@ -194,12 +223,22 @@ def test_resultant_of_constant():
     assert resultant(Poly.constant(3), poly_of(1, 2, 3)) == 9
 
 
-@given(a=wide_polys, b=wide_polys)
-@settings(deadline=None, max_examples=40)
-def test_integer_kernels_match_euclid_over_q(a, b):
-    """gcd and resultant on the integer remainder sequence equal the
-    Euclid-over-Q references, including zero, constant and
-    negative-leading inputs."""
+@given(
+    pair=st.one_of(
+        st.tuples(wide_polys, wide_polys),
+        st.tuples(st.one_of(wide_polys, modular_polys), modular_polys),
+        roots_shared_mod_p(),
+    )
+)
+@example(pair=(poly_of(0, 1, 1), poly_of(P, 1) * poly_of(2, 1)))  # x(x + 1), (x + p)(x + 2)
+@example(pair=(poly_of(-1, 1) * poly_of(2, 1), poly_of(-1 - P, 1) * poly_of(0, 1)))
+@settings(deadline=None, max_examples=60)
+def test_integer_kernels_match_euclid_over_q(pair):
+    """gcd and resultant on the integer remainder sequence, and the gcd
+    certificate modulo p in front of it, equal the Euclid-over-Q
+    references, including zero, constant and negative-leading inputs,
+    coefficients divisible by p and roots shared only modulo p."""
+    a, b = pair
     for x, y in ((a, b), (-b, a)):
         g = poly_gcd(x, y)
         assert g == reference_gcd(x, y)
@@ -209,16 +248,56 @@ def test_integer_kernels_match_euclid_over_q(a, b):
 
 
 @given(
-    a=spiked_polys(8, bits70, 1),
+    a=st.one_of(spiked_polys(8, bits70, 1), spiked_polys(8, p_multiples, 3)),
     b=small_polys,
-    c=st.one_of(spiked_polys(4, bits70, 1), spiked_polys(2, dyadic, 1)),
+    c=st.one_of(spiked_polys(4, bits70, 1), spiked_polys(2, dyadic, 1), p_lead_polys),
     k=st.integers(1, 3),
 )
-@settings(deadline=None, max_examples=30)
+# c = p x + 1 is a unit modulo p: only the leading-coefficient check keeps
+# (x^2 + 3) c and (x^2 + 5) c from being certified coprime
+@example(a=poly_of(3, 0, 1), b=poly_of(5, 0, 1), c=poly_of(1, P), k=1)
+@settings(deadline=None, max_examples=40)
 def test_integer_kernels_on_shared_and_repeated_factors(a, b, c, k):
     for x, y in ((a * c**k, b * c), (c**k, c * a)):
         assert poly_gcd(x, y) == reference_gcd(x, y)
         assert resultant(x, y) == reference_resultant(x, y)
+
+
+def test_generic_gcds_skip_the_remainder_sequence(monkeypatch):
+    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)  # it reruns the sequence
+    callers, prs = Counter(), rpoly._subresultant_prs  # calls by calling kernel
+    monkeypatch.setattr(
+        rpoly, "_subresultant_prs",
+        lambda a, b: callers.update([sys._getframe(1).f_code.co_name]) or prs(a, b),
+    )
+    rng = random.Random(18)
+    p, q = (random_polynomial(rng, 18, 18, sparse=False) for _ in range(2))
+    verdict = classify(PolynomialPair(p, q))
+    assert verdict.rule == "Theorem 1"
+    assert callers["poly_gcd"] == 0
+    assert callers["_int_resultant"] > 0  # resultant_shift still runs its resultants
+    assert poly_gcd(p * p, (p * p).derivative()) == p.monic()  # a gcd != 1 falls back
+    assert callers["poly_gcd"] == 1
+
+
+def test_a_wrong_certificate_is_caught_under_debug_checks(monkeypatch):
+    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)
+    monkeypatch.setattr(rpoly, "_coprime_mod_p", lambda a, b: True)
+    a, b = poly_of(-1, 0, 1), poly_of(-1, 1) * poly_of(3, 1, 1)  # share x - 1
+    assert poly_gcd(a, b) == Poly.one()  # the faulty certificate is trusted...
+    with mock.patch.dict(os.environ, {"SEPCURVE_DEBUG_CHECKS": "1"}):
+        with pytest.raises(ArithmeticError, match="gcd routes disagree"):
+            poly_gcd(a, b)  # ...unless debug checks rerun the remainder sequence
+
+
+@pytest.mark.parametrize(
+    "roundtrip", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))]
+)
+def test_poly_copies_and_pickles(roundtrip):
+    for p in (Poly.zero(), poly_of(7), Poly([rat(-3, 4), 0, rat(5, 6)]), poly_of(1, 2) ** 9):
+        out = roundtrip(p)
+        assert out == p and hash(out) == hash(p)
+        assert (out.num, out.den) == (p.num, p.den)
 
 
 @given(
