@@ -9,13 +9,31 @@ multiplicities of the critical points that take each of its roots.
 All matching between the P-side and the Q-side happens through gcds of
 those pieces, never through the points themselves.  Each polynomial's
 data is computed once, by :func:`analyze`, and cached on the pair.
+
+The verdicts read only the table's shape: the degree of each piece and
+its multiplicities, and the degrees of the gcds across the sides.  For
+a generic polynomial, one simple critical value per critical point, the
+shape is proven modulo one prime from the value images of the classes
+mod p, and the exact pieces are built only when a caller reads them;
+two sides whose images are coprime mod p share no value, and match
+without them.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
-from .rpoly import Poly, poly_gcd, resultant_shift, squarefree_decomposition
+from .rpoly import (
+    Poly,
+    _gcd_degree_mod_p,
+    _mul_mod_p,
+    _value_image_mod_p,
+    poly_gcd,
+    resultant_shift,
+    squarefree_decomposition,
+)
 
 
 @dataclass(frozen=True)
@@ -32,15 +50,33 @@ class CriticalClass:
 class CriticalStructure:
     """Everything the verdicts need about one polynomial's critical
     points, computed once by :func:`analyze`: the multiplicity classes
-    of P' and the value table ``values``, a tuple of (piece, mults).
-    The pieces are pairwise coprime, monic and squarefree, their product
-    is the polynomial of all distinct critical values, and each root of
-    a piece is the value of exactly the critical points whose
-    multiplicities are listed, largest first, in ``mults``."""
+    of P' and the ``shape`` of the value table, one (degree, mults) per
+    piece.
+
+    The value table ``values`` is a tuple of (piece, mults).  The pieces
+    are pairwise coprime, monic and squarefree, their product is the
+    polynomial of all distinct critical values, and each root of a piece
+    is the value of exactly the critical points whose multiplicities are
+    listed, largest first, in ``mults``.  The verdicts read only the
+    shape; ``values`` is computed on first use.  When the shape was
+    certified modulo p, ``images`` holds each class's value image mod p
+    and piece i is the image polynomial of class i; otherwise
+    ``images`` is None and ``analyze`` has already built the table."""
 
     poly: Poly
     classes: tuple  # of CriticalClass, multiplicities strictly increasing
-    values: tuple  # of (Poly, tuple of int)
+    shape: tuple  # of (degree, tuple of int), one per piece of ``values``
+    images: tuple | None  # of residue tuples, one per class, when certified
+
+    @cached_property
+    def values(self) -> tuple:
+        """The exact value table, of (Poly, tuple of int)."""
+        if self.images is None:
+            return _value_table(self.poly, self.classes)
+        # certified: each class's image polynomial is one squarefree piece
+        return tuple(
+            (resultant_shift(c.factor, self.poly), (c.multiplicity,)) for c in self.classes
+        )
 
     @property
     def point_count(self) -> int:
@@ -51,40 +87,33 @@ class CriticalStructure:
     def hypothesis_I(self) -> bool:
         """All critical values simple: every value is taken by exactly
         one critical point."""
-        return all(len(mults) == 1 for _, mults in self.values)
+        return all(len(mults) == 1 for _, mults in self.shape)
 
     @property
     def value_multiplicities(self) -> tuple:
         """Number of critical points taking each distinct critical
         value, largest first."""
-        counts = (len(mults) for f, mults in self.values for _ in range(f.degree))
+        counts = (len(mults) for d, mults in self.shape for _ in range(d))
         return tuple(sorted(counts, reverse=True))
 
     def multiset(self) -> tuple:
         """Per-point multiplicities, largest first: each critical point
         takes exactly one value of the table."""
-        out = (mu for f, mults in self.values for mu in mults * f.degree)
+        out = (mu for d, mults in self.shape for mu in mults * d)
         return tuple(sorted(out, reverse=True))
 
 
-def analyze(p: Poly) -> CriticalStructure:
-    """Critical structure of a polynomial of degree >= 2: one
-    ``resultant_shift`` and one Yun decomposition per class.
-
-    >>> cs = analyze(Poly([0, 0, -2, 0, 1]))  # x^4 - 2x^2: 0 once, -1 twice
-    >>> [(f.to_string("y"), mults) for f, mults in cs.values]
-    [('y', (1,)), ('y + 1', (1, 1))]
-    """
-    if p.degree < 2:
-        raise ValueError(f"degree must be at least 2, got {p.degree}")
-    classes = []
+def _value_table(p: Poly, classes: tuple) -> tuple:
+    """The exact value table: one ``resultant_shift`` and one Yun
+    decomposition per class, and the values an earlier class also takes
+    split off by gcds."""
     table = []  # pairwise coprime (piece, mults) so far
-    for factor, mult in squarefree_decomposition(p.derivative()).parts:
+    for c in classes:
         new = []
-        for f, j in squarefree_decomposition(resultant_shift(factor, p)).parts:
+        for f, j in squarefree_decomposition(resultant_shift(c.factor, p)).parts:
             # each root of f is taken by j points of this class; an
             # earlier class may take some of the same values: split them off
-            mults = (mult,) * j
+            mults = (c.multiplicity,) * j
             for i, (a, a_mults) in enumerate(table):
                 g = poly_gcd(a, f)
                 if g.degree > 0:
@@ -92,8 +121,60 @@ def analyze(p: Poly) -> CriticalStructure:
                     new.append((g, tuple(sorted(a_mults + mults, reverse=True))))
             new.append((f, mults))
         table = [(a, ms) for a, ms in table + new if a.degree > 0]
-        classes.append(CriticalClass(factor, mult))
-    return CriticalStructure(p, tuple(classes), tuple(table))
+    return tuple(table)
+
+
+def _shape(table: tuple) -> tuple:
+    return tuple((f.degree, mults) for f, mults in table)
+
+
+def _certified_images(p: Poly, classes: tuple):
+    """The value images mod p of the classes when their product U is
+    squarefree mod p, else None.  Each image is U_c, the class's image
+    polynomial, reduced mod p at full degree, so disc(U mod p) != 0
+    gives disc(U) != 0: every U_c is squarefree and no two share a root,
+    which is the generic shape, one simple value per critical point."""
+    images = [_value_image_mod_p(c.factor, p) for c in classes]
+    if None in images:
+        return None
+    product = reduce(_mul_mod_p, images)
+    if _gcd_degree_mod_p(product, [k * c for k, c in enumerate(product)][1:]) != 0:
+        return None
+    return tuple(map(tuple, images))
+
+
+def analyze(p: Poly) -> CriticalStructure:
+    """Critical structure of a polynomial of degree >= 2.
+
+    The classes come from Yun's decomposition of P'.  The shape of the
+    value table is then certified modulo p = ``rpoly.GCD_PRIME`` when it
+    can be: one simple value per critical point, one piece per class,
+    read off the class images mod p with no exact value polynomial.  Any
+    other outcome, an unlucky prime included, builds the exact table
+    (one ``resultant_shift`` and one Yun decomposition per class) and
+    reads the shape from it.  With SEPCURVE_DEBUG_CHECKS=1 every
+    certified shape is also compared with the exact table's.
+
+    >>> cs = analyze(Poly([0, 0, -2, 0, 1]))  # x^4 - 2x^2: 0 once, -1 twice
+    >>> [(f.to_string("y"), mults) for f, mults in cs.values]
+    [('y', (1,)), ('y + 1', (1, 1))]
+    >>> analyze(Poly([0, -3, 0, 1])).shape  # x^3 - 3x: values +-2, certified
+    ((2, (1,)),)
+    """
+    if p.degree < 2:
+        raise ValueError(f"degree must be at least 2, got {p.degree}")
+    parts = squarefree_decomposition(p.derivative()).parts
+    classes = tuple(CriticalClass(f, mult) for f, mult in parts)
+    images = _certified_images(p, classes)
+    if images is None:
+        table = _value_table(p, classes)
+        cs = CriticalStructure(p, classes, _shape(table), None)
+        cs.__dict__["values"] = table  # fill the cached_property: the table is built
+        return cs
+    shape = tuple((c.factor.degree, (c.multiplicity,)) for c in classes)
+    if os.environ.get("SEPCURVE_DEBUG_CHECKS") and _shape(_value_table(p, classes)) != shape:
+        raise ArithmeticError("critical-value shapes disagree: certified modulo p, not over Q")
+    return CriticalStructure(p, classes, shape, images)
 
 
 def hypothesis_I(p: Poly) -> bool:
@@ -260,30 +341,45 @@ def match_pairs(pair: PolynomialPair) -> PairMatching:
     shared value; the unmatched points are those whose value the other
     side does not take.  One gcd per (P piece, Q piece) of the value
     tables: d shared roots pair every P multiplicity of the piece with
-    every Q multiplicity, d times.
+    every Q multiplicity, d times.  Pieces whose images mod p are
+    coprime share nothing and need no gcd, so two generic sides with no
+    common value match without building a piece.
     """
     cs_p, cs_q = pair.critical_p(), pair.critical_q()
-    # deg gcd of every P piece with every Q piece, once
-    shared = [[poly_gcd(pf, qf).degree for qf, _ in cs_q.values] for pf, _ in cs_p.values]
+    shared = _shared_degrees(cs_p, cs_q)
     matched = []
-    for (_, p_mults), degs in zip(cs_p.values, shared):
-        for (_, q_mults), d in zip(cs_q.values, degs):
+    for (_, p_mults), degs in zip(cs_p.shape, shared):
+        for (_, q_mults), d in zip(cs_q.shape, degs):
             matched += [(a, b) for a in p_mults for b in q_mults] * d
 
-    def unmatched(table, shared):
+    def unmatched(shape, shared):
         # a piece's roots the other side does not take, with their points
-        left = (mults * (f.degree - sum(degs)) for (f, mults), degs in zip(table, shared))
+        left = (mults * (deg - sum(degs)) for (deg, mults), degs in zip(shape, shared))
         return tuple(sorted((mu for ms in left for mu in ms), reverse=True))
 
     return PairMatching(
         deg_p=pair.n,
         deg_q=pair.m,
         matched_points=tuple(sorted(matched, reverse=True)),
-        unmatched_p_points=unmatched(cs_p.values, shared),
-        unmatched_q_points=unmatched(cs_q.values, zip(*shared)),
+        unmatched_p_points=unmatched(cs_p.shape, shared),
+        unmatched_q_points=unmatched(cs_q.shape, zip(*shared)),
         p_multiset=cs_p.multiset(),
         q_multiset=cs_q.multiset(),
     )
+
+
+def _shared_degrees(cs_p: CriticalStructure, cs_q: CriticalStructure) -> list:
+    """deg gcd of every P piece with every Q piece.  Two pieces whose
+    images mod p are coprime share no root (their resultant is nonzero
+    mod p, so nonzero), so only the other pairs read the exact pieces:
+    none at all when every pair of images is coprime."""
+    images = cs_p.images is not None and cs_q.images is not None
+    shared = [[0] * len(cs_q.shape) for _ in cs_p.shape]
+    for i, row in enumerate(shared):
+        for j in range(len(row)):
+            if not (images and _gcd_degree_mod_p(cs_p.images[i], cs_q.images[j]) == 0):
+                row[j] = poly_gcd(cs_p.values[i][0], cs_q.values[j][0]).degree
+    return shared
 
 
 def theorem1_lhs(matching: PairMatching) -> int:

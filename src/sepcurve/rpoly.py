@@ -16,16 +16,26 @@ whose roots are P(a) for a running over the roots of S).  Division,
 gcd and resultants read the numerators directly and run one integer
 pseudo-division loop, which also drives the subresultant remainder
 sequence (Collins 1967; Brown & Traub 1971); every division the
-algorithms prove exact is checked.  Before that sequence, ``poly_gcd``
-tries to certify gcd 1 modulo one fixed prime p: when p divides neither
-leading coefficient, a gcd of degree 0 modulo p proves gcd 1 over Q;
-any other outcome takes the exact sequence.
+algorithms prove exact is checked.
+
+Arithmetic modulo one fixed prime p = ``GCD_PRIME`` serves as a
+certificate in front of the exact kernels, and runs one Euclid
+remainder loop over GF(p).  Before the sequence, ``poly_gcd`` reads the
+degree of the gcd modulo p: when p divides neither leading coefficient,
+degree 0 proves gcd 1 over Q, and degree deg b leaves one exact
+division to decide whether b divides a; any other outcome takes the
+exact sequence.  ``_value_image_mod_p`` gives the reduction modulo p of
+the ``resultant_shift`` polynomial, from resultants over GF(p) at
+deg S points; ``critical.analyze`` proves the generic critical-value
+shape from these images.  A prime that divides a denominator or a
+leading coefficient makes the certificate decline, never lie.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, lcm
 
 from .rationals import ZERO, Rat, rat
@@ -323,13 +333,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     sequence of the primitive integer multiples of a and b, made monic
     once.
 
-    When the shorter operand has degree >= 2, a certificate modulo the
-    prime ``GCD_PRIME`` runs first: if p divides neither leading
-    coefficient, deg gcd(a mod p, b mod p) >= deg gcd(a, b) over Q, so
-    a gcd of degree 0 modulo p proves gcd 1 and the remainder sequence
-    is skipped.  Any other outcome, an unlucky prime included, takes the
-    remainder sequence, so the prime changes the cost, never the result.
-    With SEPCURVE_DEBUG_CHECKS=1 every certified gcd is also run through
+    When the shorter operand b has degree >= 2, Euclid modulo the prime
+    ``GCD_PRIME`` runs first: if p divides neither leading coefficient,
+    deg gcd(a mod p, b mod p) >= deg gcd(a, b) over Q, so a gcd of
+    degree 0 modulo p proves gcd 1 and the remainder sequence is
+    skipped.  A gcd of degree deg b modulo p leaves b itself as the only
+    candidate: one exact pseudo-division decides whether b divides a.
+    Any other outcome, an unlucky prime included, takes the remainder
+    sequence, so the prime changes the cost, never the result.  With
+    SEPCURVE_DEBUG_CHECKS=1 every gcd certified 1 is also run through
     the remainder sequence and compared.
 
     >>> poly_gcd(Poly([-1, 0, 1]), Poly([2, -3, 1])).to_string()  # (x-1)(x+1), (x-1)(x-2)
@@ -343,10 +355,13 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if len(a) < len(b):
         a, b = b, a
     # a linear divisor costs one pseudo-division: certify from degree 2 on
-    if len(b) > 2 and _coprime_mod_p(a, b):
+    d = _gcd_degree_mod_p(a, b) if len(b) > 2 else None
+    if d == 0:
         if os.environ.get("SEPCURVE_DEBUG_CHECKS") and not _subresultant_prs(a, b)[1]:
             raise ArithmeticError("gcd routes disagree: certified 1 modulo p, not 1 over Q")
         return Poly.one()
+    if d == len(b) - 1 and not _pseudo_divmod(a, b)[1]:  # b may divide a
+        return _make(b, b[-1])
     if len(b) > 1:
         a, b, _, _ = _subresultant_prs(a, b)
     if b:  # the sequence ends in a nonzero constant
@@ -445,30 +460,63 @@ def _primitive(cs: tuple) -> list:
 GCD_PRIME = 32749
 
 
-def _coprime_mod_p(a: list, b: list) -> bool:
-    """True when integer polynomials a and b, deg a >= deg b, are
-    coprime modulo GCD_PRIME and the prime divides neither leading
-    coefficient, which proves gcd(a, b) = 1 over Q (Brown, JACM 18,
-    1971; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6).
-    False proves nothing: the caller falls back to the exact route."""
+def _rem_mod_p(a: list, b: list) -> list:
+    """a mod b over GF(GCD_PRIME) for residue lists (low to high) with
+    deg a >= deg b and a nonzero leading residue in b, trailing zeros
+    stripped: the one remainder loop modulo p."""
+    p = GCD_PRIME
+    neg_inv, nb = p - pow(b[-1], -1, p), len(b) - 1
+    r = list(a)
+    for k in range(len(a) - len(b), -1, -1):
+        c = r.pop() * neg_inv % p  # adding c * x^k * b cancels the popped term
+        if c:
+            for j in range(nb):
+                r[k + j] = (r[k + j] + c * b[j]) % p
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _euclid_mod_p(a: list, b: list):
+    """Euclid over GF(GCD_PRIME) on residue lists, deg a >= deg b >= 0,
+    both with nonzero leading residues: (g, res) with g the last nonzero
+    remainder (the gcd up to a unit) and res = Res(a, b) mod p, which is
+    0 exactly when g is not a constant.  Each step uses
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) for
+    r = a mod b, and Res(a, c) = c^deg a for a constant c."""
+    p, res = GCD_PRIME, 1
+    while len(b) > 1:
+        r = _rem_mod_p(a, b)
+        if not r:
+            return b, 0
+        if (len(a) - 1) & (len(b) - 1) & 1:
+            res = -res
+        res = res * pow(b[-1], len(a) - len(r), p) % p
+        a, b = b, r
+    return b, res * pow(b[0], len(a) - 1, p) % p
+
+
+def _gcd_degree_mod_p(a: list, b: list):
+    """Degree of gcd(a mod p, b mod p) over GF(GCD_PRIME) for nonzero
+    integer lists, or None when the prime divides a leading coefficient.
+    Otherwise the degree bounds deg gcd(a, b) over Q from above, so 0
+    proves gcd(a, b) = 1 (Brown, JACM 18, 1971; von zur Gathen & Gerhard,
+    Modern Computer Algebra, ch. 6)."""
     p = GCD_PRIME
     if not a[-1] % p or not b[-1] % p:
-        return False
-    a, b = [c % p for c in a], [c % p for c in b]
-    while len(b) > 1:  # Euclid over GF(p)
-        neg_inv, nb = p - pow(b[-1], -1, p), len(b) - 1
-        r = a
-        for k in range(len(a) - len(b), -1, -1):
-            c = r.pop() * neg_inv % p  # adding c * x^k * b cancels the popped term
-            if c:
-                for j in range(nb):
-                    r[k + j] = (r[k + j] + c * b[j]) % p
-        while r and not r[-1]:
-            r.pop()
-        if not r:
-            return False
-        a, b = b, r
-    return True
+        return None
+    if len(a) < len(b):
+        a, b = b, a
+    return len(_euclid_mod_p([c % p for c in a], [c % p for c in b])[0]) - 1
+
+
+def _mul_mod_p(a: list, b: list) -> list:
+    """Product of two residue lists over GF(GCD_PRIME)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return [c % GCD_PRIME for c in out]
 
 
 def _pseudo_divmod(a: list, b: list):
@@ -550,15 +598,16 @@ def resultant(a: Poly, b: Poly):
     return Rat(_int_resultant(a.num, b.num), a.den**b.degree * b.den**a.degree)
 
 
-def _interpolate_integer(values: list) -> list:
-    """Coefficients of the integer polynomial U with U(k) = values[k],
-    k = 0..n: Newton forward differences (Delta^k U(0) / k! is the k-th
-    falling-factorial coefficient, an integer for U in Z[y]), then Horner
-    on the falling factorials y(y - 1)...(y - k + 1)."""
+def _interpolate(values: list, p: int = 0) -> list:
+    """Coefficients of the polynomial U of degree <= n with U(k) =
+    values[k], k = 0..n: over Z when p = 0 (U must lie in Z[y]), over
+    GF(p) otherwise (n < p).  Newton forward differences give the k-th
+    falling-factorial coefficient Delta^k U(0) / k!, an integer for U in
+    Z[y], then Horner runs on the falling factorials y(y - 1)...(y - k + 1)."""
     newton, diffs, fact = [], list(values), 1
     for k in range(len(values)):
         fact *= k or 1
-        newton.append(_exact_div(diffs[0], fact))
+        newton.append(diffs[0] * pow(fact, -1, p) % p if p else _exact_div(diffs[0], fact))
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     out = [newton.pop()]
     for k in range(len(newton) - 1, -1, -1):
@@ -566,7 +615,50 @@ def _interpolate_integer(values: list) -> list:
         for i in range(len(out) - 1):
             out[i] -= k * out[i + 1]
         out[0] += newton[k]
+    return [c % p for c in out] if p else out
+
+
+def _residues(f: Poly) -> list:
+    """The coefficients of f modulo GCD_PRIME, which must not divide f.den."""
+    p = GCD_PRIME
+    inv = pow(f.den, -1, p)
+    out = [c * inv % p for c in f.num]
+    while out and not out[-1]:
+        out.pop()
     return out
+
+
+def _value_image_mod_p(s: Poly, f: Poly):
+    """U mod p for U(y) = prod (y - f(a)), a over the roots of the monic
+    S = s, with p = GCD_PRIME: the residues, low to high, of the monic
+    polynomial ``resultant_shift(s, f)`` returns, or None when p divides
+    s.den or f.den, or deg S >= p.
+
+    f is reduced mod S modulo p, to r.  A constant r gives (y - r)^n, n =
+    deg S; otherwise Res(S, k - r) = U(k) mod p for k = 0..n - 1, each by
+    Euclid over GF(p), and Newton interpolation modulo p of U(k) - k^n
+    gives U - y^n, since U is monic.  Since S is monic and p divides no
+    denominator, every coefficient of U is a p-adic integer, so the
+    result is U reduced mod p, of full degree: a nonzero discriminant or
+    resultant of such images modulo p is nonzero over Q as well.
+
+    >>> _value_image_mod_p(Poly([-1, 0, 1]), Poly([0, 0, 1]))  # y^2 - 2y + 1
+    [1, 32747, 1]
+    """
+    p, n = GCD_PRIME, s.degree
+    if not s.den % p or not f.den % p or n >= p:
+        return None
+    s_bar, r = _residues(s), _residues(f)
+    if len(r) >= len(s_bar):
+        r = _rem_mod_p(r, s_bar)
+    neg_r = [-c % p for c in r] or [0]
+    if len(neg_r) == 1:  # every f(a) is the constant r: (y - r)^n
+        return reduce(_mul_mod_p, [[neg_r[0], 1]] * n)
+    values = [
+        (_euclid_mod_p(s_bar, [(k + neg_r[0]) % p] + neg_r[1:])[1] - pow(k, n, p)) % p
+        for k in range(n)
+    ]
+    return _interpolate(values, p) + [1]
 
 
 def _sylvester_resultant_shift(s: Poly, p: Poly) -> Poly:
@@ -611,8 +703,9 @@ def resultant_shift(s: Poly, p: Poly) -> Poly:
     """Monic polynomial whose roots are P(a), a running over the roots
     of S with multiplicity; degree equals deg S.
 
-    S must be monic of degree >= 1.  P is first reduced mod S, which
-    keeps every P(a).  With S = s/sigma and P mod S = r/rho for integer
+    S must be monic of degree >= 1.  A linear S costs one evaluation
+    of P at its root.  Otherwise P is first reduced mod S, which keeps
+    every P(a).  With S = s/sigma and P mod S = r/rho for integer
     polynomials s and r, U(y) = Res_x(s, rho*y - r) =
     sigma^deg r * rho^deg S * prod (y - P(a)) lies in Z[y]; it is
     evaluated by integer resultants at y = 0..deg S, interpolated in
@@ -625,19 +718,21 @@ def resultant_shift(s: Poly, p: Poly) -> Poly:
     """
     if s.is_zero or s.degree < 1:
         raise ValueError("first argument must be nonconstant")
-    if s.lc != 1:
+    if s.num[-1] != s.den:
         raise ValueError("first argument must be monic")
     n = s.degree
-    r = p % s
-    if r.degree < 1:  # every P(a) is the constant r
+    if n == 1:  # U = y - P(a) at the one root a of S: Horner costs less than a division
+        v = p(Rat(-s.num[0], s.den))
+        out = _make([-v.numerator, v.denominator], v.denominator)
+    elif (r := p % s).degree < 1:  # every P(a) is the constant r
         out = Poly((-r.coeff(0), 1)) ** n
     else:
         rho, neg = r.den, [-c for c in r.num]
-        u = _interpolate_integer(
+        u = _interpolate(
             [_int_resultant(s.num, [rho * k + neg[0]] + neg[1:]) for k in range(n + 1)]
         )
         out = _make(u, s.den**r.degree * rho**n)
-    if out.degree != s.degree or out.lc != 1:
+    if out.degree != n or out.num[-1] != out.den:
         raise ArithmeticError("interpolated image polynomial is malformed")
     if os.environ.get("SEPCURVE_DEBUG_CHECKS"):
         alt = _sylvester_resultant_shift(s, p)

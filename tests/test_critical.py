@@ -1,6 +1,8 @@
 import copy
+import os
 import pickle
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,11 +20,13 @@ from sepcurve.critical import (
     match_pairs,
     theorem1_lhs,
 )
-from sepcurve.instances import random_polynomial
+from sepcurve.instances import random_affine_image, random_polynomial, theorem3_pair
 from sepcurve.oneforms import _mirrored_matching
 from sepcurve.rationals import rat
 from sepcurve.rpoly import (
+    GCD_PRIME,
     Poly,
+    _value_image_mod_p,
     is_squarefree,
     poly_gcd,
     resultant_shift,
@@ -154,6 +158,10 @@ def test_hypothesis_I_pinned_radical_degree_rule():
 
 
 def test_classify_shifts_once_per_class_per_side(monkeypatch):
+    """At most one shift per class per side: none when both shapes are
+    certified and no value is shared, one per class when the matching
+    reads the pieces or a shape is not certified."""
+    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)  # it builds every table
     calls = []
 
     def counting(s, p):
@@ -165,9 +173,77 @@ def test_classify_shifts_once_per_class_per_side(monkeypatch):
     pair = PolynomialPair(*(random_polynomial(rng, 10, 10, sparse=False) for _ in "pq"))
     verdict = classify(pair)
     assert verdict.matching is pair.matching()
+    assert None not in (pair.critical_p().images, pair.critical_q().images)
+    assert calls == []
+    # both critical values shared: the matching reads every piece
+    pair = random_affine_image(theorem3_pair(5), rng)
+    verdict = classify(pair)
+    assert verdict.matching is pair.matching()
     assert calls.count(pair.p) == len(pair.critical_p().classes)
     assert calls.count(pair.q) == len(pair.critical_q().classes)
     assert len(calls) == len(pair.critical_p().classes) + len(pair.critical_q().classes)
+    # -1 taken twice: the shape comes from the exact table
+    calls.clear()
+    cs = analyze(poly_of(0, 0, -2, 0, 1))
+    assert cs.images is None and len(calls) == len(cs.classes)
+
+
+@given(p=st.one_of(polys_deg2plus(), polys_multiclass()))
+@settings(deadline=None, max_examples=100)
+def test_shape_equals_the_exact_table(p):
+    """The shape analyze returns, certified modulo p or not, is the shape
+    of the exact table, and the lazy table is that table."""
+    cs = analyze(p)
+    exact = critical._value_table(p, cs.classes)
+    assert cs.shape == tuple((f.degree, mults) for f, mults in exact)
+    assert cs.values == exact
+
+
+def test_values_that_coincide_only_modulo_p_decline():
+    # p/4 (x^3 - 3x) takes -+p/2, both 0 modulo p
+    p = poly_of(0, -3, 0, 1) * rat(GCD_PRIME, 4)
+    cs = analyze(p)
+    assert cs.images is None
+    assert cs.hypothesis_I and hypothesis_I(p)
+    assert cs.values == ((poly_of(rat(-(GCD_PRIME**2), 4), 0, 1), (1,)),)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        poly_of(rat(1, GCD_PRIME), -3, 0, 1),  # p divides den P
+        poly_of(0, -1, 0, rat(GCD_PRIME, 3)),  # p divides den of the class x^2 - 1/p
+    ],
+)
+def test_a_denominator_divisible_by_p_declines(p):
+    cs = analyze(p)
+    assert _value_image_mod_p(cs.classes[0].factor, p) is None
+    assert cs.images is None
+    assert cs.shape == ((2, (1,)),) and cs.hypothesis_I
+
+
+def test_values_shared_only_modulo_p_are_not_matched():
+    # values +-2 against +-2 + p: equal images modulo p, no shared value
+    pair = PolynomialPair(poly_of(0, -3, 0, 1), poly_of(GCD_PRIME, -3, 0, 1))
+    cs_p, cs_q = pair.critical_p(), pair.critical_q()
+    assert cs_p.images is not None and cs_p.images == cs_q.images
+    m = match_pairs(pair)
+    assert m.matched_pair_count == 0
+    assert m.unmatched_p_points == (1, 1) and m.unmatched_q_points == (1, 1)
+
+
+def test_a_wrong_shape_certificate_is_caught_under_debug_checks(monkeypatch):
+    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)
+    monkeypatch.setattr(  # certify every shape, generic or not
+        critical,
+        "_certified_images",
+        lambda p, classes: tuple(tuple(_value_image_mod_p(c.factor, p)) for c in classes),
+    )
+    p = poly_of(0, 0, -2, 0, 1)  # x^4 - 2x^2: -1 taken twice
+    assert analyze(p).hypothesis_I  # the faulty certificate is trusted...
+    with mock.patch.dict(os.environ, {"SEPCURVE_DEBUG_CHECKS": "1"}):
+        with pytest.raises(ArithmeticError, match="shapes disagree"):
+            analyze(p)  # ...unless debug checks build the exact table
 
 
 @given(p=polys_deg2plus())

@@ -127,3 +127,58 @@ def test_structured_expressions(num, den, shift, power):
     text = f"({num}/{den}*x {shift:+d})^{power}"
     expected = (Poly.constant(rat(num, den)) * Poly.x() + shift) ** power
     assert parse_poly(text) == expected
+
+
+def grammar_string(rng, depth=2) -> str:
+    """A random string of the parser's grammar: sums, products, powers,
+    rationals and parentheses nested up to ``depth``, with whitespace."""
+
+    def sp():
+        return rng.choice(("", "", " "))
+
+    def atom(d):
+        kind = rng.randint(0, 2 if d else 1)
+        if kind == 0:
+            return "x"
+        if kind == 1:
+            num = str(rng.randint(0, 10**4))
+            return num + (f"{sp()}/{sp()}{rng.randint(1, 99)}" if rng.random() < 0.5 else "")
+        return f"({sp()}{expr(d - 1)}{sp()})"
+
+    def factor(d):
+        return atom(d) + (f"{sp()}^{sp()}{rng.randint(1, 3)}" if rng.random() < 0.5 else "")
+
+    def term(d):
+        return f"{sp()}*{sp()}".join(factor(d) for _ in range(rng.randint(1, 3)))
+
+    def expr(d):
+        out = ("-" if rng.random() < 0.5 else "") + term(d)
+        for _ in range(rng.randint(0, 2)):
+            out += f"{sp()}{rng.choice('+-')}{sp()}{term(d)}"
+        return out
+
+    return sp() + expr(depth) + sp()
+
+
+@given(
+    rng=st.randoms(use_true_random=False),
+    cut=st.integers(0, 60),
+    junk=st.sampled_from(["", "x", "(", ")", "^", "*", "/0", "--", "^0", "2"]),
+)
+@settings(deadline=None, max_examples=100)
+def test_fuzzed_expressions_round_trip_and_fail_only_with_parse_error(rng, cut, junk):
+    """parse(to_string(parse(s))) == parse(s) on grammar strings, and
+    neither they nor their cut or spliced variants raise anything but
+    ParseError (a grammar string may still exceed a cap)."""
+    text = grammar_string(rng)
+    try:
+        p = parse_poly(text)
+    except ParseError:
+        p = None
+    if p is not None:
+        assert parse_poly(p.to_string()) == p
+    for variant in (text[:cut], text[:cut] + junk + text[cut:]):
+        try:
+            parse_poly(variant)
+        except ParseError:
+            pass

@@ -275,19 +275,52 @@ def test_generic_gcds_skip_the_remainder_sequence(monkeypatch):
     verdict = classify(PolynomialPair(p, q))
     assert verdict.rule == "Theorem 1"
     assert callers["poly_gcd"] == 0
-    assert callers["_int_resultant"] > 0  # resultant_shift still runs its resultants
+    assert callers["_int_resultant"] == 0  # no value piece is built: the shapes are certified
     assert poly_gcd(p * p, (p * p).derivative()) == p.monic()  # a gcd != 1 falls back
     assert callers["poly_gcd"] == 1
 
 
 def test_a_wrong_certificate_is_caught_under_debug_checks(monkeypatch):
     monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)
-    monkeypatch.setattr(rpoly, "_coprime_mod_p", lambda a, b: True)
+    monkeypatch.setattr(rpoly, "_gcd_degree_mod_p", lambda a, b: 0)
     a, b = poly_of(-1, 0, 1), poly_of(-1, 1) * poly_of(3, 1, 1)  # share x - 1
     assert poly_gcd(a, b) == Poly.one()  # the faulty certificate is trusted...
     with mock.patch.dict(os.environ, {"SEPCURVE_DEBUG_CHECKS": "1"}):
         with pytest.raises(ArithmeticError, match="gcd routes disagree"):
             poly_gcd(a, b)  # ...unless debug checks rerun the remainder sequence
+
+
+def test_a_divisor_found_modulo_p_is_settled_by_one_division(monkeypatch):
+    """A gcd of degree deg b modulo p leaves b as the only candidate: one
+    exact pseudo-division settles it, and a remainder falls back to the
+    remainder sequence."""
+    calls, prs = [], rpoly._subresultant_prs
+    monkeypatch.setattr(rpoly, "_subresultant_prs", lambda a, b: calls.append(1) or prs(a, b))
+    b = poly_of(3, 1, 1) * poly_of(-1, 2)
+    assert poly_gcd(b * poly_of(5, 0, 1), b) == b.monic()
+    assert calls == []
+    # (x^2 + 3)(x + p) is (x^2 + 3) x modulo p, but does not divide (x^2 + 3) x (x + 1)
+    a, c = poly_of(3, 0, 1) * poly_of(0, 1, 1), poly_of(3, 0, 1) * poly_of(P, 1)
+    assert poly_gcd(a, c) == reference_gcd(a, c) == poly_of(3, 0, 1)
+    assert calls == [1]
+
+
+@given(
+    s=st.one_of(spiked_polys(7, bits70, 1), spiked_polys(3, p_multiples, 2)),
+    f=st.one_of(wide_polys, modular_polys),
+)
+@example(s=poly_of(rat(1, P)), f=poly_of(0, 0, 1))  # den S = p
+@example(s=poly_of(1, 2), f=poly_of(0, rat(1, P)))  # den P = p
+@example(s=poly_of(2, 0, 1), f=poly_of(0, 1))  # S = x^3 + x^2 + 2, r = x: degrees 3, 1, 0
+@settings(deadline=None, max_examples=40)
+def test_value_image_is_the_shift_reduced_modulo_p(s, f):
+    s = Poly((s.coeffs or (0,)) + (1,))
+    image = rpoly._value_image_mod_p(s, f)
+    if s.den % P and f.den % P:
+        out = resultant_shift(s, f)
+        assert image == [c * pow(out.den, -1, P) % P for c in out.num]
+    else:
+        assert image is None
 
 
 @pytest.mark.parametrize(
