@@ -29,6 +29,7 @@ from .rpoly import (
     Poly,
     _gcd_degree_mod_p,
     _mul_mod_p,
+    _residues,
     _value_image_mod_p,
     poly_gcd,
     resultant_shift,
@@ -153,7 +154,8 @@ def analyze(p: Poly) -> CriticalStructure:
     other outcome, an unlucky prime included, builds the exact table
     (one ``resultant_shift`` and one Yun decomposition per class) and
     reads the shape from it.  With SEPCURVE_DEBUG_CHECKS=1 every
-    certified shape is also compared with the exact table's.
+    certified shape is also compared with the exact table's, and every
+    class image with its exact ``resultant_shift`` reduced mod p.
 
     >>> cs = analyze(Poly([0, 0, -2, 0, 1]))  # x^4 - 2x^2: 0 once, -1 twice
     >>> [(f.to_string("y"), mults) for f, mults in cs.values]
@@ -172,8 +174,14 @@ def analyze(p: Poly) -> CriticalStructure:
         cs.__dict__["values"] = table  # fill the cached_property: the table is built
         return cs
     shape = tuple((c.factor.degree, (c.multiplicity,)) for c in classes)
-    if os.environ.get("SEPCURVE_DEBUG_CHECKS") and _shape(_value_table(p, classes)) != shape:
-        raise ArithmeticError("critical-value shapes disagree: certified modulo p, not over Q")
+    if os.environ.get("SEPCURVE_DEBUG_CHECKS"):
+        if _shape(_value_table(p, classes)) != shape:
+            raise ArithmeticError("critical-value shapes disagree: certified modulo p, not over Q")
+        for c, image in zip(classes, images):
+            if tuple(_residues(resultant_shift(c.factor, p))) != image:
+                raise ArithmeticError(
+                    "value images disagree: the kernel modulo p against resultant_shift"
+                )
     return CriticalStructure(p, classes, shape, images)
 
 

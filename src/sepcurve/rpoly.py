@@ -19,14 +19,15 @@ sequence (Collins 1967; Brown & Traub 1971); every division the
 algorithms prove exact is checked.
 
 Arithmetic modulo one fixed prime p = ``GCD_PRIME`` serves as a
-certificate in front of the exact kernels, and runs one Euclid
-remainder loop over GF(p).  Before the sequence, ``poly_gcd`` reads the
-degree of the gcd modulo p: when p divides neither leading coefficient,
-degree 0 proves gcd 1 over Q, and degree deg b leaves one exact
-division to decide whether b divides a; any other outcome takes the
-exact sequence.  ``_value_image_mod_p`` gives the reduction modulo p of
-the ``resultant_shift`` polynomial, from resultants over GF(p) at
-deg S points; ``critical.analyze`` proves the generic critical-value
+certificate in front of the exact kernels, with one Euclid remainder
+loop and one packed-slot product over GF(p).  Before the sequence,
+``poly_gcd`` reads the degree of the gcd modulo p: when p divides
+neither leading coefficient, degree 0 proves gcd 1 over Q, and degree
+deg b leaves one exact division to decide whether b divides a; any
+other outcome takes the exact sequence.  ``_value_image_mod_p`` gives
+the reduction modulo p of the ``resultant_shift`` polynomial, from the
+power sums of multiplication by P in GF(p)[x]/(S) and Newton's
+identities; ``critical.analyze`` proves the generic critical-value
 shape from these images.  A prime that divides a denominator or a
 leading coefficient makes the certificate decline, never lie.
 """
@@ -34,9 +35,11 @@ leading coefficient makes the certificate decline, never lie.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd, lcm
+from operator import mul
 
 from .rationals import ZERO, Rat, rat
 
@@ -477,23 +480,16 @@ def _rem_mod_p(a: list, b: list) -> list:
     return r
 
 
-def _euclid_mod_p(a: list, b: list):
-    """Euclid over GF(GCD_PRIME) on residue lists, deg a >= deg b >= 0,
-    both with nonzero leading residues: (g, res) with g the last nonzero
-    remainder (the gcd up to a unit) and res = Res(a, b) mod p, which is
-    0 exactly when g is not a constant.  Each step uses
-    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) for
-    r = a mod b, and Res(a, c) = c^deg a for a constant c."""
-    p, res = GCD_PRIME, 1
+def _euclid_mod_p(a: list, b: list) -> list:
+    """The last nonzero remainder of Euclid over GF(GCD_PRIME), the gcd
+    up to a unit, for residue lists with deg a >= deg b >= 0 and nonzero
+    leading residues."""
     while len(b) > 1:
         r = _rem_mod_p(a, b)
         if not r:
-            return b, 0
-        if (len(a) - 1) & (len(b) - 1) & 1:
-            res = -res
-        res = res * pow(b[-1], len(a) - len(r), p) % p
+            return b
         a, b = b, r
-    return b, res * pow(b[0], len(a) - 1, p) % p
+    return b
 
 
 def _gcd_degree_mod_p(a: list, b: list):
@@ -507,16 +503,32 @@ def _gcd_degree_mod_p(a: list, b: list):
         return None
     if len(a) < len(b):
         a, b = b, a
-    return len(_euclid_mod_p([c % p for c in a], [c % p for c in b])[0]) - 1
+    return len(_euclid_mod_p([c % p for c in a], [c % p for c in b])) - 1
+
+
+# Residue lists travel packed into one int, a 64-bit slot per residue,
+# so one CPython multiplication forms a whole product.  A slot of a
+# product sums at most min(len a, len b) terms below p^2 < 2^30, so no
+# carry crosses a slot for fewer than 2^34 terms.
+def _pack(cs: list) -> int:
+    """Nonnegative ints below 2^64, low to high, one per 64-bit slot."""
+    buf = bytearray(8 * len(cs))
+    slots = memoryview(buf).cast("Q")
+    for i, c in enumerate(cs):
+        slots[i] = c
+    return int.from_bytes(buf, sys.byteorder)
+
+
+def _unpack(x: int, n: int) -> list:
+    """The n 64-bit slots of x >= 0, low to high."""
+    return memoryview(x.to_bytes(8 * n, sys.byteorder)).cast("Q").tolist()
 
 
 def _mul_mod_p(a: list, b: list) -> list:
-    """Product of two residue lists over GF(GCD_PRIME)."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return [c % GCD_PRIME for c in out]
+    """Product of two nonempty residue lists over GF(GCD_PRIME): one
+    packed product."""
+    p = GCD_PRIME
+    return [c % p for c in _unpack(_pack(a) * _pack(b), len(a) + len(b) - 1)]
 
 
 def _pseudo_divmod(a: list, b: list):
@@ -598,16 +610,16 @@ def resultant(a: Poly, b: Poly):
     return Rat(_int_resultant(a.num, b.num), a.den**b.degree * b.den**a.degree)
 
 
-def _interpolate(values: list, p: int = 0) -> list:
-    """Coefficients of the polynomial U of degree <= n with U(k) =
-    values[k], k = 0..n: over Z when p = 0 (U must lie in Z[y]), over
-    GF(p) otherwise (n < p).  Newton forward differences give the k-th
-    falling-factorial coefficient Delta^k U(0) / k!, an integer for U in
-    Z[y], then Horner runs on the falling factorials y(y - 1)...(y - k + 1)."""
+def _interpolate(values: list) -> list:
+    """Coefficients of the polynomial U in Z[y] of degree <= n with
+    U(k) = values[k], k = 0..n.  Newton forward differences give the
+    k-th falling-factorial coefficient Delta^k U(0) / k!, an integer for
+    U in Z[y], then Horner runs on the falling factorials
+    y(y - 1)...(y - k + 1)."""
     newton, diffs, fact = [], list(values), 1
     for k in range(len(values)):
         fact *= k or 1
-        newton.append(diffs[0] * pow(fact, -1, p) % p if p else _exact_div(diffs[0], fact))
+        newton.append(_exact_div(diffs[0], fact))
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     out = [newton.pop()]
     for k in range(len(newton) - 1, -1, -1):
@@ -615,7 +627,7 @@ def _interpolate(values: list, p: int = 0) -> list:
         for i in range(len(out) - 1):
             out[i] -= k * out[i + 1]
         out[0] += newton[k]
-    return [c % p for c in out] if p else out
+    return out
 
 
 def _residues(f: Poly) -> list:
@@ -635,12 +647,19 @@ def _value_image_mod_p(s: Poly, f: Poly):
     s.den or f.den, or deg S >= p.
 
     f is reduced mod S modulo p, to r.  A constant r gives (y - r)^n, n =
-    deg S; otherwise Res(S, k - r) = U(k) mod p for k = 0..n - 1, each by
-    Euclid over GF(p), and Newton interpolation modulo p of U(k) - k^n
-    gives U - y^n, since U is monic.  Since S is monic and p divides no
-    denominator, every coefficient of U is a p-adic integer, so the
-    result is U reduced mod p, of full degree: a nonzero discriminant or
-    resultant of such images modulo p is nonzero over Q as well.
+    deg S.  Otherwise U is the characteristic polynomial of
+    multiplication by r on GF(p)[x]/(S), read from its power sums
+    t_j = Tr(r^j), j = 1..n (Bostan, Flajolet, Salvy & Schost, J.
+    Symbolic Comput. 41, 2006).  Newton's identities on S give the
+    traces Tr(x^i), i < n, with no division.  The columns x^i r mod S of
+    the multiplication are packed into one int each, so r^j mod S, the
+    sum of the columns weighted by the residues of r^(j-1) mod S, is n
+    integer products and one unpacking, and t_j is its dot product with
+    the traces.  Newton's identities on t_1..t_n then give U, dividing
+    by k <= n < p.  Since S is monic and p divides no denominator, every
+    coefficient of U is a p-adic integer, so the result is U reduced
+    mod p, of full degree: a nonzero discriminant or resultant of such
+    images modulo p is nonzero over Q as well.
 
     >>> _value_image_mod_p(Poly([-1, 0, 1]), Poly([0, 0, 1]))  # y^2 - 2y + 1
     [1, 32747, 1]
@@ -651,14 +670,26 @@ def _value_image_mod_p(s: Poly, f: Poly):
     s_bar, r = _residues(s), _residues(f)
     if len(r) >= len(s_bar):
         r = _rem_mod_p(r, s_bar)
-    neg_r = [-c % p for c in r] or [0]
-    if len(neg_r) == 1:  # every f(a) is the constant r: (y - r)^n
-        return reduce(_mul_mod_p, [[neg_r[0], 1]] * n)
-    values = [
-        (_euclid_mod_p(s_bar, [(k + neg_r[0]) % p] + neg_r[1:])[1] - pow(k, n, p)) % p
-        for k in range(n)
-    ]
-    return _interpolate(values, p) + [1]
+    if len(r) <= 1:  # every f(a) is the constant r: (y - r)^n
+        return reduce(_mul_mod_p, [[-r[0] % p if r else 0, 1]] * n)
+    tau = [n]  # tau[i] = Tr(x^i), the i-th power sum of the roots of S
+    for k in range(1, n):
+        tau.append(-(k * s_bar[n - k] + sum(map(mul, s_bar[n - k + 1 : n], tau[1:k]))) % p)
+    neg_s, col = [-c % p for c in s_bar[:-1]], r + [0] * (n - len(r))
+    cols = [_pack(col)]  # cols[i] = x^i r mod S, packed
+    for _ in range(n - 1):  # x * col mod S: col shifted up, plus its top times x^n mod S
+        col = [(col[-1] * c + lower) % p for c, lower in zip(neg_s, [0] + col[:-1])]
+        cols.append(_pack(col))
+    # a slot of sum(power_i * cols[i]) sums n terms below p^2, n < p < 2^15:
+    # below p^3 < 2^45, so no carry crosses a slot
+    power, traces = r, [sum(map(mul, r, tau)) % p]
+    for _ in range(n - 1):
+        power = [c % p for c in _unpack(sum(map(mul, power, cols)), n)]
+        traces.append(sum(map(mul, power, tau)) % p)
+    u = [1]  # u[k] is the coefficient of y^(n - k)
+    for k in range(1, n + 1):
+        u.append(-sum(map(mul, u[::-1], traces)) * pow(k, -1, p) % p)
+    return u[::-1]
 
 
 def _sylvester_resultant_shift(s: Poly, p: Poly) -> Poly:

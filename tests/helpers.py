@@ -1,5 +1,6 @@
 """Builders shared across the test modules."""
 
+from sepcurve import rpoly
 from sepcurve.classify import Outcome, Verdict
 from sepcurve.critical import PairMatching
 from sepcurve.linfactor import LinearFactorWitness
@@ -70,6 +71,60 @@ def reference_resultant(a, b):
             acc = -acc
         acc *= b.lc ** (a.degree - r.degree)
         a, b = b, r
+
+
+def _resultant_mod_p(a, b, p):
+    """Res(a, b) mod p by Euclid over GF(p) on residue lists with
+    deg a >= deg b >= 0 and nonzero leading residues, using
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) for
+    r = a mod b, and Res(a, c) = c^deg a for a constant c."""
+    res = 1
+    while len(b) > 1:
+        r = rpoly._rem_mod_p(a, b)
+        if not r:
+            return 0
+        if (len(a) - 1) & (len(b) - 1) & 1:
+            res = -res
+        res = res * pow(b[-1], len(a) - len(r), p) % p
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, p) % p
+
+
+def reference_value_image_mod_p(s, f):
+    """Value image mod p = rpoly.GCD_PRIME by evaluation and
+    interpolation: r = f mod S over GF(p), U(k) = Res(S, k - r) mod p by
+    Euclid at k = 0..n - 1, n = deg S, and Newton interpolation modulo p
+    of U(k) - k^n, since U is monic.  None on the kernel's declines: the
+    reference ``rpoly._value_image_mod_p`` is compared against."""
+    p, n = rpoly.GCD_PRIME, s.degree
+    if not s.den % p or not f.den % p or n >= p:
+        return None
+    s_bar, r = rpoly._residues(s), rpoly._residues(f)
+    if len(r) >= len(s_bar):
+        r = rpoly._rem_mod_p(r, s_bar)
+    neg_r = [-c % p for c in r] or [0]
+    if len(neg_r) == 1:  # every f(a) is the constant r: (y - r)^n
+        out = [1]
+        for _ in range(n):
+            out = [(a + neg_r[0] * b) % p for a, b in zip([0] + out, out + [0])]
+        return out
+    values = [
+        (_resultant_mod_p(s_bar, [(k + neg_r[0]) % p] + neg_r[1:], p) - pow(k, n, p)) % p
+        for k in range(n)
+    ]
+    # Newton forward differences: the k-th falling-factorial coefficient
+    newton, diffs, fact = [], values, 1
+    for k in range(n):
+        fact *= k or 1
+        newton.append(diffs[0] * pow(fact, -1, p) % p)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    out = [newton.pop()]
+    for k in range(len(newton) - 1, -1, -1):
+        out = [0] + out  # out * (y - k) + newton[k]
+        for i in range(len(out) - 1):
+            out[i] -= k * out[i + 1]
+        out[0] += newton[k]
+    return [c % p for c in out] + [1]
 
 
 def _mul_x_polys(a, b, modulus):

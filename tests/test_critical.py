@@ -246,6 +246,23 @@ def test_a_wrong_shape_certificate_is_caught_under_debug_checks(monkeypatch):
             analyze(p)  # ...unless debug checks build the exact table
 
 
+def test_a_wrong_value_image_is_caught_under_debug_checks(monkeypatch):
+    """An image of the right shape but the wrong values: U(y + 1) for U,
+    still squarefree, so only the image comparison can catch it."""
+    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)
+
+    def shifted(s, f):
+        image = Poly(_value_image_mod_p(s, f)).shift_argument(1)
+        return [c % GCD_PRIME for c in image.num]
+
+    monkeypatch.setattr(critical, "_value_image_mod_p", shifted)
+    p = poly_of(0, -3, 0, 1)  # x^3 - 3x: values +-2, image y^2 - 4
+    assert analyze(p).images == ((GCD_PRIME - 3, 2, 1),)  # the faulty kernel is trusted...
+    with mock.patch.dict(os.environ, {"SEPCURVE_DEBUG_CHECKS": "1"}):
+        with pytest.raises(ArithmeticError, match="value images disagree"):
+            analyze(p)  # ...unless debug checks compare each image with the exact one
+
+
 @given(p=polys_deg2plus())
 @settings(deadline=None, max_examples=80)
 def test_multiplicity_mass_identity(p):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import poly_of, reference_gcd, reference_resultant
+from helpers import poly_of, reference_gcd, reference_resultant, reference_value_image_mod_p
 from sepcurve import rpoly
 from sepcurve.classify import classify
 from sepcurve.critical import PolynomialPair
@@ -305,6 +305,12 @@ def test_a_divisor_found_modulo_p_is_settled_by_one_division(monkeypatch):
     assert calls == [1]
 
 
+def _image_of_shift(s, f, p):
+    """resultant_shift(s, f) reduced modulo p."""
+    out = resultant_shift(s, f)
+    return [c * pow(out.den, -1, p) % p for c in out.num]
+
+
 @given(
     s=st.one_of(spiked_polys(7, bits70, 1), spiked_polys(3, p_multiples, 2)),
     f=st.one_of(wide_polys, modular_polys),
@@ -316,11 +322,68 @@ def test_a_divisor_found_modulo_p_is_settled_by_one_division(monkeypatch):
 def test_value_image_is_the_shift_reduced_modulo_p(s, f):
     s = Poly((s.coeffs or (0,)) + (1,))
     image = rpoly._value_image_mod_p(s, f)
+    assert image == reference_value_image_mod_p(s, f)
     if s.den % P and f.den % P:
-        out = resultant_shift(s, f)
-        assert image == [c * pow(out.den, -1, P) % P for c in out.num]
+        assert image == _image_of_shift(s, f, P)
     else:
         assert image is None
+
+
+@st.composite
+def critical_classes(draw):
+    """(class, P) for a Yun class of P' of a dense P of degree <= 31, or
+    of P with P' = g^2 h for dense g and h (multiplicities 2 and 1)."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        p = random_polynomial(rng, 2, 31, sparse=False)
+    else:
+        g, h = (random_polynomial(rng, lo, hi, sparse=False) for lo, hi in ((1, 5), (0, 20)))
+        p_prime = g * g * h
+        p = Poly([rng.randint(-5, 5)] + [c / (k + 1) for k, c in enumerate(p_prime.coeffs)])
+    parts = squarefree_decomposition(p.derivative()).parts
+    return parts[draw(st.integers(0, len(parts) - 1))][0], p
+
+
+@given(case=critical_classes())
+@settings(deadline=None, max_examples=30)
+def test_value_image_at_the_class_degrees_of_dense_inputs(case):
+    s, f = case
+    with mock.patch.dict(os.environ):
+        os.environ.pop("SEPCURVE_DEBUG_CHECKS", None)  # its determinant route takes seconds here
+        expected = _image_of_shift(s, f, P)
+    assert rpoly._value_image_mod_p(s, f) == reference_value_image_mod_p(s, f) == expected
+
+
+@given(s=polys, f=polys)
+@example(s=poly_of(1, 0, 0, 0, 0, 2), f=poly_of(0, 1))  # deg S = 6: divides by 6
+@example(s=poly_of(1, 0, 0, 0, 0, 0, 2), f=poly_of(0, 1))  # deg S = 7 = p: declines
+@settings(deadline=None, max_examples=60)
+def test_value_image_modulo_a_small_prime(s, f):
+    """At p = 7 the Newton identities divide by every k <= deg S <= 6,
+    and deg S >= 7 declines; no denominator here is divisible by 7."""
+    s = Poly((s.coeffs or (0,)) + (1,))
+    with mock.patch.object(rpoly, "GCD_PRIME", 7):
+        image = rpoly._value_image_mod_p(s, f)
+        if s.degree >= 7:
+            assert image is None
+        else:
+            assert image == reference_value_image_mod_p(s, f) == _image_of_shift(s, f, 7)
+
+
+def test_value_image_runs_no_euclid(monkeypatch):
+    """The power sums need no resultant: no Euclid over GF(p), and one
+    remainder, f mod S."""
+    calls = Counter()
+    for name in ("_euclid_mod_p", "_rem_mod_p"):
+        kernel = getattr(rpoly, name)
+        monkeypatch.setattr(
+            rpoly, name, lambda a, b, k=kernel, n=name: calls.update([n]) or k(a, b)
+        )
+    f = random_polynomial(random.Random(10), 11, 11, sparse=False)
+    s = f.derivative().monic()
+    image = rpoly._value_image_mod_p(s, f)
+    assert calls == Counter({"_rem_mod_p": 1})
+    assert image == _image_of_shift(s, f, P)
 
 
 @pytest.mark.parametrize(
