@@ -13,10 +13,10 @@ data is computed once, by :func:`analyze`, and cached on the pair.
 The verdicts read only the table's shape: the degree of each piece and
 its multiplicities, and the degrees of the gcds across the sides.  For
 a generic polynomial, one simple critical value per critical point, the
-shape is proven modulo one prime from the value images of the classes
-mod p, and the exact pieces are built only when a caller reads them;
-two sides whose images are coprime mod p share no value, and match
-without them.
+shape is proven modulo one prime from one value image per side, the
+product of the class images mod p, and the exact pieces are built only
+when a caller reads them; two sides whose images are coprime mod p
+share no value, and match without them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property, reduce
 
 from .rpoly import (
     Poly,
-    _gcd_degree_mod_p,
+    _coprime_mod_p,
     _mul_mod_p,
     _residues,
     _value_image_mod_p,
@@ -51,33 +51,39 @@ class CriticalClass:
 class CriticalStructure:
     """Everything the verdicts need about one polynomial's critical
     points, computed once by :func:`analyze`: the multiplicity classes
-    of P' and the ``shape`` of the value table, one (degree, mults) per
-    piece.
+    of P' and the value ``image``, the residues mod p of the product of
+    the class image polynomials when it proved the generic shape, else
+    None.
 
     The value table ``values`` is a tuple of (piece, mults).  The pieces
     are pairwise coprime, monic and squarefree, their product is the
     polynomial of all distinct critical values, and each root of a piece
     is the value of exactly the critical points whose multiplicities are
     listed, largest first, in ``mults``.  The verdicts read only the
-    shape; ``values`` is computed on first use.  When the shape was
-    certified modulo p, ``images`` holds each class's value image mod p
-    and piece i is the image polynomial of class i; otherwise
-    ``images`` is None and ``analyze`` has already built the table."""
+    ``shape``, one (degree, mults) per piece; both are computed on first
+    use.  On a certified side piece i is the image polynomial of class
+    i, and the shape needs no piece."""
 
     poly: Poly
     classes: tuple  # of CriticalClass, multiplicities strictly increasing
-    shape: tuple  # of (degree, tuple of int), one per piece of ``values``
-    images: tuple | None  # of residue tuples, one per class, when certified
+    image: tuple | None  # residues of the product of the class images, when certified
 
     @cached_property
     def values(self) -> tuple:
         """The exact value table, of (Poly, tuple of int)."""
-        if self.images is None:
+        if self.image is None:
             return _value_table(self.poly, self.classes)
         # certified: each class's image polynomial is one squarefree piece
         return tuple(
             (resultant_shift(c.factor, self.poly), (c.multiplicity,)) for c in self.classes
         )
+
+    @cached_property
+    def shape(self) -> tuple:
+        """(degree, mults) per piece of ``values``."""
+        if self.image is None:
+            return _shape(self.values)
+        return tuple((c.factor.degree, (c.multiplicity,)) for c in self.classes)
 
     @property
     def point_count(self) -> int:
@@ -130,7 +136,7 @@ def _shape(table: tuple) -> tuple:
 
 
 def _certified_images(p: Poly, classes: tuple):
-    """The value images mod p of the classes when their product U is
+    """The product U of the value images mod p of the classes when it is
     squarefree mod p, else None.  Each image is U_c, the class's image
     polynomial, reduced mod p at full degree, so disc(U mod p) != 0
     gives disc(U) != 0: every U_c is squarefree and no two share a root,
@@ -139,9 +145,9 @@ def _certified_images(p: Poly, classes: tuple):
     if None in images:
         return None
     product = reduce(_mul_mod_p, images)
-    if _gcd_degree_mod_p(product, [k * c for k, c in enumerate(product)][1:]) != 0:
+    if not _coprime_mod_p(product, [k * c for k, c in enumerate(product)][1:]):
         return None
-    return tuple(map(tuple, images))
+    return tuple(product)
 
 
 def analyze(p: Poly) -> CriticalStructure:
@@ -150,12 +156,13 @@ def analyze(p: Poly) -> CriticalStructure:
     The classes come from Yun's decomposition of P'.  The shape of the
     value table is then certified modulo p = ``rpoly.GCD_PRIME`` when it
     can be: one simple value per critical point, one piece per class,
-    read off the class images mod p with no exact value polynomial.  Any
-    other outcome, an unlucky prime included, builds the exact table
-    (one ``resultant_shift`` and one Yun decomposition per class) and
-    reads the shape from it.  With SEPCURVE_DEBUG_CHECKS=1 every
-    certified shape is also compared with the exact table's, and every
-    class image with its exact ``resultant_shift`` reduced mod p.
+    read off the product of the class images mod p with no exact value
+    polynomial.  Any other outcome, an unlucky prime included, builds
+    the exact table (one ``resultant_shift`` and one Yun decomposition
+    per class) and reads the shape from it.  With SEPCURVE_DEBUG_CHECKS=1
+    every certified shape is also compared with the exact table's, and
+    the image with the product of the exact ``resultant_shift``
+    polynomials reduced mod p.
 
     >>> cs = analyze(Poly([0, 0, -2, 0, 1]))  # x^4 - 2x^2: 0 once, -1 twice
     >>> [(f.to_string("y"), mults) for f, mults in cs.values]
@@ -167,22 +174,17 @@ def analyze(p: Poly) -> CriticalStructure:
         raise ValueError(f"degree must be at least 2, got {p.degree}")
     parts = squarefree_decomposition(p.derivative()).parts
     classes = tuple(CriticalClass(f, mult) for f, mult in parts)
-    images = _certified_images(p, classes)
-    if images is None:
-        table = _value_table(p, classes)
-        cs = CriticalStructure(p, classes, _shape(table), None)
-        cs.__dict__["values"] = table  # fill the cached_property: the table is built
-        return cs
-    shape = tuple((c.factor.degree, (c.multiplicity,)) for c in classes)
-    if os.environ.get("SEPCURVE_DEBUG_CHECKS"):
-        if _shape(_value_table(p, classes)) != shape:
+    cs = CriticalStructure(p, classes, _certified_images(p, classes))
+    cs.shape  # an uncertified side builds its exact table here
+    if cs.image is not None and os.environ.get("SEPCURVE_DEBUG_CHECKS"):
+        if _shape(_value_table(p, classes)) != cs.shape:
             raise ArithmeticError("critical-value shapes disagree: certified modulo p, not over Q")
-        for c, image in zip(classes, images):
-            if tuple(_residues(resultant_shift(c.factor, p))) != image:
-                raise ArithmeticError(
-                    "value images disagree: the kernel modulo p against resultant_shift"
-                )
-    return CriticalStructure(p, classes, shape, images)
+        exact = (_residues(resultant_shift(c.factor, p)) for c in classes)
+        if tuple(reduce(_mul_mod_p, exact)) != cs.image:
+            raise ArithmeticError(
+                "value images disagree: the kernel modulo p against resultant_shift"
+            )
+    return cs
 
 
 def hypothesis_I(p: Poly) -> bool:
@@ -349,9 +351,8 @@ def match_pairs(pair: PolynomialPair) -> PairMatching:
     shared value; the unmatched points are those whose value the other
     side does not take.  One gcd per (P piece, Q piece) of the value
     tables: d shared roots pair every P multiplicity of the piece with
-    every Q multiplicity, d times.  Pieces whose images mod p are
-    coprime share nothing and need no gcd, so two generic sides with no
-    common value match without building a piece.
+    every Q multiplicity, d times.  Two certified sides whose images mod
+    p are coprime share no value and match without building a piece.
     """
     cs_p, cs_q = pair.critical_p(), pair.critical_q()
     shared = _shared_degrees(cs_p, cs_q)
@@ -377,17 +378,14 @@ def match_pairs(pair: PolynomialPair) -> PairMatching:
 
 
 def _shared_degrees(cs_p: CriticalStructure, cs_q: CriticalStructure) -> list:
-    """deg gcd of every P piece with every Q piece.  Two pieces whose
-    images mod p are coprime share no root (their resultant is nonzero
-    mod p, so nonzero), so only the other pairs read the exact pieces:
-    none at all when every pair of images is coprime."""
-    images = cs_p.images is not None and cs_q.images is not None
-    shared = [[0] * len(cs_q.shape) for _ in cs_p.shape]
-    for i, row in enumerate(shared):
-        for j in range(len(row)):
-            if not (images and _gcd_degree_mod_p(cs_p.images[i], cs_q.images[j]) == 0):
-                row[j] = poly_gcd(cs_p.values[i][0], cs_q.values[j][0]).degree
-    return shared
+    """deg gcd of every P piece with every Q piece.  Two sides whose
+    images mod p are coprime share no value (the resultant of their
+    value polynomials is nonzero mod p, so nonzero), and no piece is
+    built; otherwise every pair of exact pieces takes one gcd."""
+    if cs_p.image is not None and cs_q.image is not None:
+        if _coprime_mod_p(cs_p.image, cs_q.image):
+            return [[0] * len(cs_q.classes) for _ in cs_p.classes]
+    return [[poly_gcd(a, b).degree for b, _ in cs_q.values] for a, _ in cs_p.values]
 
 
 def theorem1_lhs(matching: PairMatching) -> int:

@@ -14,9 +14,12 @@ input fails before anything large is built: a literal longer than the
 interpreter converts to int, a product or power of degree above
 MAX_DEGREE, a power whose exponent times the bit size of its base's
 largest coefficient exceeds MAX_POWER_BITS, or a product whose factors'
-largest coefficients together exceed MAX_POWER_BITS bits.  Terms are
-collected sparsely, as a dict from exponent to nonzero coefficient, and
-the Poly is built once at the end.
+largest coefficients together exceed MAX_POWER_BITS bits.  A result
+whose coefficient has a numerator or denominator longer than the
+interpreter converts to str (``sys.get_int_max_str_digits()``) fails at
+position 0, since no report could print it.  Terms are collected
+sparsely, as a dict from exponent to nonzero coefficient, and the Poly
+is built once at the end.
 
 >>> parse_poly("x^5 - 3*x + 1").coeffs == (1, -3, 0, 0, 0, 1)
 True
@@ -25,6 +28,8 @@ True
 """
 
 from __future__ import annotations
+
+import sys
 
 from .rationals import ONE, ZERO, rat
 from .rpoly import Poly
@@ -95,6 +100,7 @@ def parse_poly(text: str) -> Poly:
     sc.skip_ws()
     if sc.pos != len(sc.text):
         raise ParseError(f"unexpected {sc.text[sc.pos]!r}", sc.pos)
+    _check_digits(terms)
     return Poly([terms.get(k, ZERO) for k in range(_degree(terms) + 1)])
 
 
@@ -108,6 +114,18 @@ def _bits(terms: dict) -> int:
         (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in terms.values()),
         default=0,
     )
+
+
+def _check_digits(terms: dict):
+    """Refuse a coefficient with a numerator or denominator of more
+    decimal digits than the interpreter's int-to-str limit (0: none)."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit or _bits(terms) <= 3 * limit:  # below 2^(3 limit) < 10^limit
+        return
+    big = 10**limit
+    for k, c in sorted(terms.items()):
+        if abs(c.numerator) >= big or c.denominator >= big:
+            raise ParseError(f"coefficient of degree {k} has more than {limit} digits", 0)
 
 
 def _neg(terms: dict) -> dict:

@@ -21,14 +21,13 @@ algorithms prove exact is checked.
 Arithmetic modulo one fixed prime p = ``GCD_PRIME`` serves as a
 certificate in front of the exact kernels, with one Euclid remainder
 loop and one packed-slot product over GF(p).  Before the sequence,
-``poly_gcd`` reads the degree of the gcd modulo p: when p divides
-neither leading coefficient, degree 0 proves gcd 1 over Q, and degree
-deg b leaves one exact division to decide whether b divides a; any
-other outcome takes the exact sequence.  ``_value_image_mod_p`` gives
-the reduction modulo p of the ``resultant_shift`` polynomial, from the
-power sums of multiplication by P in GF(p)[x]/(S) and Newton's
-identities; ``critical.analyze`` proves the generic critical-value
-shape from these images.  A prime that divides a denominator or a
+``poly_gcd`` asks whether the operands are coprime modulo p: when p
+divides neither leading coefficient, a gcd of degree 0 modulo p proves
+gcd 1 over Q; any other outcome takes the exact sequence.
+``_value_image_mod_p`` gives the reduction modulo p of the
+``resultant_shift`` polynomial, from the power sums of multiplication
+by P in GF(p)[x]/(S) and Newton's identities; ``critical.analyze``
+proves the generic critical-value shape from these images.  A prime that divides a denominator or a
 leading coefficient makes the certificate decline, never lie.
 """
 
@@ -340,12 +339,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     ``GCD_PRIME`` runs first: if p divides neither leading coefficient,
     deg gcd(a mod p, b mod p) >= deg gcd(a, b) over Q, so a gcd of
     degree 0 modulo p proves gcd 1 and the remainder sequence is
-    skipped.  A gcd of degree deg b modulo p leaves b itself as the only
-    candidate: one exact pseudo-division decides whether b divides a.
-    Any other outcome, an unlucky prime included, takes the remainder
-    sequence, so the prime changes the cost, never the result.  With
-    SEPCURVE_DEBUG_CHECKS=1 every gcd certified 1 is also run through
-    the remainder sequence and compared.
+    skipped.  Any other outcome, an unlucky prime included, takes the
+    remainder sequence, so the prime changes the cost, never the result.
+    With SEPCURVE_DEBUG_CHECKS=1 every gcd certified 1 is also run
+    through the remainder sequence and compared.
 
     >>> poly_gcd(Poly([-1, 0, 1]), Poly([2, -3, 1])).to_string()  # (x-1)(x+1), (x-1)(x-2)
     'x - 1'
@@ -358,13 +355,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if len(a) < len(b):
         a, b = b, a
     # a linear divisor costs one pseudo-division: certify from degree 2 on
-    d = _gcd_degree_mod_p(a, b) if len(b) > 2 else None
-    if d == 0:
+    if len(b) > 2 and _coprime_mod_p(a, b):
         if os.environ.get("SEPCURVE_DEBUG_CHECKS") and not _subresultant_prs(a, b)[1]:
             raise ArithmeticError("gcd routes disagree: certified 1 modulo p, not 1 over Q")
         return Poly.one()
-    if d == len(b) - 1 and not _pseudo_divmod(a, b)[1]:  # b may divide a
-        return _make(b, b[-1])
     if len(b) > 1:
         a, b, _, _ = _subresultant_prs(a, b)
     if b:  # the sequence ends in a nonzero constant
@@ -492,18 +486,18 @@ def _euclid_mod_p(a: list, b: list) -> list:
     return b
 
 
-def _gcd_degree_mod_p(a: list, b: list):
-    """Degree of gcd(a mod p, b mod p) over GF(GCD_PRIME) for nonzero
-    integer lists, or None when the prime divides a leading coefficient.
-    Otherwise the degree bounds deg gcd(a, b) over Q from above, so 0
+def _coprime_mod_p(a: list, b: list) -> bool:
+    """True when gcd(a mod p, b mod p) = 1 over GF(GCD_PRIME) for nonzero
+    integer lists; False when the prime divides a leading coefficient.
+    Otherwise deg gcd(a mod p, b mod p) >= deg gcd(a, b) over Q, so True
     proves gcd(a, b) = 1 (Brown, JACM 18, 1971; von zur Gathen & Gerhard,
     Modern Computer Algebra, ch. 6)."""
     p = GCD_PRIME
     if not a[-1] % p or not b[-1] % p:
-        return None
+        return False
     if len(a) < len(b):
         a, b = b, a
-    return len(_euclid_mod_p([c % p for c in a], [c % p for c in b])) - 1
+    return len(_euclid_mod_p([c % p for c in a], [c % p for c in b])) == 1
 
 
 # Residue lists travel packed into one int, a 64-bit slot per residue,

@@ -28,6 +28,7 @@ import sepcurve.instances as ins
 from sepcurve.cli import main
 from sepcurve.numoracle import PRECISION_CAP
 from sepcurve.oneforms import MalformedFormError
+from sepcurve.parsepoly import parse_poly
 from sepcurve.rpoly import Poly
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -200,6 +201,24 @@ def test_precision_must_be_positive(bits, capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_oversized_coefficients_are_usage_errors():
+    """A coefficient past the int-to-str digit limit is refused by the
+    parser, not met as a traceback while the report is printed."""
+    src = pathlib.Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": "4300"}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "sepcurve.cli", "classify", f"--p={p}", "--q=x^2"],
+            capture_output=True, text=True, env=env,
+        )
+        for p in ("3^10000*x^2", "3^9000*x^2")
+    ]
+    assert runs[0].returncode == 1 and runs[0].stdout == ""
+    assert runs[0].stderr.startswith("error: ") and "Traceback" not in runs[0].stderr
+    assert runs[0].stderr.count("\n") == 1 and "(at position 0)" in runs[0].stderr
+    assert runs[1].returncode == 10
+
+
 @pytest.mark.parametrize(
     "fault", [MalformedFormError("bad degrees"), ValueError("internal"), ArithmeticError("kernel")]
 )
@@ -343,6 +362,22 @@ def test_verdict_corpus_is_byte_stable():
         rep = json.loads(line)
         argv = _corpus_argv(rep["input"]["p"], rep["input"]["q"], index)
         assert _corpus_record(argv) == line, argv
+
+
+def test_verdict_corpus_replays_under_debug_checks(monkeypatch):
+    """SEPCURVE_DEBUG_CHECKS=1 reruns every certified gcd, shape and value
+    image, and every resultant_shift by the determinant route; every
+    record with both degrees at most 9 replays byte-identically."""
+    monkeypatch.setenv("SEPCURVE_DEBUG_CHECKS", "1")
+    replayed = 0
+    for index, line in enumerate(CORPUS.read_text().splitlines()):
+        rep = json.loads(line)
+        p, q = rep["input"]["p"], rep["input"]["q"]
+        if max(parse_poly(p).degree, parse_poly(q).degree) > 9:
+            continue
+        assert _corpus_record(_corpus_argv(p, q, index)) == line, (p, q)
+        replayed += 1
+    assert replayed >= 250
 
 
 def _regen():

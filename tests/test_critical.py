@@ -2,6 +2,7 @@ import copy
 import os
 import pickle
 import random
+from functools import reduce
 from unittest import mock
 
 import pytest
@@ -26,6 +27,7 @@ from sepcurve.rationals import rat
 from sepcurve.rpoly import (
     GCD_PRIME,
     Poly,
+    _mul_mod_p,
     _value_image_mod_p,
     is_squarefree,
     poly_gcd,
@@ -35,6 +37,9 @@ from sepcurve.rpoly import (
 )
 
 rationals = st.builds(rat, st.integers(-6, 6), st.integers(1, 4))
+
+# 3x^4 - 4x^3: critical values -1 (at x = 1) and 0 (at the double point x = 0)
+_SHARED_ZERO = poly_of(0, 0, 0, -4, 3)
 
 
 @st.composite
@@ -173,7 +178,7 @@ def test_classify_shifts_once_per_class_per_side(monkeypatch):
     pair = PolynomialPair(*(random_polynomial(rng, 10, 10, sparse=False) for _ in "pq"))
     verdict = classify(pair)
     assert verdict.matching is pair.matching()
-    assert None not in (pair.critical_p().images, pair.critical_q().images)
+    assert None not in (pair.critical_p().image, pair.critical_q().image)
     assert calls == []
     # both critical values shared: the matching reads every piece
     pair = random_affine_image(theorem3_pair(5), rng)
@@ -185,7 +190,7 @@ def test_classify_shifts_once_per_class_per_side(monkeypatch):
     # -1 taken twice: the shape comes from the exact table
     calls.clear()
     cs = analyze(poly_of(0, 0, -2, 0, 1))
-    assert cs.images is None and len(calls) == len(cs.classes)
+    assert cs.image is None and len(calls) == len(cs.classes)
 
 
 @given(p=st.one_of(polys_deg2plus(), polys_multiclass()))
@@ -203,7 +208,7 @@ def test_values_that_coincide_only_modulo_p_decline():
     # p/4 (x^3 - 3x) takes -+p/2, both 0 modulo p
     p = poly_of(0, -3, 0, 1) * rat(GCD_PRIME, 4)
     cs = analyze(p)
-    assert cs.images is None
+    assert cs.image is None
     assert cs.hypothesis_I and hypothesis_I(p)
     assert cs.values == ((poly_of(rat(-(GCD_PRIME**2), 4), 0, 1), (1,)),)
 
@@ -218,7 +223,7 @@ def test_values_that_coincide_only_modulo_p_decline():
 def test_a_denominator_divisible_by_p_declines(p):
     cs = analyze(p)
     assert _value_image_mod_p(cs.classes[0].factor, p) is None
-    assert cs.images is None
+    assert cs.image is None
     assert cs.shape == ((2, (1,)),) and cs.hypothesis_I
 
 
@@ -226,10 +231,18 @@ def test_values_shared_only_modulo_p_are_not_matched():
     # values +-2 against +-2 + p: equal images modulo p, no shared value
     pair = PolynomialPair(poly_of(0, -3, 0, 1), poly_of(GCD_PRIME, -3, 0, 1))
     cs_p, cs_q = pair.critical_p(), pair.critical_q()
-    assert cs_p.images is not None and cs_p.images == cs_q.images
+    assert cs_p.image is not None and cs_p.image == cs_q.image
     m = match_pairs(pair)
     assert m.matched_pair_count == 0
     assert m.unmatched_p_points == (1, 1) and m.unmatched_q_points == (1, 1)
+
+
+def test_certified_sides_sharing_a_value_match_through_the_exact_pieces():
+    # images y(y + 1) and y against x^2: both certified, not coprime
+    pair = PolynomialPair(_SHARED_ZERO, poly_of(0, 0, 1))
+    assert None not in (pair.critical_p().image, pair.critical_q().image)
+    m = match_pairs(pair)
+    assert (m.matched_points, m.unmatched_p_points, m.unmatched_q_points) == (((2, 1),), (1,), ())
 
 
 def test_a_wrong_shape_certificate_is_caught_under_debug_checks(monkeypatch):
@@ -237,7 +250,9 @@ def test_a_wrong_shape_certificate_is_caught_under_debug_checks(monkeypatch):
     monkeypatch.setattr(  # certify every shape, generic or not
         critical,
         "_certified_images",
-        lambda p, classes: tuple(tuple(_value_image_mod_p(c.factor, p)) for c in classes),
+        lambda p, classes: tuple(
+            reduce(_mul_mod_p, (_value_image_mod_p(c.factor, p) for c in classes))
+        ),
     )
     p = poly_of(0, 0, -2, 0, 1)  # x^4 - 2x^2: -1 taken twice
     assert analyze(p).hypothesis_I  # the faulty certificate is trusted...
@@ -257,7 +272,7 @@ def test_a_wrong_value_image_is_caught_under_debug_checks(monkeypatch):
 
     monkeypatch.setattr(critical, "_value_image_mod_p", shifted)
     p = poly_of(0, -3, 0, 1)  # x^3 - 3x: values +-2, image y^2 - 4
-    assert analyze(p).images == ((GCD_PRIME - 3, 2, 1),)  # the faulty kernel is trusted...
+    assert analyze(p).image == (GCD_PRIME - 3, 2, 1)  # the faulty kernel is trusted...
     with mock.patch.dict(os.environ, {"SEPCURVE_DEBUG_CHECKS": "1"}):
         with pytest.raises(ArithmeticError, match="value images disagree"):
             analyze(p)  # ...unless debug checks compare each image with the exact one
@@ -386,6 +401,7 @@ _TWO_POINT_VALUE = Poly([rat(1), rat(-1, 2), rat(1, 2), rat(2), rat(1)])
 @example(p=poly_of(0, 0, 4, 0, 1), q=poly_of(0, 0, 4, 0, 1))  # x^4 + 4x^2
 @example(p=_TWO_POINT_VALUE, q=_TWO_POINT_VALUE)
 @example(p=poly_of(0, 0, 0, 0, 1), q=poly_of(1, 0, -2, 0, 1))  # l0 = 2: two tacnodes
+@example(p=_SHARED_ZERO, q=poly_of(0, 0, 1))  # certified images y(y + 1) and y share 0
 @settings(deadline=None, max_examples=40)
 def test_match_pairs_aggregate_invariants(p, q):
     pair = PolynomialPair(p, q)

@@ -1,3 +1,6 @@
+import contextlib
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,11 +87,40 @@ def test_oversized_input_fails_before_expanding(text, position, fragment):
     assert err.value.position == position
 
 
+@contextlib.contextmanager
+def _int_max_str_digits(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_caps_sit_above_real_inputs():
     assert parse_poly("x^256").degree == 256
     assert parse_poly("x^200 * x^56").degree == 256
     assert parse_poly("1/2^4800 * x").coeff(1) == rat(1, 2**4800)
-    assert parse_poly("2^32767 * 2^32767 * x") == Poly.monomial(rat(2**65534), 1)
+    with _int_max_str_digits(0):  # 2^65534 has 19728 digits: only the bit cap applies
+        assert parse_poly("2^32767 * 2^32767 * x") == Poly.monomial(rat(2**65534), 1)
+
+
+@pytest.mark.parametrize(
+    "text, degree",
+    [
+        ("3^10000*x^2", 2),  # 4772 digits
+        ("1/7^5000*x + 1/11^4000*x", 1),  # 4226 and 4166 digits, their sum's 8392
+        ("10^4300 + x^2", 0),  # one digit past the limit
+    ],
+)
+def test_coefficients_past_the_digit_limit_fail_with_a_position(text, degree):
+    with _int_max_str_digits(4300):
+        assert parse_poly("3^9000*x^2 + 10^4299").coeff(2) == 3**9000  # 4295 and 4300 digits
+        assert parse_poly("3^10000*x - 3^10000*x + x") == Poly.x()  # only the result counts
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+    assert f"coefficient of degree {degree} has more than 4300 digits" in str(err.value)
+    assert err.value.position == 0
 
 
 def test_long_products_of_capped_powers_fail_at_the_first_star():
