@@ -39,7 +39,6 @@ from .geometry import (
 from .linfactor import LinearFactorWitness, find_linear_factor
 from .numoracle import (
     OracleOutcome,
-    check_resultant_product,
     complex_roots,
     corroborate_hypothesis_I,
     verify_pair_counts,
@@ -88,7 +87,6 @@ __all__ = [
     "Verdict",
     "analyze",
     "check_regularity",
-    "check_resultant_product",
     "classify",
     "complex_roots",
     "corollary1_lhs",

@@ -207,7 +207,7 @@ def _build_argparser() -> _Parser:
     )
     cl.add_argument(
         "--oracle", choices=("geometry", "numeric", "both"),
-        help="cross-check with the genus count and/or certified numerics",
+        help="cross-check with the genus count and/or numeric error disks",
     )
     cl.add_argument(
         "--precision", type=_precision_bits, default=DEFAULT_PRECISION, metavar="BITS",

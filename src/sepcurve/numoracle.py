@@ -1,13 +1,23 @@
 """High-precision numeric corroboration of the exact critical-value data.
 
 Everything here is a cross-check: complex critical points are
-approximated with certified disks, their values are clustered, and the
-cluster picture is compared against what the exact layer claims.  Two
-disks that stay disjoint certify distinctness; overlap proves nothing
-and is resolved by doubling the precision up to a cap.  Outcomes are
-three-valued — agreement, certified disagreement, or ambiguity — and
-none of them ever feeds a verdict.  ``mpmath`` is imported on first
-use, so importing the package or its CLI does not load it.
+approximated by disks, their values are clustered, and the cluster
+picture is compared against what the exact layer claims.  Two disks
+that stay disjoint count as distinct; overlap proves nothing and is
+resolved by doubling the precision up to a cap.  Outcomes are
+three-valued — agreement, disagreement, or ambiguity — and none of them
+ever feeds a verdict.
+
+Roots start from Aberth–Ehrlich sweeps in double precision, or from a
+scrambled circle when the doubles cannot hold the polynomial, and are
+refined by Weierstrass sweeps over a ladder of doubling precisions up
+to the requested one; each doubling of an oracle's precision seeds its
+one sweep run with the previous step's iterates.  A root disk's radius
+is 2n·|w| for the final Weierstrass correction w plus a fixed slack.
+Neither it nor the value disks account for rounding, and the root disks
+are not proven pairwise disjoint (ROADMAP item 3), so the disks are
+estimates, not certificates.  ``mpmath`` is imported on first use, so
+importing the package or its CLI does not load it.
 """
 
 from __future__ import annotations
@@ -17,11 +27,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .critical import CriticalStructure, PairMatching, PolynomialPair, analyze
-from .rpoly import Poly, is_squarefree, resultant_shift
+from .rpoly import Poly, is_squarefree
 
 DEFAULT_PRECISION = 256
 PRECISION_CAP = 4096
 _GUARD = 64
+# the double-precision start: Aberth–Ehrlich sweeps, and the residual,
+# relative to the Horner rounding bound sum |a_k| |z|^k, below which a
+# root stops moving
+_FLOAT_SWEEPS = 50
+_FLOAT_EPS = 2.0**-48
 
 
 class OracleOutcome(enum.Enum):
@@ -32,7 +47,7 @@ class OracleOutcome(enum.Enum):
 
 @dataclass(frozen=True)
 class ComplexApprox:
-    """A complex approximation with a certified error radius.
+    """A complex approximation with an error radius.
 
     Two approximations are known-distinct only when their disks are
     disjoint; overlapping disks stay inconclusive until refined.
@@ -86,16 +101,21 @@ def _horner(coeffs, z):
 
 
 def complex_roots(p: Poly, precision_bits: int = DEFAULT_PRECISION):
-    """All complex roots of a squarefree polynomial, as certified disks.
+    """All complex roots of a squarefree polynomial, as disks.
 
-    Simultaneous Weierstrass iteration from a scrambled circle; the
-    radius of each disk is the classical a posteriori bound
-    deg(p) * |correction| at the final iterate.  Raise the precision to
-    shrink the disks (multiplicities are handled symbolically upstream,
-    so repeated roots are a caller bug and raise ValueError).
+    Aberth–Ehrlich sweeps in double precision give the start, and
+    Weierstrass sweeps refine it over a ladder of doubling precisions
+    (:func:`_isolate`).  The radius of each disk is 2 * deg(p) * |w|,
+    for the Weierstrass correction w at the final iterate, plus a fixed
+    slack of 2^-(precision_bits + 56).  It does not yet account for
+    rounding, and the disks are not proven pairwise disjoint (ROADMAP
+    item 3), so a disk is an estimate, not a certificate.  Raise the
+    precision to shrink the disks (multiplicities are handled
+    symbolically upstream, so repeated roots are a caller bug and raise
+    ValueError).
     """
     _require_squarefree(p)
-    return _isolate(p, precision_bits)
+    return _isolate(p, precision_bits)[0]
 
 
 def _require_squarefree(p: Poly) -> None:
@@ -108,50 +128,123 @@ def _require_squarefree(p: Poly) -> None:
         )
 
 
-def _isolate(p: Poly, precision_bits: int):
-    """complex_roots for a p already proven nonconstant and squarefree."""
+def _circle_angle(k: int, n: int) -> float:
+    """Start angle of root k of n, in half turns: a circle scrambled so
+    that no start point sits on a symmetry axis of a real polynomial."""
+    return (2 * k + 1) / n + 1 / (2 * n + 3)
+
+
+def _float_start(p: Poly):
+    """The roots of p to about double precision: Aberth–Ehrlich sweeps
+    (Bini, Numer. Algorithms 13, 1996) in Python ``complex`` on the
+    monic float image of p, from the scrambled circle through its Cauchy
+    bound.  A root stops moving once |p(z)| is within the rounding of
+    Horner's rule.  None when the image loses a nonzero coefficient to
+    overflow or underflow, or the sweeps do not end on finite, pairwise
+    distinct points."""
+    import cmath
+    n, lead = p.degree, p.num[-1]
+    try:
+        a = [c / lead for c in p.num]  # int / int rounds correctly
+    except OverflowError:
+        return None
+    if not all(x for c, x in zip(p.num, a) if c):
+        return None
+    bound = 1 + max(abs(c) for c in a[:-1])
+    zs = [cmath.rect(bound, cmath.pi * _circle_angle(k, n)) for k in range(n)]
+    moving = list(range(n))
+    try:
+        for _ in range(_FLOAT_SWEEPS):
+            still = []
+            for i in moving:
+                z = zs[i]
+                az, v, d, e = abs(z), 1.0, 0.0, 1.0
+                for c in a[-2::-1]:
+                    d = d * z + v
+                    v = v * z + c
+                    e = e * az + abs(c)
+                if abs(v) <= _FLOAT_EPS * e:
+                    continue
+                ratio = v / d
+                s = sum(1 / (z - zs[j]) for j in range(n) if j != i)
+                zs[i] = z - ratio / (1 - ratio * s)
+                still.append(i)
+            moving = still
+            if not moving:
+                break
+    except (ZeroDivisionError, OverflowError):
+        return None
+    if not all(cmath.isfinite(z) for z in zs) or len(set(zs)) < n:
+        return None
+    return zs
+
+
+def _correction(coeffs, zs, i):
+    """Weierstrass correction p(z_i) / prod_(j != i) (z_i - z_j) of the
+    monic polynomial with coefficients ``coeffs``."""
+    import mpmath
+    denom = mpmath.mpc(1)
+    for j, zj in enumerate(zs):
+        if j != i:
+            denom *= zs[i] - zj
+    return _horner(coeffs, zs[i]) / denom
+
+
+def _isolate(p: Poly, precision_bits: int, zs=None):
+    """complex_roots for a p already proven nonconstant and squarefree,
+    with the iterates it ended on: (disks, iterates).
+
+    Iterates ``zs`` from an earlier call at a lower precision seed a
+    single Weierstrass run at ``precision_bits``.  Without them the start
+    is :func:`_float_start`, or the scrambled circle through the Cauchy
+    bound when the doubles cannot hold p, and Weierstrass runs on the
+    ladder ceil(precision_bits / 2^j) for j = k, ..., 1, 0, whose lowest
+    level is the first one at most 64 bits.  Each level sweeps until
+    every correction is below 2^-(level + 32) * max(1, bound), or until
+    its iteration cap.
+    """
     import mpmath
     n = p.degree
     with mpmath.workprec(precision_bits + _GUARD):
         lc = _to_mpf(p.lc)
         coeffs = [_to_mpf(c) / lc for c in p.coeffs]
-        bound = 1 + max(abs(c) for c in coeffs[:-1]) if n else mpmath.mpf(1)
-        zs = [
-            bound * mpmath.expjpi(mpmath.mpf(2 * k + 1) / n + mpmath.mpf(1) / (2 * n + 3))
-            for k in range(n)
-        ]
-        target = mpmath.mpf(2) ** (-(precision_bits + _GUARD // 2)) * max(1, bound)
-        max_iters = 200 + 20 * n + precision_bits // 8
-        corrections = [mpmath.mpc(0)] * n
-        for _ in range(max_iters):
-            worst = mpmath.mpf(0)
-            for i in range(n):
-                denom = mpmath.mpc(1)
-                for j in range(n):
-                    if j != i:
-                        denom *= zs[i] - zs[j]
-                w = _horner(coeffs, zs[i]) / denom
-                corrections[i] = w
-                zs[i] = zs[i] - w
-                worst = max(worst, abs(w))
-            if worst < target:
-                break
-        out = []
-        for i in range(n):
-            denom = mpmath.mpc(1)
-            for j in range(n):
-                if j != i:
-                    denom *= zs[i] - zs[j]
-            w = _horner(coeffs, zs[i]) / denom
-            radius = 2 * n * abs(w) + mpmath.mpf(2) ** (-(precision_bits + _GUARD - 8))
-            out.append(ComplexApprox(real=zs[i].real, imag=zs[i].imag, radius=radius))
-        return tuple(out)
+        bound = 1 + max(abs(c) for c in coeffs[:-1])
+    if zs is not None:
+        levels, zs = [precision_bits], list(zs)
+    else:
+        levels = [precision_bits]
+        while levels[0] > 64:
+            levels.insert(0, -(-levels[0] // 2))
+        start = _float_start(p)
+        if start is not None:
+            zs = [mpmath.mpc(z) for z in start]
+        else:
+            with mpmath.workprec(levels[0] + _GUARD):
+                zs = [bound * mpmath.expjpi(_circle_angle(k, n)) for k in range(n)]
+    for prec in levels:
+        with mpmath.workprec(prec + _GUARD):
+            target = mpmath.mpf(2) ** (-(prec + _GUARD // 2)) * max(1, bound)
+            for _ in range(200 + 20 * n + prec // 8):
+                worst = mpmath.mpf(0)
+                for i in range(n):
+                    w = _correction(coeffs, zs, i)
+                    zs[i] = zs[i] - w
+                    worst = max(worst, abs(w))
+                if worst < target:
+                    break
+    with mpmath.workprec(precision_bits + _GUARD):
+        slack = mpmath.mpf(2) ** (-(precision_bits + _GUARD - 8))
+        disks = []
+        for i, z in enumerate(zs):
+            radius = 2 * n * abs(_correction(coeffs, zs, i)) + slack
+            disks.append(ComplexApprox(real=z.real, imag=z.imag, radius=radius))
+        return tuple(disks), zs
 
 
-def _value_disk(p: Poly, root: ComplexApprox):
-    """Disk certified to contain p(z) for every z in the root disk."""
+def _value_disk(coeffs, root: ComplexApprox):
+    """Disk containing p(z) for every z in the root disk, up to
+    rounding, for the p with mpf coefficients ``coeffs`` (low to high)."""
     import mpmath
-    coeffs = [_to_mpf(c) for c in p.coeffs]
     z = root.value
     center = _horner(coeffs, z)
     az, r = abs(z), root.radius
@@ -184,15 +277,31 @@ def _cluster_indices(disks):
     return sorted(groups.values(), key=lambda g: (-len(g), g))
 
 
-def _critical_value_disks(cs: CriticalStructure, precision_bits: int):
+def _class_roots(structures, precision_bits: int, iterates: dict) -> dict:
+    """Root disks of every class factor of the given sides at one
+    precision step, each distinct factor isolated once.  ``iterates``
+    maps a factor to its iterates from the previous step, which seed
+    this one, and is updated in place.  The factors must already be
+    proven squarefree (:func:`_require_critical_squarefree`, once per
+    oracle call)."""
+    roots = {}
+    for cs in structures:
+        for cls in cs.classes:
+            f = cls.factor
+            if f not in roots:
+                roots[f], iterates[f] = _isolate(f, precision_bits, iterates.get(f))
+    return roots
+
+
+def _critical_value_disks(cs: CriticalStructure, roots: dict):
     """(point multiplicity, value disk) for every critical point of
-    cs.poly.  The class factors must already be proven squarefree
-    (:func:`_require_critical_squarefree`, once per oracle call)."""
-    out = []
-    for cls in cs.classes:
-        for root in _isolate(cls.factor, precision_bits):
-            out.append((cls.multiplicity, _value_disk(cs.poly, root)))
-    return out
+    cs.poly, from the disks of its class factors' roots."""
+    coeffs = [_to_mpf(c) for c in cs.poly.coeffs]
+    return [
+        (cls.multiplicity, _value_disk(coeffs, root))
+        for cls in cs.classes
+        for root in roots[cls.factor]
+    ]
 
 
 def _require_critical_squarefree(*structures: CriticalStructure) -> None:
@@ -237,9 +346,10 @@ def corroborate_hypothesis_I(
 
     Compares the observed cluster-size multiset of the critical values
     against the exact one, ``value_multiplicities`` from :func:`analyze`.
-    Distinctness is certified by disjoint disks; observed coincidence is
+    Distinctness is shown by disjoint disks; observed coincidence is
     only ever "consistent", so a matching picture counts as agreement
-    and a certified split of an exact coincidence is a disagreement.
+    and a split of an exact coincidence into disjoint disks is a
+    disagreement.
     """
     import mpmath
     if precision_bits < 1:
@@ -251,9 +361,11 @@ def corroborate_hypothesis_I(
 
     prec = precision_bits
     sizes = ()
+    iterates = {}
     while True:
         with mpmath.workprec(prec + _GUARD):
-            disks = [d for _, d in _critical_value_disks(cs, prec)]
+            roots = _class_roots([cs], prec, iterates)
+            disks = [d for _, d in _critical_value_disks(cs, roots)]
             groups = _cluster_indices(disks)
             sizes = tuple(sorted((len(g) for g in groups), reverse=True))
             if sizes == expected:
@@ -270,12 +382,12 @@ def verify_pair_counts(
     pm: Optional[PairMatching] = None,
     precision_bits: int = DEFAULT_PRECISION,
 ) -> PairCountOracle:
-    """Recount the matched critical-value pairs with certified disks.
+    """Recount the matched critical-value pairs with error disks.
 
     Agreement requires the numeric clusters to reproduce the exact
     matching exactly: one P-point and one Q-point per matched value,
     the same (p, q) multiset, and the same unmatched multiplicities,
-    with everything else certified disjoint.  A matching the disks
+    with everything else in disjoint disks.  A matching the disks
     refute (a claimed coincidence that separates) is a disagreement;
     unresolved overlap escalates precision and then reports ambiguity.
     """
@@ -298,10 +410,12 @@ def verify_pair_counts(
 
     prec = precision_bits
     detail = ""
+    iterates = {}
     while True:
         with mpmath.workprec(prec + _GUARD):
-            tagged = [("P", m, d) for m, d in _critical_value_disks(pp.critical_p(), prec)]
-            tagged += [("Q", m, d) for m, d in _critical_value_disks(pp.critical_q(), prec)]
+            roots = _class_roots([pp.critical_p(), pp.critical_q()], prec, iterates)
+            tagged = [("P", m, d) for m, d in _critical_value_disks(pp.critical_p(), roots)]
+            tagged += [("Q", m, d) for m, d in _critical_value_disks(pp.critical_q(), roots)]
             groups = _cluster_indices([d for _, _, d in tagged])
             mixed, single_p, single_q = [], [], []
             unresolved = False
@@ -350,41 +464,3 @@ def _multiset_sub(a, b):
             out.remove(x)
     return tuple(out)
 
-
-def check_resultant_product(
-    s: Poly,
-    p: Poly,
-    ys=None,
-    precision_bits: int = DEFAULT_PRECISION,
-) -> bool:
-    """Sample check of resultant_shift(s, p) == prod (y - p(root of s)).
-
-    Evaluates both sides at rational sample points; the numeric side
-    carries interval bounds propagated through the product, and the
-    check passes only when the exact value sits inside them at every
-    sample.
-    """
-    import mpmath
-    if ys is None:
-        from .rationals import Rat
-
-        ys = [Rat(2), Rat(-1), Rat(1, 2), Rat(3), Rat(-2, 3), Rat(5), Rat(-5), Rat(7, 2)]
-    shifted = resultant_shift(s, p)
-    with mpmath.workprec(precision_bits + _GUARD):
-        value_disks = [
-            _value_disk(p, root) for root in complex_roots(s, precision_bits)
-        ]
-        for y in ys:
-            exact = _to_mpf(shifted(y))
-            ym = _to_mpf(y)
-            center = mpmath.mpc(1)
-            hi, lo = mpmath.mpf(1), mpmath.mpf(1)
-            for d in value_disks:
-                f = ym - d.value
-                center *= f
-                hi *= abs(f) + d.radius
-                lo *= abs(f)
-            slack = (hi + abs(exact) + 1) * mpmath.mpf(2) ** (-(precision_bits // 2))
-            if abs(exact - center) > hi - lo + slack:
-                return False
-    return True

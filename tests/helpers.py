@@ -1,11 +1,11 @@
 """Builders shared across the test modules."""
 
-from sepcurve import rpoly
+from sepcurve import numoracle, rpoly
 from sepcurve.classify import Outcome, Verdict
 from sepcurve.critical import PairMatching
 from sepcurve.linfactor import LinearFactorWitness
 from sepcurve.rationals import ONE, ZERO, Rat, rat
-from sepcurve.rpoly import Poly, poly_gcd
+from sepcurve.rpoly import Poly, poly_gcd, resultant_shift
 
 
 def poly_of(*coeffs):
@@ -196,3 +196,37 @@ def reference_linear_factor(pair):
             f"t = ({(shift_num % g).to_string('s')}) / ({shift_den})"
         ),
     )
+
+
+def check_resultant_product(s, p, ys=None, precision_bits=numoracle.DEFAULT_PRECISION):
+    """Sample check of resultant_shift(s, p) == prod (y - p(root of s)).
+
+    Evaluates both sides at rational sample points; the numeric side
+    carries interval bounds propagated through the product, and the
+    check passes only when the exact value sits inside them at every
+    sample.
+    """
+    import mpmath
+    if ys is None:
+        ys = [Rat(2), Rat(-1), Rat(1, 2), Rat(3), Rat(-2, 3), Rat(5), Rat(-5), Rat(7, 2)]
+    shifted = resultant_shift(s, p)
+    with mpmath.workprec(precision_bits + numoracle._GUARD):
+        coeffs = [numoracle._to_mpf(c) for c in p.coeffs]
+        value_disks = [
+            numoracle._value_disk(coeffs, root)
+            for root in numoracle.complex_roots(s, precision_bits)
+        ]
+        for y in ys:
+            exact = numoracle._to_mpf(shifted(y))
+            ym = numoracle._to_mpf(y)
+            center = mpmath.mpc(1)
+            hi, lo = mpmath.mpf(1), mpmath.mpf(1)
+            for d in value_disks:
+                f = ym - d.value
+                center *= f
+                hi *= abs(f) + d.radius
+                lo *= abs(f)
+            slack = (hi + abs(exact) + 1) * mpmath.mpf(2) ** (-(precision_bits // 2))
+            if abs(exact - center) > hi - lo + slack:
+                return False
+    return True

@@ -8,6 +8,7 @@ import functools
 import random
 import time
 
+from helpers import check_resultant_product
 from sepcurve.classify import Outcome, classify, matching_case_ids
 from sepcurve.critical import (
     analyze,
@@ -33,11 +34,7 @@ from sepcurve.instances import (
     theorem2_pair,
 )
 from sepcurve.linfactor import find_linear_factor
-from sepcurve.numoracle import (
-    OracleOutcome,
-    check_resultant_product,
-    corroborate_hypothesis_I,
-)
+from sepcurve.numoracle import OracleOutcome, corroborate_hypothesis_I
 from sepcurve.oneforms import verify_witnesses
 from sepcurve.rpoly import squarefree_decomposition, squarefree_part
 

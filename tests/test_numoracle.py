@@ -4,13 +4,12 @@ from unittest import mock
 import mpmath
 import pytest
 
-from helpers import poly_of
+from helpers import check_resultant_product, poly_of
 from sepcurve import numoracle
 from sepcurve.critical import PolynomialPair, hypothesis_I, match_pairs
 from sepcurve.instances import random_polynomial
 from sepcurve.numoracle import (
     OracleOutcome,
-    check_resultant_product,
     complex_roots,
     corroborate_hypothesis_I,
     verify_pair_counts,
@@ -45,6 +44,44 @@ def test_roots_pairwise_disjoint():
             assert abs(a.value - b.value) > a.radius + b.radius
 
 
+def _reference_roots(p, bits):
+    # mpmath's own Durand-Kerner at twice the isolation's working precision
+    with mpmath.workprec(2 * (bits + numoracle._GUARD)):
+        return mpmath.polyroots(
+            [numoracle._to_mpf(c) for c in reversed(p.coeffs)], maxsteps=200
+        )
+
+
+def _assert_one_root_per_disk(p, bits):
+    disks = complex_roots(p, bits)
+    ref = _reference_roots(p, bits)
+    assert len(disks) == len(ref) == p.degree
+    with mpmath.workprec(2 * (bits + numoracle._GUARD)):
+        inside = [[abs(r - d.value) <= d.radius for r in ref] for d in disks]
+    assert all(sum(row) == 1 for row in inside), (p, bits)
+    assert all(sum(col) == 1 for col in zip(*inside)), (p, bits)
+
+
+# the reference at 8320 bits takes 1-3 s per polynomial past degree 6
+@pytest.mark.parametrize("bits, top", [(64, 12), (256, 12), (1024, 12), (4096, 6)])
+def test_isolation_against_mpmath_polyroots(bits, top):
+    rng = random.Random(bits)
+    for d in range(1, top + 1):
+        cs = [rat(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(d)]
+        lc = rat(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 9))
+        p = squarefree_part(poly_of(*cs, lc))
+        _assert_one_root_per_disk(p, bits)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024, 4096])
+def test_isolation_without_a_float_image(bits):
+    # 10^-400 and 2^-1100 underflow in the monic float image, so the
+    # start is the scrambled circle and not the Aberth sweeps in doubles
+    for p in (poly_of(1, -(10**400), 0, 10**400), poly_of(1, -2, rat(1, 2**1100), 1)):
+        assert numoracle._float_start(p) is None
+        _assert_one_root_per_disk(p, bits)
+
+
 def test_non_squarefree_input_refused():
     with pytest.raises(ValueError, match="squarefree"):
         complex_roots(poly_of(0, 0, 1))
@@ -66,6 +103,26 @@ def test_oracle_proves_each_factor_squarefree_once():
         calls.clear()
         verify_pair_counts(PolynomialPair(p, p))
         assert [f.degree for f in calls] == [3, 3]
+
+
+def test_oracle_isolates_each_factor_once_per_step():
+    # the same climb to 2048 bits: the first step starts the cubic from
+    # scratch and every doubling resumes from the previous iterates, and
+    # the pair oracle isolates the factor both sides share once per step
+    p = poly_of(0, rat(1, 2**2000), -2, 0, 1)
+    real, calls = numoracle._isolate, []
+
+    def recording(f, bits, zs=None):
+        calls.append((f.degree, bits, zs is None))
+        return real(f, bits, zs)
+
+    steps = [(3, 256, True), (3, 512, False), (3, 1024, False), (3, 2048, False)]
+    with mock.patch.object(numoracle, "_isolate", recording):
+        assert corroborate_hypothesis_I(p).precision_bits == 2048
+        assert calls == steps
+        calls.clear()
+        assert verify_pair_counts(PolynomialPair(p, p)).precision_bits == 2048
+        assert calls == steps
 
 
 def test_hypothesis_corroboration_simple_and_clustered():
@@ -154,3 +211,28 @@ def test_pair_recount_random():
         assert rep.agrees, (pair, rep.detail)
         assert rep.l0_numeric == match_pairs(pair).matched_pair_count
         done += 1
+
+
+# 2^-k perturbations against the precision ladder: (k, precision the
+# oracles settle at, outcome, cluster sizes, l0)
+LADDER = [
+    (150, 256, OracleOutcome.AGREE, (1, 1, 1), 0),
+    (500, 512, OracleOutcome.AGREE, (1, 1, 1), 0),
+    (1000, 1024, OracleOutcome.AGREE, (1, 1, 1), 0),
+    (2000, 2048, OracleOutcome.AGREE, (1, 1, 1), 0),
+    (3500, 4096, OracleOutcome.AGREE, (1, 1, 1), 0),
+    (4700, 4096, OracleOutcome.AMBIGUOUS, (2, 1), None),
+]
+
+
+@pytest.mark.parametrize("k, bits, outcome, sizes, l0", LADDER)
+def test_escalation_ladder(k, bits, outcome, sizes, l0):
+    # x^4 - 2x^2 + 2^-k x has two critical values 2^(1-k) apart near -1, and
+    # x^3 - 3x against x^3 - 3x + 2^-k has every pair of values 2^-k
+    # apart: each oracle climbs until its disks separate them
+    eps = rat(1, 2**k)
+    rep = corroborate_hypothesis_I(poly_of(0, eps, -2, 0, 1))
+    assert (rep.outcome, rep.precision_bits, rep.cluster_sizes) == (outcome, bits, sizes)
+    a = poly_of(0, -3, 0, 1)
+    rep = verify_pair_counts(PolynomialPair(a, a + poly_of(eps)))
+    assert (rep.outcome, rep.precision_bits, rep.l0_numeric) == (outcome, bits, l0)
