@@ -12,105 +12,77 @@ module for independent cross-checks, and :mod:`sepcurve.cli` for the
 command-line front end.
 """
 
-from .classify import Outcome, Verdict, classify, matching_case_ids, sufficient_conditions
-from .critical import (
-    CriticalClass,
-    CriticalStructure,
-    PairMatching,
-    PolynomialPair,
-    analyze,
-    corollary1_lhs,
-    homogenized_meta,
-    hypothesis_I,
-    match_pairs,
-    theorem1_lhs,
-)
-from .geometry import (
-    DeficiencyReport,
-    GenusMethod,
-    IrreducibilityVerdict,
-    SingularProfile,
-    UnsupportedRegionError,
-    deficiency,
-    genus_from_profile,
-    genus_if_supported,
-    singular_profile,
-)
-from .linfactor import LinearFactorWitness, find_linear_factor
-from .numoracle import (
-    OracleOutcome,
-    complex_roots,
-    corroborate_hypothesis_I,
-    verify_pair_counts,
-)
-from .oneforms import (
-    MalformedFormError,
-    OneFormSpec,
-    RegularityReport,
-    check_regularity,
-    emit_witnesses,
-    order_bounds,
-    verify_witnesses,
-)
-from .parsepoly import ParseError, parse_poly
-from .rationals import Rat, rat
-from .rpoly import (
-    Poly,
-    is_squarefree,
-    resultant,
-    resultant_shift,
-    squarefree_decomposition,
-    squarefree_part,
-)
+import importlib
+
+# ``classify`` is bound now: it names both a function and the submodule
+# ``sepcurve.classify``, and once the submodule is imported the import
+# system sets the package attribute, so __getattr__ would never be asked.
+from .classify import classify
+
+# Every other export is imported from its submodule on first access (PEP 562).
+_EXPORTS = {
+    "classify": ("Outcome", "Verdict", "matching_case_ids", "sufficient_conditions"),
+    "critical": (
+        "CriticalClass",
+        "CriticalStructure",
+        "PairMatching",
+        "PolynomialPair",
+        "analyze",
+        "corollary1_lhs",
+        "homogenized_meta",
+        "hypothesis_I",
+        "match_pairs",
+        "theorem1_lhs",
+    ),
+    "geometry": (
+        "DeficiencyReport",
+        "GenusMethod",
+        "IrreducibilityVerdict",
+        "SingularProfile",
+        "UnsupportedRegionError",
+        "deficiency",
+        "genus_from_profile",
+        "genus_if_supported",
+        "singular_profile",
+    ),
+    "linfactor": ("LinearFactorWitness", "find_linear_factor"),
+    "numoracle": ("OracleOutcome", "complex_roots", "corroborate_hypothesis_I", "verify_pair_counts"),
+    "oneforms": (
+        "MalformedFormError",
+        "OneFormSpec",
+        "RegularityReport",
+        "check_regularity",
+        "emit_witnesses",
+        "order_bounds",
+        "verify_witnesses",
+    ),
+    "parsepoly": ("ParseError", "parse_poly"),
+    "rationals": ("Rat", "rat"),
+    "rpoly": (
+        "Poly",
+        "is_squarefree",
+        "resultant",
+        "resultant_shift",
+        "squarefree_decomposition",
+        "squarefree_part",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CriticalClass",
-    "CriticalStructure",
-    "DeficiencyReport",
-    "GenusMethod",
-    "IrreducibilityVerdict",
-    "LinearFactorWitness",
-    "MalformedFormError",
-    "OneFormSpec",
-    "OracleOutcome",
-    "Outcome",
-    "PairMatching",
-    "ParseError",
-    "Poly",
-    "PolynomialPair",
-    "Rat",
-    "RegularityReport",
-    "SingularProfile",
-    "UnsupportedRegionError",
-    "Verdict",
-    "analyze",
-    "check_regularity",
-    "classify",
-    "complex_roots",
-    "corollary1_lhs",
-    "corroborate_hypothesis_I",
-    "deficiency",
-    "emit_witnesses",
-    "find_linear_factor",
-    "genus_from_profile",
-    "genus_if_supported",
-    "homogenized_meta",
-    "hypothesis_I",
-    "is_squarefree",
-    "match_pairs",
-    "matching_case_ids",
-    "order_bounds",
-    "parse_poly",
-    "rat",
-    "resultant",
-    "resultant_shift",
-    "singular_profile",
-    "squarefree_decomposition",
-    "squarefree_part",
-    "sufficient_conditions",
-    "theorem1_lhs",
-    "verify_pair_counts",
-    "verify_witnesses",
-]
+__all__ = sorted(["classify", *_MODULE_OF])

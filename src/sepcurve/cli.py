@@ -19,18 +19,11 @@ from typing import Optional
 
 from .classify import Outcome, Verdict, classify
 from .critical import PolynomialPair, corollary1_lhs, theorem1_lhs
-from .geometry import genus_if_supported
-from .instances import (
-    CASE_IDS,
-    case_instance,
-    inconclusive_pair,
-    theorem1_pair,
-    theorem2_pair,
-    theorem3_pair,
-)
-from .numoracle import DEFAULT_PRECISION, PRECISION_CAP, verify_pair_counts
-from .oneforms import verify_witnesses
 from .parsepoly import parse_poly
+
+# The oracles, the witness audit and the selftest instances are imported
+# by the functions that use them, so importing this module loads none of
+# them; the argument parser reads numoracle's precision bounds.
 
 EXIT_BY_OUTCOME = {
     Outcome.HYPERBOLIC: 0,
@@ -68,6 +61,13 @@ def _critical_summary(pair: PolynomialPair) -> dict:
     }
 
 
+def verify_witnesses(verdict: Verdict, matching=None):
+    """``oneforms.verify_witnesses``, imported on the first call."""
+    from .oneforms import verify_witnesses
+
+    return verify_witnesses(verdict, matching)
+
+
 def _witness_texts(verdict: Verdict) -> list:
     """The audited witness forms; a form failing its own regularity
     audit is an internal fault, never printed."""
@@ -77,9 +77,11 @@ def _witness_texts(verdict: Verdict) -> list:
     return [f.to_text() for f in forms]
 
 
-def _oracle_block(pair: PolynomialPair, which: str, precision: int) -> dict:
+def _oracle_block(pair: PolynomialPair, which: str, precision: Optional[int]) -> dict:
     block = {}
     if which in ("geometry", "both"):
+        from .geometry import genus_if_supported
+
         rep = genus_if_supported(pair)
         block["geometry"] = {
             "delta": rep.delta,
@@ -87,6 +89,10 @@ def _oracle_block(pair: PolynomialPair, which: str, precision: int) -> dict:
             "method": rep.method.value,
         }
     if which in ("numeric", "both"):
+        from .numoracle import DEFAULT_PRECISION, verify_pair_counts
+
+        if precision is None:
+            precision = DEFAULT_PRECISION
         rep = verify_pair_counts(pair, precision_bits=precision)
         block["numeric"] = {
             "outcome": rep.outcome.value,
@@ -103,7 +109,7 @@ def build_report(
     *,
     witness: bool = False,
     oracle: Optional[str] = None,
-    precision: int = DEFAULT_PRECISION,
+    precision: Optional[int] = None,
     timings: Optional[dict] = None,
 ) -> dict:
     """Assemble the machine-readable report for one classified pair.
@@ -111,7 +117,8 @@ def build_report(
     The critical summary describes the normalized orientation (degree of
     P at least degree of Q); ``swapped`` records whether that orientation
     reversed the inputs.  Every count comes from the pair's one cached
-    matching.
+    matching.  ``precision`` is the numeric oracle's start precision in
+    bits; None takes the oracle's default.
     """
     pair = verdict.pair
     matching = pair.matching()
@@ -177,6 +184,8 @@ def render_text(report: dict) -> str:
 
 
 def _precision_bits(text: str) -> int:
+    from .numoracle import PRECISION_CAP
+
     try:
         value = int(text)
     except ValueError:
@@ -191,6 +200,8 @@ def _precision_bits(text: str) -> int:
 # frees, so one per call would leave that garbage behind every call.
 @functools.cache
 def _build_argparser() -> _Parser:
+    from .numoracle import DEFAULT_PRECISION, PRECISION_CAP
+
     ap = _Parser(prog="sepcurve", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -257,6 +268,15 @@ def _run_classify(args) -> int:
 
 
 def _selftest_items():
+    from .instances import (
+        CASE_IDS,
+        case_instance,
+        inconclusive_pair,
+        theorem1_pair,
+        theorem2_pair,
+        theorem3_pair,
+    )
+
     for cid in CASE_IDS:
         expected_case = 1 if cid == 7 else cid
         yield (

@@ -6,8 +6,9 @@ with trailing zeros stripped, ``den`` is positive and
 gcd(den, *num) == 1.  The form is canonical, so equality and hashing
 compare the two fields; the zero polynomial is ``((), 1)`` and has
 degree -1.  Ring operations, calculus and the argument transforms run
-on the integers; ``Rat`` is built only where a rational leaves the
-module: ``coeff``, ``lc``, ``coeffs``, evaluation and ``resultant``.
+on the integers, and so does ``to_string``; ``Rat`` is built only
+where a rational leaves the module: ``coeff``, ``lc``, ``coeffs``,
+evaluation and ``resultant``.
 
 The module also carries the exact kernels the rest of the package is
 built on: gcd, squarefree (multiplicity) decomposition, resultants, and
@@ -15,15 +16,18 @@ the root-image polynomial ``resultant_shift`` (the monic polynomial
 whose roots are P(a) for a running over the roots of S).  Division,
 gcd and resultants read the numerators directly and run one integer
 pseudo-division loop, which also drives the subresultant remainder
-sequence (Collins 1967; Brown & Traub 1971); every division the
+sequence (Collins 1967; Brown & Traub 1971).  Yun's squarefree
+decomposition runs on the primitive integer multiple of its input, with
+primitive gcds and quotients exact over Z.  Every division the
 algorithms prove exact is checked.
 
 Arithmetic modulo one fixed prime p = ``GCD_PRIME`` serves as a
 certificate in front of the exact kernels, with one Euclid remainder
 loop and one packed-slot product over GF(p).  Before the sequence,
-``poly_gcd`` asks whether the operands are coprime modulo p: when p
-divides neither leading coefficient, a gcd of degree 0 modulo p proves
-gcd 1 over Q; any other outcome takes the exact sequence.
+``poly_gcd`` and the first gcd of Yun's algorithm, gcd(f, f'), ask
+whether the operands are coprime modulo p: when p divides neither
+leading coefficient, a gcd of degree 0 modulo p proves gcd 1 over Q;
+any other outcome takes the exact sequence.
 ``_value_image_mod_p`` gives the reduction modulo p of the
 ``resultant_shift`` polynomial, from the power sums of multiplication
 by P in GF(p)[x]/(S) and Newton's identities; ``critical.analyze``
@@ -236,7 +240,7 @@ class Poly:
     # -- calculus / normal forms ---------------------------------------
 
     def derivative(self) -> "Poly":
-        return _make([k * self.num[k] for k in range(1, len(self.num))], self.den)
+        return _make(_derivative(self.num), self.den)
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -290,17 +294,19 @@ class Poly:
         """
         if self.is_zero:
             return "0"
-        parts = []
+        den, parts = self.den, []
         for k in range(self.degree, -1, -1):
-            c = self.coeff(k)
-            if c == 0:
+            c = self.num[k]
+            if not c:
                 continue
-            mag = c if c > 0 else -c
+            m = -c if c < 0 else c
+            g = gcd(m, den)  # the coefficient's magnitude is (m/g) / (den/g)
+            mag = str(m // g) if g == den else f"{m // g}/{den // g}"
             if k == 0:
-                body = str(mag)
+                body = mag
             else:
                 xp = var if k == 1 else f"{var}^{k}"
-                body = xp if mag == 1 else f"{mag}*{xp}"
+                body = xp if m == den else f"{mag}*{xp}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -355,9 +361,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if len(a) < len(b):
         a, b = b, a
     # a linear divisor costs one pseudo-division: certify from degree 2 on
-    if len(b) > 2 and _coprime_mod_p(a, b):
-        if os.environ.get("SEPCURVE_DEBUG_CHECKS") and not _subresultant_prs(a, b)[1]:
-            raise ArithmeticError("gcd routes disagree: certified 1 modulo p, not 1 over Q")
+    if len(b) > 2 and _certified_coprime(a, b):
         return Poly.one()
     if len(b) > 1:
         a, b, _, _ = _subresultant_prs(a, b)
@@ -398,7 +402,15 @@ class MultiplicityDecomposition:
 
 
 def squarefree_decomposition(p: Poly) -> MultiplicityDecomposition:
-    """Yun's algorithm over Q.
+    """Yun's algorithm over Q, run on the primitive integer multiple f
+    of p (Yun, SYMSAC 1976; von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 14).
+
+    Every gcd is taken primitive over Z, so by Gauss's lemma each
+    quotient of an integer polynomial by it is integral: the divisions
+    are exact over Z and checked.  Scaling a gcd by a unit scales both
+    operands of the next step alike, so the classes come out as over Q,
+    each made monic once.
 
     >>> d = squarefree_decomposition(Poly([0, 0, -2, 0, 1]))  # x^4 - 2x^2
     >>> [(f.to_string(), k) for f, k in d.parts]
@@ -409,21 +421,26 @@ def squarefree_decomposition(p: Poly) -> MultiplicityDecomposition:
     content = p.lc
     if p.degree == 0:
         return MultiplicityDecomposition(content, ())
-    p = p.monic()
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:  # squarefree: spare the divisions by 1 and by p itself
-        return MultiplicityDecomposition(content, ((p, 1),))
+    f = _primitive(p.num)
+    df = _derivative(f)
+    h = _primitive(df)
+    # gcd(f, f') is 1 on most dense inputs, and the certificate modulo p
+    # settles that case; the loop's gcds are rarely 1, so they skip it
+    g = [1] if len(h) > 2 and _certified_coprime(f, h) else _prs_gcd(f, h)
+    if len(g) == 1:  # squarefree: spare the divisions by 1 and by f itself
+        return MultiplicityDecomposition(content, ((p.monic(), 1),))
     parts = []
-    b = p // g
-    d = (p.derivative() // g) - b.derivative()
+    b = _exact_quotient(f, g)
+    c = _exact_quotient(df, g)
     i = 1
-    while b.degree > 0:
-        a = poly_gcd(b, d)
-        if a.degree > 0:
-            parts.append((a, i))
-        b = b // a
-        c = d // a
-        d = c - b.derivative()
+    while len(b) > 1:
+        d = _sub(c, _derivative(b))
+        a = _prs_gcd(b, d) if d else b  # gcd(b, 0) is the primitive b
+        if len(a) > 1:
+            parts.append((_make(a, a[-1]), i))
+            b, c = _exact_quotient(b, a), _exact_quotient(d, a)
+        else:
+            c = d
         i += 1
     return MultiplicityDecomposition(content, tuple(parts))
 
@@ -446,7 +463,49 @@ def _primitive(cs: tuple) -> list:
     """The primitive part of nonzero integer coefficients (sign of the
     leading coefficient kept)."""
     g = gcd(*cs)
-    return [_exact_div(c, g) for c in cs]
+    return [_exact_div(c, g) for c in cs] if g != 1 else list(cs)
+
+
+def _derivative(cs: list) -> list:
+    return [k * cs[k] for k in range(1, len(cs))]
+
+
+def _sub(a: list, b: list) -> list:
+    """a - b for integer lists, trailing zeros stripped."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _exact_quotient(a: list, b: list) -> list:
+    """a / b for integer lists with b dividing a in Z[x]: each leading
+    step divides by lc(b) exactly, and the remainder must vanish; either
+    failing means the kernel is wrong, never the input."""
+    r = list(a)
+    lb, nb = b[-1], len(b) - 1
+    q = [0] * max(len(a) - nb, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = _exact_div(r.pop(), lb)
+        if c:
+            for j in range(nb):
+                r[k + j] -= c * b[j]
+    if any(r):
+        raise ArithmeticError("exact kernel division left a remainder")
+    return q
+
+
+def _prs_gcd(a: list, b: list) -> list:
+    """The primitive gcd over Z of nonzero integer lists by the
+    remainder sequence, [1] when they are coprime."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) > 1:
+        a, b, _, _ = _subresultant_prs(a, b)
+    return [1] if b else _primitive(a)
 
 
 # The largest prime below 2^15: residue products stay below 2^30, within
@@ -498,6 +557,16 @@ def _coprime_mod_p(a: list, b: list) -> bool:
     if len(a) < len(b):
         a, b = b, a
     return len(_euclid_mod_p([c % p for c in a], [c % p for c in b])) == 1
+
+
+def _certified_coprime(a: list, b: list) -> bool:
+    """_coprime_mod_p, and with SEPCURVE_DEBUG_CHECKS=1 every gcd it
+    certifies 1 is rerun through the remainder sequence and compared."""
+    if not _coprime_mod_p(a, b):
+        return False
+    if os.environ.get("SEPCURVE_DEBUG_CHECKS") and not _subresultant_prs(a, b)[1]:
+        raise ArithmeticError("gcd routes disagree: certified 1 modulo p, not 1 over Q")
+    return True
 
 
 # Residue lists travel packed into one int, a 64-bit slot per residue,
@@ -562,7 +631,7 @@ def _subresultant_prs(a: list, b: list):
             s = -s
         _, r = _pseudo_divmod(a, b)
         scale = g * h**delta
-        a, b = b, [_exact_div(c, scale) for c in r]
+        a, b = b, [_exact_div(c, scale) for c in r] if scale != 1 else r
         g = a[-1]
         if delta:
             h = _exact_div(g**delta, h ** (delta - 1))

@@ -1,11 +1,15 @@
-"""Builders shared across the test modules."""
+"""Builders shared across the test modules, and the reference routes
+the package's faster kernels are compared against."""
+
+import sys
 
 from sepcurve import numoracle, rpoly
 from sepcurve.classify import Outcome, Verdict
 from sepcurve.critical import PairMatching
 from sepcurve.linfactor import LinearFactorWitness
+from sepcurve.parsepoly import MAX_DEGREE, MAX_POWER_BITS, ParseError
 from sepcurve.rationals import ONE, ZERO, Rat, rat
-from sepcurve.rpoly import Poly, poly_gcd, resultant_shift
+from sepcurve.rpoly import MultiplicityDecomposition, Poly, poly_gcd, resultant_shift
 
 
 def poly_of(*coeffs):
@@ -230,3 +234,251 @@ def check_resultant_product(s, p, ys=None, precision_bits=numoracle.DEFAULT_PREC
             if abs(exact - center) > hi - lo + slack:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# reference parser: recursive descent over characters, terms collected as a
+# dict from exponent to Fraction; parsepoly.parse_poly is compared against it
+# ---------------------------------------------------------------------------
+
+
+def _is_digit(ch: str) -> bool:
+    """0-9 only: str.isdigit also accepts digits int() refuses, like '²'."""
+    return ch.isascii() and ch.isdigit()
+
+
+class _Scanner:
+    __slots__ = ("text", "pos")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, ch: str) -> bool:
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, ch: str):
+        if not self.take(ch):
+            got = self.peek() or "end of input"
+            raise ParseError(f"expected {ch!r}, got {got!r}", self.pos)
+
+    def integer(self, what: str) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
+            self.pos += 1
+        if self.pos == start:
+            got = self.text[start] if start < len(self.text) else "end of input"
+            raise ParseError(f"expected {what}, got {got!r}", start)
+        digits = self.text[start : self.pos]
+        try:
+            return int(digits)
+        except ValueError:  # ASCII digits only: past the interpreter's digit limit
+            raise ParseError(f"{what} of {len(digits)} digits is too long", start) from None
+
+
+def reference_parse_poly(text: str) -> Poly:
+    """Parse an exact polynomial in x.  Raises ParseError on anything
+    outside the grammar, pointing at the offending character."""
+    sc = _Scanner(text)
+    terms = _expr(sc)
+    sc.skip_ws()
+    if sc.pos != len(sc.text):
+        raise ParseError(f"unexpected {sc.text[sc.pos]!r}", sc.pos)
+    _check_digits(terms)
+    return Poly([terms.get(k, ZERO) for k in range(_degree(terms) + 1)])
+
+
+def _degree(terms: dict) -> int:
+    return max(terms, default=-1)
+
+
+def _bits(terms: dict) -> int:
+    """Bit size of the largest numerator or denominator (0 for zero)."""
+    return max(
+        (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in terms.values()),
+        default=0,
+    )
+
+
+def _check_digits(terms: dict):
+    """Refuse a coefficient with a numerator or denominator of more
+    decimal digits than the interpreter's int-to-str limit (0: none)."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit or _bits(terms) <= 3 * limit:  # below 2^(3 limit) < 10^limit
+        return
+    big = 10**limit
+    for k, c in sorted(terms.items()):
+        if abs(c.numerator) >= big or c.denominator >= big:
+            raise ParseError(f"coefficient of degree {k} has more than {limit} digits", 0)
+
+
+def _neg(terms: dict) -> dict:
+    return {k: -c for k, c in terms.items()}
+
+
+def _add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k, ZERO) + c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
+def _mul(a: dict, b: dict) -> dict:
+    out = {}
+    for i, ai in a.items():
+        for j, bj in b.items():
+            out[i + j] = out.get(i + j, ZERO) + ai * bj
+    return {k: c for k, c in out.items() if c}
+
+
+def _pow(base: dict, e: int) -> dict:
+    if len(base) == 1:
+        ((k, c),) = base.items()
+        return {k * e: c**e}
+    result = {0: ONE}
+    while e:
+        if e & 1:
+            result = _mul(result, base)
+        e >>= 1
+        if e:
+            base = _mul(base, base)
+    return result
+
+
+def _expr(sc: _Scanner) -> dict:
+    negate = sc.take("-")
+    acc = _term(sc)
+    if negate:
+        acc = _neg(acc)
+    while True:
+        if sc.take("+"):
+            acc = _add(acc, _term(sc))
+        elif sc.take("-"):
+            acc = _add(acc, _neg(_term(sc)))
+        else:
+            return acc
+
+
+def _check_degree(degree: int, at: int):
+    if degree > MAX_DEGREE:
+        raise ParseError(f"degree {degree} exceeds the cap of {MAX_DEGREE}", at)
+
+
+def _check_bits(what: str, bits: int, at: int):
+    if bits > MAX_POWER_BITS:
+        raise ParseError(f"{what} bits exceeds the cap of {MAX_POWER_BITS}", at)
+
+
+def _term(sc: _Scanner) -> dict:
+    acc = _factor(sc)
+    while sc.take("*"):
+        at = sc.pos - 1
+        rhs = _factor(sc)
+        _check_degree(_degree(acc) + _degree(rhs), at)
+        a_bits, r_bits = _bits(acc), _bits(rhs)
+        _check_bits(f"product of {a_bits} + {r_bits}", a_bits + r_bits, at)
+        acc = _mul(acc, rhs)
+    return acc
+
+
+def _factor(sc: _Scanner) -> dict:
+    base = _atom(sc)
+    if sc.take("^"):
+        at = sc.pos
+        e = sc.integer("integer exponent")
+        if e < 1:
+            raise ParseError("exponent must be a positive integer", at)
+        _check_degree(_degree(base) * e, at)
+        bits = _bits(base)
+        _check_bits(f"power of {e} * {bits}", e * bits, at)
+        return _pow(base, e)
+    return base
+
+
+def _atom(sc: _Scanner) -> dict:
+    ch = sc.peek()
+    if ch == "(":
+        sc.take("(")
+        inner = _expr(sc)
+        sc.expect(")")
+        return inner
+    if ch == "x":
+        sc.take("x")
+        return {1: ONE}
+    if _is_digit(ch):
+        num = sc.integer("number")
+        if sc.take("/"):
+            at = sc.pos
+            den = sc.integer("denominator")
+            if den == 0:
+                raise ParseError("zero denominator", at)
+            return {0: rat(num, den)} if num else {}
+        return {0: rat(num)} if num else {}
+    got = ch or "end of input"
+    raise ParseError(f"expected a number, 'x', or '(', got {got!r}", sc.pos)
+
+
+def reference_to_string(p, var="x"):
+    """Poly.to_string through one Fraction per coefficient: the
+    reference the numerator route is compared against."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for k in range(p.degree, -1, -1):
+        c = p.coeff(k)
+        if c == 0:
+            continue
+        mag = c if c > 0 else -c
+        if k == 0:
+            body = str(mag)
+        else:
+            xp = var if k == 1 else f"{var}^{k}"
+            body = xp if mag == 1 else f"{mag}*{xp}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def reference_squarefree_decomposition(p):
+    """Yun's algorithm over Q on Poly objects, every gcd through
+    poly_gcd: the reference the integer-list route is compared against."""
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    content = p.lc
+    if p.degree == 0:
+        return MultiplicityDecomposition(content, ())
+    p = p.monic()
+    g = poly_gcd(p, p.derivative())
+    if g.degree == 0:  # squarefree: spare the divisions by 1 and by p itself
+        return MultiplicityDecomposition(content, ((p, 1),))
+    parts = []
+    b = p // g
+    d = (p.derivative() // g) - b.derivative()
+    i = 1
+    while b.degree > 0:
+        a = poly_gcd(b, d)
+        if a.degree > 0:
+            parts.append((a, i))
+        b = b // a
+        c = d // a
+        d = c - b.derivative()
+        i += 1
+    return MultiplicityDecomposition(content, tuple(parts))

@@ -286,6 +286,31 @@ def test_cli_import_does_not_load_mpmath():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_the_oracles_and_the_witness_audit_unloaded():
+    """Importing the CLI loads neither oracle, the witness audit nor the
+    selftest instances; the package's exports still resolve on access,
+    and ``sepcurve.classify`` is the function, not the submodule."""
+    src = pathlib.Path(__file__).parent.parent / "src"
+    code = (
+        "import sys, sepcurve.cli\n"
+        "lazy = ['sepcurve.oneforms', 'sepcurve.numoracle', 'sepcurve.geometry', 'sepcurve.instances', 'mpmath']\n"
+        "print(sorted(m for m in lazy if m in sys.modules))\n"
+        "import sepcurve\n"
+        "namespace = {}\n"
+        "exec('from sepcurve import *', namespace)\n"
+        "print(sorted(set(sepcurve.__all__) - set(namespace)))\n"
+        "print(callable(sepcurve.classify), namespace['classify'] is sepcurve.classify)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    assert out.stdout.split("\n")[:3] == ["[]", "[]", "True True"]
+
+
 def _corpus_pairs():
     """(P, Q) for the corpus, from fixed seeds: the case instances and
     affine images of them, theorem3_pair for k = 3..11, the rule

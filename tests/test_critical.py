@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sepcurve.critical as critical
-from helpers import make_matching, poly_of
+from helpers import make_matching, poly_of, reference_squarefree_decomposition
 from sepcurve.classify import classify
 from sepcurve.critical import (
     PolynomialPair,
@@ -133,6 +133,17 @@ def test_hypothesis_I_matches_the_all_values_route(p):
     # every critical point takes exactly one value of the table
     by_class = [c.multiplicity for c in cs.classes for _ in range(c.factor.degree)]
     assert cs.multiset() == tuple(sorted(by_class, reverse=True))
+
+
+@given(p=st.one_of(polys_deg2plus(), polys_multiclass()))
+@settings(deadline=None, max_examples=120)
+def test_yun_matches_the_reference_on_derivatives_and_value_polynomials(p):
+    """The integer-list Yun returns the Poly-level loop's parts and
+    content on P, on P' and on every class's resultant_shift image."""
+    inputs = [p, p.derivative()]
+    inputs += [resultant_shift(f, p) for f, _ in reference_squarefree_decomposition(p.derivative()).parts]
+    for f in inputs:
+        assert squarefree_decomposition(f) == reference_squarefree_decomposition(f)
 
 
 @pytest.mark.parametrize(

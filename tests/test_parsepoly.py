@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import poly_of
+from helpers import poly_of, reference_parse_poly
 from sepcurve.parsepoly import ParseError, parse_poly
 from sepcurve.rationals import rat
 from sepcurve.rpoly import Poly
@@ -214,3 +214,68 @@ def test_fuzzed_expressions_round_trip_and_fail_only_with_parse_error(rng, cut, 
             parse_poly(variant)
         except ParseError:
             pass
+
+
+def _outcome(parse, text):
+    """The Poly parsed, or the message and position of the ParseError;
+    any other exception propagates."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return str(err), err.position
+
+
+def _assert_matches_reference(text):
+    assert _outcome(parse_poly, text) == _outcome(reference_parse_poly, text), repr(text)
+
+
+JUNK = ["", "x", "(", ")", "^", "*", "/0", "--", "^0", "2", "\t", "\u00a0", "\u3000", "\u00b2", "\u0663", "y", "/"]
+
+
+@given(rng=st.randoms(use_true_random=False), cut=st.integers(0, 60), junk=st.sampled_from(JUNK))
+@settings(deadline=None, max_examples=200)
+def test_fuzzed_expressions_match_the_reference_parser(rng, cut, junk):
+    """The token parser returns the character parser's Poly on grammar
+    strings, and the same message and position on their cut or spliced
+    variants that fail."""
+    text = grammar_string(rng)
+    for variant in (text, text[:cut], text[:cut] + junk + text[cut:]):
+        _assert_matches_reference(variant)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\tx^2\n+\u00a03*x\u3000- 1/2\r",  # Unicode whitespace
+        "x\u2028+\u20001",
+        "\u00b2", "\u0663", "x + \u0663", "1\u0663", "\u0663/2",  # non-ASCII digits in literals,
+        "1/\u0663", "1/\u00b2", "2/3\u0663",  # denominators
+        "x^\u00b2", "x^\u0663", "x^1\u0663", "x^ \u0663",  # and exponents
+        "", " ", "-", "--x", "+x", "x^0", "x^00", "x^ 0", "x^-1", "x^", "x^ ", "1/0", "1/ 00", "1/", "(x", "x)",
+        "()", "(x))", "x x", "2x", "3(x+1)", "x*", "*x", "x^2^3", "1/2/3", "x/2", "(x)/2", "0^3", "(x-x)^3",
+        "x - x", "0*x^300", "-0", "x^2 * 0 * x^300", "((x))^2", "x y", "x +", "x + y",
+        "x^256", "x^257", "x^200 * x^56", "x^200 * x^57", "(x + 1)^256", "(x^2)^129", "(x - x + x^200) * x^57",
+        "3^32768", "3^32769", "1^65536", "1^65537", "(1/3)^32768", "(1/3)^32769", "(2*x)^32768",
+        "2^32767 * 2^32767", "2^32767 * 2^32768", "2^32767 * 1/2^32767", "1/2^32768 * 2^32767",
+        "2^30000 * 2^30000 * 2^30000", "x^1000000000", "(x + 1)^1000000000",
+        # caps on the reduced coefficients, not on the common denominator
+        "(1/2 + 1/3*x) * (2^32767 * 2^32766)", "(1/2 + 1/3*x) * (2^32767 * 2^32767)",
+        "(1/2^300 + 1/3^100*x)^150", "(1/2^300 + 1/3^100*x)^218",
+    ],
+)
+def test_edge_inputs_match_the_reference_parser(text):
+    _assert_matches_reference(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1" * 4300, "1" * 4301, "x + " + "1" * 5000, "(" + "1" * 5000, "1" * 5000 + ")", "y + " + "1" * 5000,
+        "x^" + "9" * 5000, "1/" + "7" * 5000, "10^4299", "10^4300", "1/10^4299*x", "1/10^4300*x",
+        "3^9000*x^2 + 10^4299", "3^10000*x - 3^10000*x + x", "1/7^5000*x + 1/11^4000*x",
+        "2^32767 * 2^32767 * x", "x^3 + 2/4*10^4300",
+    ],
+)
+def test_inputs_at_the_digit_limit_match_the_reference_parser(text):
+    with _int_max_str_digits(4300):
+        _assert_matches_reference(text)

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import poly_of, reference_gcd, reference_resultant, reference_value_image_mod_p
+from helpers import (
+    poly_of,
+    reference_gcd,
+    reference_resultant,
+    reference_squarefree_decomposition,
+    reference_to_string,
+    reference_value_image_mod_p,
+)
 from sepcurve import rpoly
 from sepcurve.classify import classify
 from sepcurve.critical import PolynomialPair
@@ -183,6 +190,53 @@ def test_squarefree_decomposition_reassembles(p):
     for i, (f, _) in enumerate(dec.parts):
         for g, _ in dec.parts[i + 1 :]:
             assert poly_gcd(f, g).degree == 0
+
+
+@st.composite
+def products_of_powers(draw):
+    """content * prod f_i^e_i for up to three random factors of degree
+    1-3 with rational coefficients, and content of up to 200 bits."""
+    content = draw(st.builds(rat, st.integers(-(2**200), 2**200).filter(bool), st.integers(1, 3**80)))
+    p = Poly.constant(content)
+    for _ in range(draw(st.integers(1, 3))):
+        f = draw(spiked_polys(3, bits70, 1).filter(lambda f: f.degree >= 1))
+        p = p * f ** draw(st.integers(1, 4))
+    return p
+
+
+@given(p=products_of_powers())
+@settings(deadline=None, max_examples=80)
+def test_squarefree_decomposition_matches_the_reference(p):
+    dec = squarefree_decomposition(p)
+    assert dec == reference_squarefree_decomposition(p)
+    assert dec.reassemble() == p
+
+
+@pytest.mark.parametrize("first_wrong_call", [0, 1, 2])
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda g: [1, 1],  # x + 1 divides neither operand
+        lambda g: [2 * c for c in g],  # not primitive
+        lambda g: list((Poly(g) ** 2).num),  # a multiple
+    ],
+)
+def test_a_wrong_gcd_fails_the_exact_division(wrong, first_wrong_call, monkeypatch):
+    """A gcd that is not a primitive divisor of its operands over Z is
+    caught by the checked division, in the first step or in the loop,
+    and never returned as parts."""
+    p = poly_of(-1, 1) ** 2 * poly_of(2, 1) ** 3 * poly_of(3, 0, 1)  # (x-1)^2 (x+2)^3 (x^2+3)
+    real, calls = rpoly._prs_gcd, []
+
+    def patched(a, b):
+        calls.append((a, b))
+        g = real(a, b)
+        return wrong(g) if len(calls) > first_wrong_call else g
+
+    monkeypatch.setattr(rpoly, "_prs_gcd", patched)
+    with pytest.raises(ArithmeticError, match="exact kernel division"):
+        squarefree_decomposition(p)
+    assert len(calls) == first_wrong_call + 1
 
 
 def test_squarefree_decomposition_example():
@@ -476,3 +530,49 @@ def test_to_string_is_exact(p):
     assert isinstance(text, str) and text
     # leading coefficient sign is never doubled
     assert "+-" not in text.replace(" ", "")
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        Poly.zero(),
+        Poly.one(),
+        -Poly.one(),
+        poly_of(0, 1),
+        poly_of(0, -1),
+        poly_of(-1, 0, 0, 1, -1),
+        poly_of(rat(-1, 2), rat(3, 4), 0, rat(-5, 6), rat(1, 1)),
+        poly_of(rat(2, 6), rat(-4, 6), rat(6, 6)),
+        Poly.constant(rat(-7, 3)),
+        poly_of(3**600, -rat(1, 7**400), 0, rat(-(2**900), 5**300)),
+        poly_of(rat(3**500, 2**300), rat(-(2**300), 3**500), 1),
+    ],
+)
+@pytest.mark.parametrize("var", ["x", "s"])
+def test_to_string_matches_the_fraction_reference(p, var):
+    assert p.to_string(var) == reference_to_string(p, var)
+
+
+@given(p=st.one_of(polys, wide_polys, modular_polys))
+@settings(deadline=None, max_examples=100)
+def test_to_string_matches_the_fraction_reference_on_random_polys(p):
+    assert p.to_string() == reference_to_string(p)
+
+
+def _value_error(f):
+    try:
+        f()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def test_to_string_past_the_digit_limit_raises_as_the_reference():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for p in (poly_of(0, 0, 3**9000 * 5**6000), poly_of(rat(1, 5**6000), 3**10000)):
+            want = _value_error(lambda: reference_to_string(p))
+            assert want is not None and _value_error(p.to_string) == want
+    finally:
+        sys.set_int_max_str_digits(saved)
