@@ -18,12 +18,12 @@ import time
 from typing import Optional
 
 from .classify import Outcome, Verdict, classify
-from .critical import PolynomialPair, corollary1_lhs, theorem1_lhs
+from .critical import DEFAULT_PRECISION, PRECISION_CAP, PolynomialPair, corollary1_lhs, theorem1_lhs
 from .parsepoly import parse_poly
 
 # The oracles, the witness audit and the selftest instances are imported
 # by the functions that use them, so importing this module loads none of
-# them; the argument parser reads numoracle's precision bounds.
+# them; the oracles' precision bounds live in ``critical``.
 
 EXIT_BY_OUTCOME = {
     Outcome.HYPERBOLIC: 0,
@@ -77,7 +77,7 @@ def _witness_texts(verdict: Verdict) -> list:
     return [f.to_text() for f in forms]
 
 
-def _oracle_block(pair: PolynomialPair, which: str, precision: Optional[int]) -> dict:
+def _oracle_block(pair: PolynomialPair, which: str, precision: int) -> dict:
     block = {}
     if which in ("geometry", "both"):
         from .geometry import genus_if_supported
@@ -89,10 +89,8 @@ def _oracle_block(pair: PolynomialPair, which: str, precision: Optional[int]) ->
             "method": rep.method.value,
         }
     if which in ("numeric", "both"):
-        from .numoracle import DEFAULT_PRECISION, verify_pair_counts
+        from .numoracle import verify_pair_counts
 
-        if precision is None:
-            precision = DEFAULT_PRECISION
         rep = verify_pair_counts(pair, precision_bits=precision)
         block["numeric"] = {
             "outcome": rep.outcome.value,
@@ -109,7 +107,7 @@ def build_report(
     *,
     witness: bool = False,
     oracle: Optional[str] = None,
-    precision: Optional[int] = None,
+    precision: int = DEFAULT_PRECISION,
     timings: Optional[dict] = None,
 ) -> dict:
     """Assemble the machine-readable report for one classified pair.
@@ -118,7 +116,7 @@ def build_report(
     P at least degree of Q); ``swapped`` records whether that orientation
     reversed the inputs.  Every count comes from the pair's one cached
     matching.  ``precision`` is the numeric oracle's start precision in
-    bits; None takes the oracle's default.
+    bits.
     """
     pair = verdict.pair
     matching = pair.matching()
@@ -184,8 +182,6 @@ def render_text(report: dict) -> str:
 
 
 def _precision_bits(text: str) -> int:
-    from .numoracle import PRECISION_CAP
-
     try:
         value = int(text)
     except ValueError:
@@ -200,8 +196,6 @@ def _precision_bits(text: str) -> int:
 # frees, so one per call would leave that garbage behind every call.
 @functools.cache
 def _build_argparser() -> _Parser:
-    from .numoracle import DEFAULT_PRECISION, PRECISION_CAP
-
     ap = _Parser(prog="sepcurve", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -218,7 +212,12 @@ def _build_argparser() -> _Parser:
     )
     cl.add_argument(
         "--oracle", choices=("geometry", "numeric", "both"),
-        help="cross-check with the genus count and/or numeric error disks",
+        help=(
+            "cross-check with the genus count and/or numeric error disks: "
+            "fixed-point integer arithmetic, value disks that bound their own "
+            "rounding, exact overlap tests; root disks are estimates, not "
+            "certificates"
+        ),
     )
     cl.add_argument(
         "--precision", type=_precision_bits, default=DEFAULT_PRECISION, metavar="BITS",

@@ -36,6 +36,12 @@ from .rpoly import (
     squarefree_decomposition,
 )
 
+# The numeric oracles' (numoracle) first precision step and the cap
+# their escalation stops at, in bits: here so that the CLI can check
+# ``--precision`` without loading the oracles.
+DEFAULT_PRECISION = 256
+PRECISION_CAP = 4096
+
 
 @dataclass(frozen=True)
 class CriticalClass:

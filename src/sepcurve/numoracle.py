@@ -8,29 +8,46 @@ resolved by doubling the precision up to a cap.  Outcomes are
 three-valued — agreement, disagreement, or ambiguity — and none of them
 ever feeds a verdict.
 
-Roots start from Aberth–Ehrlich sweeps in double precision, or from a
-scrambled circle when the doubles cannot hold the polynomial, and are
-refined by Weierstrass sweeps over a ladder of doubling precisions up
-to the requested one; each doubling of an oracle's precision seeds its
-one sweep run with the previous step's iterates.  A root disk's radius
-is 2n·|w| for the final Weierstrass correction w plus a fixed slack.
-Neither it nor the value disks account for rounding, and the root disks
-are not proven pairwise disjoint (ROADMAP item 3), so the disks are
-estimates, not certificates.  ``mpmath`` is imported on first use, so
-importing the package or its CLI does not load it.
+The arithmetic is fixed point on Gaussian integers: at a precision step
+of b bits, a complex number is a pair of Python ints (re, im) standing
+for (re + i·im)·2^-F with F = b + 64, so a multiply-add is a few big-int
+operations.  Roots start from Aberth–Ehrlich sweeps in double precision,
+or, when the doubles cannot hold the polynomial, from circles whose
+radii come from its Newton polygon.  Weierstrass sweeps refine them over
+a ladder of doubling precisions up to the requested one, in the scale
+of the largest root when all roots are small; each doubling of an
+oracle's precision seeds its one sweep run with the previous step's
+iterates.  A root disk's radius is 2n·|w| for the final
+Weierstrass correction w plus 256 units of 2^-F.  It does not bound the
+rounding in w, and the root disks are not proven pairwise disjoint
+(ROADMAP item 3), so root disks are estimates, not certificates.  A
+value disk's radius is the drift of the polynomial over its root disk,
+a relative slack, and a proven bound on the rounding of its own
+fixed-point Horner evaluation.  Two disks overlap when an exact integer
+comparison of the squared distance of their centres with the squared
+sum of their radii says so.  ``mpmath`` is imported only by
+:func:`complex_roots` and :class:`ComplexApprox`, to hand results out as
+``mpf`` numbers; the oracles never load it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from math import isqrt
 from typing import Optional
 
-from .critical import CriticalStructure, PairMatching, PolynomialPair, analyze
+from .critical import (
+    DEFAULT_PRECISION,
+    PRECISION_CAP,
+    CriticalStructure,
+    PairMatching,
+    PolynomialPair,
+    analyze,
+)
 from .rpoly import Poly, is_squarefree
 
-DEFAULT_PRECISION = 256
-PRECISION_CAP = 4096
 _GUARD = 64
 # the double-precision start: Aberth–Ehrlich sweeps, and the residual,
 # relative to the Horner rounding bound sum |a_k| |z|^k, below which a
@@ -87,35 +104,38 @@ class HypothesisOracle:
     cluster_sizes: tuple
 
 
-def _to_mpf(x):
-    import mpmath
-    return mpmath.mpf(int(x.numerator)) / mpmath.mpf(int(x.denominator))
-
-
-def _horner(coeffs, z):
-    import mpmath
-    acc = mpmath.mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+def _horner(coeffs, zr, zi, frac):
+    """p(z) for the fixed-point coefficients ``coeffs`` (low to high) at
+    z = (zr + i·zi)·2^-frac, every product floored to scale 2^-frac."""
+    vr, vi = coeffs[-1], 0
+    for c in coeffs[-2::-1]:
+        vr, vi = ((vr * zr - vi * zi) >> frac) + c, (vr * zi + vi * zr) >> frac
+    return vr, vi
 
 
 def complex_roots(p: Poly, precision_bits: int = DEFAULT_PRECISION):
     """All complex roots of a squarefree polynomial, as disks.
 
-    Aberth–Ehrlich sweeps in double precision give the start, and
-    Weierstrass sweeps refine it over a ladder of doubling precisions
-    (:func:`_isolate`).  The radius of each disk is 2 * deg(p) * |w|,
-    for the Weierstrass correction w at the final iterate, plus a fixed
-    slack of 2^-(precision_bits + 56).  It does not yet account for
-    rounding, and the disks are not proven pairwise disjoint (ROADMAP
-    item 3), so a disk is an estimate, not a certificate.  Raise the
-    precision to shrink the disks (multiplicities are handled
-    symbolically upstream, so repeated roots are a caller bug and raise
-    ValueError).
+    Aberth–Ehrlich sweeps in double precision give the start, or
+    circles from the Newton polygon when the doubles cannot hold p, and
+    Weierstrass sweeps on fixed-point Gaussian integers refine it over
+    a ladder of doubling precisions (:func:`_isolate`).  The radius of
+    each disk is 2 * deg(p) * |w|, for the Weierstrass correction w at
+    the final iterate, plus a fixed slack of 2^-(precision_bits + 56).
+    It does not bound the rounding in w, and the disks are not proven
+    pairwise disjoint (ROADMAP item 3), so a disk is an estimate, not a
+    certificate.  Raise the precision to shrink the disks
+    (multiplicities are handled symbolically upstream, so repeated
+    roots are a caller bug and raise ValueError).
     """
+    import mpmath
+
+    def mpf(man, frac):
+        return mpmath.mpf((man, -frac), prec=man.bit_length() + 1)
+
     _require_squarefree(p)
-    return _isolate(p, precision_bits)[0]
+    disks, (frac, _) = _isolate(p, precision_bits)
+    return tuple(ComplexApprox(mpf(zr, frac), mpf(zi, frac), mpf(r, frac)) for zr, zi, r in disks)
 
 
 def _require_squarefree(p: Poly) -> None:
@@ -179,85 +199,174 @@ def _float_start(p: Poly):
     return zs
 
 
-def _correction(coeffs, zs, i):
-    """Weierstrass correction p(z_i) / prod_(j != i) (z_i - z_j) of the
-    monic polynomial with coefficients ``coeffs``."""
-    import mpmath
-    denom = mpmath.mpc(1)
-    for j, zj in enumerate(zs):
-        if j != i:
-            denom *= zs[i] - zj
-    return _horner(coeffs, zs[i]) / denom
+def _fixed(x: float, frac: int) -> int:
+    """floor(x·2^frac) for a finite float x and frac >= 0, exactly."""
+    num, den = x.as_integer_ratio()
+    return (num << frac) // den
 
 
-def _isolate(p: Poly, precision_bits: int, zs=None):
-    """complex_roots for a p already proven nonconstant and squarefree,
-    with the iterates it ended on: (disks, iterates).
-
-    Iterates ``zs`` from an earlier call at a lower precision seed a
-    single Weierstrass run at ``precision_bits``.  Without them the start
-    is :func:`_float_start`, or the scrambled circle through the Cauchy
-    bound when the doubles cannot hold p, and Weierstrass runs on the
-    ladder ceil(precision_bits / 2^j) for j = k, ..., 1, 0, whose lowest
-    level is the first one at most 64 bits.  Each level sweeps until
-    every correction is below 2^-(level + 32) * max(1, bound), or until
-    its iteration cap.
-    """
-    import mpmath
+def _polygon_start(p: Poly, frac: int):
+    """Fixed-point start points on circles whose radii come from the
+    upper convex hull of the points (k, log2|a_k|) (Bini, Numer.
+    Algorithms 13, 1996): an edge from k to k + m carries m points on
+    the circle of radius (|a_k| / |a_(k+m)|)^(1/m), scrambled as
+    :func:`_circle_angle` does and turned by 2k/n half turns.  A root 0
+    gets a point on the smallest circle, 2^16 units, and no circle is
+    smaller."""
+    import cmath
     n = p.degree
-    with mpmath.workprec(precision_bits + _GUARD):
-        lc = _to_mpf(p.lc)
-        coeffs = [_to_mpf(c) / lc for c in p.coeffs]
-        bound = 1 + max(abs(c) for c in coeffs[:-1])
-    if zs is not None:
-        levels, zs = [precision_bits], list(zs)
+    hull = []
+    for point in ((k, math.log2(abs(c))) for k, c in enumerate(p.num) if c):
+        while len(hull) > 1:
+            (k0, l0), (k1, l1) = hull[-2], hull[-1]
+            if (k1 - k0) * (point[1] - l0) < (l1 - l0) * (point[0] - k0):
+                break
+            hull.pop()
+        hull.append(point)
+    rings = [(0, hull[0][0], -frac)] if hull[0][0] else []
+    rings += [(k0, k1 - k0, (l0 - l1) / (k1 - k0)) for (k0, l0), (k1, l1) in zip(hull, hull[1:])]
+    zs = []
+    for k0, m, log_radius in rings:
+        whole = max(math.floor(log_radius), 16 - frac)
+        scale = 2.0 ** max(0.0, log_radius - whole)
+        for j in range(m):
+            z = cmath.rect(scale, cmath.pi * (_circle_angle(j, m) + 2 * k0 / n))
+            zs.append((_fixed(z.real, frac + whole), _fixed(z.imag, frac + whole)))
+    return zs
+
+
+def _log2_root_radius(p: Poly) -> float:
+    """log2 of rho = max_k |a_(n-k) / a_n|^(1/k), the largest radius of
+    the Newton polygon, or 0 for p = x: every root of p lies within
+    2·rho (Fujiwara)."""
+    n, lead = p.degree, math.log2(abs(p.num[-1]))
+    return max(((math.log2(abs(c)) - lead) / (n - k) for k, c in enumerate(p.num[:-1]) if c), default=0.0)
+
+
+def _correction(coeffs, zs, i, frac):
+    """Weierstrass correction p(z_i) / prod_(j != i) (z_i - z_j) of the
+    monic polynomial with fixed-point coefficients ``coeffs``, at scale
+    2^-frac; None when z_i coincides with another iterate.
+
+    The product is kept in floating form, an int mantissa of about
+    frac + 64 bits times a power of two renormalised after each factor,
+    so that close iterates do not cost it relative precision; then
+    w = v·conj(d) / |d|^2 takes one exact integer division per part."""
+    zr, zi = zs[i]
+    top = frac + _GUARD
+    dr, di, e = 1, 0, 0
+    for j, (ur, ui) in enumerate(zs):
+        if j != i:
+            ur, ui = zr - ur, zi - ui
+            dr, di = dr * ur - di * ui, dr * ui + di * ur
+            shift = max(0, max(abs(dr), abs(di)).bit_length() - top)
+            dr, di, e = dr >> shift, di >> shift, e + shift - frac
+    norm = dr * dr + di * di
+    if not norm:
+        return None
+    vr, vi = _horner(coeffs, zr, zi, frac)
+    nr, ni = vr * dr + vi * di, vi * dr - vr * di
+    if e >= 0:
+        norm <<= e
+    else:
+        nr, ni = nr << -e, ni << -e
+    return nr // norm, ni // norm
+
+
+def _isolate(p: Poly, precision_bits: int, iterates=None):
+    """complex_roots for a p already proven nonconstant and squarefree,
+    on fixed-point Gaussian integers: (disks, iterates).  A disk is
+    (re, im, radius) at scale 2^-F, F = precision_bits + 64, and the
+    iterates are (F, points in y as below).
+
+    Iterates from an earlier call at a lower precision seed a single
+    Weierstrass run at ``precision_bits``.  Without them the start is
+    :func:`_float_start`, or :func:`_polygon_start` when the doubles
+    cannot hold p, and Weierstrass runs on the ladder
+    ceil(precision_bits / 2^j) for j = k, ..., 1, 0, whose lowest level
+    is the first one at most 64 bits; iterates move up a level by a left
+    shift.  For rho the Newton polygon's largest radius rounded up to a
+    power of two, the sweeps run on y = x / min(1, rho), and each level
+    sweeps until every correction in y is below
+    2^-(level + 32) * max(1, rho), or until its iteration cap.  The
+    radius is 2n·|w| + 256 units for the correction w at the final
+    iterate, rounded up, plus 2 units when y is scaled back to x; an
+    iterate that coincides with another keeps a zero correction, and
+    the two disks share a centre.
+    """
+    n, log_rho = p.degree, _log2_root_radius(p)
+    # the iterates stand for y = 2^shift·x, the roots of the monic
+    # p(2^-shift·y), so that roots that are all small keep their
+    # relative precision; the disks are scaled back to x
+    shift = max(0, -math.ceil(log_rho))
+    target = 2 * (_GUARD // 2 + max(0, math.ceil(log_rho)))  # log2 of the squared bound
+    if iterates is not None:
+        levels, (frac, zs) = [precision_bits], iterates
     else:
         levels = [precision_bits]
         while levels[0] > 64:
             levels.insert(0, -(-levels[0] // 2))
+        frac = levels[0] + _GUARD
         start = _float_start(p)
         if start is not None:
-            zs = [mpmath.mpc(z) for z in start]
+            zs = [(_fixed(z.real, frac + shift), _fixed(z.imag, frac + shift)) for z in start]
         else:
-            with mpmath.workprec(levels[0] + _GUARD):
-                zs = [bound * mpmath.expjpi(_circle_angle(k, n)) for k in range(n)]
+            zs = _polygon_start(p, frac + shift)
     for prec in levels:
-        with mpmath.workprec(prec + _GUARD):
-            target = mpmath.mpf(2) ** (-(prec + _GUARD // 2)) * max(1, bound)
-            for _ in range(200 + 20 * n + prec // 8):
-                worst = mpmath.mpf(0)
-                for i in range(n):
-                    w = _correction(coeffs, zs, i)
-                    zs[i] = zs[i] - w
-                    worst = max(worst, abs(w))
-                if worst < target:
-                    break
-    with mpmath.workprec(precision_bits + _GUARD):
-        slack = mpmath.mpf(2) ** (-(precision_bits + _GUARD - 8))
-        disks = []
-        for i, z in enumerate(zs):
-            radius = 2 * n * abs(_correction(coeffs, zs, i)) + slack
-            disks.append(ComplexApprox(real=z.real, imag=z.imag, radius=radius))
-        return tuple(disks), zs
+        up, frac = prec + _GUARD - frac, prec + _GUARD
+        zs = [(zr << up, zi << up) for zr, zi in zs]
+        coeffs = [(c << (frac + shift * (n - k))) // p.num[-1] for k, c in enumerate(p.num)]
+        for _ in range(200 + 20 * n + prec // 8):
+            worst = 0
+            for i in range(n):
+                w = _correction(coeffs, zs, i, frac)
+                if w is not None:
+                    wr, wi = w
+                    zs[i] = (zs[i][0] - wr, zs[i][1] - wi)
+                    worst = max(worst, wr * wr + wi * wi)
+            if worst.bit_length() <= target:
+                break
+    disks = []
+    for i, (zr, zi) in enumerate(zs):
+        wr, wi = _correction(coeffs, zs, i, frac) or (0, 0)
+        w = -(-(isqrt(wr * wr + wi * wi) + 1) >> shift)
+        disks.append((zr >> shift, zi >> shift, 2 * n * w + 256 + 2 * (shift > 0)))
+    return tuple(disks), (frac, zs)
 
 
-def _value_disk(coeffs, root: ComplexApprox):
-    """Disk containing p(z) for every z in the root disk, up to
-    rounding, for the p with mpf coefficients ``coeffs`` (low to high)."""
-    import mpmath
-    z = root.value
-    center = _horner(coeffs, z)
-    az, r = abs(z), root.radius
-    # |p(z+e)-p(z)| <= sum |a_k| ((|z|+r)^k - |z|^k) for |e| <= r
-    drift = mpmath.mpf(0)
-    for k, c in enumerate(coeffs):
-        if k and c:
-            drift += abs(c) * ((az + r) ** k - az**k)
-    slack = (abs(center) + drift + 1) * mpmath.mpf(2) ** (-(mpmath.mp.prec - 8))
-    return ComplexApprox(real=center.real, imag=center.imag, radius=drift + slack)
+def _value_disks(p: Poly, roots, frac: int) -> list:
+    """Disks (re, im, radius) at scale 2^-frac that hold p(z) for every
+    z in each root disk (re, im, radius) of ``roots``.
+
+    The centre is fixed-point Horner at the root's centre.  The radius
+    is the drift sum |a_k| ((|z| + r)^k - |z|^k) over the root disk, a
+    slack of (|centre| + drift + 1)·2^-(frac - 8), and 3·sum_k
+    (|z| + r)^k units of 2^-frac, which bounds the rounding of the
+    coefficients and of Horner's products; every term is rounded up."""
+    den, one = p.den, 1 << frac
+    coeffs = [(c << frac) // den for c in p.num]
+    mags = [-((-abs(c) << frac) // den) for c in p.num[1:]]
+    disks = []
+    for zr, zi, r in roots:
+        cr, ci = _horner(coeffs, zr, zi, frac)
+        low = isqrt(zr * zr + zi * zi)
+        high = low + 1 + r
+        up, down, powers, drift = one, one, one, 0
+        for mag in mags:
+            up = ((up * high) >> frac) + 1
+            down = (down * low) >> frac
+            powers += up
+            if mag:
+                drift += ((mag * (up - down)) >> frac) + 1
+        slack = ((isqrt(cr * cr + ci * ci) + 1 + drift + one) >> (frac - 8)) + 1
+        disks.append((cr, ci, drift + slack + 3 * ((powers >> frac) + 1)))
+    return disks
 
 
 def _cluster_indices(disks):
+    """Indices of the disks (re, im, radius), grouped by overlap chains:
+    two disks overlap when the squared distance of their centres is at
+    most the squared sum of their radii, compared exactly."""
     parent = list(range(len(disks)))
 
     def find(i):
@@ -266,10 +375,10 @@ def _cluster_indices(disks):
             i = parent[i]
         return i
 
-    for i in range(len(disks)):
+    for i, (ar, ai, ra) in enumerate(disks):
         for j in range(i + 1, len(disks)):
-            di, dj = disks[i], disks[j]
-            if abs(di.value - dj.value) <= di.radius + dj.radius:
+            br, bi, rb = disks[j]
+            if (ar - br) ** 2 + (ai - bi) ** 2 <= (ra + rb) ** 2:
                 parent[find(i)] = find(j)
     groups = {}
     for i in range(len(disks)):
@@ -293,14 +402,14 @@ def _class_roots(structures, precision_bits: int, iterates: dict) -> dict:
     return roots
 
 
-def _critical_value_disks(cs: CriticalStructure, roots: dict):
+def _critical_value_disks(cs: CriticalStructure, roots: dict, frac: int):
     """(point multiplicity, value disk) for every critical point of
-    cs.poly, from the disks of its class factors' roots."""
-    coeffs = [_to_mpf(c) for c in cs.poly.coeffs]
+    cs.poly, from the disks of its class factors' roots at scale
+    2^-frac."""
     return [
-        (cls.multiplicity, _value_disk(coeffs, root))
+        (cls.multiplicity, disk)
         for cls in cs.classes
-        for root in roots[cls.factor]
+        for disk in _value_disks(cs.poly, roots[cls.factor], frac)
     ]
 
 
@@ -351,7 +460,6 @@ def corroborate_hypothesis_I(
     and a split of an exact coincidence into disjoint disks is a
     disagreement.
     """
-    import mpmath
     if precision_bits < 1:
         raise ValueError(f"precision_bits must be at least 1, got {precision_bits}")
     cs = analyze(p)
@@ -363,15 +471,14 @@ def corroborate_hypothesis_I(
     sizes = ()
     iterates = {}
     while True:
-        with mpmath.workprec(prec + _GUARD):
-            roots = _class_roots([cs], prec, iterates)
-            disks = [d for _, d in _critical_value_disks(cs, roots)]
-            groups = _cluster_indices(disks)
-            sizes = tuple(sorted((len(g) for g in groups), reverse=True))
-            if sizes == expected:
-                return HypothesisOracle(OracleOutcome.AGREE, symbolic, prec, sizes)
-            if not _can_pack(sizes, expected):
-                return HypothesisOracle(OracleOutcome.DISAGREE, symbolic, prec, sizes)
+        roots = _class_roots([cs], prec, iterates)
+        disks = [d for _, d in _critical_value_disks(cs, roots, prec + _GUARD)]
+        groups = _cluster_indices(disks)
+        sizes = tuple(sorted((len(g) for g in groups), reverse=True))
+        if sizes == expected:
+            return HypothesisOracle(OracleOutcome.AGREE, symbolic, prec, sizes)
+        if not _can_pack(sizes, expected):
+            return HypothesisOracle(OracleOutcome.DISAGREE, symbolic, prec, sizes)
         if prec * 2 > PRECISION_CAP:
             return HypothesisOracle(OracleOutcome.AMBIGUOUS, symbolic, prec, sizes)
         prec *= 2
@@ -391,7 +498,6 @@ def verify_pair_counts(
     refute (a claimed coincidence that separates) is a disagreement;
     unresolved overlap escalates precision and then reports ambiguity.
     """
-    import mpmath
     if precision_bits < 1:
         raise ValueError(f"precision_bits must be at least 1, got {precision_bits}")
     pm = pm or pp.matching()
@@ -412,46 +518,45 @@ def verify_pair_counts(
     detail = ""
     iterates = {}
     while True:
-        with mpmath.workprec(prec + _GUARD):
-            roots = _class_roots([pp.critical_p(), pp.critical_q()], prec, iterates)
-            tagged = [("P", m, d) for m, d in _critical_value_disks(pp.critical_p(), roots)]
-            tagged += [("Q", m, d) for m, d in _critical_value_disks(pp.critical_q(), roots)]
-            groups = _cluster_indices([d for _, _, d in tagged])
-            mixed, single_p, single_q = [], [], []
-            unresolved = False
-            for g in groups:
-                ps = [tagged[i][1] for i in g if tagged[i][0] == "P"]
-                qs = [tagged[i][1] for i in g if tagged[i][0] == "Q"]
-                if len(ps) > 1 or len(qs) > 1:
-                    unresolved = True
-                    break
-                if ps and qs:
-                    mixed.append((ps[0], qs[0]))
-                elif ps:
-                    single_p.append(ps[0])
-                else:
-                    single_q.append(qs[0])
-            if not unresolved:
-                got_pairs = tuple(sorted(mixed, reverse=True))
-                got_p = tuple(sorted(single_p, reverse=True))
-                got_q = tuple(sorted(single_q, reverse=True))
-                extra = _multiset_sub(got_pairs, expected_pairs)
-                missing = _multiset_sub(expected_pairs, got_pairs)
-                if not extra and not missing and got_p == expected_unm_p and got_q == expected_unm_q:
-                    return PairCountOracle(
-                        OracleOutcome.AGREE, prec, len(got_pairs), got_pairs, ""
-                    )
-                if not extra and missing:
-                    return PairCountOracle(
-                        OracleOutcome.DISAGREE,
-                        prec,
-                        len(got_pairs),
-                        got_pairs,
-                        f"matched pairs {list(missing)} refuted by disjoint disks",
-                    )
-                detail = f"unconfirmed extra coincidences {list(extra)}"
+        roots = _class_roots([pp.critical_p(), pp.critical_q()], prec, iterates)
+        tagged = [("P", m, d) for m, d in _critical_value_disks(pp.critical_p(), roots, prec + _GUARD)]
+        tagged += [("Q", m, d) for m, d in _critical_value_disks(pp.critical_q(), roots, prec + _GUARD)]
+        groups = _cluster_indices([d for _, _, d in tagged])
+        mixed, single_p, single_q = [], [], []
+        unresolved = False
+        for g in groups:
+            ps = [tagged[i][1] for i in g if tagged[i][0] == "P"]
+            qs = [tagged[i][1] for i in g if tagged[i][0] == "Q"]
+            if len(ps) > 1 or len(qs) > 1:
+                unresolved = True
+                break
+            if ps and qs:
+                mixed.append((ps[0], qs[0]))
+            elif ps:
+                single_p.append(ps[0])
             else:
-                detail = "same-side values still overlap"
+                single_q.append(qs[0])
+        if not unresolved:
+            got_pairs = tuple(sorted(mixed, reverse=True))
+            got_p = tuple(sorted(single_p, reverse=True))
+            got_q = tuple(sorted(single_q, reverse=True))
+            extra = _multiset_sub(got_pairs, expected_pairs)
+            missing = _multiset_sub(expected_pairs, got_pairs)
+            if not extra and not missing and got_p == expected_unm_p and got_q == expected_unm_q:
+                return PairCountOracle(
+                    OracleOutcome.AGREE, prec, len(got_pairs), got_pairs, ""
+                )
+            if not extra and missing:
+                return PairCountOracle(
+                    OracleOutcome.DISAGREE,
+                    prec,
+                    len(got_pairs),
+                    got_pairs,
+                    f"matched pairs {list(missing)} refuted by disjoint disks",
+                )
+            detail = f"unconfirmed extra coincidences {list(extra)}"
+        else:
+            detail = "same-side values still overlap"
         if prec * 2 > PRECISION_CAP:
             return PairCountOracle(OracleOutcome.AMBIGUOUS, prec, None, None, detail)
         prec *= 2

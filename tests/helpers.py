@@ -202,6 +202,63 @@ def reference_linear_factor(pair):
     )
 
 
+# ---------------------------------------------------------------------------
+# reference value disks: the oracles' former mpf kernels, at the working
+# precision mpmath is set to; numoracle's integer kernels are compared
+# against them
+# ---------------------------------------------------------------------------
+
+
+def to_mpf(x):
+    import mpmath
+    return mpmath.mpf(int(x.numerator)) / mpmath.mpf(int(x.denominator))
+
+
+def reference_horner(coeffs, z):
+    import mpmath
+    acc = mpmath.mpc(0)
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def reference_value_disk(coeffs, root):
+    """Disk containing p(z) for every z in the root disk, up to
+    rounding, for the p with mpf coefficients ``coeffs`` (low to high)."""
+    import mpmath
+    z = root.value
+    center = reference_horner(coeffs, z)
+    az, r = abs(z), root.radius
+    # |p(z+e)-p(z)| <= sum |a_k| ((|z|+r)^k - |z|^k) for |e| <= r
+    drift = mpmath.mpf(0)
+    for k, c in enumerate(coeffs):
+        if k and c:
+            drift += abs(c) * ((az + r) ** k - az**k)
+    slack = (abs(center) + drift + 1) * mpmath.mpf(2) ** (-(mpmath.mp.prec - 8))
+    return numoracle.ComplexApprox(real=center.real, imag=center.imag, radius=drift + slack)
+
+
+def reference_cluster_indices(disks):
+    """Overlap chains of ComplexApprox disks, compared by an mpf abs()."""
+    parent = list(range(len(disks)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(disks)):
+        for j in range(i + 1, len(disks)):
+            di, dj = disks[i], disks[j]
+            if abs(di.value - dj.value) <= di.radius + dj.radius:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(disks)):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values(), key=lambda g: (-len(g), g))
+
+
 def check_resultant_product(s, p, ys=None, precision_bits=numoracle.DEFAULT_PRECISION):
     """Sample check of resultant_shift(s, p) == prod (y - p(root of s)).
 
@@ -215,14 +272,14 @@ def check_resultant_product(s, p, ys=None, precision_bits=numoracle.DEFAULT_PREC
         ys = [Rat(2), Rat(-1), Rat(1, 2), Rat(3), Rat(-2, 3), Rat(5), Rat(-5), Rat(7, 2)]
     shifted = resultant_shift(s, p)
     with mpmath.workprec(precision_bits + numoracle._GUARD):
-        coeffs = [numoracle._to_mpf(c) for c in p.coeffs]
+        coeffs = [to_mpf(c) for c in p.coeffs]
         value_disks = [
-            numoracle._value_disk(coeffs, root)
+            reference_value_disk(coeffs, root)
             for root in numoracle.complex_roots(s, precision_bits)
         ]
         for y in ys:
-            exact = numoracle._to_mpf(shifted(y))
-            ym = numoracle._to_mpf(y)
+            exact = to_mpf(shifted(y))
+            ym = to_mpf(y)
             center = mpmath.mpc(1)
             hi, lo = mpmath.mpf(1), mpmath.mpf(1)
             for d in value_disks:

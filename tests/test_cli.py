@@ -311,6 +311,29 @@ def test_cli_import_leaves_the_oracles_and_the_witness_audit_unloaded():
     assert out.stdout.split("\n")[:3] == ["[]", "[]", "True True"]
 
 
+def test_classify_without_the_numeric_oracle_leaves_it_unloaded():
+    """A degree-5 ``classify`` run, which builds the argument parser and
+    checks ``--precision``, loads neither the numeric oracle nor mpmath;
+    ``--oracle numeric`` loads the oracle and still not mpmath."""
+    src = pathlib.Path(__file__).parent.parent / "src"
+    code = (
+        "import contextlib, io, sys\n"
+        "from sepcurve.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['classify', '--p', 'x^5', '--q', 'x^5 + x', '--precision', '512', *sys.argv[1:]])\n"
+        "print([m for m in ('sepcurve.numoracle', 'mpmath') if m in sys.modules])\n"
+    )
+    for flags, loaded in (((), "[]"), (("--oracle", "numeric"), "['sepcurve.numoracle']")):
+        out = subprocess.run(
+            [sys.executable, "-c", code, *flags],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            check=True,
+        )
+        assert out.stdout.strip() == loaded, flags
+
+
 def _corpus_pairs():
     """(P, Q) for the corpus, from fixed seeds: the case instances and
     affine images of them, theorem3_pair for k = 3..11, the rule

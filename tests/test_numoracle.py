@@ -1,13 +1,29 @@
+import functools
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import time
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
 import pytest
 
-from helpers import check_resultant_product, poly_of
+from helpers import (
+    check_resultant_product,
+    poly_of,
+    reference_cluster_indices,
+    reference_value_disk,
+    to_mpf,
+)
+from oracle_sweep import summary
 from sepcurve import numoracle
 from sepcurve.critical import PolynomialPair, hypothesis_I, match_pairs
 from sepcurve.instances import random_polynomial
+from sepcurve.parsepoly import parse_poly
 from sepcurve.numoracle import (
     OracleOutcome,
     complex_roots,
@@ -44,17 +60,18 @@ def test_roots_pairwise_disjoint():
             assert abs(a.value - b.value) > a.radius + b.radius
 
 
+@functools.cache
 def _reference_roots(p, bits):
     # mpmath's own Durand-Kerner at twice the isolation's working precision
     with mpmath.workprec(2 * (bits + numoracle._GUARD)):
         return mpmath.polyroots(
-            [numoracle._to_mpf(c) for c in reversed(p.coeffs)], maxsteps=200
+            [to_mpf(c) for c in reversed(p.coeffs)], maxsteps=200
         )
 
 
-def _assert_one_root_per_disk(p, bits):
+def _assert_one_root_per_disk(p, bits, ref=None):
     disks = complex_roots(p, bits)
-    ref = _reference_roots(p, bits)
+    ref = _reference_roots(p, bits) if ref is None else ref
     assert len(disks) == len(ref) == p.degree
     with mpmath.workprec(2 * (bits + numoracle._GUARD)):
         inside = [[abs(r - d.value) <= d.radius for r in ref] for d in disks]
@@ -63,14 +80,95 @@ def _assert_one_root_per_disk(p, bits):
 
 
 # the reference at 8320 bits takes 1-3 s per polynomial past degree 6
-@pytest.mark.parametrize("bits, top", [(64, 12), (256, 12), (1024, 12), (4096, 6)])
-def test_isolation_against_mpmath_polyroots(bits, top):
+ISOLATION_CASES = [(64, 12), (256, 12), (1024, 12), (4096, 6)]
+
+
+def _seeded_squarefree(bits, top):
     rng = random.Random(bits)
     for d in range(1, top + 1):
         cs = [rat(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(d)]
         lc = rat(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 9))
-        p = squarefree_part(poly_of(*cs, lc))
+        yield squarefree_part(poly_of(*cs, lc))
+
+
+@pytest.mark.parametrize("bits, top", ISOLATION_CASES)
+def test_isolation_against_mpmath_polyroots(bits, top):
+    for p in _seeded_squarefree(bits, top):
         _assert_one_root_per_disk(p, bits)
+
+
+def _value_disk_cases(bits, top):
+    """(s, P): the seeded squarefree s with a random P, and even s and P
+    whose values at the roots +-a of s coincide in pairs."""
+    rng = random.Random(f"value-disks/{bits}")
+    for s in _seeded_squarefree(bits, top):
+        yield s, poly_of(*(rat(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(rng.randint(2, 9))))
+    for d in range(1, top // 2 + 1):
+        s = squarefree_part(poly_of(*[c for _ in range(d) for c in (rng.randint(-9, 9) or 1, 0)], 1))
+        yield s, poly_of(*[c for _ in range(rng.randint(1, 4)) for c in (rat(rng.randint(-9, 9), rng.randint(1, 3)), 0)], 1)
+
+
+@pytest.mark.parametrize("bits, top", ISOLATION_CASES)
+def test_integer_value_disks_against_the_mpf_reference(bits, top):
+    # each fixed-point value disk holds P(root) for the mpmath.polyroots
+    # root of s in its root disk, evaluated at twice the working
+    # precision; and the exact integer clustering of the value disks is
+    # the reference's, from the mpf value disks of the same root disks
+    frac = bits + numoracle._GUARD
+    coincident = 0
+    for s, p in _value_disk_cases(bits, top):
+        roots, _ = numoracle._isolate(s, bits)
+        disks = numoracle._value_disks(p, roots, frac)
+        with mpmath.workprec(2 * frac):
+            for (zr, zi, r), (cr, ci, vr) in zip(roots, disks):
+                z = mpmath.mpc(mpmath.ldexp(zr, -frac), mpmath.ldexp(zi, -frac))
+                (ref,) = [x for x in _reference_roots(s, bits) if abs(x - z) <= mpmath.ldexp(r, -frac)]
+                value = mpmath.polyval([to_mpf(c) for c in reversed(p.coeffs)], ref)
+                center = mpmath.mpc(mpmath.ldexp(cr, -frac), mpmath.ldexp(ci, -frac))
+                assert abs(value - center) <= mpmath.ldexp(vr, -frac), (s, p, bits)
+        with mpmath.workprec(frac):
+            coeffs = [to_mpf(c) for c in p.coeffs]
+            reference = [reference_value_disk(coeffs, root) for root in complex_roots(s, bits)]
+        groups = numoracle._cluster_indices(disks)
+        assert groups == reference_cluster_indices(reference), (s, p, bits)
+        coincident += len(groups) < len(disks)
+    assert coincident >= top // 2 - 1
+
+
+def _exact_value(p, zr, zi, frac):
+    """p((zr + i·zi)·2^-frac) times 2^frac, exactly, as two Fractions."""
+    x, y = Fraction(zr, 1 << frac), Fraction(zi, 1 << frac)
+    vr, vi = Fraction(0), Fraction(0)
+    for c in reversed(p.coeffs):
+        vr, vi = vr * x - vi * y + c, vr * y + vi * x
+    return vr * (1 << frac), vi * (1 << frac)
+
+
+def _holds(disk, value):
+    cr, ci, r = disk
+    return (value[0] - cr) ** 2 + (value[1] - ci) ** 2 <= r**2
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_value_disks_cover_rounding_and_drift(bits):
+    # at the roots of P, of modulus 2-3, where the relative slack is small
+    # and Horner's rounding is not, the value disk of a point (radius 0)
+    # holds P's exact value there; and the value disk of a wide root disk
+    # holds P on its rim, at points a 3-4-5 triangle puts exactly there
+    rng = random.Random(bits)
+    frac = bits + numoracle._GUARD
+    wide = 5 << (frac - 12)
+    rim = [(wide, 0), (-wide, 0), (0, wide), (0, -wide), (3 * wide // 5, 4 * wide // 5), (-3 * wide // 5, -4 * wide // 5)]
+    for n in (4, 8, 12, 16):
+        p = poly_of(-rng.randint(2**n, 3**n), *(rng.randint(-3, 3) for _ in range(n - 1)), 1)
+        roots, _ = numoracle._isolate(squarefree_part(p), bits)
+        points = [(zr, zi, 0) for zr, zi, _ in roots]
+        for (zr, zi, _), disk in zip(points, numoracle._value_disks(p, points, frac)):
+            assert _holds(disk, _exact_value(p, zr, zi, frac)), (p, bits)
+        widened = [(zr, zi, wide) for zr, zi, _ in roots]
+        for (zr, zi, _), disk in zip(widened, numoracle._value_disks(p, widened, frac)):
+            for er, ei in rim:
+                assert _holds(disk, _exact_value(p, zr + er, zi + ei, frac)), (p, bits)
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024, 4096])
@@ -80,6 +178,72 @@ def test_isolation_without_a_float_image(bits):
     for p in (poly_of(1, -(10**400), 0, 10**400), poly_of(1, -2, rat(1, 2**1100), 1)):
         assert numoracle._float_start(p) is None
         _assert_one_root_per_disk(p, bits)
+
+
+def test_isolation_of_roots_that_are_all_small():
+    # 2^2990 x^13 - 1 and 2^3000 x^3 + 1 have all their roots of modulus
+    # 2^-230 and 2^-1000, below 2^-F at the lowest ladder levels; the
+    # sweeps run in the scale of the largest root, where the monic
+    # coefficients do not floor to 0 or -1 unit
+    bits = 1024
+    for e, d, c in ((230, 13, -1), (1000, 3, 1)):
+        unit = _reference_roots(poly_of(c, *[0] * (d - 1), 1), bits)
+        with mpmath.workprec(2 * (bits + numoracle._GUARD)):
+            ref = [y / 2**e for y in unit]
+        _assert_one_root_per_disk(poly_of(c, *[0] * (d - 1), 2 ** (e * d)), bits, ref)
+
+
+def test_newton_polygon_start_on_roots_far_apart():
+    # 2^-1100 x^12 + x - 1 has a root near 1 and eleven of modulus about
+    # 2^100, and its monic float image underflows; started on one circle
+    # through the Cauchy bound 2^1100, the sweeps converge only linearly
+    # and stop at their cap on disks far too wide
+    p = poly_of(-1, 1, *[0] * 10, rat(1, 2**1100))
+    assert numoracle._float_start(p) is None
+    started = time.perf_counter()
+    disks = complex_roots(p, 64)
+    assert time.perf_counter() - started < 0.5
+    assert max(d.radius for d in disks) < mpmath.mpf(2) ** -100
+    # the reference isolates the roots of p(2^100 y) / 2^100 =
+    # y^12 + y - 2^-100, of moduli about 2^-100 and 1: from its unit
+    # circle start it converges too slowly on p itself
+    scaled = _reference_roots(poly_of(rat(-1, 2**100), 1, *[0] * 10, 1), 64)
+    with mpmath.workprec(2 * (64 + numoracle._GUARD)):
+        ref = [y * 2**100 for y in scaled]
+    _assert_one_root_per_disk(p, 64, ref)
+
+
+def test_oracles_run_without_mpmath():
+    src = pathlib.Path(__file__).parent.parent / "src"
+    code = (
+        "import sys\n"
+        "from sepcurve.critical import PolynomialPair\n"
+        "from sepcurve.numoracle import corroborate_hypothesis_I, verify_pair_counts\n"
+        "from sepcurve.parsepoly import parse_poly\n"
+        "p, q = parse_poly('x^4 - 2*x^2 + 1/3*x'), parse_poly('x^3 - 3*x')\n"
+        "print(corroborate_hypothesis_I(p).outcome.value, verify_pair_counts(PolynomialPair(p, q)).outcome.value)\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    assert out.stdout.split() == ["Agree", "Agree", "False"]
+
+
+def test_oracle_answers_replay_the_golden_file():
+    # summaries recorded before the oracles moved to fixed-point
+    # integers (tests/oracle_sweep.py --write-golden): random draws of
+    # degree 2-10, the 2^-k ladders on both sides of the 4096-bit cap
+    # and theorem3_pair images
+    golden = pathlib.Path(__file__).parent / "golden" / "oracle.jsonl"
+    for line in golden.read_text().splitlines():
+        record = json.loads(line)
+        polys = [parse_poly(text) for text in record["inputs"]]
+        assert summary(polys) == record["summary"], record["inputs"]
 
 
 def test_non_squarefree_input_refused():
