@@ -25,7 +25,15 @@ value disk's radius is the drift of the polynomial over its root disk,
 a relative slack, and a proven bound on the rounding of its own
 fixed-point Horner evaluation.  Two disks overlap when an exact integer
 comparison of the squared distance of their centres with the squared
-sum of their radii says so.  ``mpmath`` is imported only by
+sum of their radii says so.
+
+Each quantity is computed at the precision its use needs.  Iterates,
+residuals p(z) and value-disk centres are fixed point at 2^-F.  The
+Weierstrass denominator prod_(j != i) (z_i - z_j) is a floating-form
+mantissa of min(bits of the residual, F) + 64 bits, since the
+correction is no more accurate than the residual it divides.  The
+terms of a value disk's radius are upper bounds at the fixed scale
+2^-64.  The comparisons of disks are exact.  ``mpmath`` is imported only by
 :func:`complex_roots` and :class:`ComplexApprox`, to hand results out as
 ``mpf`` numbers; the oracles never load it.
 """
@@ -248,12 +256,17 @@ def _correction(coeffs, zs, i, frac):
     monic polynomial with fixed-point coefficients ``coeffs``, at scale
     2^-frac; None when z_i coincides with another iterate.
 
-    The product is kept in floating form, an int mantissa of about
-    frac + 64 bits times a power of two renormalised after each factor,
-    so that close iterates do not cost it relative precision; then
+    The residual v = p(z_i) is a full fixed-point Horner at 2^-frac.
+    The product is kept in floating form, an int mantissa times a power
+    of two renormalised after each factor, so that close iterates do not
+    cost it relative precision.  Its mantissa keeps
+    min(bits of v, frac) + 64 bits: w = v / d is no more accurate than
+    v, whose Horner rounding is a few units, so near convergence the
+    product runs on mantissas of 64-128 bits.  Then
     w = v·conj(d) / |d|^2 takes one exact integer division per part."""
     zr, zi = zs[i]
-    top = frac + _GUARD
+    vr, vi = _horner(coeffs, zr, zi, frac)
+    top = min(max(abs(vr), abs(vi)).bit_length(), frac) + _GUARD
     dr, di, e = 1, 0, 0
     for j, (ur, ui) in enumerate(zs):
         if j != i:
@@ -264,7 +277,6 @@ def _correction(coeffs, zs, i, frac):
     norm = dr * dr + di * di
     if not norm:
         return None
-    vr, vi = _horner(coeffs, zr, zi, frac)
     nr, ni = vr * dr + vi * di, vi * dr - vr * di
     if e >= 0:
         norm <<= e
@@ -285,9 +297,12 @@ def _isolate(p: Poly, precision_bits: int, iterates=None):
     cannot hold p, and Weierstrass runs on the ladder
     ceil(precision_bits / 2^j) for j = k, ..., 1, 0, whose lowest level
     is the first one at most 64 bits; iterates move up a level by a left
-    shift.  For rho the Newton polygon's largest radius rounded up to a
-    power of two, the sweeps run on y = x / min(1, rho), and each level
-    sweeps until every correction in y is below
+    shift.  A level of L bits computes its iterates, monic coefficients
+    and residuals at 2^-(L + 64), and each correction's denominator at
+    the precision of its residual (:func:`_correction`).  For rho the
+    Newton polygon's largest radius rounded up to a power of two, the
+    sweeps run on y = x / min(1, rho), and each level sweeps until
+    every correction in y is below
     2^-(level + 32) * max(1, rho), or until its iteration cap.  The
     radius is 2n·|w| + 256 units for the correction w at the final
     iterate, rounded up, plus 2 units when y is scaled back to x; an
@@ -334,39 +349,57 @@ def _isolate(p: Poly, precision_bits: int, iterates=None):
     return tuple(disks), (frac, zs)
 
 
+def _scale_up(x: int, e: int) -> int:
+    """ceil(x·2^e) for an int x."""
+    return x << e if e >= 0 else -(-x >> -e)
+
+
+def _modulus_up(xr: int, xi: int, frac: int) -> int:
+    """An upper bound of |xr + i·xi|·2^-frac at scale 2^-64, from the
+    top 64 bits of the larger part."""
+    s = max(0, max(abs(xr), abs(xi)).bit_length() - 64)
+    ar, ai = (abs(xr) >> s) + 1, (abs(xi) >> s) + 1
+    return _scale_up(isqrt(ar * ar + ai * ai) + 1, s + 64 - frac)
+
+
 def _value_disks(p: Poly, roots, frac: int) -> list:
     """Disks (re, im, radius) at scale 2^-frac that hold p(z) for every
     z in each root disk (re, im, radius) of ``roots``.
 
-    The centre is fixed-point Horner at the root's centre.  The radius
-    is the drift sum |a_k| ((|z| + r)^k - |z|^k) over the root disk, a
-    slack of (|centre| + drift + 1)·2^-(frac - 8), and 3·sum_k
-    (|z| + r)^k units of 2^-frac, which bounds the rounding of the
-    coefficients and of Horner's products; every term is rounded up."""
-    den, one = p.den, 1 << frac
+    The centre is fixed-point Horner at the root's centre, at 2^-frac.
+    The radius is the sum of three terms, each rounded up: the drift of
+    p over the root disk, by the mean-value bound
+    r·sum_k k|a_k| (|z| + r)^(k-1); a slack of
+    (|centre| + drift + 1)·2^-(frac - 8); and 3·sum_k (|z| + r)^k units
+    of 2^-frac, which bounds the rounding of the coefficients and of
+    Horner's products.  The sums, |z| and |centre| are upper bounds at
+    the fixed scale 2^-64, |z| and |centre| from the top 64 bits of
+    their parts, so only the centre costs products of frac bits."""
+    den = p.den
     coeffs = [(c << frac) // den for c in p.num]
-    mags = [-((-abs(c) << frac) // den) for c in p.num[1:]]
+    slopes = [-((-k * abs(c) << 64) // den) for k, c in enumerate(p.num) if k]
     disks = []
     for zr, zi, r in roots:
         cr, ci = _horner(coeffs, zr, zi, frac)
-        low = isqrt(zr * zr + zi * zi)
-        high = low + 1 + r
-        up, down, powers, drift = one, one, one, 0
-        for mag in mags:
-            up = ((up * high) >> frac) + 1
-            down = (down * low) >> frac
-            powers += up
-            if mag:
-                drift += ((mag * (up - down)) >> frac) + 1
-        slack = ((isqrt(cr * cr + ci * ci) + 1 + drift + one) >> (frac - 8)) + 1
-        disks.append((cr, ci, drift + slack + 3 * ((powers >> frac) + 1)))
+        reach = _modulus_up(zr, zi, frac) + _scale_up(r, 64 - frac)
+        power, powers, slope = 1 << 64, 1 << 64, 0
+        for k_mag in slopes:
+            slope += -(-k_mag * power >> 64)
+            power = -(-power * reach >> 64)
+            powers += power
+        drift = -(-r * slope >> 64)
+        # 256 units stand for the 1, and one unit rounds up each shift
+        slack = (_modulus_up(cr, ci, frac) >> 56) + (drift >> (frac - 8)) + 258
+        disks.append((cr, ci, drift + slack + 3 * -(-powers >> 64)))
     return disks
 
 
 def _cluster_indices(disks):
     """Indices of the disks (re, im, radius), grouped by overlap chains:
     two disks overlap when the squared distance of their centres is at
-    most the squared sum of their radii, compared exactly."""
+    most the squared sum of their radii, compared exactly.  A pair whose
+    centres differ by more than that sum in one part is apart without
+    the squares."""
     parent = list(range(len(disks)))
 
     def find(i):
@@ -378,7 +411,8 @@ def _cluster_indices(disks):
     for i, (ar, ai, ra) in enumerate(disks):
         for j in range(i + 1, len(disks)):
             br, bi, rb = disks[j]
-            if (ar - br) ** 2 + (ai - bi) ** 2 <= (ra + rb) ** 2:
+            dr, di, reach = ar - br, ai - bi, ra + rb
+            if abs(dr) <= reach and abs(di) <= reach and dr * dr + di * di <= reach * reach:
                 parent[find(i)] = find(j)
     groups = {}
     for i in range(len(disks)):

@@ -259,6 +259,33 @@ def reference_cluster_indices(disks):
     return sorted(groups.values(), key=lambda g: (-len(g), g))
 
 
+def reference_correction(coeffs, zs, i, frac):
+    """Weierstrass correction p(z_i) / prod_(j != i) (z_i - z_j) at
+    scale 2^-frac, or None when z_i coincides with another iterate, with
+    the product's floating-form mantissa kept to frac + 64 bits whatever
+    the residual: the route ``numoracle._correction`` is compared
+    against."""
+    zr, zi = zs[i]
+    top = frac + numoracle._GUARD
+    dr, di, e = 1, 0, 0
+    for j, (ur, ui) in enumerate(zs):
+        if j != i:
+            ur, ui = zr - ur, zi - ui
+            dr, di = dr * ur - di * ui, dr * ui + di * ur
+            shift = max(0, max(abs(dr), abs(di)).bit_length() - top)
+            dr, di, e = dr >> shift, di >> shift, e + shift - frac
+    norm = dr * dr + di * di
+    if not norm:
+        return None
+    vr, vi = numoracle._horner(coeffs, zr, zi, frac)
+    nr, ni = vr * dr + vi * di, vi * dr - vr * di
+    if e >= 0:
+        norm <<= e
+    else:
+        nr, ni = nr << -e, ni << -e
+    return nr // norm, ni // norm
+
+
 def check_resultant_product(s, p, ys=None, precision_bits=numoracle.DEFAULT_PRECISION):
     """Sample check of resultant_shift(s, p) == prod (y - p(root of s)).
 

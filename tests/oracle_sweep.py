@@ -94,7 +94,7 @@ def summary(polys) -> dict:
     }
 
 
-def _digest(s: dict) -> str:
+def digest(s: dict) -> str:
     return hashlib.sha256(json.dumps(s, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -111,7 +111,7 @@ def sweep(write: bool) -> int:
         got[key] = []
         for i, (kind, polys) in enumerate(batch):
             s = summary(polys)
-            got[key].append(_digest(s))
+            got[key].append(digest(s))
             items += 1
             if not write and recorded[key][i] != got[key][-1]:
                 differing += 1

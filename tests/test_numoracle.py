@@ -1,12 +1,12 @@
 import functools
 import json
+import math
 import os
 import pathlib
 import random
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from unittest import mock
 
 import mpmath
@@ -16,10 +16,11 @@ from helpers import (
     check_resultant_product,
     poly_of,
     reference_cluster_indices,
+    reference_correction,
     reference_value_disk,
     to_mpf,
 )
-from oracle_sweep import summary
+from oracle_sweep import DIGESTS, FULL_RUN_PASSES, FULL_RUN_SEEDS, digest, draw, summary
 from sepcurve import numoracle
 from sepcurve.critical import PolynomialPair, hypothesis_I, match_pairs
 from sepcurve.instances import random_polynomial
@@ -136,39 +137,61 @@ def test_integer_value_disks_against_the_mpf_reference(bits, top):
 
 
 def _exact_value(p, zr, zi, frac):
-    """p((zr + i·zi)·2^-frac) times 2^frac, exactly, as two Fractions."""
-    x, y = Fraction(zr, 1 << frac), Fraction(zi, 1 << frac)
-    vr, vi = Fraction(0), Fraction(0)
-    for c in reversed(p.coeffs):
-        vr, vi = vr * x - vi * y + c, vr * y + vi * x
-    return vr * (1 << frac), vi * (1 << frac)
+    """p((zr + i·zi)·2^-frac) times 2^frac, exactly, as (re, im, den)
+    for (re + i·im) / den: Horner on integers over the common
+    denominator p.den·2^(frac·deg p)."""
+    vr, vi = 0, 0
+    for j, c in enumerate(reversed(p.num)):
+        vr, vi = vr * zr - vi * zi + (c << (frac * j)), vr * zi + vi * zr
+    return vr << frac, vi << frac, p.den << (frac * p.degree)
 
 
 def _holds(disk, value):
     cr, ci, r = disk
-    return (value[0] - cr) ** 2 + (value[1] - ci) ** 2 <= r**2
+    vr, vi, den = value
+    return (vr - cr * den) ** 2 + (vi - ci * den) ** 2 <= (r * den) ** 2
 
 
-@pytest.mark.parametrize("bits", [64, 256])
+def _rim(r):
+    """Six offsets of modulus exactly r, for r a multiple of 5."""
+    return [(r, 0), (-r, 0), (0, r), (0, -r), (3 * r // 5, 4 * r // 5), (-3 * r // 5, -4 * r // 5)]
+
+
+def _assert_value_disks_hold(p, bits, radii):
+    # the value disk of each root of p as a point (radius 0) holds p's
+    # exact value there, and the value disk of each root widened to a
+    # radius r in ``radii`` holds p on its rim
+    frac = bits + numoracle._GUARD
+    roots, _ = numoracle._isolate(squarefree_part(p), bits)
+    points = [(zr, zi, 0) for zr, zi, _ in roots]
+    for (zr, zi, _), disk in zip(points, numoracle._value_disks(p, points, frac)):
+        assert _holds(disk, _exact_value(p, zr, zi, frac)), (p, bits)
+    for r in radii:
+        widened = [(zr, zi, r) for zr, zi, _ in roots]
+        for (zr, zi, _), disk in zip(widened, numoracle._value_disks(p, widened, frac)):
+            for er, ei in _rim(r):
+                assert _holds(disk, _exact_value(p, zr + er, zi + ei, frac)), (p, bits, r)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 4096])
 def test_value_disks_cover_rounding_and_drift(bits):
     # at the roots of P, of modulus 2-3, where the relative slack is small
-    # and Horner's rounding is not, the value disk of a point (radius 0)
-    # holds P's exact value there; and the value disk of a wide root disk
-    # holds P on its rim, at points a 3-4-5 triangle puts exactly there
+    # and Horner's rounding is not, and on the rim of wide root disks,
+    # at points a 3-4-5 triangle puts exactly there
     rng = random.Random(bits)
     frac = bits + numoracle._GUARD
-    wide = 5 << (frac - 12)
-    rim = [(wide, 0), (-wide, 0), (0, wide), (0, -wide), (3 * wide // 5, 4 * wide // 5), (-3 * wide // 5, -4 * wide // 5)]
     for n in (4, 8, 12, 16):
         p = poly_of(-rng.randint(2**n, 3**n), *(rng.randint(-3, 3) for _ in range(n - 1)), 1)
-        roots, _ = numoracle._isolate(squarefree_part(p), bits)
-        points = [(zr, zi, 0) for zr, zi, _ in roots]
-        for (zr, zi, _), disk in zip(points, numoracle._value_disks(p, points, frac)):
-            assert _holds(disk, _exact_value(p, zr, zi, frac)), (p, bits)
-        widened = [(zr, zi, wide) for zr, zi, _ in roots]
-        for (zr, zi, _), disk in zip(widened, numoracle._value_disks(p, widened, frac)):
-            for er, ei in rim:
-                assert _holds(disk, _exact_value(p, zr + er, zi + ei, frac)), (p, bits)
+        _assert_value_disks_hold(p, bits, [5 << (frac - 12)])
+    # at the edges of the 2^-64 scale the radius terms are bounded at:
+    # 2^(e·n)·P(2^-e x) has roots of modulus 2^e times 2-3, for
+    # e = +-70, and coefficients far above or below 2^-64; root radii
+    # run from 5 units to 5·2^40, far below and far above 2^-64
+    radii = [5, 5 << (frac - 80), 5 << (frac - 12), 5 << (frac + 40)]
+    for n in (4, 8):
+        q = [-rng.randint(2**n, 3**n), *(rng.randint(-3, 3) for _ in range(n - 1)), 1]
+        for e in (70, -70):
+            _assert_value_disks_hold(poly_of(*(rat(c) * rat(2) ** (e * (n - k)) for k, c in enumerate(q))), bits, radii)
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024, 4096])
@@ -213,6 +236,58 @@ def test_newton_polygon_start_on_roots_far_apart():
     _assert_one_root_per_disk(p, 64, ref)
 
 
+def _linear(a):
+    return poly_of(-a, 1)
+
+
+def _correction_cases(bits, top):
+    """The seeded squarefree polynomials; roots 2^-20 ... 2^-300 apart;
+    a triple cluster 2^-80 wide; and roots of modulus about 2^100,
+    whose residuals pass 2^F."""
+    yield from _seeded_squarefree(bits, top)
+    for t in (20, 60, 100, 200, 300):
+        yield _linear(1) * _linear(1 + rat(1, 2**t)) * _linear(-2)
+    e = rat(1, 2**80)
+    yield _linear(1) * _linear(1 + e) * _linear(1 - e) * _linear(-2)
+    yield poly_of(-1, 1, *[0] * 10, rat(1, 2**1100))
+
+
+@pytest.mark.parametrize("bits, top", ISOLATION_CASES)
+def test_sized_correction_against_the_full_denominator(bits, top):
+    # the Weierstrass correction with its denominator's mantissa sized to
+    # the residual agrees with the one kept to F + 64 bits, on isolated
+    # iterates moved by random offsets from 0 to 2^(F+8) units and with
+    # two iterates made to coincide: both None together, or equal within
+    # the relative error of the shorter mantissa (n - 1 roundings of
+    # 2^(1.5 - top) each, in both routes) plus one unit per part
+    rng = random.Random(f"correction/{bits}")
+    for p in _correction_cases(bits, top):
+        n = p.degree
+        if n < 2:
+            continue
+        shift = max(0, -math.ceil(numoracle._log2_root_radius(p)))
+        _, (frac, zs) = numoracle._isolate(p, bits)
+        coeffs = [(c << (frac + shift * (n - k))) // p.num[-1] for k, c in enumerate(p.num)]
+        for scale in (0, 8, frac // 4, frac // 2, frac - 8, frac + 8):
+            moved = [
+                (zr + rng.randint(-(1 << scale), 1 << scale), zi + rng.randint(-(1 << scale), 1 << scale))
+                for zr, zi in zs
+            ]
+            if scale == 8:
+                moved[1] = moved[0]
+            for i in range(n):
+                got = numoracle._correction(coeffs, moved, i, frac)
+                ref = reference_correction(coeffs, moved, i, frac)
+                assert (got is None) == (ref is None) == (i < 2 and scale == 8), (p, bits, scale, i)
+                if got is None:
+                    continue
+                vr, vi = numoracle._horner(coeffs, *moved[i], frac)
+                top_bits = min(max(abs(vr), abs(vi)).bit_length(), frac) + numoracle._GUARD
+                size = abs(ref[0]) + abs(ref[1]) + 2
+                for a, b in zip(got, ref):
+                    assert abs(a - b) << top_bits <= (size * n << 3) + (1 << top_bits), (p, bits, scale, i)
+
+
 def test_oracles_run_without_mpmath():
     src = pathlib.Path(__file__).parent.parent / "src"
     code = (
@@ -244,6 +319,20 @@ def test_oracle_answers_replay_the_golden_file():
         record = json.loads(line)
         polys = [parse_poly(text) for text in record["inputs"]]
         assert summary(polys) == record["summary"], record["inputs"]
+
+
+@pytest.mark.parametrize("seed", FULL_RUN_SEEDS)
+def test_oracle_answers_match_the_sweep_digests(seed):
+    # the benchmark's full 20-second oracle run on this seed, 8 passes of
+    # 56 items, against the digests tests/oracle_sweep.py recorded: an
+    # oracle change that moves any answer fails here, not only in the
+    # hand-run sweep
+    recorded = json.loads(DIGESTS.read_text())
+    for k in range(FULL_RUN_PASSES):
+        key = f"{seed}/{k}"
+        for i, (kind, polys) in enumerate(draw(random.Random(f"oracle/{key}"))):
+            s = summary(polys)
+            assert digest(s) == recorded[key][i], (key, i, kind, [p.to_string() for p in polys], s)
 
 
 def test_non_squarefree_input_refused():
