@@ -61,16 +61,11 @@ def _critical_summary(pair: PolynomialPair) -> dict:
     }
 
 
-def verify_witnesses(verdict: Verdict, matching=None):
-    """``oneforms.verify_witnesses``, imported on the first call."""
-    from .oneforms import verify_witnesses
-
-    return verify_witnesses(verdict, matching)
-
-
 def _witness_texts(verdict: Verdict) -> list:
     """The audited witness forms; a form failing its own regularity
     audit is an internal fault, never printed."""
+    from .oneforms import verify_witnesses
+
     forms, reports = verify_witnesses(verdict)
     if not all(r.overall for r in reports):
         raise RuntimeError(f"witness audit failed for rule {verdict.rule!r}")
@@ -293,6 +288,8 @@ def _selftest_items():
 
 
 def _run_selftest() -> int:
+    from .oneforms import verify_witnesses
+
     failures = 0
     for name, pair, outcome, rule, case in _selftest_items():
         verdict = classify(pair)

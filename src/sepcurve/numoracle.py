@@ -49,7 +49,6 @@ from typing import Optional
 from .critical import (
     DEFAULT_PRECISION,
     PRECISION_CAP,
-    CriticalStructure,
     PairMatching,
     PolynomialPair,
     analyze,
@@ -420,39 +419,6 @@ def _cluster_indices(disks):
     return sorted(groups.values(), key=lambda g: (-len(g), g))
 
 
-def _class_roots(structures, precision_bits: int, iterates: dict) -> dict:
-    """Root disks of every class factor of the given sides at one
-    precision step, each distinct factor isolated once.  ``iterates``
-    maps a factor to its iterates from the previous step, which seed
-    this one, and is updated in place.  The factors must already be
-    proven squarefree (:func:`_require_critical_squarefree`, once per
-    oracle call)."""
-    roots = {}
-    for cs in structures:
-        for cls in cs.classes:
-            f = cls.factor
-            if f not in roots:
-                roots[f], iterates[f] = _isolate(f, precision_bits, iterates.get(f))
-    return roots
-
-
-def _critical_value_disks(cs: CriticalStructure, roots: dict, frac: int):
-    """(point multiplicity, value disk) for every critical point of
-    cs.poly, from the disks of its class factors' roots at scale
-    2^-frac."""
-    return [
-        (cls.multiplicity, disk)
-        for cls in cs.classes
-        for disk in _value_disks(cs.poly, roots[cls.factor], frac)
-    ]
-
-
-def _require_critical_squarefree(*structures: CriticalStructure) -> None:
-    for cs in structures:
-        for cls in cs.classes:
-            _require_squarefree(cls.factor)
-
-
 def _can_pack(cluster_sizes, parts):
     """Can the expected coincidence sizes (`parts`) be grouped so each
     observed cluster is a disjoint union of them?  Small backtracking —
@@ -481,6 +447,38 @@ def _can_pack(cluster_sizes, parts):
     return fill(cluster_sizes, parts)
 
 
+def _steps(structures, precision_bits: int):
+    """The escalation ladder both oracles judge, over the critical
+    points of the given sides: at precision_bits and at every doubling
+    up to PRECISION_CAP, yields (bits, tagged, groups).  ``tagged``
+    holds (side index, point multiplicity, value disk) for every
+    critical point, and ``groups`` the indices into it clustered by
+    overlap.  Every class factor is proven squarefree once, before the
+    first step; each distinct factor is isolated once per step, seeded
+    with its iterates from the step before."""
+    for cs in structures:
+        for cls in cs.classes:
+            _require_squarefree(cls.factor)
+    prec, iterates = precision_bits, {}
+    while True:
+        roots = {}
+        for cs in structures:
+            for cls in cs.classes:
+                f = cls.factor
+                if f not in roots:
+                    roots[f], iterates[f] = _isolate(f, prec, iterates.get(f))
+        tagged = [
+            (side, cls.multiplicity, disk)
+            for side, cs in enumerate(structures)
+            for cls in cs.classes
+            for disk in _value_disks(cs.poly, roots[cls.factor], prec + _GUARD)
+        ]
+        yield prec, tagged, _cluster_indices([d for _, _, d in tagged])
+        if prec * 2 > PRECISION_CAP:
+            return
+        prec *= 2
+
+
 def corroborate_hypothesis_I(
     p: Poly,
     precision_bits: int = DEFAULT_PRECISION,
@@ -497,25 +495,14 @@ def corroborate_hypothesis_I(
     if precision_bits < 1:
         raise ValueError(f"precision_bits must be at least 1, got {precision_bits}")
     cs = analyze(p)
-    _require_critical_squarefree(cs)
-    symbolic = cs.hypothesis_I
-    expected = cs.value_multiplicities
-
-    prec = precision_bits
-    sizes = ()
-    iterates = {}
-    while True:
-        roots = _class_roots([cs], prec, iterates)
-        disks = [d for _, d in _critical_value_disks(cs, roots, prec + _GUARD)]
-        groups = _cluster_indices(disks)
+    symbolic, expected = cs.hypothesis_I, cs.value_multiplicities
+    for prec, _, groups in _steps([cs], precision_bits):
         sizes = tuple(sorted((len(g) for g in groups), reverse=True))
         if sizes == expected:
             return HypothesisOracle(OracleOutcome.AGREE, symbolic, prec, sizes)
         if not _can_pack(sizes, expected):
             return HypothesisOracle(OracleOutcome.DISAGREE, symbolic, prec, sizes)
-        if prec * 2 > PRECISION_CAP:
-            return HypothesisOracle(OracleOutcome.AMBIGUOUS, symbolic, prec, sizes)
-        prec *= 2
+    return HypothesisOracle(OracleOutcome.AMBIGUOUS, symbolic, prec, sizes)
 
 
 def verify_pair_counts(
@@ -543,26 +530,16 @@ def verify_pair_counts(
             None,
             "hypothesis I fails symbolically; the per-point recount is not certified",
         )
-    _require_critical_squarefree(pp.critical_p(), pp.critical_q())
     expected_pairs = tuple(sorted(pm.matched_points, reverse=True))
     expected_unm_p = tuple(sorted(pm.unmatched_p_points, reverse=True))
     expected_unm_q = tuple(sorted(pm.unmatched_q_points, reverse=True))
-
-    prec = precision_bits
-    detail = ""
-    iterates = {}
-    while True:
-        roots = _class_roots([pp.critical_p(), pp.critical_q()], prec, iterates)
-        tagged = [("P", m, d) for m, d in _critical_value_disks(pp.critical_p(), roots, prec + _GUARD)]
-        tagged += [("Q", m, d) for m, d in _critical_value_disks(pp.critical_q(), roots, prec + _GUARD)]
-        groups = _cluster_indices([d for _, _, d in tagged])
+    for prec, tagged, groups in _steps([pp.critical_p(), pp.critical_q()], precision_bits):
         mixed, single_p, single_q = [], [], []
-        unresolved = False
         for g in groups:
-            ps = [tagged[i][1] for i in g if tagged[i][0] == "P"]
-            qs = [tagged[i][1] for i in g if tagged[i][0] == "Q"]
+            ps = [tagged[i][1] for i in g if tagged[i][0] == 0]
+            qs = [tagged[i][1] for i in g if tagged[i][0] == 1]
             if len(ps) > 1 or len(qs) > 1:
-                unresolved = True
+                detail = "same-side values still overlap"
                 break
             if ps and qs:
                 mixed.append((ps[0], qs[0]))
@@ -570,7 +547,7 @@ def verify_pair_counts(
                 single_p.append(ps[0])
             else:
                 single_q.append(qs[0])
-        if not unresolved:
+        else:
             got_pairs = tuple(sorted(mixed, reverse=True))
             got_p = tuple(sorted(single_p, reverse=True))
             got_q = tuple(sorted(single_q, reverse=True))
@@ -589,11 +566,7 @@ def verify_pair_counts(
                     f"matched pairs {list(missing)} refuted by disjoint disks",
                 )
             detail = f"unconfirmed extra coincidences {list(extra)}"
-        else:
-            detail = "same-side values still overlap"
-        if prec * 2 > PRECISION_CAP:
-            return PairCountOracle(OracleOutcome.AMBIGUOUS, prec, None, None, detail)
-        prec *= 2
+    return PairCountOracle(OracleOutcome.AMBIGUOUS, prec, None, None, detail)
 
 
 def _multiset_sub(a, b):

@@ -21,10 +21,11 @@ position 0, since no report could print it.
 
 The text is split once into tokens, each a run of ASCII digits or one
 other non-whitespace character (whitespace is ``str.isspace``), and
-the grammar descends over the tokens.  A value is kept in the form Poly
-uses, a dense list of integer numerators over one positive denominator,
-and the Poly is built once at the end.  Token positions are recomputed
-only for an error message.
+the grammar descends over the tokens.  A value is a pair (nums, den) of
+integer numerators over one positive denominator, combined by the ring
+kernels of ``rpoly`` (``_add``, ``_mul``, ``_pow``, ``_neg`` and the
+normaliser ``_normal``), and the Poly is built once at the end.  Token
+positions are recomputed only for an error message.
 
 >>> parse_poly("x^5 - 3*x + 1").coeffs == (1, -3, 0, 0, 0, 1)
 True
@@ -36,9 +37,9 @@ from __future__ import annotations
 
 import re
 import sys
-from math import gcd, lcm
+from math import gcd
 
-from .rpoly import Poly, _make
+from .rpoly import Poly, _add, _mul, _neg, _normal, _poly, _pow
 
 MAX_DEGREE = 256
 MAX_POWER_BITS = 1 << 16
@@ -61,11 +62,11 @@ def parse_poly(text: str) -> Poly:
     """Parse an exact polynomial in x.  Raises ParseError on anything
     outside the grammar, pointing at the offending character."""
     d = _Descent(text)
-    nums, den = d.expr()
+    value = d.expr()
     tok = d.toks[d.i]
     if tok:
         raise d.error(f"unexpected {tok[0]!r}", d.i)
-    poly = _make(nums, den)
+    poly = _poly(value)
     _check_digits(poly)
     return poly
 
@@ -87,21 +88,8 @@ def _check_digits(poly: Poly):
                 raise ParseError(f"coefficient of degree {k} has more than {limit} digits", 0)
 
 
-# Values are (nums, den): nums[k] / den is the coefficient of x^k, nums
-# has no trailing zeros, den > 0 and gcd(den, *nums) == 1.
-_ZERO = ((), 1)
-
-
-def _reduced(nums: list, den: int) -> tuple:
-    while nums and not nums[-1]:
-        nums.pop()
-    if den != 1:
-        g = gcd(den, *nums)
-        if g != 1:
-            nums, den = [c // g for c in nums], den // g
-    return nums, den
-
-
+# Values are (nums, den) as rpoly's ring kernels take and return them:
+# nums[k] / den is the coefficient of x^k.
 def _size(value: tuple) -> int:
     """Bit size of the largest numerator or the denominator, a bound on
     _bits, equal to it when the denominator is 1 (0 for zero)."""
@@ -119,56 +107,6 @@ def _bits(value: tuple) -> int:
         (max((c // g).bit_length(), (den // g).bit_length()) for c in nums if c for g in (gcd(c, den),)),
         default=0,
     )
-
-
-def _add(a: tuple, b: tuple, negate: bool) -> tuple:
-    """a + b, or a - b when negate."""
-    (an, ad), (bn, bd) = a, b
-    d = ad
-    if bd != ad:
-        d = lcm(ad, bd)
-        an = [c * (d // ad) for c in an]
-        bn = [c * (d // bd) for c in bn]
-    if negate:
-        bn = [-c for c in bn]
-    if len(an) < len(bn):
-        an, bn = bn, an
-    out = list(an)
-    for i, c in enumerate(bn):
-        out[i] += c
-    return _reduced(out, d)
-
-
-def _mul(a: tuple, b: tuple) -> tuple:
-    (an, ad), (bn, bd) = a, b
-    if not an or not bn:
-        return _ZERO
-    if len(an) > len(bn):
-        an, bn = bn, an
-    if len(an) == 1:
-        c = an[0]
-        return _reduced([c * x for x in bn], ad * bd)
-    out = [0] * (len(an) + len(bn) - 1)
-    for i, ai in enumerate(an):
-        if ai:
-            for j, bj in enumerate(bn):
-                out[i + j] += ai * bj
-    return _reduced(out, ad * bd)
-
-
-def _pow(base: tuple, e: int) -> tuple:
-    nums, den = base
-    k = len(nums) - 1
-    if k <= 0 or not any(nums[:k]):  # zero, a constant or a monomial c * x^k
-        return ([0] * (k * e) + [nums[k] ** e], den**e) if nums else _ZERO
-    result = ([1], 1)
-    while e:
-        if e & 1:
-            result = _mul(result, base)
-        e >>= 1
-        if e:
-            base = _mul(base, base)
-    return result
 
 
 class _Descent:
@@ -210,7 +148,7 @@ class _Descent:
             self.i += 1
         acc = self.term()
         if negate:
-            acc = ([-c for c in acc[0]], acc[1])
+            acc = _neg(acc)
         while (op := self.toks[self.i]) == "+" or op == "-":
             self.i += 1
             acc = _add(acc, self.term(), op == "-")
@@ -267,12 +205,11 @@ class _Descent:
         if "0" <= tok[:1] <= "9":
             num = self.integer("number")
             if self.toks[self.i] != "/":
-                return ([num], 1) if num else _ZERO
+                return _normal([num])
             slash = self.i
             self.i += 1
             den = self.integer("denominator")
             if den == 0:
                 raise self.error("zero denominator", slash, 1)
-            g = gcd(num, den)
-            return ([num // g], den // g) if num else _ZERO
+            return _normal([num], den)
         raise self.error(f"expected a number, 'x', or '(', got {self.got()}", self.i)

@@ -5,10 +5,14 @@ A polynomial is stored as integer numerators over one denominator:
 with trailing zeros stripped, ``den`` is positive and
 gcd(den, *num) == 1.  The form is canonical, so equality and hashing
 compare the two fields; the zero polynomial is ``((), 1)`` and has
-degree -1.  Ring operations, calculus and the argument transforms run
-on the integers, and so does ``to_string``; ``Rat`` is built only
-where a rational leaves the module: ``coeff``, ``lc``, ``coeffs``,
-evaluation and ``resultant``.
+degree -1.  The ring operations are kernels on (num, den) values in
+this form: one normaliser, a signed add, a product and a power.
+``Poly``'s operators and ``parsepoly``, which builds no Poly until its
+result, share them, so this module is the one place that knows how a
+rational polynomial is represented and combined.  The ring kernels,
+calculus and the argument transforms run on the integers, and so does
+``to_string``; ``Rat`` is built only where a rational leaves the
+module: ``coeff``, ``lc``, ``coeffs``, evaluation and ``resultant``.
 
 The module also carries the exact kernels the rest of the package is
 built on: gcd, squarefree (multiplicity) decomposition, resultants, and
@@ -140,61 +144,35 @@ class Poly:
         return hash((self.num, self.den))
 
     def __neg__(self):
-        return _make([-c for c in self.num], self.den)
+        return _poly(_neg((self.num, self.den)))
 
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.constant(other)
-        a, b, d = self.num, other.num, self.den
-        if other.den != d:  # align the denominators by their lcm
-            d = lcm(d, other.den)
-            a = [c * (d // self.den) for c in a]
-            b = [c * (d // other.den) for c in b]
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _make(out, d)
+        return _poly(_add((self.num, self.den), (other.num, other.den)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
             other = Poly.constant(other)
-        return self + (-other)
+        return _poly(_add((self.num, self.den), (other.num, other.den), True))
 
     def __rsub__(self, other):
-        return Poly.constant(other) + (-self)
+        return Poly.constant(other) - self
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = _coerce(other)
-            return _make([c.numerator * a for a in self.num], c.denominator * self.den)
-        a, b = self.num, other.num
-        if not a or not b:
-            return Poly.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return _make(out, self.den * other.den)
+            return _poly(_mul((self.num, self.den), ((c.numerator,), c.denominator)))
+        return _poly(_mul((self.num, self.den), (other.num, other.den)))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Poly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _poly(_pow((self.num, self.den), k))
 
     def __divmod__(self, other: "Poly"):
         """Division with remainder over Q by one integer pseudo-division.
@@ -316,19 +294,95 @@ class Poly:
 
 def _make(num: list, den: int = 1) -> Poly:
     """The canonical Poly num/den for integer numerators and a nonzero
-    integer denominator: strips trailing zeros, makes den positive and
-    divides out gcd(den, *num)."""
+    integer denominator."""
+    return _poly(_normal(num, den))
+
+
+def _poly(value: tuple) -> Poly:
+    """The Poly of a canonical value (num, den)."""
+    poly = object.__new__(Poly)
+    object.__setattr__(poly, "num", tuple(value[0]))
+    object.__setattr__(poly, "den", value[1])
+    return poly
+
+
+# ---------------------------------------------------------------------------
+# ring kernels on values (num, den), num[k] / den the coefficient of x^k:
+# canonical as Poly stores them, num a list or tuple; the results are new
+# canonical values with num a list
+# ---------------------------------------------------------------------------
+
+
+def _normal(num: list, den: int = 1) -> tuple:
+    """The canonical value num/den for a list of integer numerators and a
+    nonzero integer denominator: strips trailing zeros from num in place,
+    makes den positive and divides out gcd(den, *num)."""
     while num and not num[-1]:
         num.pop()
     if den < 0:
         num, den = [-c for c in num], -den
-    g = gcd(den, *num)
-    if g != 1:
-        num, den = [c // g for c in num], den // g
-    poly = object.__new__(Poly)
-    object.__setattr__(poly, "num", tuple(num))
-    object.__setattr__(poly, "den", den)
-    return poly
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = [c // g for c in num], den // g
+    return num, den
+
+
+def _neg(a: tuple) -> tuple:
+    return [-c for c in a[0]], a[1]
+
+
+def _add(a: tuple, b: tuple, negate: bool = False) -> tuple:
+    """a + b, or a - b when negate."""
+    (an, ad), (bn, bd) = a, b
+    d = ad
+    if bd != ad:  # align the denominators by their lcm
+        d = lcm(ad, bd)
+        an = [c * (d // ad) for c in an]
+        bn = [c * (d // bd) for c in bn]
+    out = list(an) + [0] * (len(bn) - len(an))
+    if negate:
+        for i, c in enumerate(bn):
+            out[i] -= c
+    else:
+        for i, c in enumerate(bn):
+            out[i] += c
+    return _normal(out, d)
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    (an, ad), (bn, bd) = a, b
+    if not an or not bn:
+        return [], 1
+    if len(an) > len(bn):
+        an, bn = bn, an
+    if len(an) == 1:  # a scalar
+        c = an[0]
+        return _normal([c * x for x in bn], ad * bd)
+    out = [0] * (len(an) + len(bn) - 1)
+    for i, ai in enumerate(an):
+        if ai:
+            for j, bj in enumerate(bn):
+                out[i + j] += ai * bj
+    return _normal(out, ad * bd)
+
+
+def _pow(base: tuple, e: int) -> tuple:
+    """base^e for an integer e >= 0, with 0^0 = 1."""
+    num, den = base
+    k = len(num) - 1
+    if not e:
+        return [1], 1
+    if k <= 0 or not any(num[:k]):  # zero, a constant or a monomial c * x^k
+        return ([0] * (k * e) + [num[k] ** e], den**e) if num else ([], 1)
+    result = [1], 1
+    while e:
+        if e & 1:
+            result = _mul(result, base)
+        e >>= 1
+        if e:
+            base = _mul(base, base)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +488,7 @@ def squarefree_decomposition(p: Poly) -> MultiplicityDecomposition:
     c = _exact_quotient(df, g)
     i = 1
     while len(b) > 1:
-        d = _sub(c, _derivative(b))
+        d, _ = _add((c, 1), (_derivative(b), 1), True)
         a = _prs_gcd(b, d) if d else b  # gcd(b, 0) is the primitive b
         if len(a) > 1:
             parts.append((_make(a, a[-1]), i))
@@ -468,16 +522,6 @@ def _primitive(cs: tuple) -> list:
 
 def _derivative(cs: list) -> list:
     return [k * cs[k] for k in range(1, len(cs))]
-
-
-def _sub(a: list, b: list) -> list:
-    """a - b for integer lists, trailing zeros stripped."""
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 def _exact_quotient(a: list, b: list) -> list:

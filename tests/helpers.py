@@ -518,6 +518,22 @@ def _atom(sc: _Scanner) -> dict:
     raise ParseError(f"expected a number, 'x', or '(', got {got!r}", sc.pos)
 
 
+def terms_of(p: Poly) -> dict:
+    """The coefficients of p as the reference parser's terms: exponent
+    to Fraction, zeros left out."""
+    return {k: Rat(c, p.den) for k, c in enumerate(p.num) if c}
+
+
+def reference_ring(a: dict, b: dict, k: int) -> dict:
+    """a + b, a - b, -a, a * b and a^k on terms, keyed by operator, one
+    Fraction per coefficient: the reference rpoly's ring kernels are
+    compared against.  The power is k products, 1 for k = 0."""
+    power = {0: ONE}
+    for _ in range(k):
+        power = _mul(power, a)
+    return {"+": _add(a, b), "-": _add(a, _neg(b)), "neg": _neg(a), "*": _mul(a, b), "**": power}
+
+
 def reference_to_string(p, var="x"):
     """Poly.to_string through one Fraction per coefficient: the
     reference the numerator route is compared against."""

@@ -25,6 +25,7 @@ import pytest
 import sepcurve.cli as cli
 import sepcurve.critical as critical
 import sepcurve.instances as ins
+import sepcurve.oneforms as oneforms
 from sepcurve.cli import main
 from sepcurve.numoracle import PRECISION_CAP
 from sepcurve.oneforms import MalformedFormError
@@ -241,13 +242,13 @@ def test_emitter_fault_is_not_a_usage_error(monkeypatch):
 
 
 def test_unaudited_witness_is_never_printed(monkeypatch, capsys):
-    real = cli.verify_witnesses
+    real = oneforms.verify_witnesses
 
     def failing_audit(verdict, matching=None):
         forms, reports = real(verdict, matching)
         return forms, tuple(dataclasses.replace(r, overall=False) for r in reports)
 
-    monkeypatch.setattr(cli, "verify_witnesses", failing_audit)
+    monkeypatch.setattr(oneforms, "verify_witnesses", failing_audit)
     with pytest.raises(RuntimeError, match="witness audit failed"):
         main(["classify", "--p", "x^5", "--q", "x^5 + x", "--witness"])
     assert capsys.readouterr().out == ""

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from unittest import mock
 
 import mpmath
@@ -319,6 +320,25 @@ def test_oracle_answers_replay_the_golden_file():
         record = json.loads(line)
         polys = [parse_poly(text) for text in record["inputs"]]
         assert summary(polys) == record["summary"], record["inputs"]
+
+
+def test_oracles_cross_check_the_whole_corpus():
+    # both oracles on every corpus pair: the recount is Ambiguous exactly
+    # where Hypothesis I fails symbolically and Agree everywhere else, and
+    # every side's simple-value picture is corroborated, so no answer is
+    # Disagree
+    corpus = pathlib.Path(__file__).parent / "golden" / "corpus.jsonl"
+    simple = Counter()
+    for line in corpus.read_text().splitlines():
+        text = json.loads(line)["input"]
+        pair = PolynomialPair(parse_poly(text["p"]), parse_poly(text["q"]))
+        certified = pair.critical_p().hypothesis_I and pair.critical_q().hypothesis_I
+        want = OracleOutcome.AGREE if certified else OracleOutcome.AMBIGUOUS
+        assert verify_pair_counts(pair).outcome is want, text
+        for side in (pair.p, pair.q):
+            assert corroborate_hypothesis_I(side).outcome is OracleOutcome.AGREE, (text, side)
+        simple[certified] += 1
+    assert simple == {True: 239, False: 32}
 
 
 @pytest.mark.parametrize("seed", FULL_RUN_SEEDS)

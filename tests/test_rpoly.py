@@ -15,9 +15,11 @@ from helpers import (
     poly_of,
     reference_gcd,
     reference_resultant,
+    reference_ring,
     reference_squarefree_decomposition,
     reference_to_string,
     reference_value_image_mod_p,
+    terms_of,
 )
 from sepcurve import rpoly
 from sepcurve.classify import classify
@@ -134,6 +136,31 @@ def test_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a + b) * c == a * c + b * c
     assert a + b == b + a and a * b == b * a
+
+
+# zero, constants, monomials c*x^k and dense polys, with small rational
+# or 70-bit coefficients
+ring_coeffs = st.one_of(rationals, bits70)
+ring_polys = st.one_of(
+    st.just(Poly.zero()),
+    st.builds(Poly.constant, ring_coeffs),
+    st.builds(Poly.monomial, ring_coeffs, st.integers(0, 6)),
+    st.builds(Poly, st.lists(ring_coeffs, max_size=6)),
+)
+
+
+@given(a=ring_polys, b=ring_polys, k=st.integers(0, 9))
+@example(a=Poly.zero(), b=Poly.zero(), k=0)  # 0^0 = 1
+@settings(deadline=None)
+def test_ring_kernels_match_fraction_arithmetic(a, b, k):
+    want = reference_ring(terms_of(a), terms_of(b), k)
+    got = {"+": a + b, "-": a - b, "neg": -a, "*": a * b, "**": a**k}
+    for op, p in got.items():
+        assert terms_of(p) == want[op], op
+        # the canonical num/den form: positive den, nothing common, no trailing zero
+        assert type(p.num) is tuple and all(type(c) is int for c in p.num) and type(p.den) is int
+        assert p.den > 0 and gcd(p.den, *p.num) == 1
+        assert not p.num or p.num[-1] != 0
 
 
 # divisors: small, wide, constant, and non-monic by a wide scalar
