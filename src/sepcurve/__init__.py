@@ -7,9 +7,10 @@ critical-point data over Q — no root isolation, no number-field towers.
 
 Entry points: :func:`classify` for the verdict cascade,
 :func:`verify_witnesses` for explicit holomorphic one-forms backing a
-hyperbolic verdict, :func:`genus_if_supported` and the ``numoracle``
-module for independent cross-checks, and :mod:`sepcurve.cli` for the
-command-line front end.
+hyperbolic verdict, :func:`genus_if_supported` (the genus count from a
+pair's matched critical points; :func:`genus_from_matching` takes the
+matching itself) and the ``numoracle`` module for independent
+cross-checks, and :mod:`sepcurve.cli` for the command-line front end.
 """
 
 import importlib
@@ -34,17 +35,7 @@ _EXPORTS = {
         "match_pairs",
         "theorem1_lhs",
     ),
-    "geometry": (
-        "DeficiencyReport",
-        "GenusMethod",
-        "IrreducibilityVerdict",
-        "SingularProfile",
-        "UnsupportedRegionError",
-        "deficiency",
-        "genus_from_profile",
-        "genus_if_supported",
-        "singular_profile",
-    ),
+    "geometry": ("DeficiencyReport", "GenusMethod", "genus_from_matching", "genus_if_supported"),
     "linfactor": ("LinearFactorWitness", "find_linear_factor"),
     "numoracle": ("OracleOutcome", "complex_roots", "corroborate_hypothesis_I", "verify_pair_counts"),
     "oneforms": (
@@ -58,14 +49,7 @@ _EXPORTS = {
     ),
     "parsepoly": ("ParseError", "parse_poly"),
     "rationals": ("Rat", "rat"),
-    "rpoly": (
-        "Poly",
-        "is_squarefree",
-        "resultant",
-        "resultant_shift",
-        "squarefree_decomposition",
-        "squarefree_part",
-    ),
+    "rpoly": ("Poly", "is_squarefree", "resultant", "resultant_shift", "squarefree_decomposition"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -137,7 +137,7 @@ def classify(pair: PolynomialPair) -> Verdict:
 
     witness = find_linear_factor(pair)
     if witness is not None:
-        trace.append(f"linear factor found ({witness.description})")
+        trace.append(f"linear factor found (family of {witness.family_size} factor(s))")
         hyp_p = pair.critical_p().hypothesis_I
         hyp_q = pair.critical_q().hypothesis_I
         if n == m and hyp_p and hyp_q:

@@ -288,8 +288,6 @@ def _selftest_items():
 
 
 def _run_selftest() -> int:
-    from .oneforms import verify_witnesses
-
     failures = 0
     for name, pair, outcome, rule, case in _selftest_items():
         verdict = classify(pair)
@@ -302,11 +300,9 @@ def _run_selftest() -> int:
             problems.append(f"case {verdict.case} != {case}")
         if verdict.outcome is Outcome.HYPERBOLIC:
             try:
-                _forms, reports = verify_witnesses(verdict)
-                if not all(r.overall for r in reports):
-                    problems.append("witness regularity check failed")
-            except ValueError as exc:
-                problems.append(f"witness emission failed: {exc}")
+                _witness_texts(verdict)
+            except (RuntimeError, ValueError) as exc:
+                problems.append(f"witnesses: {exc}")
         status = "ok" if not problems else "FAIL (" + "; ".join(problems) + ")"
         print(f"{name:24s} {status}")
         failures += bool(problems)

@@ -40,11 +40,20 @@ class LinearFactorWitness:
     scale_minpoly: Poly
     shift_numerator: Poly
     shift_denominator: object  # nonzero rational
-    description: str
 
     @property
     def family_size(self) -> int:
         return self.scale_minpoly.degree
+
+    @property
+    def description(self) -> str:
+        """The family in words, formatted only when read: the
+        coefficients may be past the int-to-str digit limit."""
+        return (
+            f"family of {self.family_size} linear factor(s) y - (s*x + t): "
+            f"s any root of {self.scale_minpoly.to_string('s')}, "
+            f"t = ({self.shift_numerator.to_string('s')}) / ({self.shift_denominator})"
+        )
 
     def shift_for_scale(self, s):
         """t for a rational scale s (s must be a root of scale_minpoly)."""
@@ -135,13 +144,4 @@ def find_linear_factor(pair: PolynomialPair):
     if not _verify(p, p_centred, q, q_centred, g, shift_num * (ONE / shift_den)):
         raise ArithmeticError("linear-factor witness failed its exact re-verification")
 
-    return LinearFactorWitness(
-        scale_minpoly=g,
-        shift_numerator=shift_num,
-        shift_denominator=shift_den,
-        description=(
-            f"family of {g.degree} linear factor(s) y - (s*x + t): "
-            f"s any root of {g.to_string('s')}, "
-            f"t = ({shift_num.to_string('s')}) / ({shift_den})"
-        ),
-    )
+    return LinearFactorWitness(g, shift_num, shift_den)

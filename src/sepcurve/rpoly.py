@@ -430,15 +430,6 @@ def is_squarefree(p: Poly) -> bool:
     return poly_gcd(p, p.derivative()).degree == 0
 
 
-def squarefree_part(p: Poly) -> Poly:
-    """Monic product of the distinct irreducible factors of p."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return Poly.one()
-    return (p // poly_gcd(p, p.derivative())).monic()
-
-
 @dataclass(frozen=True)
 class MultiplicityDecomposition:
     """content * prod(factor^multiplicity) == the decomposed polynomial,

@@ -17,6 +17,11 @@ def poly_of(*coeffs):
     return Poly([Rat(c) for c in coeffs])
 
 
+def squarefree_part(p):
+    """Monic product of the distinct irreducible factors of p."""
+    return (p // poly_gcd(p, p.derivative())).monic()
+
+
 def make_matching(matched, unm_p=(), unm_q=(), deg=None):
     """Synthetic PairMatching from matched (p, q) points plus unmatched
     multiplicity tuples; degrees default to the mass identity."""
@@ -190,16 +195,7 @@ def reference_linear_factor(pair):
     if any(not d.is_zero for d in rediff):
         return None
 
-    return LinearFactorWitness(
-        scale_minpoly=g,
-        shift_numerator=shift_num % g,
-        shift_denominator=shift_den,
-        description=(
-            f"family of {g.degree} linear factor(s) y - (s*x + t): "
-            f"s any root of {g.to_string('s')}, "
-            f"t = ({(shift_num % g).to_string('s')}) / ({shift_den})"
-        ),
-    )
+    return LinearFactorWitness(g, shift_num % g, shift_den)
 
 
 # ---------------------------------------------------------------------------

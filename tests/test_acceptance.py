@@ -8,7 +8,7 @@ import functools
 import random
 import time
 
-from helpers import check_resultant_product
+from helpers import check_resultant_product, make_matching, squarefree_part
 from sepcurve.classify import Outcome, classify, matching_case_ids
 from sepcurve.critical import (
     analyze,
@@ -16,13 +16,7 @@ from sepcurve.critical import (
     match_pairs,
     theorem1_lhs,
 )
-from sepcurve.geometry import (
-    GenusMethod,
-    SingularProfile,
-    genus_from_profile,
-    genus_if_supported,
-    point_for_pair,
-)
+from sepcurve.geometry import GenusMethod, genus_from_matching, genus_if_supported
 from sepcurve.instances import (
     CASE_IDS,
     case_instance,
@@ -36,11 +30,7 @@ from sepcurve.instances import (
 from sepcurve.linfactor import find_linear_factor
 from sepcurve.numoracle import OracleOutcome, corroborate_hypothesis_I
 from sepcurve.oneforms import verify_witnesses
-from sepcurve.rpoly import squarefree_decomposition, squarefree_part
-
-
-def _profile(points, n):
-    return SingularProfile(tuple(point_for_pair(p, q) for p, q in points), n)
+from sepcurve.rpoly import squarefree_decomposition
 
 
 def test_criterion_1_pinned_genus_values():
@@ -49,19 +39,19 @@ def test_criterion_1_pinned_genus_values():
     t0 = time.perf_counter()
 
     # five ordinary points of multiplicities {3, 2, 2} at degree 5
-    rep = genus_from_profile(_profile([(2, 2), (1, 1), (1, 1)], 5))
+    rep = genus_from_matching(make_matching([(2, 2), (1, 1), (1, 1)], deg=(5, 5)))
     assert (rep.delta, rep.genus) == (1, 1)
 
     # two ordinary triple points at degree 5
-    rep = genus_from_profile(_profile([(2, 2), (2, 2)], 5))
+    rep = genus_from_matching(make_matching([(2, 2), (2, 2)], deg=(5, 5)))
     assert (rep.delta, rep.genus) == (0, 0)
 
     # one non-ordinary point from the (4, 3) pair at degree 5
-    rep = genus_from_profile(_profile([(4, 3)], 5))
+    rep = genus_from_matching(make_matching([(4, 3)], deg=(5, 5)))
     assert (rep.delta, rep.genus) == (0, 0)
 
     # degree 4 with a single (3, 1) point: one quadratic transform
-    rep = genus_from_profile(_profile([(3, 1)], 4))
+    rep = genus_from_matching(make_matching([(3, 1)], deg=(4, 4)))
     assert rep.method is GenusMethod.QUADRATIC_TRANSFORM_ADJUSTED
     assert (rep.delta, rep.genus) == (2, 1)
 
@@ -153,7 +143,7 @@ def test_criterion_4_invariant_suite():
         dec = squarefree_decomposition(p)
         assert dec.reassemble() == p, (i, p)
 
-        s = squarefree_part(p.derivative()).monic()
+        s = squarefree_part(p.derivative())
         if s.degree >= 1:
             assert check_resultant_product(s, p), (i, p)
 

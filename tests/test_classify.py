@@ -1,5 +1,9 @@
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from collections import Counter
 
 from hypothesis import given, settings
@@ -69,6 +73,32 @@ def test_linear_factor_without_simple_values_is_not_case_1():
     assert v.rule == "linear factor" and v.case is None
     assert v.linear_witness is not None
     assert v.hyp_p is False
+
+
+def test_linear_factor_past_the_int_to_str_digit_limit():
+    """A witness whose coefficients have more digits than Python will
+    print still yields a verdict: its text is formatted only when read."""
+    src = pathlib.Path(__file__).parent.parent / "src"
+    code = (
+        "from sepcurve.classify import classify\n"
+        "from sepcurve.critical import PolynomialPair\n"
+        "from sepcurve.parsepoly import parse_poly\n"
+        "v = classify(PolynomialPair(parse_poly('3^9000*x^2'), parse_poly('1/5^6000*x^2')))\n"
+        "print(v.outcome.value, v.rule, v.case, v.trace[0], sep='|')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": "4300"},
+        check=True,
+    )
+    assert out.stdout.rstrip("\n").split("|") == [
+        "HasLowGenusComponent",
+        "Theorem 3 case 1",
+        "1",
+        "linear factor found (family of 2 factor(s))",
+    ]
 
 
 def test_simple_value_failure_is_inconclusive():

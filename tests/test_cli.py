@@ -254,6 +254,24 @@ def test_unaudited_witness_is_never_printed(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("fails", ["audit", "emission"])
+def test_selftest_reports_a_failing_witness_audit(fails, monkeypatch, capsys):
+    real = oneforms.verify_witnesses
+
+    def broken(verdict, matching=None):
+        if fails == "emission":
+            raise ValueError("no witness emitter")
+        forms, reports = real(verdict, matching)
+        return forms, tuple(dataclasses.replace(r, overall=False) for r in reports)
+
+    monkeypatch.setattr(oneforms, "verify_witnesses", broken)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "gap rule                 FAIL (witnesses: " in out
+    assert "case 1                   ok" in out  # no witnesses for low-genus verdicts
+    assert "selftest: 8 failure(s)" in out  # the eight hyperbolic instances
+
+
 @pytest.mark.parametrize(
     "p, q",
     [("x^7 + x", "x^7 + 2*x"), ("x^5", "x^5 + x"), ("x^3", "x^3"), ("x^5", "x^2")],

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sepcurve.critical as critical
-from helpers import make_matching, poly_of, reference_squarefree_decomposition
+from helpers import make_matching, poly_of, reference_squarefree_decomposition, squarefree_part
 from sepcurve.classify import classify
 from sepcurve.critical import (
     PolynomialPair,
@@ -33,7 +33,6 @@ from sepcurve.rpoly import (
     poly_gcd,
     resultant_shift,
     squarefree_decomposition,
-    squarefree_part,
 )
 
 rationals = st.builds(rat, st.integers(-6, 6), st.integers(1, 4))

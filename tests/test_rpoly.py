@@ -19,6 +19,7 @@ from helpers import (
     reference_squarefree_decomposition,
     reference_to_string,
     reference_value_image_mod_p,
+    squarefree_part,
     terms_of,
 )
 from sepcurve import rpoly
@@ -35,7 +36,6 @@ from sepcurve.rpoly import (
     resultant,
     resultant_shift,
     squarefree_decomposition,
-    squarefree_part,
 )
 
 rationals = st.builds(rat, st.integers(-9, 9), st.integers(1, 6))
