@@ -1,7 +1,9 @@
 """Command-line front end: parse a pair, classify, report.
 
 Exit codes encode the verdict and nothing else: 0 Hyperbolic,
-10 HasLowGenusComponent, 20 Inconclusive, 1 usage/parse error.
+10 HasLowGenusComponent, 20 Inconclusive, 1 usage/parse error, 3 an
+internal fault (one ``internal error:`` line on stderr, nothing on
+stdout).
 
 The ``--json`` report is deterministic (sorted keys, no timestamps) so
 golden files can be byte-compared; ``--timings`` adds wall-clock fields
@@ -311,8 +313,8 @@ def _run_selftest() -> int:
 
 
 def main(argv=None) -> int:
-    """Usage and input errors exit 1; anything else raised is an
-    internal fault and propagates."""
+    """Usage and input errors exit 1; any other exception is an internal
+    fault, reported in one line on stderr, and exits 3."""
     try:
         args = _build_argparser().parse_args(argv)
         if args.command == "selftest":
@@ -321,6 +323,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,6 +7,10 @@ pairs, ``chord`` a line through two of them), coordinate factors, and a
 Wronskian W(zi, zj).  Nothing is expanded into coordinates — every
 regularity condition is arithmetic in the multiplicity aggregates.
 
+Each rule's emitter returns its two forms as (numerator, denominator)
+factor lists; ``emit_witnesses`` adds the Wronskian the denominator
+pairs with (``_PAIRED_W``) and the verdict's rule label.
+
 ``check_regularity`` re-validates a form clause by clause: degree
 balance, Wronskian/denominator pairing, divisibility of the denominator
 into the matching partial derivative, a per-point pole-order budget at
@@ -41,6 +45,14 @@ Z2 = ("z", 2)
 W12 = (1, 2)
 W20 = (2, 0)
 W01 = (0, 1)
+
+# the Wronskian each kind of denominator factor pairs with
+_PAIRED_W = {"alpha": W12, "beta": W20, "z2": W01}
+
+
+def _pairing_kind(kind):
+    """A factor kind as the pairing reads it: coordinates count as z2."""
+    return "z2" if kind == "z" else kind
 
 INDEPENDENCE_NOTE = (
     "linear independence of the two forms is guaranteed by the absence "
@@ -168,12 +180,6 @@ def _factor_text(tag, e):
     return f"{base}^{e}" if e != 1 else base
 
 
-def _form(num, den, wronskian, rule):
-    num = tuple((tag, e) for tag, e in num if e > 0)
-    den = tuple((tag, e) for tag, e in den if e > 0)
-    return OneFormSpec(num, den, wronskian, rule)
-
-
 def _alpha(i):
     return ("alpha", i)
 
@@ -186,30 +192,27 @@ def _chord(i, j):
     return ("chord", (i, j))
 
 
-def _unsupported(rule, matching, why):
+def _unsupported(matching, why):
     return ValueError(
-        f"aggregate shape not produced by the classifier for {rule}: {why} "
-        f"(matched={matching.matched_points}, "
+        f"{why} (matched={matching.matched_points}, "
         f"unmatched p={matching.unmatched_p_points}, "
         f"q={matching.unmatched_q_points})"
     )
 
 
 # ---------------------------------------------------------------------------
-# emission, rule by rule
+# emission, rule by rule: each emitter returns its two forms as
+# (numerator, denominator) factor lists
 
 
-def _emit_theorem2(matching, rule):
-    return (
-        _form((), ((Z2, 2),), W01, rule),
-        _form(((Z0, 1),), ((Z2, 3),), W01, rule),
-    )
+def _emit_theorem2(matching):
+    return ((), ((Z2, 2),)), (((Z0, 1),), ((Z2, 3),))
 
 
-def _emit_theorem1(matching, rule):
+def _emit_theorem1(matching):
     t = theorem1_lhs(matching)
     if t < 3:
-        raise _unsupported(rule, matching, f"excess mass {t} below 3")
+        raise _unsupported(matching, f"excess mass {t} below 3")
     excess = [
         (i, p, q) for i, (p, q) in enumerate(matching.matched_points, 1) if p > q
     ]
@@ -220,56 +223,45 @@ def _emit_theorem1(matching, rule):
         for k, p in enumerate(matching.unmatched_p_points)
     ]
     num_shared = [(_beta(i), q) for i, _, q in excess]
-    form1 = _form([(Z0, 1), (Z2, t - 3)] + num_shared, den, W12, rule)
-    form2 = _form([(Z2, t - 2)] + num_shared, den, W12, rule)
-    return form1, form2
+    return ([(Z0, 1), (Z2, t - 3)] + num_shared, den), ([(Z2, t - 2)] + num_shared, den)
 
 
-def _emit_big2a(matching, rule):
+def _emit_big2a(matching):
     pts = matching.matched_points
     l0 = matching.matched_pair_count
     ump = matching.unmatched_p_mass
     if l0 < 2 or theorem1_lhs(matching) != 2:
-        raise _unsupported(rule, matching, "needs two matched pairs and excess 2")
+        raise _unsupported(matching, "needs two matched pairs and excess 2")
     excess = [(i, p, q) for i, (p, q) in enumerate(pts, 1) if p > q]
     u1 = l0 + 1  # first unmatched point on the P side, when present
 
     if len(excess) == 1 and excess[0][1] - excess[0][2] == 2 and ump == 0:
         i, p, q = excess[0]
         j = 1 if i != 1 else 2
-        form1 = _form([(_beta(i), q)], [(_alpha(i), p)], W12, rule)
-        form2 = _form(
+        form1 = ([(_beta(i), q)], [(_alpha(i), p)])
+        form2 = (
             [(_chord(*sorted((i, j))), 2), (_beta(i), q - 1)],
             [(_alpha(i), p), (_alpha(j), 1)],
-            W12,
-            rule,
         )
         return form1, form2
     if len(excess) == 2 and ump == 0:
         (i, pi, qi), (j, pj, qj) = excess
         shared_den = [(_alpha(i), pi), (_alpha(j), pj)]
-        form1 = _form([(_beta(i), qi), (_beta(j), qj)], shared_den, W12, rule)
-        form2 = _form(
-            [(_chord(i, j), 1), (_beta(i), qi - 1), (_beta(j), qj)],
-            shared_den,
-            W12,
-            rule,
-        )
+        form1 = ([(_beta(i), qi), (_beta(j), qj)], shared_den)
+        form2 = ([(_chord(i, j), 1), (_beta(i), qi - 1), (_beta(j), qj)], shared_den)
         return form1, form2
     if len(excess) == 1 and ump == 1:
         k = excess[0][0]
         j = 1 if k != 1 else 2
         den = [(_alpha(k), 2), (_alpha(j), 1), (_alpha(u1), 1)]
         chord = _chord(*sorted((k, j)))
-        form1 = _form([(chord, 2)], den, W12, rule)
-        form2 = _form([(_beta(j), 1), (chord, 1)], den, W12, rule)
-        return form1, form2
+        return ([(chord, 2)], den), ([(_beta(j), 1), (chord, 1)], den)
     if not excess and ump == 2:
-        return _emit_unmatched_mass_pair(matching, rule)
-    raise _unsupported(rule, matching, "no form template for this excess mass split")
+        return _emit_unmatched_mass_pair(matching)
+    raise _unsupported(matching, "no form template for this excess mass split")
 
 
-def _emit_unmatched_mass_pair(matching, rule):
+def _emit_unmatched_mass_pair(matching):
     """The two forms for unmatched P-mass exactly 2 (any matched pairs
     balanced).  With a second matched point available the chord variant
     is used; with a single matched pair the shared-value variant — the
@@ -277,70 +269,55 @@ def _emit_unmatched_mass_pair(matching, rule):
     conditions exclude."""
     l0 = matching.matched_pair_count
     unm = [(_alpha(l0 + 1 + k), p) for k, p in enumerate(matching.unmatched_p_points)]
-    form1 = _form([], unm, W12, rule)
     if l0 >= 2:
-        form2 = _form(
-            [(_chord(1, 2), 2)],
-            [(_alpha(1), 1), (_alpha(2), 1)] + unm,
-            W12,
-            rule,
-        )
+        form2 = ([(_chord(1, 2), 2)], [(_alpha(1), 1), (_alpha(2), 1)] + unm)
     else:
         if matching.matched_points[0] == (1, 3):
-            raise _unsupported(rule, matching, "excluded (1, 3) single-pair shape")
-        form2 = _form([(_beta(1), 1)], [(_alpha(1), 1)] + unm, W12, rule)
-    return form1, form2
+            raise _unsupported(matching, "excluded (1, 3) single-pair shape")
+        form2 = ([(_beta(1), 1)], [(_alpha(1), 1)] + unm)
+    return ([], unm), form2
 
 
-def _emit_big2b(matching, rule):
+def _emit_big2b(matching):
     if matching.unmatched_p_mass != 2 or matching.matched_pair_count < 1:
-        raise _unsupported(rule, matching, "needs unmatched mass exactly 2")
-    return _emit_unmatched_mass_pair(matching, rule)
+        raise _unsupported(matching, "needs unmatched mass exactly 2")
+    return _emit_unmatched_mass_pair(matching)
 
 
-def _emit_big2c(matching, rule):
+def _emit_big2c(matching):
     pts = matching.matched_points
     l0 = matching.matched_pair_count
     if l0 < 2 or matching.p_point_count != l0 + 1:
-        raise _unsupported(rule, matching, "needs exactly one unmatched point")
+        raise _unsupported(matching, "needs exactly one unmatched point")
     if matching.unmatched_p_mass != 1 or any(p > q for p, q in pts):
-        raise _unsupported(rule, matching, "shape is handled by an excess rule first")
+        raise _unsupported(matching, "shape is handled by an excess rule first")
     u1 = l0 + 1
     wide = [(i, p, q) for i, (p, q) in enumerate(pts, 1) if q - p == 2]
     if wide:
         i, p, q = wide[0]
         j = 1 if i != 1 else 2
-        form1 = _form([(_alpha(i), p)], [(_beta(i), q)], W20, rule)
-        form2 = _form(
+        form1 = ([(_alpha(i), p)], [(_beta(i), q)])
+        form2 = (
             [(_chord(*sorted((i, j))), 2), (_alpha(i), p - 1)],
             [(_beta(i), q), (_beta(j), 1)],
-            W20,
-            rule,
         )
         return form1, form2
     p1 = pts[0][0]
     base_den = [(_alpha(1), 1), (_alpha(2), 1), (_alpha(u1), 1)]
-    form1 = _form([(_chord(1, 2), 1)], base_den, W12, rule)
+    form1 = ([(_chord(1, 2), 1)], base_den)
     if p1 >= 2:
-        form2 = _form(
-            [(_chord(1, 2), 2)],
-            [(_alpha(1), 2), (_alpha(2), 1), (_alpha(u1), 1)],
-            W12,
-            rule,
-        )
+        form2 = ([(_chord(1, 2), 2)], [(_alpha(1), 2), (_alpha(2), 1), (_alpha(u1), 1)])
     elif l0 >= 3:
-        form2 = _form(
+        form2 = (
             [(_chord(1, 2), 1), (_chord(1, 3), 1)],
             [(_alpha(1), 1), (_alpha(2), 1), (_alpha(3), 1), (_alpha(u1), 1)],
-            W12,
-            rule,
         )
     else:
-        raise _unsupported(rule, matching, "excluded all-simple two-pair shape")
+        raise _unsupported(matching, "excluded all-simple two-pair shape")
     return form1, form2
 
 
-def _emit_theorem3(matching, rule):
+def _emit_theorem3(matching):
     pts = matching.matched_points
     l0 = matching.matched_pair_count
     if (
@@ -349,84 +326,63 @@ def _emit_theorem3(matching, rule):
         or matching.q_point_count != l0
         or any(abs(p - q) > 1 for p, q in pts)
     ):
-        raise _unsupported(
-            rule, matching, "fallthrough region has fully matched near-equal pairs"
-        )
+        raise _unsupported(matching, "fallthrough region has fully matched near-equal pairs")
     p1, q1 = pts[0]
     p2 = pts[1][0]
     if p2 >= 3:
         den = [(_alpha(1), 3), (_alpha(2), 3)]
         core = [(_chord(1, 2), 3)]
-        return (
-            _form([(Z0, 1)] + core, den, W12, rule),
-            _form([(Z1, 1)] + core, den, W12, rule),
-        )
+        return ([(Z0, 1)] + core, den), ([(Z1, 1)] + core, den)
     if p2 == 2:
-        form1 = _form(
-            [(_chord(1, 2), 2)], [(_alpha(1), 2), (_alpha(2), 2)], W12, rule
-        )
+        form1 = ([(_chord(1, 2), 2)], [(_alpha(1), 2), (_alpha(2), 2)])
         if l0 >= 3:
-            form2 = _form(
+            form2 = (
                 [(_chord(1, 2), 2), (_chord(1, 3), 1)],
                 [(_alpha(1), 2), (_alpha(2), 2), (_alpha(3), 1)],
-                W12,
-                rule,
             )
         elif p1 >= 3:
-            form2 = _form(
-                [(_chord(1, 2), 3)], [(_alpha(1), 3), (_alpha(2), 2)], W12, rule
-            )
+            form2 = ([(_chord(1, 2), 3)], [(_alpha(1), 3), (_alpha(2), 2)])
         else:
             qs = sorted((pts[0][1], pts[1][1]), reverse=True)
             if qs != [3, 1]:
-                raise _unsupported(rule, matching, "two double points need q's {3,1}")
+                raise _unsupported(matching, "two double points need q's {3,1}")
             i3 = 1 if pts[0][1] == 3 else 2
             i1 = 3 - i3
-            form1 = _form(
-                [(_chord(1, 2), 1)], [(_beta(i3), 2), (_beta(i1), 1)], W20, rule
-            )
-            form2 = _form(
-                [(_chord(1, 2), 2)], [(_beta(i3), 3), (_beta(i1), 1)], W20, rule
-            )
+            form1 = ([(_chord(1, 2), 1)], [(_beta(i3), 2), (_beta(i1), 1)])
+            form2 = ([(_chord(1, 2), 2)], [(_beta(i3), 3), (_beta(i1), 1)])
         return form1, form2
     # p2 == 1: at most the top pair is non-simple on the P side
     if l0 == 2:
         if p1 < 3 or q1 != p1 - 1 or pts[1] != (1, 2):
-            raise _unsupported(rule, matching, "small two-pair shapes are exceptional")
+            raise _unsupported(matching, "small two-pair shapes are exceptional")
         return (
-            _form([(_chord(1, 2), 1)], [(_alpha(1), 2), (_alpha(2), 1)], W12, rule),
-            _form([(_chord(1, 2), 2)], [(_alpha(1), 3), (_alpha(2), 1)], W12, rule),
+            ([(_chord(1, 2), 1)], [(_alpha(1), 2), (_alpha(2), 1)]),
+            ([(_chord(1, 2), 2)], [(_alpha(1), 3), (_alpha(2), 1)]),
         )
     if l0 == 3:
         if p1 < 2:
-            raise _unsupported(rule, matching, "all-simple degree-4 shape is exceptional")
-        form1 = _form(
+            raise _unsupported(matching, "all-simple degree-4 shape is exceptional")
+        form1 = (
             [(_chord(1, 2), 1), (_chord(1, 3), 1)],
             [(_alpha(1), 2), (_alpha(2), 1), (_alpha(3), 1)],
-            W12,
-            rule,
         )
         if p1 == 2 and q1 < p1:
-            form2 = _form(
+            form2 = (
                 [(_chord(1, 2), 1), (_chord(2, 3), 1)],
                 [(_alpha(1), 2), (_alpha(2), 1), (_alpha(3), 1)],
-                W12,
-                rule,
             )
         elif p1 >= 3:
-            form2 = _form(
+            form2 = (
                 [(_chord(1, 2), 1), (_chord(1, 3), 2)],
                 [(_alpha(1), 3), (_alpha(2), 1), (_alpha(3), 1)],
-                W12,
-                rule,
             )
         else:
-            raise _unsupported(rule, matching, "balanced double point needs degree 5")
+            raise _unsupported(matching, "balanced double point needs degree 5")
         return form1, form2
     den = [(_alpha(i), 1) for i in (1, 2, 3, 4)]
     return (
-        _form([(_chord(1, 2), 1), (_chord(3, 4), 1)], den, W12, rule),
-        _form([(_chord(1, 3), 1), (_chord(2, 4), 1)], den, W12, rule),
+        ([(_chord(1, 2), 1), (_chord(3, 4), 1)], den),
+        ([(_chord(1, 3), 1), (_chord(2, 4), 1)], den),
     )
 
 
@@ -444,9 +400,6 @@ def _mirrored_matching(matching):
     return matching.mirrored(), {new: k + 1 for new, k in enumerate(order, 1)}
 
 
-_MIRROR_W = {W12: W20, W20: W12, W01: W01}
-
-
 def _mirror_tag(tag, index_map, l0):
     kind, idx = tag
     if kind == "alpha":
@@ -461,32 +414,31 @@ def _mirror_tag(tag, index_map, l0):
     raise ValueError(f"unknown factor kind {kind!r}")
 
 
-def _mirror_form(form, index_map, l0, rule):
-    return OneFormSpec(
-        tuple((_mirror_tag(t, index_map, l0), e) for t, e in form.numerator_factors),
-        tuple((_mirror_tag(t, index_map, l0), e) for t, e in form.denominator_factors),
-        _MIRROR_W[form.wronskian],
-        rule,
-    )
+def _mirrored(builder):
+    """The Q-side rule of a P-side emitter: run it on the mirrored
+    matching and map every factor back to the original points."""
 
+    def emit(matching):
+        mirrored, index_map = _mirrored_matching(matching)
+        l0 = matching.matched_pair_count
+        return tuple(
+            tuple([(_mirror_tag(t, index_map, l0), e) for t, e in part] for part in form)
+            for form in builder(mirrored)
+        )
 
-def _emit_mirrored(builder, matching, rule):
-    mirrored, index_map = _mirrored_matching(matching)
-    l0 = matching.matched_pair_count
-    f1, f2 = builder(mirrored, rule)
-    return _mirror_form(f1, index_map, l0, rule), _mirror_form(f2, index_map, l0, rule)
+    return emit
 
 
 _EMITTERS = {
     "Theorem 2": _emit_theorem2,
     "Theorem 1": _emit_theorem1,
-    "Corollary 1": lambda m, r: _emit_mirrored(_emit_theorem1, m, r),
+    "Corollary 1": _mirrored(_emit_theorem1),
     "big2(a)": _emit_big2a,
     "big2(b)": _emit_big2b,
     "big2(c)": _emit_big2c,
-    "big2c(a)": lambda m, r: _emit_mirrored(_emit_big2a, m, r),
-    "big2c(b)": lambda m, r: _emit_mirrored(_emit_big2b, m, r),
-    "big2c(c)": lambda m, r: _emit_mirrored(_emit_big2c, m, r),
+    "big2c(a)": _mirrored(_emit_big2a),
+    "big2c(b)": _mirrored(_emit_big2b),
+    "big2c(c)": _mirrored(_emit_big2c),
     "Theorem 3": _emit_theorem3,
 }
 
@@ -501,7 +453,9 @@ def emit_witnesses(verdict: Verdict):
     """The two 1-forms prescribed by the rule that fired.
 
     Only Hyperbolic verdicts carry witnesses; the exponents are filled
-    in from the matching aggregates of the verdict's pair.
+    in from the matching aggregates of the verdict's pair.  Zero
+    exponents are dropped, and each form takes the Wronskian its
+    denominator pairs with (``_PAIRED_W``; W(z1,z2) when it is empty).
     """
     if verdict.outcome is not Outcome.HYPERBOLIC:
         raise ValueError("no witness for low-genus verdicts")
@@ -510,7 +464,19 @@ def emit_witnesses(verdict: Verdict):
         emitter = _EMITTERS[verdict.rule]
     except KeyError:
         raise ValueError(f"no witness emitter for rule {verdict.rule!r}") from None
-    return emitter(matching, verdict.rule)
+    try:
+        forms = emitter(matching)
+    except ValueError as why:
+        raise ValueError(
+            f"aggregate shape not produced by the classifier for {verdict.rule}: {why}"
+        ) from None
+    specs = []
+    for num, den in forms:
+        num = tuple((tag, e) for tag, e in num if e > 0)
+        den = tuple((tag, e) for tag, e in den if e > 0)
+        kind = _pairing_kind(den[0][0][0]) if den else "alpha"
+        specs.append(OneFormSpec(num, den, _PAIRED_W[kind], verdict.rule))
+    return tuple(specs)
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +493,6 @@ def _point_multiplicities(matching, side, idx):
     if side == "alpha":
         return matching.unmatched_p_points[k], None
     return None, matching.unmatched_q_points[k]
-
-
-_PAIRED_W = {"alpha": W12, "beta": W20, "z2": W01}
 
 
 def check_regularity(
@@ -553,7 +516,7 @@ def check_regularity(
         )
     checks = []
 
-    den_kinds = {"z2" if kind == "z" else kind for (kind, _), _ in form.denominator_factors}
+    den_kinds = {_pairing_kind(kind) for (kind, _), _ in form.denominator_factors}
     for kind in sorted(den_kinds):
         expected = _PAIRED_W.get(kind)
         ok = expected is None or form.wronskian == expected

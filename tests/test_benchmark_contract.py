@@ -2,8 +2,10 @@
 
 The traced run rebinds every function listed in ``perfbench/tracing.py``
 ``LAYERS``, reads the oracles' ``precision_bits`` argument and the
-``.numerator``/``.denominator`` of ``Poly.coeffs``; renaming or dropping
-any of them breaks the benchmark, so they are pinned here.
+``.numerator``/``.denominator`` of ``Poly.coeffs``, and the benchmark's
+own tests wrap ``oneforms.verify_witnesses`` and pass it ``matching``
+positionally; renaming or dropping any of them breaks the benchmark, so
+they are pinned here.
 """
 
 import importlib
@@ -11,7 +13,7 @@ import importlib.util
 import inspect
 import pathlib
 
-from sepcurve import numoracle, rationals
+from sepcurve import numoracle, oneforms, rationals
 from sepcurve.classify import Verdict
 from sepcurve.rpoly import Poly
 
@@ -39,6 +41,11 @@ def test_traced_layers_are_callable():
 def test_oracles_keep_precision_bits():
     for fn in (numoracle.corroborate_hypothesis_I, numoracle.verify_pair_counts):
         assert "precision_bits" in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_verify_witnesses_takes_verdict_then_matching():
+    params = list(inspect.signature(oneforms.verify_witnesses).parameters)
+    assert params[:2] == ["verdict", "matching"]
 
 
 def test_verdict_matching_and_backend_name():

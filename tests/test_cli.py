@@ -220,25 +220,35 @@ def test_oversized_coefficients_are_usage_errors():
     assert runs[1].returncode == 10
 
 
+def _internal_fault(argv, capsys):
+    """Run main on argv and return the one stderr line of its internal
+    fault: exit 3, nothing on stdout, no usage error."""
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
 @pytest.mark.parametrize(
     "fault", [MalformedFormError("bad degrees"), ValueError("internal"), ArithmeticError("kernel")]
 )
-def test_internal_faults_are_not_usage_errors(fault, monkeypatch):
+def test_internal_faults_are_not_usage_errors(fault, monkeypatch, capsys):
     def broken(pair):
         raise fault
 
     monkeypatch.setattr(cli, "classify", broken)
-    with pytest.raises(type(fault)):
-        main(["classify", "--p", "x^5", "--q", "x^5 + x"])
+    err = _internal_fault(["classify", "--p", "x^5", "--q", "x^5 + x"], capsys)
+    assert err == f"internal error: {type(fault).__name__}: {fault}\n"
 
 
-def test_emitter_fault_is_not_a_usage_error(monkeypatch):
+def test_emitter_fault_is_not_a_usage_error(monkeypatch, capsys):
     real = cli.classify
     monkeypatch.setattr(
         cli, "classify", lambda pair: dataclasses.replace(real(pair), rule="no such rule")
     )
-    with pytest.raises(ValueError, match="no witness emitter"):
-        main(["classify", "--p", "x^5", "--q", "x^5 + x", "--witness"])
+    err = _internal_fault(["classify", "--p", "x^5", "--q", "x^5 + x", "--witness"], capsys)
+    assert "ValueError: no witness emitter" in err
 
 
 def test_unaudited_witness_is_never_printed(monkeypatch, capsys):
@@ -249,9 +259,24 @@ def test_unaudited_witness_is_never_printed(monkeypatch, capsys):
         return forms, tuple(dataclasses.replace(r, overall=False) for r in reports)
 
     monkeypatch.setattr(oneforms, "verify_witnesses", failing_audit)
-    with pytest.raises(RuntimeError, match="witness audit failed"):
-        main(["classify", "--p", "x^5", "--q", "x^5 + x", "--witness"])
-    assert capsys.readouterr().out == ""
+    for flags in ((), ("--json",)):
+        argv = ["classify", "--p", "x^5", "--q", "x^5 + x", "--witness", *flags]
+        assert "RuntimeError: witness audit failed" in _internal_fault(argv, capsys)
+
+
+def test_internal_fault_exit_code_in_a_process():
+    """A fault past parsing (here the linear witness's text, past the
+    int-to-str digit limit) exits 3 with one stderr line, no traceback
+    and nothing on stdout."""
+    src = pathlib.Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": "4300"}
+    run = subprocess.run(
+        [sys.executable, "-m", "sepcurve.cli", "classify", "--p=3^9000*x^2", "--q=1/5^6000*x^2"],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 3 and run.stdout == ""
+    assert run.stderr.startswith("internal error: ValueError: Exceeds the limit")
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
 
 
 @pytest.mark.parametrize("fails", ["audit", "emission"])
@@ -358,8 +383,9 @@ def _corpus_pairs():
     affine images of them, theorem3_pair for k = 3..11, the rule
     representatives, linear-factor and perturbed pairs, random sparse
     and dense pairs up to degree 20, multi-class pairs (powers of linear
-    factors and their integrals), pairs failing Hypothesis I and the
-    antiderivatives of x^a (x - 1)^b."""
+    factors and their integrals), pairs failing Hypothesis I, the
+    antiderivatives of x^a (x - 1)^b, and one pair for each small
+    condition that is a verdict's rule nowhere else."""
     rng = random.Random(20140908)
     x = Poly.x()
     pairs = []
@@ -395,6 +421,17 @@ def _corpus_pairs():
         pairs += [(p, p + 1), (p, x**4 - 2 * x**2 + 1), (p, ins.random_polynomial(rng, 2, 6))]
     family = [_antiderivative(x**a * (x - 1) ** b) for a in range(1, 5) for b in range(1, 5)]
     pairs += [(p, q) for p in family for q in family if rng.random() < 0.15]
+    # a pair for each small condition no draw above makes the verdict's
+    # rule, then two of them swapped; big2c(a) and Corollary 1 never are,
+    # as theorem1_lhs - corollary1_lhs = n - m lets big2(a) and Theorem 1
+    # fire first
+    rare = [
+        ("1/5*x^5 - 3/4*x^4 + x^3 - 1/2*x^2", "1/5*x^5 - 1/4*x^4"),  # big2(a)
+        ("1/4*x^4 - 2/3*x^3 + 1/2*x^2", "1/4*x^4 - 1/3*x^3"),  # big2(b)
+        ("1/5*x^5 - 3/8*x^4 + 1/6*x^3", "-7/480*x^5 + 7/384*x^4"),  # big2(c)
+    ]
+    rare += [(q, p) for p, q in rare[1:]]  # big2c(b), big2c(c)
+    pairs += [(parse_poly(p), parse_poly(q)) for p, q in rare]
     out = []
     for pair in pairs:
         p, q = (pair.p, pair.q) if isinstance(pair, critical.PolynomialPair) else pair
@@ -429,6 +466,18 @@ def test_verdict_corpus_is_byte_stable():
         rep = json.loads(line)
         argv = _corpus_argv(rep["input"]["p"], rep["input"]["q"], index)
         assert _corpus_record(argv) == line, argv
+
+
+def test_corpus_pins_every_reachable_rule():
+    """Some corpus record has each of these rules: Theorems 1-3, cases
+    1-6, the linear factor, and every small condition but big2c(a),
+    which like Corollary 1 is never a verdict's rule (see
+    ``_corpus_pairs``)."""
+    rules = {json.loads(line)["rule"] for line in CORPUS.read_text().splitlines()}
+    reachable = {"Theorem 1", "Theorem 2", "Theorem 3", "linear factor", "inconclusive"}
+    reachable |= {"big2(a)", "big2(b)", "big2(c)", "big2c(b)", "big2c(c)"}
+    reachable |= {f"Theorem 3 case {i}" for i in range(1, 7)}
+    assert reachable <= rules
 
 
 def test_verdict_corpus_replays_under_debug_checks(monkeypatch):

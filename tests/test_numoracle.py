@@ -339,7 +339,7 @@ def test_oracles_cross_check_the_whole_corpus():
         for side in (pair.p, pair.q):
             assert corroborate_hypothesis_I(side).outcome is OracleOutcome.AGREE, (text, side)
         simple[certified] += 1
-    assert simple == {True: 239, False: 32}
+    assert simple == {True: 244, False: 32}
 
 
 @pytest.mark.parametrize("seed", FULL_RUN_SEEDS)

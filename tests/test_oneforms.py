@@ -1,10 +1,11 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from helpers import hyperbolic_verdict, make_matching, poly_of
 from sepcurve.classify import Outcome, classify
-from sepcurve.critical import PolynomialPair
+from sepcurve.critical import HomogenizedCurveMeta, PolynomialPair, homogenized_meta
 from sepcurve.instances import theorem1_pair, theorem2_pair, theorem3_pair
 from sepcurve.oneforms import (
     MalformedFormError,
@@ -14,6 +15,7 @@ from sepcurve.oneforms import (
     order_bounds,
     verify_witnesses,
 )
+from sepcurve.parsepoly import parse_poly
 
 
 def assert_verified(rule, matching, *, expect_texts=None):
@@ -24,8 +26,13 @@ def assert_verified(rule, matching, *, expect_texts=None):
         bad = [c for c in r.checks if not c.satisfied]
         assert r.overall, (rule, f.to_text(), bad)
     if expect_texts is not None:
-        assert [f.to_text() for f in forms] == expect_texts
+        assert [f.to_text() for f in forms] == list(expect_texts)
     return forms
+
+
+def _ids(shapes):
+    """pytest's own ids for a (matched, extra, ...) list: matched0-extra0, ..."""
+    return [f"matched{i}-extra{i}" for i in range(len(shapes))]
 
 
 def test_gap_rule_forms_end_to_end():
@@ -65,31 +72,112 @@ def test_low_genus_verdicts_refuse_witnesses():
 
 
 BIG2A_SHAPES = [
-    ([(3, 1), (1, 1)], {}, "one wide pair"),
-    ([(3, 1), (1, 3)], {}, "wide pair plus mirror-wide"),
-    ([(4, 2), (2, 2)], {}, "wide pair, higher multiplicity"),
-    ([(2, 1), (3, 2)], {}, "two step pairs"),
-    ([(2, 1), (1, 1)], {"unm_p": (1,)}, "step plus unmatched"),
-    ([(3, 2), (1, 2)], {"unm_p": (1,)}, "step plus unmatched, minus-one partner"),
-    ([(2, 2), (1, 1)], {"unm_p": (1, 1)}, "two unmatched points"),
+    (
+        [(3, 1), (1, 1)],
+        {},
+        "one wide pair",
+        (
+            "(z1 - b1*z2) * W(z1,z2) / (z0 - a1*z2)^3",
+            "L(1,2)^2 * W(z1,z2) / ((z0 - a1*z2)^3 * (z0 - a2*z2))",
+        ),
+    ),
+    (
+        [(3, 1), (1, 3)],
+        {},
+        "wide pair plus mirror-wide",
+        (
+            "(z1 - b1*z2) * W(z1,z2) / (z0 - a1*z2)^3",
+            "L(1,2)^2 * W(z1,z2) / ((z0 - a1*z2)^3 * (z0 - a2*z2))",
+        ),
+    ),
+    (
+        [(4, 2), (2, 2)],
+        {},
+        "wide pair, higher multiplicity",
+        (
+            "(z1 - b1*z2)^2 * W(z1,z2) / (z0 - a1*z2)^4",
+            "L(1,2)^2 * (z1 - b1*z2) * W(z1,z2) / ((z0 - a1*z2)^4 * (z0 - a2*z2))",
+        ),
+    ),
+    (
+        [(2, 1), (3, 2)],
+        {},
+        "two step pairs",
+        (
+            "(z1 - b1*z2)^2 * (z1 - b2*z2) * W(z1,z2) / ((z0 - a1*z2)^3 * (z0 - a2*z2)^2)",
+            "L(1,2) * (z1 - b1*z2) * (z1 - b2*z2) * W(z1,z2) / ((z0 - a1*z2)^3 * (z0 - a2*z2)^2)",
+        ),
+    ),
+    (
+        [(2, 1), (1, 1)],
+        {"unm_p": (1,)},
+        "step plus unmatched",
+        (
+            "L(1,2)^2 * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2) * (z0 - a3*z2))",
+            "L(1,2) * (z1 - b2*z2) * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2) * (z0 - a3*z2))",
+        ),
+    ),
+    (
+        [(3, 2), (1, 2)],
+        {"unm_p": (1,)},
+        "step plus unmatched, minus-one partner",
+        (
+            "L(1,2)^2 * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2) * (z0 - a3*z2))",
+            "L(1,2) * (z1 - b2*z2) * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2) * (z0 - a3*z2))",
+        ),
+    ),
+    (
+        [(2, 2), (1, 1)],
+        {"unm_p": (1, 1)},
+        "two unmatched points",
+        (
+            "W(z1,z2) / ((z0 - a3*z2) * (z0 - a4*z2))",
+            "L(1,2)^2 * W(z1,z2) / ((z0 - a1*z2) * (z0 - a2*z2) * (z0 - a3*z2) * (z0 - a4*z2))",
+        ),
+    ),
 ]
 
 
-@pytest.mark.parametrize("matched,extra,label", BIG2A_SHAPES, ids=[s[2] for s in BIG2A_SHAPES])
-def test_excess_two_emission(matched, extra, label):
-    assert_verified("big2(a)", make_matching(matched, **extra))
+@pytest.mark.parametrize(
+    "matched,extra,label,texts", BIG2A_SHAPES, ids=[s[2] for s in BIG2A_SHAPES]
+)
+def test_excess_two_emission(matched, extra, label, texts):
+    assert_verified("big2(a)", make_matching(matched, **extra), expect_texts=texts)
+
+
+UNMATCHED_MASS_TWO_SHAPES = [
+    (
+        [(2, 2)],
+        {"unm_p": (1, 1)},
+        (
+            "W(z1,z2) / ((z0 - a2*z2) * (z0 - a3*z2))",
+            "(z1 - b1*z2) * W(z1,z2) / ((z0 - a1*z2) * (z0 - a2*z2) * (z0 - a3*z2))",
+        ),
+    ),
+    (
+        [(1, 2)],
+        {"unm_p": (1, 1)},
+        (
+            "W(z1,z2) / ((z0 - a2*z2) * (z0 - a3*z2))",
+            "(z1 - b1*z2) * W(z1,z2) / ((z0 - a1*z2) * (z0 - a2*z2) * (z0 - a3*z2))",
+        ),
+    ),
+    (
+        [(2, 4)],
+        {"unm_p": (1, 1)},
+        (
+            "W(z1,z2) / ((z0 - a2*z2) * (z0 - a3*z2))",
+            "(z1 - b1*z2) * W(z1,z2) / ((z0 - a1*z2) * (z0 - a2*z2) * (z0 - a3*z2))",
+        ),
+    ),
+]
 
 
 @pytest.mark.parametrize(
-    "matched,extra",
-    [
-        ([(2, 2)], {"unm_p": (1, 1)}),
-        ([(1, 2)], {"unm_p": (1, 1)}),
-        ([(2, 4)], {"unm_p": (1, 1)}),
-    ],
+    "matched,extra,texts", UNMATCHED_MASS_TWO_SHAPES, ids=_ids(UNMATCHED_MASS_TWO_SHAPES)
 )
-def test_unmatched_mass_two_emission(matched, extra):
-    assert_verified("big2(b)", make_matching(matched, **extra))
+def test_unmatched_mass_two_emission(matched, extra, texts):
+    assert_verified("big2(b)", make_matching(matched, **extra), expect_texts=texts)
 
 
 def test_unmatched_mass_two_excluded_shape_raises():
@@ -98,17 +186,47 @@ def test_unmatched_mass_two_excluded_shape_raises():
         emit_witnesses(v)
 
 
+SINGLE_EXTRA_POINT_SHAPES = [
+    (
+        [(2, 2), (2, 2)],
+        {"unm_p": (1,), "unm_q": (1,)},
+        (
+            "L(1,2) * W(z1,z2) / ((z0 - a1*z2) * (z0 - a2*z2) * (z0 - a3*z2))",
+            "L(1,2)^2 * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2) * (z0 - a3*z2))",
+        ),
+    ),
+    (
+        [(2, 3), (2, 2)],
+        {"unm_p": (1,)},
+        (
+            "L(1,2) * W(z1,z2) / ((z0 - a1*z2) * (z0 - a2*z2) * (z0 - a3*z2))",
+            "L(1,2)^2 * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2) * (z0 - a3*z2))",
+        ),
+    ),
+    (
+        [(1, 2), (1, 1), (1, 1)],
+        {"unm_p": (1,)},
+        (
+            "L(1,2) * W(z1,z2) / ((z0 - a1*z2) * (z0 - a2*z2) * (z0 - a4*z2))",
+            "L(1,2) * L(1,3) * W(z1,z2) / ((z0 - a1*z2) * (z0 - a2*z2) * (z0 - a3*z2) * (z0 - a4*z2))",
+        ),
+    ),
+    (
+        [(3, 3), (1, 1), (1, 1)],
+        {"unm_p": (1,), "unm_q": (1,)},
+        (
+            "L(1,2) * W(z1,z2) / ((z0 - a1*z2) * (z0 - a2*z2) * (z0 - a4*z2))",
+            "L(1,2)^2 * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2) * (z0 - a4*z2))",
+        ),
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "matched,extra",
-    [
-        ([(2, 2), (2, 2)], {"unm_p": (1,), "unm_q": (1,)}),
-        ([(2, 3), (2, 2)], {"unm_p": (1,)}),
-        ([(1, 2), (1, 1), (1, 1)], {"unm_p": (1,)}),
-        ([(3, 3), (1, 1), (1, 1)], {"unm_p": (1,), "unm_q": (1,)}),
-    ],
+    "matched,extra,texts", SINGLE_EXTRA_POINT_SHAPES, ids=_ids(SINGLE_EXTRA_POINT_SHAPES)
 )
-def test_single_extra_point_emission(matched, extra):
-    assert_verified("big2(c)", make_matching(matched, **extra))
+def test_single_extra_point_emission(matched, extra, texts):
+    assert_verified("big2(c)", make_matching(matched, **extra), expect_texts=texts)
 
 
 def test_single_extra_point_excluded_shape_raises():
@@ -119,20 +237,80 @@ def test_single_extra_point_excluded_shape_raises():
         emit_witnesses(v)
 
 
+MIRRORED_SHAPES = [
+    (
+        "big2c(a)",
+        [(1, 3), (1, 1)],
+        {},
+        (
+            "(z0 - a1*z2) * W(z2,z0) / (z1 - b1*z2)^3",
+            "L(1,2)^2 * W(z2,z0) / ((z1 - b1*z2)^3 * (z1 - b2*z2))",
+        ),
+    ),
+    (
+        "big2c(a)",
+        [(1, 2), (2, 3)],
+        {},
+        (
+            "(z0 - a1*z2)^2 * (z0 - a2*z2) * W(z2,z0) / ((z1 - b1*z2)^3 * (z1 - b2*z2)^2)",
+            "L(1,2) * (z0 - a1*z2) * (z0 - a2*z2) * W(z2,z0) / ((z1 - b1*z2)^3 * (z1 - b2*z2)^2)",
+        ),
+    ),
+    (
+        "big2c(a)",
+        [(1, 2), (1, 2)],
+        {"unm_p": (1,)},
+        (
+            "(z0 - a1*z2) * (z0 - a2*z2) * W(z2,z0) / ((z1 - b1*z2)^2 * (z1 - b2*z2)^2)",
+            "L(1,2) * (z0 - a2*z2) * W(z2,z0) / ((z1 - b1*z2)^2 * (z1 - b2*z2)^2)",
+        ),
+    ),
+    (
+        "big2c(a)",
+        [(1, 2), (1, 1)],
+        {"unm_q": (1,)},
+        (
+            "L(1,2)^2 * W(z2,z0) / ((z1 - b1*z2)^2 * (z1 - b2*z2) * (z1 - b3*z2))",
+            "L(1,2) * (z0 - a2*z2) * W(z2,z0) / ((z1 - b1*z2)^2 * (z1 - b2*z2) * (z1 - b3*z2))",
+        ),
+    ),
+    (
+        "big2c(b)",
+        [(2, 2)],
+        {"unm_q": (1, 1)},
+        (
+            "W(z2,z0) / ((z1 - b2*z2) * (z1 - b3*z2))",
+            "(z0 - a1*z2) * W(z2,z0) / ((z1 - b1*z2) * (z1 - b2*z2) * (z1 - b3*z2))",
+        ),
+    ),
+    (
+        "big2c(b)",
+        [(2, 1)],
+        {"unm_p": (1,), "unm_q": (1, 1)},
+        (
+            "W(z2,z0) / ((z1 - b2*z2) * (z1 - b3*z2))",
+            "(z0 - a1*z2) * W(z2,z0) / ((z1 - b1*z2) * (z1 - b2*z2) * (z1 - b3*z2))",
+        ),
+    ),
+    (
+        "big2c(c)",
+        [(2, 2), (2, 2)],
+        {"unm_p": (1,), "unm_q": (1,)},
+        (
+            "L(1,2) * W(z2,z0) / ((z1 - b1*z2) * (z1 - b2*z2) * (z1 - b3*z2))",
+            "L(1,2)^2 * W(z2,z0) / ((z1 - b1*z2)^2 * (z1 - b2*z2) * (z1 - b3*z2))",
+        ),
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "rule,matched,extra",
-    [
-        ("big2c(a)", [(1, 3), (1, 1)], {}),
-        ("big2c(a)", [(1, 2), (2, 3)], {}),
-        ("big2c(a)", [(1, 2), (1, 2)], {"unm_p": (1,)}),
-        ("big2c(a)", [(1, 2), (1, 1)], {"unm_q": (1,)}),
-        ("big2c(b)", [(2, 2)], {"unm_q": (1, 1)}),
-        ("big2c(b)", [(2, 1)], {"unm_p": (1,), "unm_q": (1, 1)}),
-        ("big2c(c)", [(2, 2), (2, 2)], {"unm_p": (1,), "unm_q": (1,)}),
-    ],
+    "rule,matched,extra,texts",
+    MIRRORED_SHAPES,
+    ids=[f"{s[0]}-{i}" for i, s in zip(_ids(MIRRORED_SHAPES), MIRRORED_SHAPES)],
 )
-def test_mirrored_rule_emission(rule, matched, extra):
-    assert_verified(rule, make_matching(matched, **extra))
+def test_mirrored_rule_emission(rule, matched, extra, texts):
+    assert_verified(rule, make_matching(matched, **extra), expect_texts=texts)
 
 
 def test_mirrored_excluded_shape_raises():
@@ -143,32 +321,134 @@ def test_mirrored_excluded_shape_raises():
 
 def test_corollary_rule_mirrors_count_threshold():
     m = make_matching([(1, 3)], unm_q=(2, 1))
-    assert_verified("Corollary 1", m)
+    texts = [
+        "z1 * z2^2 * (z0 - a1*z2) * W(z2,z0) / ((z1 - b1*z2)^3 * (z1 - b2*z2)^2 * (z1 - b3*z2))",
+        "z2^3 * (z0 - a1*z2) * W(z2,z0) / ((z1 - b1*z2)^3 * (z1 - b2*z2)^2 * (z1 - b3*z2))",
+    ]
+    assert_verified("Corollary 1", m, expect_texts=texts)
 
 
 THEOREM3_SHAPES = [
-    [(3, 3), (3, 3)],
-    [(4, 3), (3, 4)],
-    [(2, 2), (2, 2), (2, 2)],
-    [(2, 1), (2, 2), (1, 2), (1, 1)],
-    [(3, 3), (2, 2)],
-    [(4, 4), (2, 2)],
-    [(2, 3), (2, 1)],
-    [(3, 2), (1, 2)],
-    [(4, 3), (1, 2)],
-    [(3, 4), (2, 1)],
-    [(3, 2), (2, 3)],
-    [(2, 1), (1, 2), (1, 1)],
-    [(3, 3), (1, 1), (1, 1)],
-    [(4, 3), (1, 2), (1, 1)],
-    [(1, 1)] * 5,
-    [(2, 1), (1, 2), (1, 1), (1, 1)],
+    (
+        [(3, 3), (3, 3)],
+        (
+            "z0 * L(1,2)^3 * W(z1,z2) / ((z0 - a1*z2)^3 * (z0 - a2*z2)^3)",
+            "z1 * L(1,2)^3 * W(z1,z2) / ((z0 - a1*z2)^3 * (z0 - a2*z2)^3)",
+        ),
+    ),
+    (
+        [(4, 3), (3, 4)],
+        (
+            "z0 * L(1,2)^3 * W(z1,z2) / ((z0 - a1*z2)^3 * (z0 - a2*z2)^3)",
+            "z1 * L(1,2)^3 * W(z1,z2) / ((z0 - a1*z2)^3 * (z0 - a2*z2)^3)",
+        ),
+    ),
+    (
+        [(2, 2), (2, 2), (2, 2)],
+        (
+            "L(1,2)^2 * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2)^2)",
+            "L(1,2)^2 * L(1,3) * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2)^2 * (z0 - a3*z2))",
+        ),
+    ),
+    (
+        [(2, 1), (2, 2), (1, 2), (1, 1)],
+        (
+            "L(1,2)^2 * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2)^2)",
+            "L(1,2)^2 * L(1,3) * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2)^2 * (z0 - a3*z2))",
+        ),
+    ),
+    (
+        [(3, 3), (2, 2)],
+        (
+            "L(1,2)^2 * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2)^2)",
+            "L(1,2)^3 * W(z1,z2) / ((z0 - a1*z2)^3 * (z0 - a2*z2)^2)",
+        ),
+    ),
+    (
+        [(4, 4), (2, 2)],
+        (
+            "L(1,2)^2 * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2)^2)",
+            "L(1,2)^3 * W(z1,z2) / ((z0 - a1*z2)^3 * (z0 - a2*z2)^2)",
+        ),
+    ),
+    (
+        [(2, 3), (2, 1)],
+        (
+            "L(1,2) * W(z2,z0) / ((z1 - b1*z2)^2 * (z1 - b2*z2))",
+            "L(1,2)^2 * W(z2,z0) / ((z1 - b1*z2)^3 * (z1 - b2*z2))",
+        ),
+    ),
+    (
+        [(3, 2), (1, 2)],
+        (
+            "L(1,2) * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2))",
+            "L(1,2)^2 * W(z1,z2) / ((z0 - a1*z2)^3 * (z0 - a2*z2))",
+        ),
+    ),
+    (
+        [(4, 3), (1, 2)],
+        (
+            "L(1,2) * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2))",
+            "L(1,2)^2 * W(z1,z2) / ((z0 - a1*z2)^3 * (z0 - a2*z2))",
+        ),
+    ),
+    (
+        [(3, 4), (2, 1)],
+        (
+            "L(1,2)^2 * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2)^2)",
+            "L(1,2)^3 * W(z1,z2) / ((z0 - a1*z2)^3 * (z0 - a2*z2)^2)",
+        ),
+    ),
+    (
+        [(3, 2), (2, 3)],
+        (
+            "L(1,2)^2 * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2)^2)",
+            "L(1,2)^3 * W(z1,z2) / ((z0 - a1*z2)^3 * (z0 - a2*z2)^2)",
+        ),
+    ),
+    (
+        [(2, 1), (1, 2), (1, 1)],
+        (
+            "L(1,2) * L(1,3) * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2) * (z0 - a3*z2))",
+            "L(1,2) * L(2,3) * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2) * (z0 - a3*z2))",
+        ),
+    ),
+    (
+        [(3, 3), (1, 1), (1, 1)],
+        (
+            "L(1,2) * L(1,3) * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2) * (z0 - a3*z2))",
+            "L(1,2) * L(1,3)^2 * W(z1,z2) / ((z0 - a1*z2)^3 * (z0 - a2*z2) * (z0 - a3*z2))",
+        ),
+    ),
+    (
+        [(4, 3), (1, 2), (1, 1)],
+        (
+            "L(1,2) * L(1,3) * W(z1,z2) / ((z0 - a1*z2)^2 * (z0 - a2*z2) * (z0 - a3*z2))",
+            "L(1,2) * L(1,3)^2 * W(z1,z2) / ((z0 - a1*z2)^3 * (z0 - a2*z2) * (z0 - a3*z2))",
+        ),
+    ),
+    (
+        [(1, 1), (1, 1), (1, 1), (1, 1), (1, 1)],
+        (
+            "L(1,2) * L(3,4) * W(z1,z2) / ((z0 - a1*z2) * (z0 - a2*z2) * (z0 - a3*z2) * (z0 - a4*z2))",
+            "L(1,3) * L(2,4) * W(z1,z2) / ((z0 - a1*z2) * (z0 - a2*z2) * (z0 - a3*z2) * (z0 - a4*z2))",
+        ),
+    ),
+    (
+        [(2, 1), (1, 2), (1, 1), (1, 1)],
+        (
+            "L(1,2) * L(3,4) * W(z1,z2) / ((z0 - a1*z2) * (z0 - a2*z2) * (z0 - a3*z2) * (z0 - a4*z2))",
+            "L(1,3) * L(2,4) * W(z1,z2) / ((z0 - a1*z2) * (z0 - a2*z2) * (z0 - a3*z2) * (z0 - a4*z2))",
+        ),
+    ),
 ]
 
 
-@pytest.mark.parametrize("matched", THEOREM3_SHAPES, ids=[str(s) for s in THEOREM3_SHAPES])
-def test_generic_rule_branches(matched):
-    assert_verified("Theorem 3", make_matching(matched))
+@pytest.mark.parametrize(
+    "matched,texts", THEOREM3_SHAPES, ids=[str(s[0]) for s in THEOREM3_SHAPES]
+)
+def test_generic_rule_branches(matched, texts):
+    assert_verified("Theorem 3", make_matching(matched), expect_texts=texts)
 
 
 def test_generic_rule_guards():
@@ -197,6 +477,54 @@ def test_pole_order_rejects_the_excluded_shared_value_form():
     assert not rep.overall
     failed = [c for c in rep.checks if not c.satisfied]
     assert failed and failed[0].clause == "pole-order" and failed[0].margin == -1
+
+
+def _failed(form, matching=None, meta=None):
+    """The (clause, subject, margin) of every unsatisfied check."""
+    rep = check_regularity(form, matching, meta)
+    failed = [(c.clause, c.subject, c.margin) for c in rep.checks if not c.satisfied]
+    assert rep.overall == (not failed)
+    return failed
+
+
+# Emitted forms pair their Wronskian by construction, so each clause is
+# also checked on hand-built forms that break it.
+def test_wronskian_pairing_rejects_an_alpha_denominator_with_w20():
+    m = make_matching([(3, 1), (1, 1)])
+    good = OneFormSpec(((("beta", 1), 1),), ((("alpha", 1), 3),), (1, 2), "x")
+    assert not _failed(good, m)
+    failed = _failed(replace(good, wronskian=(2, 0)), m)
+    assert ("wronskian-pairing", "alpha denominators", 0) in failed
+
+
+def test_divides_partial_rejects_an_alpha_exponent_above_p():
+    form = OneFormSpec((), ((("alpha", 2), 2),), (1, 2), "x")
+    failed = _failed(form, make_matching([(3, 1), (1, 1)]))
+    assert ("divides-partial", "alpha 2 exponent", -1) in failed
+
+
+def test_divides_partial_rejects_a_z0_denominator():
+    form = OneFormSpec((), ((("z", 0), 2),), (0, 1), "x")
+    assert _failed(form) == [("divides-partial", "z0 denominator", -2)]
+
+
+def test_divides_partial_rejects_a_z2_exponent_above_the_partial():
+    form = OneFormSpec(((("z", 0), 1),), ((("z", 2), 3),), (0, 1), "x")
+    meta = HomogenizedCurveMeta(n=5, m=5, z2_exponent_in_dz2=2)
+    assert _failed(form, meta=meta) == [("divides-partial", "z2 denominator", -1)]
+    assert not _failed(form, meta=replace(meta, z2_exponent_in_dz2=3))
+
+
+def test_infinity_rejects_too_little_z2_in_the_numerator():
+    p = parse_poly("1/6*x^6 - 4/5*x^5 + 3/2*x^4 - 4/3*x^3 + 1/2*x^2")
+    v = classify(PolynomialPair(p, parse_poly("1/5*x^5 - 3/4*x^4 + x^3 - 1/2*x^2")))
+    meta = homogenized_meta(v.pair)
+    assert (v.rule, meta.n - meta.m) == ("Theorem 1", 1)
+    good = emit_witnesses(v)[0]
+    assert good.to_text() == "z0 * z2 * W(z1,z2) / (z0 - a2*z2)^4"
+    assert not _failed(good, v.pair.matching(), meta)
+    bad = replace(good, numerator_factors=((("z", 0), 2),))
+    assert _failed(bad, v.pair.matching(), meta) == [("z2-numerator", "infinity", -1)]
 
 
 def test_order_bounds_examples():
