@@ -47,13 +47,17 @@ class LinearFactorWitness:
 
     @property
     def description(self) -> str:
-        """The family in words, formatted only when read: the
-        coefficients may be past the int-to-str digit limit."""
-        return (
-            f"family of {self.family_size} linear factor(s) y - (s*x + t): "
-            f"s any root of {self.scale_minpoly.to_string('s')}, "
-            f"t = ({self.shift_numerator.to_string('s')}) / ({self.shift_denominator})"
-        )
+        """The family in words, formatted only when read.  Coefficients
+        past the int-to-str digit limit cannot be printed; then the text
+        names only the family size, as the classifier's trace does."""
+        family = f"family of {self.family_size} linear factor(s) y - (s*x + t)"
+        try:
+            return (
+                f"{family}: s any root of {self.scale_minpoly.to_string('s')}, "
+                f"t = ({self.shift_numerator.to_string('s')}) / ({self.shift_denominator})"
+            )
+        except ValueError:  # the int-to-str digit limit
+            return f"{family}: coefficients past the int-to-str digit limit"
 
     def shift_for_scale(self, s):
         """t for a rational scale s (s must be a root of scale_minpoly)."""

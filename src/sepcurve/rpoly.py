@@ -750,10 +750,11 @@ def _value_image_mod_p(s: Poly, f: Poly):
     t_j = Tr(r^j), j = 1..n (Bostan, Flajolet, Salvy & Schost, J.
     Symbolic Comput. 41, 2006).  Newton's identities on S give the
     traces Tr(x^i), i < n, with no division.  The columns x^i r mod S of
-    the multiplication are packed into one int each, so r^j mod S, the
-    sum of the columns weighted by the residues of r^(j-1) mod S, is n
-    integer products and one unpacking, and t_j is its dot product with
-    the traces.  Newton's identities on t_1..t_n then give U, dividing
+    the multiplication are packed into one int each, each the one before
+    shifted up a slot plus one packed product, so r^j mod S, the sum of
+    the columns weighted by the residues of r^(j-1) mod S, is n integer
+    products and one unpacking, and t_j is its dot product with the
+    traces.  Newton's identities on t_1..t_n then give U, dividing
     by k <= n < p.  Since S is monic and p divides no denominator, every
     coefficient of U is a p-adic integer, so the result is U reduced
     mod p, of full degree: a nonzero discriminant or resultant of such
@@ -773,13 +774,18 @@ def _value_image_mod_p(s: Poly, f: Poly):
     tau = [n]  # tau[i] = Tr(x^i), the i-th power sum of the roots of S
     for k in range(1, n):
         tau.append(-(k * s_bar[n - k] + sum(map(mul, s_bar[n - k + 1 : n], tau[1:k]))) % p)
-    neg_s, col = [-c % p for c in s_bar[:-1]], r + [0] * (n - len(r))
-    cols = [_pack(col)]  # cols[i] = x^i r mod S, packed
-    for _ in range(n - 1):  # x * col mod S: col shifted up, plus its top times x^n mod S
-        col = [(col[-1] * c + lower) % p for c, lower in zip(neg_s, [0] + col[:-1])]
-        cols.append(_pack(col))
-    # a slot of sum(power_i * cols[i]) sums n terms below p^2, n < p < 2^15:
-    # below p^3 < 2^45, so no carry crosses a slot
+    # cols[i] = x^i r mod S, packed, its slots congruent to the residues:
+    # x * col is col shifted up a slot, plus its top slot mod p times
+    # x^n mod S = x^n - S.  A step adds below p^2 to a slot, so t steps
+    # after a reduction a slot is below (t + 1) p^2, and a slot of
+    # sum(power_i * cols[i]) below n (t + 1) p^3 < 2^64 while
+    # n (t + 1) <= 525180: no carry crosses a slot.  That holds for t < n
+    # up to n = 724; reducing every 15 steps keeps t < 15 for every n < p.
+    neg_s, top, mask = _pack([-c % p for c in s_bar[:-1]]), 64 * (n - 1), (1 << 64 * n) - 1
+    cols = [_pack(r)]
+    for i in range(1, n):
+        col = ((cols[-1] << 64) & mask) + (cols[-1] >> top) % p * neg_s
+        cols.append(col if i % 15 else _pack([c % p for c in _unpack(col, n)]))
     power, traces = r, [sum(map(mul, r, tau)) % p]
     for _ in range(n - 1):
         power = [c % p for c in _unpack(sum(map(mul, power, cols)), n)]

@@ -2,6 +2,7 @@
 the package's faster kernels are compared against."""
 
 import sys
+from operator import mul
 
 from sepcurve import numoracle, rpoly
 from sepcurve.classify import Outcome, Verdict
@@ -134,6 +135,40 @@ def reference_value_image_mod_p(s, f):
             out[i] -= k * out[i + 1]
         out[0] += newton[k]
     return [c % p for c in out] + [1]
+
+
+def columnwise_value_image_mod_p(s, f):
+    """The power-sum value image with each column x^i r mod S built
+    residue by residue, every residue reduced mod p, and packed anew:
+    the plain column step that the shifted, lazily reduced columns of
+    ``rpoly._value_image_mod_p`` are compared against.  Its cost is the
+    kernel's order, so it reaches the parser's degree cap, where the
+    O(n^3) interpolation of ``reference_value_image_mod_p`` is too slow."""
+    p, n = rpoly.GCD_PRIME, s.degree
+    if not s.den % p or not f.den % p or n >= p:
+        return None
+    s_bar, r = rpoly._residues(s), rpoly._residues(f)
+    if len(r) >= len(s_bar):
+        r = rpoly._rem_mod_p(r, s_bar)
+    if len(r) <= 1:
+        return reference_value_image_mod_p(s, f)
+    tau = [n]
+    for k in range(1, n):
+        tau.append(-(k * s_bar[n - k] + sum(map(mul, s_bar[n - k + 1 : n], tau[1:k]))) % p)
+    neg_s, col = [-c % p for c in s_bar[:-1]], r + [0] * (n - len(r))
+    cols = [rpoly._pack(col)]
+    for _ in range(n - 1):  # x * col mod S: col shifted up, plus its top times x^n mod S
+        col = [(col[-1] * c + lower) % p for c, lower in zip(neg_s, [0] + col[:-1])]
+        cols.append(rpoly._pack(col))
+    # a slot of sum(power_i * cols[i]) sums n terms below p^2: below p^3 < 2^64
+    power, traces = r, [sum(map(mul, r, tau)) % p]
+    for _ in range(n - 1):
+        power = [c % p for c in rpoly._unpack(sum(map(mul, power, cols)), n)]
+        traces.append(sum(map(mul, power, tau)) % p)
+    u = [1]
+    for k in range(1, n + 1):
+        u.append(-sum(map(mul, u[::-1], traces)) * pow(k, -1, p) % p)
+    return u[::-1]
 
 
 def _mul_x_polys(a, b, modulus):

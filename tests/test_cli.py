@@ -265,18 +265,49 @@ def test_unaudited_witness_is_never_printed(monkeypatch, capsys):
 
 
 def test_internal_fault_exit_code_in_a_process():
-    """A fault past parsing (here the linear witness's text, past the
-    int-to-str digit limit) exits 3 with one stderr line, no traceback
-    and nothing on stdout."""
+    """A fault past parsing (here a classifier that raises) exits 3 with
+    one stderr line, no traceback and nothing on stdout."""
+    src = pathlib.Path(__file__).parent.parent / "src"
+    code = (
+        "import sys\n"
+        "import sepcurve.cli as cli\n"
+        "def broken(pair):\n"
+        "    raise ValueError('kernel fault')\n"
+        "cli.classify = broken\n"
+        "sys.exit(cli.main(['classify', '--p=x^3', '--q=x^3']))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert run.returncode == 3 and run.stdout == ""
+    assert run.stderr.startswith("internal error: ValueError: kernel fault")
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_report_past_the_digit_limit_prints_its_verdict(json_flag):
+    """The linear witness of 3^9000 x^2 vs 5^-6000 x^2 has coefficients
+    past the int-to-str digit limit: its description names the family
+    size, and the report prints with the verdict's exit code."""
     src = pathlib.Path(__file__).parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": "4300"}
     run = subprocess.run(
-        [sys.executable, "-m", "sepcurve.cli", "classify", "--p=3^9000*x^2", "--q=1/5^6000*x^2"],
+        [sys.executable, "-m", "sepcurve.cli", "classify", "--p=3^9000*x^2", "--q=1/5^6000*x^2"]
+        + json_flag,
         capture_output=True, text=True, env=env,
     )
-    assert run.returncode == 3 and run.stdout == ""
-    assert run.stderr.startswith("internal error: ValueError: Exceeds the limit")
-    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+    assert run.returncode == 10 and run.stderr == ""
+    witness = "family of 2 linear factor(s) y - (s*x + t): coefficients past the int-to-str digit limit"
+    if json_flag:
+        report = json.loads(run.stdout)
+        assert (report["verdict"], report["rule"], report["case"]) == (
+            "HasLowGenusComponent", "Theorem 3 case 1", 1
+        )
+        assert report["linear_witness"] == witness
+    else:
+        assert "verdict: HasLowGenusComponent (rule: Theorem 3 case 1)" in run.stdout
+        assert f"linear factor: {witness}\n" in run.stdout
 
 
 @pytest.mark.parametrize("fails", ["audit", "emission"])

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    columnwise_value_image_mod_p,
     poly_of,
     reference_gcd,
     reference_resultant,
@@ -432,6 +433,32 @@ def test_value_image_at_the_class_degrees_of_dense_inputs(case):
         os.environ.pop("SEPCURVE_DEBUG_CHECKS", None)  # its determinant route takes seconds here
         expected = _image_of_shift(s, f, P)
     assert rpoly._value_image_mod_p(s, f) == reference_value_image_mod_p(s, f) == expected
+
+
+@given(
+    s=st.one_of(spiked_polys(40, bits70, 2), spiked_polys(40, p_multiples, 2)),
+    f=st.one_of(spiked_polys(44, bits70, 2), modular_polys),
+)
+@settings(deadline=None, max_examples=60)
+def test_value_image_columns_match_the_columnwise_kernel(s, f):
+    s = Poly((s.coeffs or (0,)) + (1,))
+    assert rpoly._value_image_mod_p(s, f) == columnwise_value_image_mod_p(s, f)
+
+
+@pytest.mark.parametrize("n", [15, 16, 31, 255])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_value_image_columns_at_the_slot_bound(n, seed):
+    """Residues p - 1 and p - 2 in -S mod p and in r, the largest a
+    lazily reduced slot can take, at the column reduction's boundary
+    (every 15 steps) and at the parser's degree cap; seed 0 puts p - 1
+    everywhere."""
+    rng = random.Random(seed)
+    lows = [1 if not seed else rng.choice([1, 2]) for _ in range(n)]
+    s = poly_of(*lows, 1)  # -S mod p has residues p - 1 and p - 2
+    f = poly_of(*(-1 if not seed else rng.choice([-1, -2]) for _ in range(n)))  # r = f
+    image = rpoly._value_image_mod_p(s, f)
+    assert image == columnwise_value_image_mod_p(s, f)
+    assert len(image) == n + 1 and image[-1] == 1
 
 
 @given(s=polys, f=polys)
