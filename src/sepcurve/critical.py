@@ -291,11 +291,11 @@ class PairMatching:
     same value, sorted descending), the multiplicities of the unmatched
     points on each side and each side's full multiset.
 
-    Derived: the counts, and the unmatched masses.  The masses are
-    residuals, deg - 1 minus the matched multiplicity mass on each side,
-    so the mass identity holds by construction; they equal the sums of
-    the unmatched points exactly when each shared value is simple on
-    both sides, e.g. under hypothesis_I.
+    Derived: the counts, and the unmatched masses, the sums of the
+    unmatched multiplicities on each side.  When each shared value is
+    simple on both sides, e.g. under hypothesis_I, every critical point
+    is matched once or unmatched, so the matched and unmatched masses
+    add up to deg - 1 on each side.
     """
 
     deg_p: int
@@ -321,11 +321,11 @@ class PairMatching:
 
     @property
     def unmatched_p_mass(self) -> int:
-        return self.deg_p - 1 - sum(p for p, _ in self.matched_points)
+        return sum(self.unmatched_p_points)
 
     @property
     def unmatched_q_mass(self) -> int:
-        return self.deg_q - 1 - sum(q for _, q in self.matched_points)
+        return sum(self.unmatched_q_points)
 
     def mirrored(self) -> "PairMatching":
         """The matching of Q(y) - P(x) = 0: the roles of P and Q

@@ -140,12 +140,6 @@ def complex_roots(p: Poly, precision_bits: int = DEFAULT_PRECISION):
     def mpf(man, frac):
         return mpmath.mpf((man, -frac), prec=man.bit_length() + 1)
 
-    _require_squarefree(p)
-    disks, (frac, _) = _isolate(p, precision_bits)
-    return tuple(ComplexApprox(mpf(zr, frac), mpf(zi, frac), mpf(r, frac)) for zr, zi, r in disks)
-
-
-def _require_squarefree(p: Poly) -> None:
     if p.degree < 1:
         raise ValueError(f"need a nonconstant polynomial, got degree {p.degree}")
     if not is_squarefree(p):
@@ -153,6 +147,8 @@ def _require_squarefree(p: Poly) -> None:
             "polynomial must be squarefree for numeric root isolation "
             f"(got {p.to_string()})"
         )
+    disks, (frac, _) = _isolate(p, precision_bits)
+    return tuple(ComplexApprox(mpf(zr, frac), mpf(zi, frac), mpf(r, frac)) for zr, zi, r in disks)
 
 
 def _circle_angle(k: int, n: int) -> float:
@@ -453,12 +449,10 @@ def _steps(structures, precision_bits: int):
     up to PRECISION_CAP, yields (bits, tagged, groups).  ``tagged``
     holds (side index, point multiplicity, value disk) for every
     critical point, and ``groups`` the indices into it clustered by
-    overlap.  Every class factor is proven squarefree once, before the
-    first step; each distinct factor is isolated once per step, seeded
-    with its iterates from the step before."""
-    for cs in structures:
-        for cls in cs.classes:
-            _require_squarefree(cls.factor)
+    overlap.  The class factors come from Yun's decomposition in
+    :func:`analyze`, squarefree by construction, so none is checked
+    again; each distinct factor is isolated once per step, seeded with
+    its iterates from the step before."""
     prec, iterates = precision_bits, {}
     while True:
         roots = {}

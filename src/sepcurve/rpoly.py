@@ -27,16 +27,18 @@ algorithms prove exact is checked.
 
 Arithmetic modulo one fixed prime p = ``GCD_PRIME`` serves as a
 certificate in front of the exact kernels, with one Euclid remainder
-loop and one packed-slot product over GF(p).  Before the sequence,
-``poly_gcd`` and the first gcd of Yun's algorithm, gcd(f, f'), ask
-whether the operands are coprime modulo p: when p divides neither
-leading coefficient, a gcd of degree 0 modulo p proves gcd 1 over Q;
-any other outcome takes the exact sequence.
+loop and one packed-slot product over GF(p).  Before the first gcd of
+Yun's algorithm, gcd(f, f'), which is 1 on most dense inputs,
+``squarefree_decomposition`` asks whether f and f' are coprime modulo
+p: when p divides neither leading coefficient, a gcd of degree 0 modulo
+p proves gcd 1 over Q; any other outcome takes the exact sequence.
+Every other gcd, ``poly_gcd`` included, runs the sequence alone.
 ``_value_image_mod_p`` gives the reduction modulo p of the
 ``resultant_shift`` polynomial, from the power sums of multiplication
 by P in GF(p)[x]/(S) and Newton's identities; ``critical.analyze``
-proves the generic critical-value shape from these images.  A prime that divides a denominator or a
-leading coefficient makes the certificate decline, never lie.
+proves the generic critical-value shape from these images.  A prime
+that divides a denominator or a leading coefficient makes the
+certificate decline, never lie.
 """
 
 from __future__ import annotations
@@ -391,18 +393,9 @@ def _pow(base: tuple, e: int) -> tuple:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd: the last nonzero member of the subresultant remainder
-    sequence of the primitive integer multiples of a and b, made monic
-    once.
-
-    When the shorter operand b has degree >= 2, Euclid modulo the prime
-    ``GCD_PRIME`` runs first: if p divides neither leading coefficient,
-    deg gcd(a mod p, b mod p) >= deg gcd(a, b) over Q, so a gcd of
-    degree 0 modulo p proves gcd 1 and the remainder sequence is
-    skipped.  Any other outcome, an unlucky prime included, takes the
-    remainder sequence, so the prime changes the cost, never the result.
-    With SEPCURVE_DEBUG_CHECKS=1 every gcd certified 1 is also run
-    through the remainder sequence and compared.
+    """Monic gcd: the primitive gcd over Z of the numerators of a and b,
+    the last nonzero member of their subresultant remainder sequence,
+    made monic once.
 
     >>> poly_gcd(Poly([-1, 0, 1]), Poly([2, -3, 1])).to_string()  # (x-1)(x+1), (x-1)(x-2)
     'x - 1'
@@ -411,17 +404,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return Poly.zero()
     if a.is_zero or b.is_zero:
         return (b if a.is_zero else a).monic()
-    a, b = _primitive(a.num), _primitive(b.num)
-    if len(a) < len(b):
-        a, b = b, a
-    # a linear divisor costs one pseudo-division: certify from degree 2 on
-    if len(b) > 2 and _certified_coprime(a, b):
-        return Poly.one()
-    if len(b) > 1:
-        a, b, _, _ = _subresultant_prs(a, b)
-    if b:  # the sequence ends in a nonzero constant
-        return Poly.one()
-    return _make(a, a[-1])
+    g = _prs_gcd(a.num, b.num)
+    return _make(g, g[-1])
 
 
 def is_squarefree(p: Poly) -> bool:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sepcurve.critical as critical
+import sepcurve.rpoly as rpoly
 from helpers import make_matching, poly_of, reference_squarefree_decomposition, squarefree_part
 from sepcurve.classify import classify
 from sepcurve.critical import (
@@ -351,6 +352,38 @@ def test_match_pairs_unequal_degree_overlap():
     assert corollary1_lhs(m) == 0
 
 
+def test_unmatched_masses_sum_the_unmatched_points():
+    # x^4 vs x^4 - 2x^2 + 1 fails hypothesis I on Q (value 1 at 0, value
+    # 0 at +-1): P's triple point at 0 is matched twice, so the matched
+    # mass exceeds deg - 1, and the masses count only unmatched points
+    m = match_pairs(PolynomialPair(poly_of(0, 0, 0, 0, 1), poly_of(1, 0, -2, 0, 1)))
+    assert m.matched_points == ((3, 1), (3, 1))
+    assert (m.unmatched_p_points, m.unmatched_q_points) == ((), (1,))
+    assert (m.unmatched_p_mass, m.unmatched_q_mass) == (0, 1)
+    assert theorem1_lhs(m) == 4 and corollary1_lhs(m) == 1
+
+
+def test_certified_sides_sharing_values_run_one_euclid_modulo_p():
+    # x^3 - 3x and its image under x -> 2x + 1 both have values +-2: the
+    # images mod p are not coprime, and the exact pieces' gcds run the
+    # remainder sequence alone, with no second Euclid modulo p
+    p = poly_of(0, -3, 0, 1)
+    pair = PolynomialPair(p, p(poly_of(1, 2)))
+    assert pair.critical_p().image is not None and pair.critical_q().image is not None
+    calls, real = [], critical._coprime_mod_p
+
+    def recording(a, b):
+        calls.append((len(a), len(b)))
+        return real(a, b)
+
+    with mock.patch.object(critical, "_coprime_mod_p", recording), mock.patch.object(
+        rpoly, "_coprime_mod_p", recording
+    ):
+        m = match_pairs(pair)
+    assert m.matched_points == ((1, 1), (1, 1))
+    assert calls == [(3, 3)]
+
+
 def test_threshold_counts_on_pinned_pairs():
     pair = PolynomialPair(poly_of(0, 0, 0, 0, 0, 1), poly_of(0, 1, 0, 0, 0, 1))
     m = match_pairs(pair)
@@ -418,10 +451,6 @@ def test_match_pairs_aggregate_invariants(p, q):
     m = match_pairs(pair)
     *reference, simple = _matching_reference(pair)
     assert [m.matched_points, m.unmatched_p_points, m.unmatched_q_points] == reference
-    # masses: matched + unmatched account for every critical point,
-    # with multiplicity, on each side
-    assert sum(pm for pm, _ in m.matched_points) + m.unmatched_p_mass == pair.n - 1
-    assert sum(qm for _, qm in m.matched_points) + m.unmatched_q_mass == pair.m - 1
     assert m.matched_points == tuple(sorted(m.matched_points, reverse=True))
     # with every shared value taken by one point on each side, each
     # critical point is matched once or unmatched, and the matched and
@@ -433,8 +462,10 @@ def test_match_pairs_aggregate_invariants(p, q):
         assert m.q_multiset == tuple(
             sorted([qm for _, qm in m.matched_points] + list(m.unmatched_q_points), reverse=True)
         )
-        assert sum(m.unmatched_p_points) == m.unmatched_p_mass
-        assert sum(m.unmatched_q_points) == m.unmatched_q_mass
+        # masses: matched + unmatched account for every critical point,
+        # with multiplicity, on each side
+        assert sum(pm for pm, _ in m.matched_points) + m.unmatched_p_mass == pair.n - 1
+        assert sum(qm for _, qm in m.matched_points) + m.unmatched_q_mass == pair.m - 1
         rebuilt = make_matching(
             m.matched_points, m.unmatched_p_points, m.unmatched_q_points,
             deg=(m.deg_p, m.deg_q),

@@ -305,6 +305,15 @@ def test_resultant_of_constant():
     assert resultant(Poly.constant(3), poly_of(1, 2, 3)) == 9
 
 
+def _certificate_is_sound(x, y):
+    """The coprimality certificate modulo p, run as Yun's algorithm runs
+    it on primitive integer operands, proves gcd 1 only where it holds."""
+    if x.is_zero or y.is_zero:
+        return True
+    certified = rpoly._coprime_mod_p(rpoly._primitive(x.num), rpoly._primitive(y.num))
+    return not certified or reference_gcd(x, y) == Poly.one()
+
+
 @given(
     pair=st.one_of(
         st.tuples(wide_polys, wide_polys),
@@ -316,10 +325,11 @@ def test_resultant_of_constant():
 @example(pair=(poly_of(-1, 1) * poly_of(2, 1), poly_of(-1 - P, 1) * poly_of(0, 1)))
 @settings(deadline=None, max_examples=60)
 def test_integer_kernels_match_euclid_over_q(pair):
-    """gcd and resultant on the integer remainder sequence, and the gcd
-    certificate modulo p in front of it, equal the Euclid-over-Q
-    references, including zero, constant and negative-leading inputs,
-    coefficients divisible by p and roots shared only modulo p."""
+    """gcd and resultant on the integer remainder sequence equal the
+    Euclid-over-Q references, and the coprimality certificate modulo p
+    proves gcd 1 only where it holds, including zero, constant and
+    negative-leading inputs, coefficients divisible by p and roots
+    shared only modulo p."""
     a, b = pair
     for x, y in ((a, b), (-b, a)):
         g = poly_gcd(x, y)
@@ -327,6 +337,7 @@ def test_integer_kernels_match_euclid_over_q(pair):
         assert all(type(c) is Rat for c in g.coeffs)
         res = resultant(x, y)
         assert res == reference_resultant(x, y) and type(res) is Rat
+        assert _certificate_is_sound(x, y)
 
 
 @given(
@@ -343,6 +354,7 @@ def test_integer_kernels_on_shared_and_repeated_factors(a, b, c, k):
     for x, y in ((a * c**k, b * c), (c**k, c * a)):
         assert poly_gcd(x, y) == reference_gcd(x, y)
         assert resultant(x, y) == reference_resultant(x, y)
+        assert _certificate_is_sound(x, y)
 
 
 def test_generic_gcds_skip_the_remainder_sequence(monkeypatch):
@@ -356,26 +368,27 @@ def test_generic_gcds_skip_the_remainder_sequence(monkeypatch):
     p, q = (random_polynomial(rng, 18, 18, sparse=False) for _ in range(2))
     verdict = classify(PolynomialPair(p, q))
     assert verdict.rule == "Theorem 1"
-    assert callers["poly_gcd"] == 0
+    assert callers["_prs_gcd"] == 0  # Yun's gcd(f, f') is certified 1 modulo p on both sides
     assert callers["_int_resultant"] == 0  # no value piece is built: the shapes are certified
-    assert poly_gcd(p * p, (p * p).derivative()) == p.monic()  # a gcd != 1 falls back
-    assert callers["poly_gcd"] == 1
+    assert poly_gcd(p * p, (p * p).derivative()) == p.monic()  # poly_gcd runs the sequence
+    assert callers["_prs_gcd"] == 1
 
 
 def test_a_wrong_certificate_is_caught_under_debug_checks(monkeypatch):
     monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)
     monkeypatch.setattr(rpoly, "_coprime_mod_p", lambda a, b: True)
-    a, b = poly_of(-1, 0, 1), poly_of(-1, 1) * poly_of(3, 1, 1)  # share x - 1
-    assert poly_gcd(a, b) == Poly.one()  # the faulty certificate is trusted...
+    p = poly_of(-1, 1) ** 2 * poly_of(2, 1)  # (x - 1)^2 (x + 2): gcd(p, p') = x - 1
+    # the faulty certificate is trusted: p comes out as one squarefree class...
+    assert squarefree_decomposition(p).parts == ((p.monic(), 1),)
     with mock.patch.dict(os.environ, {"SEPCURVE_DEBUG_CHECKS": "1"}):
         with pytest.raises(ArithmeticError, match="gcd routes disagree"):
-            poly_gcd(a, b)  # ...unless debug checks rerun the remainder sequence
+            squarefree_decomposition(p)  # ...unless debug checks rerun the remainder sequence
 
 
 def test_a_divisor_found_modulo_p_is_settled_by_one_division(monkeypatch):
-    """A gcd that is not 1 modulo p takes one remainder sequence: a divisor
-    b of a is settled by its first pseudo-division, and a b that divides
-    a only modulo p by the rest of the sequence."""
+    """A gcd takes one remainder sequence: a divisor b of a is settled
+    by its first pseudo-division, and a b that divides a only modulo p
+    by the rest of the sequence."""
     calls, prs = [], rpoly._subresultant_prs
     monkeypatch.setattr(rpoly, "_subresultant_prs", lambda a, b: calls.append(1) or prs(a, b))
     b = poly_of(3, 1, 1) * poly_of(-1, 2)
