@@ -20,6 +20,7 @@ Rule labels are the report vocabulary used by the CLI/JSON interface.
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -129,13 +130,34 @@ def matching_case_ids(matching: PairMatching, has_linear_factor: bool):
     return ids
 
 
+def _no_shared_value(pair: PolynomialPair) -> bool:
+    """True when both sides have simple critical values and the matching
+    shares none, so the pair has no linear factor: y = s*x + t would
+    give P(x) = Q(s*x + t), so every critical value of P is one of Q's
+    (Kozen & Landau, J. Symb. Comp. 7, 1989).  Asked only where the
+    cascade reads the matching next when the pair has no linear factor.
+    With SEPCURVE_DEBUG_CHECKS=1 the skipped search runs and must find
+    nothing."""
+    if not (pair.critical_p().hypothesis_I and pair.critical_q().hypothesis_I):
+        return False
+    if pair.matching().matched_pair_count:
+        return False
+    if os.environ.get("SEPCURVE_DEBUG_CHECKS") and find_linear_factor(pair) is not None:
+        raise ArithmeticError("linear factor found on a pair that shares no critical value")
+    return True
+
+
 def classify(pair: PolynomialPair) -> Verdict:
     """Run the full cascade.  Every rule consulted lands in the trace;
     the verdict cites the first that fired."""
     trace = []
     n, m = pair.n, pair.m
+    gap = max(pair.n0, pair.m0) + 4
+    gap_fires = n == m and pair.n0 >= 1 and pair.m0 >= 1 and n >= gap
 
-    witness = find_linear_factor(pair)
+    witness = None  # unequal degrees admit no linear factor
+    if n == m and (gap_fires or not _no_shared_value(pair)):
+        witness = find_linear_factor(pair)
     if witness is not None:
         trace.append(f"linear factor found (family of {witness.family_size} factor(s))")
         hyp_p = pair.critical_p().hypothesis_I
@@ -160,8 +182,7 @@ def classify(pair: PolynomialPair) -> Verdict:
     # The wide-gap rule presumes both polynomials actually have an
     # intermediate nonzero coefficient; a pure power (n0 = 0) is handled
     # by the excess criteria below instead.
-    gap = max(pair.n0, pair.m0) + 4
-    if n == m and pair.n0 >= 1 and pair.m0 >= 1 and n >= gap:
+    if gap_fires:
         trace.append(f"degree gap: n = {n} >= max(n0, m0) + 4 = {gap}")
         return Verdict(
             outcome=Outcome.HYPERBOLIC,

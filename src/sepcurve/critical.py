@@ -16,7 +16,9 @@ a generic polynomial, one simple critical value per critical point, the
 shape is proven modulo one prime from one value image per side, the
 product of the class images mod p, and the exact pieces are built only
 when a caller reads them; two sides whose images are coprime mod p
-share no value, and match without them.
+share no value, and match without them.  A generic side's image is the
+image of P' made monic, which proves P' squarefree as well, so its
+multiplicity classes need no Yun decomposition.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from functools import cached_property, reduce
 from .rpoly import (
     Poly,
     _coprime_mod_p,
+    _few_roots_mod_p,
     _mul_mod_p,
     _residues,
     _value_image_mod_p,
@@ -57,9 +60,10 @@ class CriticalClass:
 class CriticalStructure:
     """Everything the verdicts need about one polynomial's critical
     points, computed once by :func:`analyze`: the multiplicity classes
-    of P' and the value ``image``, the residues mod p of the product of
-    the class image polynomials when it proved the generic shape, else
-    None.
+    of P', from Yun's decomposition or, on a side certified as one
+    class, from the image alone, and the value ``image``, the residues
+    mod p of the product of the class image polynomials when it proved
+    the generic shape, else None.
 
     The value table ``values`` is a tuple of (piece, mults).  The pieces
     are pairwise coprime, monic and squarefree, their product is the
@@ -159,16 +163,23 @@ def _certified_images(p: Poly, classes: tuple):
 def analyze(p: Poly) -> CriticalStructure:
     """Critical structure of a polynomial of degree >= 2.
 
-    The classes come from Yun's decomposition of P'.  The shape of the
-    value table is then certified modulo p = ``rpoly.GCD_PRIME`` when it
-    can be: one simple value per critical point, one piece per class,
-    read off the product of the class images mod p with no exact value
-    polynomial.  Any other outcome, an unlucky prime included, builds
-    the exact table (one ``resultant_shift`` and one Yun decomposition
-    per class) and reads the shape from it.  With SEPCURVE_DEBUG_CHECKS=1
-    every certified shape is also compared with the exact table's, and
-    the image with the product of the exact ``resultant_shift``
-    polynomials reduced mod p.
+    The shape of the value table is certified modulo p =
+    ``rpoly.GCD_PRIME`` when it can be: one simple value per critical
+    point, one piece per class, read off the product of the class images
+    mod p with no exact value polynomial.  A generic side is tried first
+    as one class, S = P' made monic: an image of S squarefree mod p
+    proves S squarefree too (a repeated root a of S would make
+    (y - P(a))^2 divide it), so S is the whole of Yun's decomposition
+    and Yun is not run.  Yun's decomposition of P' gives the classes,
+    each with its own image, when ``rpoly._few_roots_mod_p`` shows P'
+    with a repeated root and at most two distinct roots mod p, or when
+    the image of S declines; a single class S then takes no second image.
+    Any other outcome, an unlucky prime included, builds the exact table
+    (one ``resultant_shift`` and one Yun decomposition per class) and
+    reads the shape from it.  With SEPCURVE_DEBUG_CHECKS=1 a side
+    certified without Yun is also run through Yun, every certified shape
+    is compared with the exact table's, and the image with the product
+    of the exact ``resultant_shift`` polynomials reduced mod p.
 
     >>> cs = analyze(Poly([0, 0, -2, 0, 1]))  # x^4 - 2x^2: 0 once, -1 twice
     >>> [(f.to_string("y"), mults) for f, mults in cs.values]
@@ -178,9 +189,21 @@ def analyze(p: Poly) -> CriticalStructure:
     """
     if p.degree < 2:
         raise ValueError(f"degree must be at least 2, got {p.degree}")
-    parts = squarefree_decomposition(p.derivative()).parts
-    classes = tuple(CriticalClass(f, mult) for f, mult in parts)
-    cs = CriticalStructure(p, classes, _certified_images(p, classes))
+    dp = p.derivative()
+    tried = image = None  # tried: the one class S, when its image goes first
+    if not _few_roots_mod_p(dp):
+        tried = (CriticalClass(dp.monic(), 1),)
+        image = _certified_images(p, tried)
+    if image is not None:
+        classes = tried
+        if os.environ.get("SEPCURVE_DEBUG_CHECKS"):
+            if squarefree_decomposition(dp).parts != ((tried[0].factor, 1),):
+                raise ArithmeticError("critical classes disagree: one class modulo p, not Yun's")
+    else:
+        classes = tuple(CriticalClass(f, k) for f, k in squarefree_decomposition(dp).parts)
+        if classes != tried:  # a class whose image declined declines again
+            image = _certified_images(p, classes)
+    cs = CriticalStructure(p, classes, image)
     cs.shape  # an uncertified side builds its exact table here
     if cs.image is not None and os.environ.get("SEPCURVE_DEBUG_CHECKS"):
         if _shape(_value_table(p, classes)) != cs.shape:

@@ -449,10 +449,13 @@ def _steps(structures, precision_bits: int):
     up to PRECISION_CAP, yields (bits, tagged, groups).  ``tagged``
     holds (side index, point multiplicity, value disk) for every
     critical point, and ``groups`` the indices into it clustered by
-    overlap.  The class factors come from Yun's decomposition in
-    :func:`analyze`, squarefree by construction, so none is checked
-    again; each distinct factor is isolated once per step, seeded with
-    its iterates from the step before."""
+    overlap.  The class factors come from :func:`analyze`, each
+    squarefree, so none is checked again: a class from Yun's
+    decomposition is squarefree by construction, and a side certified
+    as the one class P' made monic has an image U with disc(U) != 0 mod
+    p, which a repeated root of the class would make 0.  Each distinct
+    factor is isolated once per step, seeded with its iterates from the
+    step before."""
     prec, iterates = precision_bits, {}
     while True:
         roots = {}

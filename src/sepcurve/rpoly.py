@@ -28,16 +28,18 @@ algorithms prove exact is checked.
 Arithmetic modulo one fixed prime p = ``GCD_PRIME`` serves as a
 certificate in front of the exact kernels, with one Euclid remainder
 loop and one packed-slot product over GF(p).  Before the first gcd of
-Yun's algorithm, gcd(f, f'), which is 1 on most dense inputs,
-``squarefree_decomposition`` asks whether f and f' are coprime modulo
-p: when p divides neither leading coefficient, a gcd of degree 0 modulo
-p proves gcd 1 over Q; any other outcome takes the exact sequence.
-Every other gcd, ``poly_gcd`` included, runs the sequence alone.
-``_value_image_mod_p`` gives the reduction modulo p of the
-``resultant_shift`` polynomial, from the power sums of multiplication
-by P in GF(p)[x]/(S) and Newton's identities; ``critical.analyze``
-proves the generic critical-value shape from these images.  A prime
-that divides a denominator or a leading coefficient makes the
+Yun's algorithm, gcd(f, f'), ``squarefree_decomposition`` asks whether
+f and f' are coprime modulo p: when p divides neither leading
+coefficient, a gcd of degree 0 modulo p proves gcd 1 over Q; any other
+outcome takes the exact sequence.  Every other gcd, ``poly_gcd``
+included, runs the sequence alone.  ``_value_image_mod_p`` gives the
+reduction modulo p of the ``resultant_shift`` polynomial, from the
+power sums of multiplication by P in GF(p)[x]/(S) and Newton's
+identities; ``critical.analyze`` proves the generic critical-value
+shape from these images, and on a generic side proves P' squarefree
+from one image, without Yun.  ``_few_roots_mod_p``, two remainders of
+Euclid on (f, f'), tells that route which sides to send to Yun first.
+A prime that divides a denominator or a leading coefficient makes the
 certificate decline, never lie.
 """
 
@@ -439,7 +441,9 @@ def squarefree_decomposition(p: Poly) -> MultiplicityDecomposition:
     quotient of an integer polynomial by it is integral: the divisions
     are exact over Z and checked.  Scaling a gcd by a unit scales both
     operands of the next step alike, so the classes come out as over Q,
-    each made monic once.
+    each made monic once.  Once one root is left, of multiplicity m, the
+    loop's d is (m - i) b', so m is read off without one gcd per step
+    up to it.
 
     >>> d = squarefree_decomposition(Poly([0, 0, -2, 0, 1]))  # x^4 - 2x^2
     >>> [(f.to_string(), k) for f, k in d.parts]
@@ -464,6 +468,9 @@ def squarefree_decomposition(p: Poly) -> MultiplicityDecomposition:
     i = 1
     while len(b) > 1:
         d, _ = _add((c, 1), (_derivative(b), 1), True)
+        if len(b) == 2:  # one root left, of multiplicity m: d = (m - i) b'
+            parts.append((_make(b, b[-1]), i + _exact_div(d[0], b[1]) if d else i))
+            break
         a = _prs_gcd(b, d) if d else b  # gcd(b, 0) is the primitive b
         if len(a) > 1:
             parts.append((_make(a, a[-1]), i))
@@ -576,6 +583,38 @@ def _coprime_mod_p(a: list, b: list) -> bool:
     if len(a) < len(b):
         a, b = b, a
     return len(_euclid_mod_p([c % p for c in a], [c % p for c in b])) == 1
+
+
+def _few_roots_mod_p(f: Poly) -> bool:
+    """True when f has a repeated root and at most two distinct roots
+    modulo p = GCD_PRIME (deg f < p), False when p divides lc f: a probe,
+    not a certificate.  f has deg f - deg gcd(f, f') distinct roots, and
+    the gcd divides r = f mod f', so it has degree deg f - 1 exactly when
+    r = 0, and deg f - 2 >= 1 exactly when r has that degree and divides
+    f'.  Both remainders have a linear quotient, so each is one pass over
+    GF(p), written out below up to a unit factor, O(deg f) in all.
+
+    >>> _few_roots_mod_p(Poly([0, 0, -1, 1])), _few_roots_mod_p(Poly([0, 2, -3, 1]))
+    (True, False)
+    """
+    p, n = GCD_PRIME, len(f.num) - 1
+    a = [c % p for c in f.num]
+    if n < 2 or not a[n]:
+        return False
+    # n^2 lc(f) (f mod f') = n^2 lc(f) (f - (x/n + c) f'), c = a[n-1] / (n^2 lc(f))
+    s, t, tail = n * a[n], a[n - 1], a[1:]
+    r = [(s * i * x - t * j * y) % p for i, x, j, y in zip(range(n, 1, -1), a, range(1, n), tail)]
+    if not any(r):
+        return True
+    if n < 3 or not r[-1]:
+        return False
+    # r | f' exactly when R^2 f' = (s R x + w) r, R = lc(r), s = lc(f')
+    big_r = r[-1]
+    sr, rr, w = s * big_r, big_r * big_r, (n - 1) * t * big_r - s * r[-2]
+    return not any(
+        (rr * j * x - sr * y - w * z) % p
+        for j, x, y, z in zip(range(1, n + 1), tail, [0] + r, r + [0])
+    )
 
 
 def _certified_coprime(a: list, b: list) -> bool:

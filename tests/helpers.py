@@ -4,7 +4,7 @@ the package's faster kernels are compared against."""
 import sys
 from operator import mul
 
-from sepcurve import numoracle, rpoly
+from sepcurve import critical, numoracle, rpoly
 from sepcurve.classify import Outcome, Verdict
 from sepcurve.critical import PairMatching
 from sepcurve.linfactor import LinearFactorWitness
@@ -613,3 +613,12 @@ def reference_squarefree_decomposition(p):
         d = c - b.derivative()
         i += 1
     return MultiplicityDecomposition(content, tuple(parts))
+
+
+def yun_first_analyze(p):
+    """critical.analyze with the classes always from Yun's decomposition
+    of P', each certified by its own value image: the route the
+    one-class certificate of a generic side is compared against."""
+    parts = rpoly.squarefree_decomposition(p.derivative()).parts
+    classes = tuple(critical.CriticalClass(f, k) for f, k in parts)
+    return critical.CriticalStructure(p, classes, critical._certified_images(p, classes))

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import os
 import pathlib
@@ -5,11 +6,14 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_matching, poly_of
+import sepcurve.critical as critical
 from sepcurve.classify import (
     Outcome,
     classify,
@@ -32,6 +36,8 @@ from sepcurve.instances import (
     theorem2_pair,
     theorem3_pair,
 )
+
+cascade = importlib.import_module("sepcurve.classify")  # the package exports classify() under that name
 
 
 def test_pinned_low_genus_cases():
@@ -127,6 +133,47 @@ def test_gap_rule_declines_pure_powers():
 def test_natural_case_5_shape():
     v = classify(PolynomialPair(poly_of(0, 0, 0, 0, 0, 0, 1, 1), poly_of(0, 0, 0, 0, 0, 0, 2, 1)))
     assert (v.case, v.rule) == (5, "Theorem 3 case 5")
+
+
+def test_a_dense_pair_runs_no_yun_and_no_linear_factor_search(monkeypatch):
+    """Both sides certified as one class and no value shared: neither
+    Yun's decomposition nor the linear-factor search runs."""
+    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)  # they rerun both
+    calls = Counter()
+    for module, name in ((critical, "squarefree_decomposition"), (cascade, "find_linear_factor")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, r=real, n=name: calls.update([n]) or r(*a))
+    rng = random.Random(26)
+    pair = PolynomialPair(*(random_polynomial(rng, 12, 12, sparse=False) for _ in "pq"))
+    v = classify(pair)
+    assert v.trace[0] == "linear factor: none" and v.linear_witness is None
+    assert pair.matching().matched_pair_count == 0
+    assert calls == Counter()
+
+
+def test_the_gap_rule_pair_searches_for_a_linear_factor_before_any_analysis(monkeypatch):
+    events = []
+    for module, name in ((critical, "analyze"), (cascade, "find_linear_factor")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda a, r=real, n=name: events.append(n) or r(a))
+    x7 = poly_of(0, 0, 0, 0, 0, 0, 0, 1)
+    v = classify(PolynomialPair(x7 + poly_of(0, 1), x7 + poly_of(0, 2)))
+    assert v.rule == "Theorem 2"
+    assert events == ["find_linear_factor"]
+
+
+def test_a_skipped_linear_factor_search_is_rerun_under_debug_checks(monkeypatch):
+    """A matching that wrongly shares no value skips the search; the
+    debug checks run it and find the factor."""
+    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)
+    p = theorem3_pair(4).p  # 5x^6 - 6x^5: points of multiplicity 4 and 1, values 0 and -1
+    unshared = make_matching((), (4, 1), (4, 1))
+    monkeypatch.setattr(critical, "match_pairs", lambda pair: unshared)
+    v = classify(PolynomialPair(p, p.shift_argument(3)))  # y = x - 3 is a factor
+    assert v.linear_witness is None  # the faulty matching is trusted...
+    with mock.patch.dict(os.environ, {"SEPCURVE_DEBUG_CHECKS": "1"}):
+        with pytest.raises(ArithmeticError, match="linear factor found"):
+            classify(PolynomialPair(p, p.shift_argument(3)))  # ...unless debug checks search
 
 
 def test_verdict_trace_records_the_path():

@@ -6,12 +6,18 @@ from functools import reduce
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sepcurve.critical as critical
 import sepcurve.rpoly as rpoly
-from helpers import make_matching, poly_of, reference_squarefree_decomposition, squarefree_part
+from helpers import (
+    make_matching,
+    poly_of,
+    reference_squarefree_decomposition,
+    squarefree_part,
+    yun_first_analyze,
+)
 from sepcurve.classify import classify
 from sepcurve.critical import (
     PolynomialPair,
@@ -287,6 +293,116 @@ def test_a_wrong_value_image_is_caught_under_debug_checks(monkeypatch):
     with mock.patch.dict(os.environ, {"SEPCURVE_DEBUG_CHECKS": "1"}):
         with pytest.raises(ArithmeticError, match="value images disagree"):
             analyze(p)  # ...unless debug checks compare each image with the exact one
+
+
+def test_a_wrong_one_class_certificate_is_caught_under_debug_checks(monkeypatch):
+    """A side certified as the one class S = P' made monic skips Yun; the
+    debug checks run Yun and compare."""
+    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)
+    monkeypatch.setattr(  # certify every class, squarefree or not
+        critical,
+        "_certified_images",
+        lambda p, classes: tuple(
+            reduce(_mul_mod_p, (_value_image_mod_p(c.factor, p) for c in classes))
+        ),
+    )
+    p = poly_of(0, 0, 0, 40, -45, 12)  # P' = 60 x^2 (x - 1)(x - 2): the probe does not end
+    assert not rpoly._few_roots_mod_p(p.derivative())
+    (cls,) = analyze(p).classes  # the faulty certificate is trusted...
+    assert (cls.factor.degree, cls.multiplicity) == (4, 1)
+    with mock.patch.dict(os.environ, {"SEPCURVE_DEBUG_CHECKS": "1"}):
+        with pytest.raises(ArithmeticError, match="critical classes disagree"):
+            analyze(p)  # ...unless debug checks run Yun's decomposition
+
+
+def _chebyshev(n: int) -> Poly:
+    a, b = poly_of(1), poly_of(0, 1)
+    for _ in range(n):
+        a, b = b, poly_of(0, 2) * b - a
+    return a
+
+
+small_rats = st.builds(rat, st.integers(-4, 4), st.integers(1, 3))
+nonzero_rats = small_rats.filter(bool)
+
+
+@st.composite
+def affine_two_root_polys(draw):
+    """u P(a x + b) + v for P = (x - beta)^i (x - gamma)^j or its
+    integral: P' has at most two distinct roots, or exactly three."""
+    beta, gamma = draw(small_rats), draw(small_rats)
+    i, j = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    assume(i + j >= 2)
+    f = poly_of(-beta, 1) ** i * poly_of(-gamma, 1) ** j
+    p = _integral(f, draw(small_rats)) if draw(st.booleans()) else f
+    a, b, u, v = draw(nonzero_rats), draw(small_rats), draw(nonzero_rats), draw(small_rats)
+    return u * p.shift_argument(b).scale_argument(a) + Poly.constant(v)
+
+
+@st.composite
+def three_root_heavy_polys(draw):
+    """P' = (x - alpha)^i (x - beta)^j (x - gamma)^k, three distinct roots
+    and one of them repeated."""
+    roots = draw(st.lists(small_rats, min_size=3, max_size=3, unique=True))
+    exps = draw(st.lists(st.integers(1, 4), min_size=3, max_size=3).filter(lambda e: max(e) >= 2))
+    f = reduce(lambda acc, re: acc * poly_of(-re[0], 1) ** re[1], zip(roots, exps), Poly.one())
+    return _integral(draw(nonzero_rats) * f, draw(small_rats))
+
+
+@st.composite
+def colliding_value_polys(draw):
+    """Critical values taken more than once: T_n, x^4 - 2x^2 and
+    compositions R(S(x))."""
+    kind = draw(st.sampled_from(["chebyshev", "w", "composition"]))
+    if kind == "chebyshev":
+        return _chebyshev(draw(st.integers(3, 12)))
+    if kind == "w":
+        return poly_of(0, 0, -2, 0, 1)
+    r, s = (draw(polys_deg2plus(max_degree=3)) for _ in "rs")
+    return reduce(lambda acc, c: acc * s + Poly.constant(c), reversed(r.coeffs), Poly.zero())
+
+
+def _scaled_by_p(p, where):
+    """The draw with its leading coefficient, or a denominator, divisible by GCD_PRIME."""
+    if where == "lc":
+        return p + Poly.monomial(GCD_PRIME, p.degree + 1)
+    return p * rat(1, GCD_PRIME) + Poly.monomial(rat(1, GCD_PRIME), 1)
+
+
+@given(
+    p=st.one_of(
+        polys_deg2plus(max_degree=10),
+        affine_two_root_polys(),
+        three_root_heavy_polys(),
+        colliding_value_polys(),
+        st.builds(_scaled_by_p, polys_deg2plus(max_degree=6), st.sampled_from(["lc", "den"])),
+    )
+)
+@settings(deadline=None, max_examples=250)
+def test_analyze_equals_the_yun_first_route(p):
+    """The one-class certificate, the probe and Yun's fallback give what
+    Yun's classes with one image each give."""
+    cs, ref = analyze(p), yun_first_analyze(p)
+    assert cs.classes == ref.classes
+    assert cs.image == ref.image
+    assert cs.shape == ref.shape
+    assert cs.values == ref.values
+
+
+def test_a_two_root_derivative_reaches_no_image_of_its_own(monkeypatch):
+    """theorem3_pair(18): P' = c x^18 (x - 1) and Q' of the same two-root
+    kind; the probe ends, so no side takes an image of S at degree 19."""
+    degrees = []
+
+    def counting(s, f):
+        degrees.append(s.degree)
+        return _value_image_mod_p(s, f)
+
+    monkeypatch.setattr(critical, "_value_image_mod_p", counting)
+    pair = random_affine_image(theorem3_pair(18), random.Random(26))
+    for cs in (pair.critical_p(), pair.critical_q()):
+        assert cs.point_count == 2
+    assert 19 not in degrees and degrees
 
 
 @given(p=polys_deg2plus())
