@@ -5,12 +5,14 @@ implemented criteria apply) whether every component of the projective
 curve P(x) - Q(y) = 0 has genus at least 2, working only with aggregate
 critical-point data over Q — no root isolation, no number-field towers.
 
-Entry points: :func:`classify` for the verdict cascade,
-:func:`verify_witnesses` for explicit holomorphic one-forms backing a
-hyperbolic verdict, :func:`genus_if_supported` (the genus count from a
-pair's matched critical points; :func:`genus_from_matching` takes the
-matching itself) and the ``numoracle`` module for independent
-cross-checks, and :mod:`sepcurve.cli` for the command-line front end.
+Entry points: :func:`classify` for the verdict cascade (its steps that
+read only the matching are :func:`decide`, callable on a bare
+``PairMatching``), :func:`verify_witnesses` for explicit holomorphic
+one-forms backing a hyperbolic verdict, :func:`genus_if_supported`
+(the genus count from a pair's matched critical points;
+:func:`genus_from_matching` takes the matching itself) and the
+``numoracle`` module for independent cross-checks, and
+:mod:`sepcurve.cli` for the command-line front end.
 """
 
 import importlib
@@ -22,7 +24,7 @@ from .classify import classify
 
 # Every other export is imported from its submodule on first access (PEP 562).
 _EXPORTS = {
-    "classify": ("Outcome", "Verdict", "matching_case_ids", "sufficient_conditions"),
+    "classify": ("Outcome", "Verdict", "decide", "matching_case_ids", "sufficient_conditions"),
     "critical": (
         "CriticalClass",
         "CriticalStructure",

@@ -1,18 +1,21 @@
 """Verdict cascade for P(x) - Q(y) = 0.
 
-The decision order is fixed:
+``classify(pair)`` runs the steps that read the polynomials, in order:
 
 1. a linear factor forces a low-genus (rational) component;
 2. the wide-gap criterion ("Theorem 2"): n == m, both polynomials
    carry an intermediate term (n0 >= 1 and m0 >= 1), and
    n >= max(n0, m0) + 4;
-3. with simple critical values on both sides, the excess criteria
-   ("Theorem 1", "Corollary 1") and the exhaustive list of small
-   sufficient conditions ("big2(a)".."big2c(c)", equal degrees only);
-4. for equal degrees with simple critical values, the closed list of
-   exceptional shapes (cases 1-7): any match means a low-genus
-   component, no match means hyperbolic ("Theorem 3");
-5. otherwise inconclusive, listing what failed.
+3. Hypothesis I: a side without simple critical values leaves the
+   verdict inconclusive.
+
+Then ``decide(matching)`` runs the steps that read only the matching:
+
+4. the excess criteria ("Theorem 1", "Corollary 1") and, for equal
+   degrees, the small sufficient conditions ("big2(a)".."big2c(c)");
+5. for equal degrees, the exceptional shapes (cases 2-7): any match
+   means a low-genus component, no match means hyperbolic ("Theorem 3");
+6. otherwise (unequal degrees) inconclusive.
 
 Rule labels are the report vocabulary used by the CLI/JSON interface.
 """
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .critical import PairMatching, PolynomialPair, corollary1_lhs, theorem1_lhs
@@ -38,7 +41,7 @@ class Outcome(enum.Enum):
 class Verdict:
     outcome: Outcome
     rule: str
-    pair: PolynomialPair
+    pair: Optional[PolynomialPair]  # None from decide(matching)
     case: Optional[int] = None
     matching: Optional[PairMatching] = None
     linear_witness: Optional[LinearFactorWitness] = None
@@ -100,15 +103,16 @@ def _case4_shape(m: PairMatching) -> bool:
     )
 
 
-def matching_case_ids(matching: PairMatching, has_linear_factor: bool):
-    """Every exceptional-shape id (1-7) whose defining conditions hold.
+def matching_case_ids(matching: PairMatching):
+    """Every exceptional-shape id (2-7) whose defining conditions hold.
+    Case 1, a linear factor, is a fact about the pair, not the matching.
 
     The classifier reports the first; this helper exists for traces,
     diagnostics and tests of shapes that satisfy several definitions at
     once."""
     n, pts = matching.deg_p, matching.matched_points
     pms, qms = matching.p_multiset, matching.q_multiset
-    ids = [1] if has_linear_factor else []
+    ids = []
     if n in (2, 3):
         ids.append(2)
     if n == 4 and (len(pts) >= 2 or (len(pts) == 1 and abs(pts[0][0] - pts[0][1]) == 2)):
@@ -128,6 +132,68 @@ def matching_case_ids(matching: PairMatching, has_linear_factor: bool):
     if n == 5 and len(pms) == len(qms) == 2 and pts == ((2, 2), (2, 2)):
         ids.append(7)
     return ids
+
+
+def decide(matching: PairMatching) -> Verdict:
+    """The aggregate steps of the cascade, on the matching alone.
+
+    Both sides are taken to have simple critical values (Hypothesis I),
+    so the verdict has ``hyp_p = hyp_q = True`` and no pair; its trace
+    holds only these steps.
+
+    >>> from sepcurve.critical import PairMatching
+    >>> m = PairMatching(deg_p=5, deg_q=5, matched_points=((4, 3),),
+    ...                  unmatched_p_points=(), unmatched_q_points=(1,),
+    ...                  p_multiset=(4,), q_multiset=(3, 1))
+    >>> v = decide(m)
+    >>> v.outcome.value, v.rule, v.case
+    ('HasLowGenusComponent', 'Theorem 3 case 4', 4)
+    >>> v.trace[-1]
+    'exceptional shape(s) matched: [4]'
+    >>> decide(m.mirrored()).rule
+    'Theorem 3 case 4'
+    """
+    n, m = matching.deg_p, matching.deg_q
+    t1 = theorem1_lhs(matching)
+    c1 = corollary1_lhs(matching)
+    trace, fired = [], []
+    if t1 >= n - m + 3:
+        fired.append("Theorem 1")
+    trace.append(f"theorem1_lhs = {t1} (threshold {n - m + 3})")
+    if c1 >= 3:
+        fired.append("Corollary 1")
+    trace.append(f"corollary1_lhs = {c1} (threshold 3)")
+    if n == m:
+        fired.extend(sufficient_conditions(matching, trace))
+    outcome, case, failed = Outcome.HYPERBOLIC, None, ()
+    if fired:
+        trace.append("sufficient conditions fired: " + ", ".join(fired))
+    else:
+        trace.append("no sufficient condition fired")
+        ids = matching_case_ids(matching) if n == m else []
+        if ids:
+            trace.append(f"exceptional shape(s) matched: {ids}")
+            outcome, case = Outcome.HAS_LOW_GENUS_COMPONENT, ids[0]
+            fired = [f"Theorem 3 case {i}" for i in ids]
+        elif n == m:
+            trace.append("no exceptional shape matched")
+            fired = ["Theorem 3"]
+        else:
+            trace.append("degrees differ and no excess criterion reached its threshold")
+            outcome = Outcome.INCONCLUSIVE
+            failed = ("excess criteria below threshold (unequal degrees)",)
+    return Verdict(
+        outcome=outcome,
+        rule=fired[0] if fired else "inconclusive",
+        case=case,
+        pair=None,
+        matching=matching,
+        hyp_p=True,
+        hyp_q=True,
+        fired_rules=tuple(fired),
+        failed_hypotheses=failed,
+        trace=tuple(trace),
+    )
 
 
 def _no_shared_value(pair: PolynomialPair) -> bool:
@@ -150,22 +216,17 @@ def _no_shared_value(pair: PolynomialPair) -> bool:
 def classify(pair: PolynomialPair) -> Verdict:
     """Run the full cascade.  Every rule consulted lands in the trace;
     the verdict cites the first that fired."""
-    trace = []
-    n, m = pair.n, pair.m
-    gap = max(pair.n0, pair.m0) + 4
-    gap_fires = n == m and pair.n0 >= 1 and pair.m0 >= 1 and n >= gap
+    n, m, n0, m0 = pair.n, pair.m, pair.n0, pair.m0
+    gap = max(n0, m0) + 4
+    gap_fires = n == m and n0 >= 1 and m0 >= 1 and n >= gap
 
     witness = None  # unequal degrees admit no linear factor
     if n == m and (gap_fires or not _no_shared_value(pair)):
         witness = find_linear_factor(pair)
-    if witness is not None:
-        trace.append(f"linear factor found (family of {witness.family_size} factor(s))")
+    if witness is not None:  # so n == m
         hyp_p = pair.critical_p().hypothesis_I
         hyp_q = pair.critical_q().hypothesis_I
-        if n == m and hyp_p and hyp_q:
-            rule, case = "Theorem 3 case 1", 1
-        else:
-            rule, case = "linear factor", None
+        rule, case = ("Theorem 3 case 1", 1) if hyp_p and hyp_q else ("linear factor", None)
         return Verdict(
             outcome=Outcome.HAS_LOW_GENUS_COMPONENT,
             rule=rule,
@@ -175,9 +236,9 @@ def classify(pair: PolynomialPair) -> Verdict:
             hyp_p=hyp_p,
             hyp_q=hyp_q,
             fired_rules=(rule,),
-            trace=tuple(trace),
+            trace=(f"linear factor found (family of {witness.family_size} factor(s))",),
         )
-    trace.append("linear factor: none")
+    trace = ["linear factor: none"]
 
     # The wide-gap rule presumes both polynomials actually have an
     # intermediate nonzero coefficient; a pure power (n0 = 0) is handled
@@ -192,24 +253,15 @@ def classify(pair: PolynomialPair) -> Verdict:
             trace=tuple(trace),
         )
     if n == m and n >= gap:
-        trace.append(
-            "degree gap rule declined: no intermediate term "
-            f"(n0 = {pair.n0}, m0 = {pair.m0})"
-        )
+        trace.append(f"degree gap rule declined: no intermediate term (n0 = {n0}, m0 = {m0})")
     else:
-        trace.append(
-            f"degree gap rule not applicable (n = {n}, m = {m}, "
-            f"max(n0, m0) + 4 = {gap})"
-        )
+        trace.append(f"degree gap rule not applicable (n = {n}, m = {m}, max(n0, m0) + 4 = {gap})")
 
     hyp_p = pair.critical_p().hypothesis_I
     hyp_q = pair.critical_q().hypothesis_I
     if not (hyp_p and hyp_q):
-        failed = tuple(
-            f"simple critical values for {side}"
-            for side, ok in (("P", hyp_p), ("Q", hyp_q))
-            if not ok
-        )
+        sides = (("P", hyp_p), ("Q", hyp_q))
+        failed = tuple(f"simple critical values for {s}" for s, ok in sides if not ok)
         trace.append("failed: " + ", ".join(failed))
         return Verdict(
             outcome=Outcome.INCONCLUSIVE,
@@ -221,67 +273,5 @@ def classify(pair: PolynomialPair) -> Verdict:
             trace=tuple(trace),
         )
 
-    matching = pair.matching()
-    t1 = theorem1_lhs(matching)
-    c1 = corollary1_lhs(matching)
-    fired = []
-    if t1 >= n - m + 3:
-        fired.append("Theorem 1")
-    trace.append(f"theorem1_lhs = {t1} (threshold {n - m + 3})")
-    if c1 >= 3:
-        fired.append("Corollary 1")
-    trace.append(f"corollary1_lhs = {c1} (threshold 3)")
-    if n == m:
-        fired.extend(sufficient_conditions(matching, trace))
-    if fired:
-        trace.append("sufficient conditions fired: " + ", ".join(fired))
-        return Verdict(
-            outcome=Outcome.HYPERBOLIC,
-            rule=fired[0],
-            pair=pair,
-            matching=matching,
-            hyp_p=hyp_p,
-            hyp_q=hyp_q,
-            fired_rules=tuple(fired),
-            trace=tuple(trace),
-        )
-    trace.append("no sufficient condition fired")
-
-    if n == m:
-        ids = matching_case_ids(matching, has_linear_factor=False)
-        if ids:
-            trace.append(f"exceptional shape(s) matched: {ids}")
-            return Verdict(
-                outcome=Outcome.HAS_LOW_GENUS_COMPONENT,
-                rule=f"Theorem 3 case {ids[0]}",
-                case=ids[0],
-                pair=pair,
-                matching=matching,
-                hyp_p=hyp_p,
-                hyp_q=hyp_q,
-                fired_rules=tuple(f"Theorem 3 case {i}" for i in ids),
-                trace=tuple(trace),
-            )
-        trace.append("no exceptional shape matched")
-        return Verdict(
-            outcome=Outcome.HYPERBOLIC,
-            rule="Theorem 3",
-            pair=pair,
-            matching=matching,
-            hyp_p=hyp_p,
-            hyp_q=hyp_q,
-            fired_rules=("Theorem 3",),
-            trace=tuple(trace),
-        )
-
-    trace.append("degrees differ and no excess criterion reached its threshold")
-    return Verdict(
-        outcome=Outcome.INCONCLUSIVE,
-        rule="inconclusive",
-        pair=pair,
-        matching=matching,
-        hyp_p=hyp_p,
-        hyp_q=hyp_q,
-        failed_hypotheses=("excess criteria below threshold (unequal degrees)",),
-        trace=tuple(trace),
-    )
+    v = decide(pair.matching())
+    return replace(v, pair=pair, trace=tuple(trace) + v.trace)

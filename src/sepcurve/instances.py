@@ -17,10 +17,9 @@ from .parsepoly import parse_poly
 from .rationals import Rat, rat
 from .rpoly import Poly
 
-# One concrete (P, Q) per exceptional case.  Case 7's aggregates also
-# satisfy the case-1 equalities (the instance is a disguised conjugate
-# family), so the classifier reports case 1 for it; matching_case_ids
-# still lists 7.
+# One concrete (P, Q) per exceptional case.  The case-7 instance also
+# has a linear factor (it is a disguised conjugate family), so the
+# classifier reports case 1 for it; matching_case_ids lists 7.
 _CASE_SOURCES = {
     1: ("x^3", "x^3"),
     2: ("x^3 - 3*x", "x^3"),

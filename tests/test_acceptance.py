@@ -83,8 +83,7 @@ def test_criterion_2_exceptional_round_trip():
         assert v.outcome is Outcome.HAS_LOW_GENUS_COMPONENT, (cid, v.rule)
         expected = 1 if cid == 7 else cid
         assert v.case == expected, (cid, v.case)
-    ids = matching_case_ids(match_pairs(case_instance(7)), has_linear_factor=True)
-    assert ids == [1, 7]
+    assert matching_case_ids(match_pairs(case_instance(7))) == [7]
 
     for label, v in verdicts.items():
         if label.startswith("random"):

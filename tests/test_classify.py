@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -17,10 +18,12 @@ import sepcurve.critical as critical
 from sepcurve.classify import (
     Outcome,
     classify,
+    decide,
     matching_case_ids,
     sufficient_conditions,
 )
 from sepcurve.critical import PolynomialPair, match_pairs
+from sepcurve.oneforms import verify_witnesses
 from sepcurve.rationals import Rat, rat
 from sepcurve.rpoly import Poly
 from sepcurve.instances import (
@@ -50,8 +53,9 @@ def test_pinned_low_genus_cases():
 
 
 def test_case7_instance_satisfies_both_shapes():
-    matching = match_pairs(case_instance(7))
-    assert matching_case_ids(matching, has_linear_factor=True) == [1, 7]
+    # the matching has the case-7 shape; the linear factor makes it case 1
+    assert matching_case_ids(match_pairs(case_instance(7))) == [7]
+    assert classify(case_instance(7)).case == 1
 
 
 def test_pinned_hyperbolic_rules():
@@ -176,13 +180,78 @@ def test_a_skipped_linear_factor_search_is_rerun_under_debug_checks(monkeypatch)
             classify(PolynomialPair(p, p.shift_argument(3)))  # ...unless debug checks search
 
 
-def test_verdict_trace_records_the_path():
-    v = classify(theorem2_pair())
-    assert v.trace[0] == "linear factor: none"
-    assert any("degree gap" in line for line in v.trace)
+_NO_FACTOR = "linear factor: none"
+_EQUAL_DEGREES = [
+    "theorem1_lhs = 1 (threshold 3)",
+    "corollary1_lhs = 1 (threshold 3)",
+    "no sufficient condition fired",
+]
+_X4_2X2 = poly_of(0, 0, -2, 0, 1)
 
-    v = classify(theorem3_pair(4))
-    assert any("no exceptional shape matched" in line for line in v.trace)
+# each pair with its whole trace
+_PINNED_TRACES = [
+    (theorem2_pair(), (_NO_FACTOR, "degree gap: n = 7 >= max(n0, m0) + 4 = 5")),
+    (
+        theorem1_pair(),
+        (
+            _NO_FACTOR,
+            "degree gap rule declined: no intermediate term (n0 = 0, m0 = 1)",
+            "theorem1_lhs = 4 (threshold 3)",
+            "corollary1_lhs = 4 (threshold 3)",
+            "sufficient conditions fired: Theorem 1, Corollary 1",
+        ),
+    ),
+    (
+        theorem3_pair(4),
+        (
+            _NO_FACTOR,
+            "degree gap rule not applicable (n = 6, m = 6, max(n0, m0) + 4 = 9)",
+            *_EQUAL_DEGREES,
+            "no exceptional shape matched",
+        ),
+    ),
+    (
+        case_instance(4),
+        (
+            _NO_FACTOR,
+            "degree gap rule not applicable (n = 5, m = 5, max(n0, m0) + 4 = 8)",
+            *_EQUAL_DEGREES,
+            "exceptional shape(s) matched: [4]",
+        ),
+    ),
+    (
+        inconclusive_pair(),
+        (
+            _NO_FACTOR,
+            "degree gap rule not applicable (n = 5, m = 2, max(n0, m0) + 4 = 4)",
+            "theorem1_lhs = 3 (threshold 6)",
+            "corollary1_lhs = 0 (threshold 3)",
+            "no sufficient condition fired",
+            "degrees differ and no excess criterion reached its threshold",
+        ),
+    ),
+    (
+        PolynomialPair(_X4_2X2, poly_of(0, 1, 0, 0, 1)),
+        (
+            _NO_FACTOR,
+            "degree gap rule not applicable (n = 4, m = 4, max(n0, m0) + 4 = 6)",
+            "failed: simple critical values for P",
+        ),
+    ),
+    (PolynomialPair(_X4_2X2, _X4_2X2), ("linear factor found (family of 2 factor(s))",)),
+]
+
+
+def test_verdict_trace_records_the_path():
+    decided = 0
+    for pair, trace in _PINNED_TRACES:
+        v = classify(pair)
+        assert v.trace == trace
+        if v.matching is not None:  # two pair-level lines, then decide's
+            d = decide(pair.matching())
+            assert v == replace(d, pair=pair, trace=trace[:2] + d.trace)
+            decided += 1
+    assert decided == 4
 
 
 def test_verdicts_invariant_under_affine_images():
@@ -287,24 +356,22 @@ def test_sufficient_conditions_single_extra_point():
 def test_case_shape_ids_on_synthetic_aggregates():
     # case 4: one critical point against two
     m = make_matching([(4, 3)], unm_q=(1,))
-    assert matching_case_ids(m, has_linear_factor=False) == [4]
+    assert matching_case_ids(m) == [4]
     # case 5: balanced two-point shape
     m = make_matching([(4, 4), (1, 1)])
-    assert matching_case_ids(m, has_linear_factor=False) == [5]
+    assert matching_case_ids(m) == [5]
     # case 6: the five-point configuration
     m = make_matching([(2, 2), (1, 1), (1, 1)])
-    assert matching_case_ids(m, has_linear_factor=False) == [6]
+    assert matching_case_ids(m) == [6]
     # case 7: two double-double points at degree 5
     m = make_matching([(2, 2), (2, 2)], deg=(5, 5))
-    assert matching_case_ids(m, has_linear_factor=False) == [7]
-    # a linear factor puts case 1 first, ahead of any shape
-    assert matching_case_ids(m, has_linear_factor=True) == [1, 7]
+    assert matching_case_ids(m) == [7]
     # and a shape outside the list matches nothing
     m = make_matching([(3, 3), (3, 3)])
-    assert matching_case_ids(m, has_linear_factor=False) == []
+    assert matching_case_ids(m) == []
     # low degrees always land in case 2
     m = make_matching([(1, 1)], unm_p=(1,), unm_q=(1,), deg=(3, 3))
-    assert 2 in matching_case_ids(m, has_linear_factor=False)
+    assert 2 in matching_case_ids(m)
 
 
 # --- exchanging P and Q ---
@@ -383,13 +450,50 @@ def test_mirrored_matching_fires_the_mirrored_rules():
     for m in _small_equal_degree_matchings():
         fired = sufficient_conditions(m)
         assert _swapped_labels(sufficient_conditions(m.mirrored())) == Counter(fired), m
-        for lf in (False, True):
-            ids = matching_case_ids(m, has_linear_factor=lf)
-            assert matching_case_ids(m.mirrored(), has_linear_factor=lf) == ids, m
+        ids = matching_case_ids(m)
+        assert matching_case_ids(m.mirrored()) == ids, m
+        v, w = decide(m), decide(m.mirrored())
+        assert (w.outcome, w.case, _swapped_labels(w.fired_rules)) == (
+            v.outcome, v.case, Counter(v.fired_rules)
+        ), m
         seen.update(fired)
-        seen.update(f"case {i}" for i in matching_case_ids(m, has_linear_factor=False))
+        seen.update(f"case {i}" for i in ids)
     for label in ("big2(a)", "big2(b)", "big2(c)", "big2c(c)", "case 4", "case 6"):
         assert seen[label] > 0, label
+
+
+def _mass_identity_matchings():
+    """The small matchings of degree >= 2 a pair satisfying Hypothesis I
+    can have: matched plus unmatched mass is deg - 1 on each side."""
+    for m in _small_equal_degree_matchings():
+        p_mass = sum(p for p, _ in m.matched_points) + m.unmatched_p_mass
+        q_mass = sum(q for _, q in m.matched_points) + m.unmatched_q_mass
+        if m.deg_p >= 2 and (p_mass, q_mass) == (m.deg_p - 1, m.deg_q - 1):
+            yield m
+
+
+def test_decide_feeds_the_witness_audit_on_bare_matchings():
+    rules, audited, refused = Counter(), 0, []
+    for m in _mass_identity_matchings():
+        v = decide(m)
+        rules[v.rule] += 1
+        if v.outcome is not Outcome.HYPERBOLIC:
+            continue
+        try:
+            forms, reports = verify_witnesses(v)
+        except ValueError:
+            refused.append(m)
+            continue
+        assert all(r.overall for r in reports), (m, v.rule)
+        audited += 1
+    assert sum(rules.values()) == 642 and audited == 609
+    # x^4 vs y^4: one triple point a side, both at value 0.  decide calls
+    # it Theorem 3, but the pair has linear factors y = i^k x, so the
+    # linear-factor step of classify reports case 1 before decide runs
+    assert refused == [make_matching([(3, 3)])]
+    assert classify(PolynomialPair(poly_of(0, 0, 0, 0, 1), poly_of(0, 0, 0, 0, 1))).case == 1
+    # a mirrored rule is reached only when the p-side rule also fires
+    assert rules["Corollary 1"] == rules["big2c(a)"] == 0
 
 
 def test_excluded_shape_and_near_miss_notes_on_both_sides():

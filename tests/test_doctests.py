@@ -1,6 +1,7 @@
 """Run every module's embedded examples."""
 
 import doctest
+import importlib
 
 import pytest
 
@@ -12,6 +13,7 @@ import sepcurve.rationals
 import sepcurve.rpoly
 
 MODULES = [
+    importlib.import_module("sepcurve.classify"),  # the package exports classify() under that name
     sepcurve.critical,
     sepcurve.geometry,
     sepcurve.oneforms,
