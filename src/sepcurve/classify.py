@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass, replace
-from typing import Optional
+from collections import namedtuple
 
 from .critical import PairMatching, PolynomialPair, corollary1_lhs, theorem1_lhs
-from .linfactor import LinearFactorWitness, find_linear_factor
+from .linfactor import find_linear_factor
 
 
 class Outcome(enum.Enum):
@@ -37,19 +36,21 @@ class Outcome(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: Outcome
-    rule: str
-    pair: Optional[PolynomialPair]  # None from decide(matching)
-    case: Optional[int] = None
-    matching: Optional[PairMatching] = None
-    linear_witness: Optional[LinearFactorWitness] = None
-    hyp_p: Optional[bool] = None
-    hyp_q: Optional[bool] = None
-    fired_rules: tuple = ()
-    failed_hypotheses: tuple = ()
-    trace: tuple = ()
+class Verdict(
+    namedtuple(
+        "Verdict",
+        "outcome rule pair case matching linear_witness hyp_p hyp_q"
+        " fired_rules failed_hypotheses trace",
+        defaults=(None,) * 5 + ((),) * 3,
+    )
+):
+    """One cascade result: the ``Outcome``, the rule label cited, the
+    ``PolynomialPair`` (None from ``decide(matching)``), the exceptional
+    case id, the ``PairMatching``, the ``LinearFactorWitness``, whether
+    each side has simple critical values, and the tuples of rules fired,
+    hypotheses failed and trace lines."""
+
+    __slots__ = ()
 
 
 def sufficient_conditions(matching: PairMatching, trace=None):
@@ -274,4 +275,4 @@ def classify(pair: PolynomialPair) -> Verdict:
         )
 
     v = decide(pair.matching())
-    return replace(v, pair=pair, trace=tuple(trace) + v.trace)
+    return v._replace(pair=pair, trace=tuple(trace) + v.trace)

@@ -17,7 +17,6 @@ import functools
 import json
 import sys
 import time
-from typing import Optional
 
 from .classify import Outcome, Verdict, classify
 from .critical import DEFAULT_PRECISION, PRECISION_CAP, PolynomialPair, corollary1_lhs, theorem1_lhs
@@ -103,9 +102,9 @@ def build_report(
     verdict: Verdict,
     *,
     witness: bool = False,
-    oracle: Optional[str] = None,
+    oracle: str | None = None,
     precision: int = DEFAULT_PRECISION,
-    timings: Optional[dict] = None,
+    timings: dict | None = None,
 ) -> dict:
     """Assemble the machine-readable report for one classified pair.
 

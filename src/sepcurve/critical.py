@@ -24,7 +24,7 @@ multiplicity classes need no Yun decomposition.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, reduce
 
 from .rpoly import (
@@ -46,18 +46,15 @@ DEFAULT_PRECISION = 256
 PRECISION_CAP = 4096
 
 
-@dataclass(frozen=True)
-class CriticalClass:
+class CriticalClass(namedtuple("CriticalClass", "factor multiplicity")):
     """One multiplicity class: ``factor`` is monic squarefree and its
     roots are the critical points where the derivative vanishes to order
     ``multiplicity`` exactly."""
 
-    factor: Poly
-    multiplicity: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CriticalStructure:
+class CriticalStructure(namedtuple("CriticalStructure", "poly classes image")):
     """Everything the verdicts need about one polynomial's critical
     points, computed once by :func:`analyze`: the multiplicity classes
     of P', from Yun's decomposition or, on a side certified as one
@@ -72,11 +69,14 @@ class CriticalStructure:
     listed, largest first, in ``mults``.  The verdicts read only the
     ``shape``, one (degree, mults) per piece; both are computed on first
     use.  On a certified side piece i is the image polynomial of class
-    i, and the shape needs no piece."""
+    i, and the shape needs no piece.
 
-    poly: Poly
-    classes: tuple  # of CriticalClass, multiplicities strictly increasing
-    image: tuple | None  # residues of the product of the class images, when certified
+    ``poly`` is the Poly, ``classes`` its CriticalClass tuple with
+    multiplicities strictly increasing.  No ``__slots__``: the instance
+    ``__dict__`` holds the cached ``values`` and ``shape``."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CriticalStructure is immutable")
 
     @cached_property
     def values(self) -> tuple:
@@ -200,7 +200,10 @@ def analyze(p: Poly) -> CriticalStructure:
             if squarefree_decomposition(dp).parts != ((tried[0].factor, 1),):
                 raise ArithmeticError("critical classes disagree: one class modulo p, not Yun's")
     else:
-        classes = tuple(CriticalClass(f, k) for f, k in squarefree_decomposition(dp).parts)
+        # a probe that ended saw P' with a repeated root mod p, where gcd(P', P'')
+        # mod p is not 1: Yun's first gcd skips its certificate
+        parts = squarefree_decomposition(dp, _certify=tried is not None).parts
+        classes = tuple(CriticalClass(f, k) for f, k in parts)
         if classes != tried:  # a class whose image declined declines again
             image = _certified_images(p, classes)
     cs = CriticalStructure(p, classes, image)
@@ -304,15 +307,19 @@ class PolynomialPair:
         return f"PolynomialPair(p={self.p.to_string()!r}, q={self.q.to_string()!r})"
 
 
-@dataclass(frozen=True)
-class PairMatching:
+class PairMatching(
+    namedtuple(
+        "PairMatching",
+        "deg_p deg_q matched_points unmatched_p_points unmatched_q_points p_multiset q_multiset",
+    )
+):
     """Aggregate matching data between the two critical structures.
 
     Stored, as :func:`match_pairs` measures them: the degrees,
     ``matched_points`` (one (p, q) per critical point of P of
     multiplicity p and critical point of Q of multiplicity q with the
     same value, sorted descending), the multiplicities of the unmatched
-    points on each side and each side's full multiset.
+    points on each side and each side's full multiset, all descending.
 
     Derived: the counts, and the unmatched masses, the sums of the
     unmatched multiplicities on each side.  When each shared value is
@@ -321,13 +328,7 @@ class PairMatching:
     add up to deg - 1 on each side.
     """
 
-    deg_p: int
-    deg_q: int
-    matched_points: tuple  # per matched point (p, q), sorted descending
-    unmatched_p_points: tuple  # multiplicities, descending
-    unmatched_q_points: tuple
-    p_multiset: tuple
-    q_multiset: tuple
+    __slots__ = ()
 
     @property
     def matched_pair_count(self) -> int:
@@ -431,8 +432,7 @@ def corollary1_lhs(matching: PairMatching) -> int:
     return theorem1_lhs(matching.mirrored())
 
 
-@dataclass(frozen=True)
-class HomogenizedCurveMeta:
+class HomogenizedCurveMeta(namedtuple("HomogenizedCurveMeta", "n m z2_exponent_in_dz2")):
     """Degree bookkeeping of the homogenized curve and its z2-partial.
 
     For n == m the effective inner degree is max(n0, m0); otherwise the
@@ -440,9 +440,7 @@ class HomogenizedCurveMeta:
     guaranteed factor z2^(n - inner degree - 1).
     """
 
-    n: int
-    m: int
-    z2_exponent_in_dz2: int
+    __slots__ = ()
 
 
 def homogenized_meta(pair: PolynomialPair) -> HomogenizedCurveMeta:

@@ -19,8 +19,7 @@ as unsupported rather than guessed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .critical import PairMatching, PolynomialPair
 
@@ -35,21 +34,17 @@ class GenusMethod(enum.Enum):
     UNSUPPORTED = "Unsupported"
 
 
-@dataclass(frozen=True)
-class DeficiencyReport:
+class DeficiencyReport(namedtuple("DeficiencyReport", "delta genus method")):
     """delta and, when certifiable, the genus.
 
     ``genus`` is the geometric genus when the curve is certified
     irreducible; for point patterns that force reducibility it is the
     genus of a certified low-genus component (0 for a line).  ``delta``
     is present whenever the degrees are equal, ``genus`` only when
-    ``method`` is not UNSUPPORTED.
+    ``method`` is not UNSUPPORTED; both are ints or None.
     """
 
-    __slots__ = ("delta", "genus", "method")
-    delta: Optional[int]
-    genus: Optional[int]
-    method: GenusMethod
+    __slots__ = ()
 
 
 _OUT_OF_SCOPE = DeficiencyReport(delta=None, genus=None, method=GenusMethod.UNSUPPORTED)

@@ -10,7 +10,6 @@ every randomized image.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from .critical import PolynomialPair
 from .parsepoly import parse_poly
@@ -137,7 +136,7 @@ def random_polynomial(
     min_degree: int = 2,
     max_degree: int = 10,
     *,
-    sparse: Optional[bool] = None,
+    sparse: bool | None = None,
 ) -> Poly:
     """Random rational polynomial with an exact degree in the range.
 

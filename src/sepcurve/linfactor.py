@@ -20,26 +20,26 @@ centred forms, without the fold, so a reported witness is always sound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .critical import PolynomialPair
 from .rationals import ONE, Rat, rat
 from .rpoly import Poly
 
 
-@dataclass(frozen=True)
-class LinearFactorWitness:
+class LinearFactorWitness(
+    namedtuple("LinearFactorWitness", "scale_minpoly shift_numerator shift_denominator")
+):
     """A conjugate family of linear factors.
 
     Each root s of ``scale_minpoly`` (monic, squarefree, nonzero roots)
     yields the factor y - (s*x + t) with
     t = shift_numerator(s) / shift_denominator, and then
-    P(x) = Q(s*x + t) identically.
+    P(x) = Q(s*x + t) identically; both polynomials are Polys and the
+    denominator a nonzero rational.
     """
 
-    scale_minpoly: Poly
-    shift_numerator: Poly
-    shift_denominator: object  # nonzero rational
+    __slots__ = ()
 
     @property
     def family_size(self) -> int:

@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
-from typing import Optional
 
 from .critical import (
     DEFAULT_PRECISION,
@@ -69,18 +68,14 @@ class OracleOutcome(enum.Enum):
     AMBIGUOUS = "Ambiguous"
 
 
-@dataclass(frozen=True)
-class ComplexApprox:
-    """A complex approximation with an error radius.
+class ComplexApprox(namedtuple("ComplexApprox", "real imag radius")):
+    """A complex approximation with an error radius, three mpmath.mpf.
 
     Two approximations are known-distinct only when their disks are
     disjoint; overlapping disks stay inconclusive until refined.
     """
 
-    __slots__ = ("real", "imag", "radius")
-    real: object  # mpmath.mpf
-    imag: object
-    radius: object
+    __slots__ = ()
 
     @property
     def value(self):
@@ -88,27 +83,28 @@ class ComplexApprox:
         return mpmath.mpc(self.real, self.imag)
 
 
-@dataclass(frozen=True)
-class PairCountOracle:
-    __slots__ = ("outcome", "precision_bits", "l0_numeric", "matched_numeric", "detail")
-    outcome: OracleOutcome
-    precision_bits: int
-    l0_numeric: Optional[int]
-    matched_numeric: Optional[tuple]
-    detail: str
+class PairCountOracle(
+    namedtuple("PairCountOracle", "outcome precision_bits l0_numeric matched_numeric detail")
+):
+    """The numeric recount of the matching: an OracleOutcome, the
+    precision in bits it stopped at, l0 and the matched points as the
+    disks count them (None when unresolved), and a detail text."""
+
+    __slots__ = ()
 
     @property
     def agrees(self) -> bool:
         return self.outcome is OracleOutcome.AGREE
 
 
-@dataclass(frozen=True)
-class HypothesisOracle:
-    __slots__ = ("outcome", "symbolic", "precision_bits", "cluster_sizes")
-    outcome: OracleOutcome
-    symbolic: bool
-    precision_bits: int
-    cluster_sizes: tuple
+class HypothesisOracle(
+    namedtuple("HypothesisOracle", "outcome symbolic precision_bits cluster_sizes")
+):
+    """The numeric check of Hypothesis I: an OracleOutcome, the exact
+    answer ``symbolic``, the precision in bits it stopped at and the
+    cluster sizes of the critical-value disks, largest first."""
+
+    __slots__ = ()
 
 
 def _horner(coeffs, zr, zi, frac):
@@ -504,7 +500,7 @@ def corroborate_hypothesis_I(
 
 def verify_pair_counts(
     pp: PolynomialPair,
-    pm: Optional[PairMatching] = None,
+    pm: PairMatching | None = None,
     precision_bits: int = DEFAULT_PRECISION,
 ) -> PairCountOracle:
     """Recount the matched critical-value pairs with error disks.

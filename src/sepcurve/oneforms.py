@@ -27,9 +27,7 @@ the relevant side from l0+1 on.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from collections import defaultdict, namedtuple
 
 from .classify import Outcome, Verdict
 from .critical import (
@@ -64,21 +62,18 @@ class MalformedFormError(ValueError):
     """A form whose factor degrees cannot define a 1-form on the curve."""
 
 
-@dataclass(frozen=True)
-class OneFormSpec:
+class OneFormSpec(
+    namedtuple("OneFormSpec", "numerator_factors denominator_factors wronskian source_rule")
+):
     """One rational 1-form (R/S) * W(zi, zj) as factor lists.
 
     ``numerator_factors`` and ``denominator_factors`` are tuples of
-    (tag, exponent); the Wronskian is kept separate and counts as
+    (tag, exponent); the Wronskian (i, j) is kept separate and counts as
     degree 2.  ``source_rule`` names the verdict rule the form
     witnesses.
     """
 
-    __slots__ = ("numerator_factors", "denominator_factors", "wronskian", "source_rule")
-    numerator_factors: tuple
-    denominator_factors: tuple
-    wronskian: tuple
-    source_rule: str
+    __slots__ = ()
 
     def numerator_degree(self) -> int:
         return sum(e for _, e in self.numerator_factors) + 2
@@ -108,29 +103,25 @@ class OneFormSpec:
         return f"{num} / {den}"
 
 
-@dataclass(frozen=True)
-class RegularityCheck:
-    __slots__ = ("subject", "clause", "satisfied", "margin")
-    subject: str
-    clause: str
-    satisfied: bool
-    margin: int
+class RegularityCheck(namedtuple("RegularityCheck", "subject clause satisfied margin")):
+    """One audited clause: its subject and clause texts, whether it
+    holds and by what int margin."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    __slots__ = ("checks", "overall", "notes")
-    checks: tuple
-    overall: bool
-    notes: tuple
+class RegularityReport(namedtuple("RegularityReport", "checks overall notes")):
+    """A form's audit: its RegularityChecks, whether all hold, and a
+    tuple of note texts."""
+
+    __slots__ = ()
 
 
-class OrderBounds(NamedTuple):
+class OrderBounds(namedtuple("OrderBounds", "bound ratio")):
     """(bound, ratio): ord(z0 - a*z2) >= bound and the exact relation
     ord0 : ord1 = ratio[0] : ratio[1] at a matched (p, q) point."""
 
-    bound: int
-    ratio: tuple
+    __slots__ = ()
 
 
 def order_bounds(p: int, q: int) -> OrderBounds:
@@ -497,8 +488,8 @@ def _point_multiplicities(matching, side, idx):
 
 def check_regularity(
     form: OneFormSpec,
-    matching: Optional[PairMatching] = None,
-    meta: Optional[HomogenizedCurveMeta] = None,
+    matching: PairMatching | None = None,
+    meta: HomogenizedCurveMeta | None = None,
 ) -> RegularityReport:
     """Clause-by-clause regularity audit of one emitted form.
 
@@ -617,7 +608,7 @@ def check_regularity(
     )
 
 
-def verify_witnesses(verdict: Verdict, matching: Optional[PairMatching] = None):
+def verify_witnesses(verdict: Verdict, matching: PairMatching | None = None):
     """Emit both witnesses for a Hyperbolic verdict and audit them
     against the matching they were emitted from; a ``matching`` passed
     in stands in for the verdict's own in both steps.
@@ -627,7 +618,7 @@ def verify_witnesses(verdict: Verdict, matching: Optional[PairMatching] = None):
     contradicts its own rule — callers should treat that as a bug.
     """
     if matching is not None:
-        verdict = replace(verdict, matching=matching)
+        verdict = verdict._replace(matching=matching)
     matching = _verdict_matching(verdict)
     meta = homogenized_meta(verdict.pair) if verdict.pair is not None else None
     forms = emit_witnesses(verdict)

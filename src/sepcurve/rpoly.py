@@ -31,14 +31,16 @@ loop and one packed-slot product over GF(p).  Before the first gcd of
 Yun's algorithm, gcd(f, f'), ``squarefree_decomposition`` asks whether
 f and f' are coprime modulo p: when p divides neither leading
 coefficient, a gcd of degree 0 modulo p proves gcd 1 over Q; any other
-outcome takes the exact sequence.  Every other gcd, ``poly_gcd``
-included, runs the sequence alone.  ``_value_image_mod_p`` gives the
-reduction modulo p of the ``resultant_shift`` polynomial, from the
-power sums of multiplication by P in GF(p)[x]/(S) and Newton's
-identities; ``critical.analyze`` proves the generic critical-value
-shape from these images, and on a generic side proves P' squarefree
-from one image, without Yun.  ``_few_roots_mod_p``, two remainders of
-Euclid on (f, f'), tells that route which sides to send to Yun first.
+outcome takes the exact sequence, and so does an f that
+``critical.analyze`` already saw with a repeated root modulo p.  Every
+other gcd, ``poly_gcd`` included, runs the sequence alone.
+``_value_image_mod_p`` gives the reduction modulo p of the
+``resultant_shift`` polynomial, from the power sums of multiplication
+by P in GF(p)[x]/(S) and Newton's identities; ``critical.analyze``
+proves the generic critical-value shape from these images, and on a
+generic side proves P' squarefree from one image, without Yun.
+``_few_roots_mod_p``, two remainders of Euclid on (f, f'), tells that
+route which sides to send to Yun first.
 A prime that divides a denominator or a leading coefficient makes the
 certificate decline, never lie.
 """
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from math import gcd, lcm
 from operator import mul
@@ -416,14 +418,12 @@ def is_squarefree(p: Poly) -> bool:
     return poly_gcd(p, p.derivative()).degree == 0
 
 
-@dataclass(frozen=True)
-class MultiplicityDecomposition:
+class MultiplicityDecomposition(namedtuple("MultiplicityDecomposition", "content parts")):
     """content * prod(factor^multiplicity) == the decomposed polynomial,
-    with monic squarefree pairwise-coprime factors and strictly
-    increasing multiplicities."""
+    with ``parts`` a tuple of (factor, multiplicity): monic squarefree
+    pairwise-coprime factors and strictly increasing multiplicities."""
 
-    content: object
-    parts: tuple  # of (Poly, int)
+    __slots__ = ()
 
     def reassemble(self) -> Poly:
         out = Poly.constant(self.content)
@@ -432,7 +432,7 @@ class MultiplicityDecomposition:
         return out
 
 
-def squarefree_decomposition(p: Poly) -> MultiplicityDecomposition:
+def squarefree_decomposition(p: Poly, _certify: bool = True) -> MultiplicityDecomposition:
     """Yun's algorithm over Q, run on the primitive integer multiple f
     of p (Yun, SYMSAC 1976; von zur Gathen & Gerhard, Modern Computer
     Algebra, ch. 14).
@@ -443,7 +443,9 @@ def squarefree_decomposition(p: Poly) -> MultiplicityDecomposition:
     operands of the next step alike, so the classes come out as over Q,
     each made monic once.  Once one root is left, of multiplicity m, the
     loop's d is (m - i) b', so m is read off without one gcd per step
-    up to it.
+    up to it.  A caller that knows p has a repeated root modulo
+    ``GCD_PRIME`` passes ``_certify=False``: the certificate on
+    gcd(f, f') cannot succeed there, and is not tried.
 
     >>> d = squarefree_decomposition(Poly([0, 0, -2, 0, 1]))  # x^4 - 2x^2
     >>> [(f.to_string(), k) for f, k in d.parts]
@@ -459,7 +461,7 @@ def squarefree_decomposition(p: Poly) -> MultiplicityDecomposition:
     h = _primitive(df)
     # gcd(f, f') is 1 on most dense inputs, and the certificate modulo p
     # settles that case; the loop's gcds are rarely 1, so they skip it
-    g = [1] if len(h) > 2 and _certified_coprime(f, h) else _prs_gcd(f, h)
+    g = [1] if _certify and len(h) > 2 and _certified_coprime(f, h) else _prs_gcd(f, h)
     if len(g) == 1:  # squarefree: spare the divisions by 1 and by f itself
         return MultiplicityDecomposition(content, ((p.monic(), 1),))
     parts = []

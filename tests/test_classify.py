@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -249,7 +248,7 @@ def test_verdict_trace_records_the_path():
         assert v.trace == trace
         if v.matching is not None:  # two pair-level lines, then decide's
             d = decide(pair.matching())
-            assert v == replace(d, pair=pair, trace=trace[:2] + d.trace)
+            assert v == d._replace(pair=pair, trace=trace[:2] + d.trace)
             decided += 1
     assert decided == 4
 

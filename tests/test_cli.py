@@ -10,7 +10,6 @@ regenerate both after an intentional schema change with
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -245,7 +244,7 @@ def test_internal_faults_are_not_usage_errors(fault, monkeypatch, capsys):
 def test_emitter_fault_is_not_a_usage_error(monkeypatch, capsys):
     real = cli.classify
     monkeypatch.setattr(
-        cli, "classify", lambda pair: dataclasses.replace(real(pair), rule="no such rule")
+        cli, "classify", lambda pair: real(pair)._replace(rule="no such rule")
     )
     err = _internal_fault(["classify", "--p", "x^5", "--q", "x^5 + x", "--witness"], capsys)
     assert "ValueError: no witness emitter" in err
@@ -256,7 +255,7 @@ def test_unaudited_witness_is_never_printed(monkeypatch, capsys):
 
     def failing_audit(verdict, matching=None):
         forms, reports = real(verdict, matching)
-        return forms, tuple(dataclasses.replace(r, overall=False) for r in reports)
+        return forms, tuple(r._replace(overall=False) for r in reports)
 
     monkeypatch.setattr(oneforms, "verify_witnesses", failing_audit)
     for flags in ((), ("--json",)):
@@ -318,7 +317,7 @@ def test_selftest_reports_a_failing_witness_audit(fails, monkeypatch, capsys):
         if fails == "emission":
             raise ValueError("no witness emitter")
         forms, reports = real(verdict, matching)
-        return forms, tuple(dataclasses.replace(r, overall=False) for r in reports)
+        return forms, tuple(r._replace(overall=False) for r in reports)
 
     monkeypatch.setattr(oneforms, "verify_witnesses", broken)
     assert main(["selftest"]) == 1

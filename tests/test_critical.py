@@ -315,6 +315,29 @@ def test_a_wrong_one_class_certificate_is_caught_under_debug_checks(monkeypatch)
             analyze(p)  # ...unless debug checks run Yun's decomposition
 
 
+@pytest.mark.parametrize("a, b", [(3, 2), (4, 1), (2, 5)])
+def test_a_probe_ended_side_tries_no_certificate_on_yuns_first_gcd(monkeypatch, a, b):
+    """P' = 6 u^a (u - 1)^b with u = 2x + 3, an affine image of
+    x^a (x - 1)^b, has a repeated root and two distinct roots modulo p:
+    the probe ends, and since gcd(P', P'') mod p is not 1 Yun's
+    decomposition tries no certificate.  Its classes are the ones found
+    with the certificate tried."""
+    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)  # its checks rerun Yun, certificate included
+    u = poly_of(3, 2)
+    dp = rat(6) * u**a * (u - poly_of(1)) ** b
+    p = Poly([0] + [c / (k + 1) for k, c in enumerate(dp.coeffs)])
+    assert p.derivative() == dp and rpoly._few_roots_mod_p(dp)
+    attempts = []
+    real = rpoly._certified_coprime
+    monkeypatch.setattr(rpoly, "_certified_coprime", lambda f, h: attempts.append(f) or real(f, h))
+    cs = analyze(p)
+    assert attempts == [] and cs.image is not None  # certified: no exact table, no other Yun
+    expected = squarefree_decomposition(dp).parts
+    assert len(attempts) == 1  # the certificate tried and declined
+    assert [(c.factor, c.multiplicity) for c in cs.classes] == list(expected)
+    assert sorted(k for _, k in expected) == sorted({a, b})
+
+
 def _chebyshev(n: int) -> Poly:
     a, b = poly_of(1), poly_of(0, 1)
     for _ in range(n):
