@@ -200,10 +200,7 @@ def analyze(p: Poly) -> CriticalStructure:
             if squarefree_decomposition(dp).parts != ((tried[0].factor, 1),):
                 raise ArithmeticError("critical classes disagree: one class modulo p, not Yun's")
     else:
-        # a probe that ended saw P' with a repeated root mod p, where gcd(P', P'')
-        # mod p is not 1: Yun's first gcd skips its certificate
-        parts = squarefree_decomposition(dp, _certify=tried is not None).parts
-        classes = tuple(CriticalClass(f, k) for f, k in parts)
+        classes = tuple(CriticalClass(f, k) for f, k in squarefree_decomposition(dp).parts)
         if classes != tried:  # a class whose image declined declines again
             image = _certified_images(p, classes)
     cs = CriticalStructure(p, classes, image)
@@ -247,7 +244,7 @@ class PolynomialPair:
     keep that normalization.  The pair caches what is computed from it:
     each side's :class:`CriticalStructure` (``critical_p``/``critical_q``)
     and their :class:`PairMatching` (``matching``), each computed on
-    first use only.
+    first use only.  Equality and hashing read ``p``, ``q`` and ``swapped``.
     """
 
     __slots__ = ("p", "q", "swapped", "_cs")
@@ -272,6 +269,14 @@ class PolynomialPair:
     def __reduce__(self):
         # rebuild from the inputs in their given order, so swapped survives
         return PolynomialPair, ((self.q, self.p) if self.swapped else (self.p, self.q))
+
+    def __eq__(self, other):
+        if type(other) is not PolynomialPair:
+            return NotImplemented
+        return (self.p, self.q, self.swapped) == (other.p, other.q, other.swapped)
+
+    def __hash__(self):
+        return hash((self.p, self.q, self.swapped))
 
     @property
     def n(self) -> int:

@@ -20,7 +20,7 @@ oracle's precision seeds its one sweep run with the previous step's
 iterates.  A root disk's radius is 2n·|w| for the final
 Weierstrass correction w plus 256 units of 2^-F.  It does not bound the
 rounding in w, and the root disks are not proven pairwise disjoint
-(ROADMAP item 3), so root disks are estimates, not certificates.  A
+(ROADMAP item 8), so root disks are estimates, not certificates.  A
 value disk's radius is the drift of the polynomial over its root disk,
 a relative slack, and a proven bound on the rounding of its own
 fixed-point Horner evaluation.  Two disks overlap when an exact integer
@@ -126,7 +126,7 @@ def complex_roots(p: Poly, precision_bits: int = DEFAULT_PRECISION):
     each disk is 2 * deg(p) * |w|, for the Weierstrass correction w at
     the final iterate, plus a fixed slack of 2^-(precision_bits + 56).
     It does not bound the rounding in w, and the disks are not proven
-    pairwise disjoint (ROADMAP item 3), so a disk is an estimate, not a
+    pairwise disjoint (ROADMAP item 8), so a disk is an estimate, not a
     certificate.  Raise the precision to shrink the disks
     (multiplicities are handled symbolically upstream, so repeated
     roots are a caller bug and raise ValueError).

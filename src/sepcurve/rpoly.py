@@ -20,29 +20,25 @@ the root-image polynomial ``resultant_shift`` (the monic polynomial
 whose roots are P(a) for a running over the roots of S).  Division,
 gcd and resultants read the numerators directly and run one integer
 pseudo-division loop, which also drives the subresultant remainder
-sequence (Collins 1967; Brown & Traub 1971).  Yun's squarefree
+sequence (Collins 1967; Brown & Traub 1971); every gcd, ``poly_gcd``
+and each of Yun's, runs that sequence alone.  Yun's squarefree
 decomposition runs on the primitive integer multiple of its input, with
 primitive gcds and quotients exact over Z.  Every division the
 algorithms prove exact is checked.
 
-Arithmetic modulo one fixed prime p = ``GCD_PRIME`` serves as a
-certificate in front of the exact kernels, with one Euclid remainder
-loop and one packed-slot product over GF(p).  Before the first gcd of
-Yun's algorithm, gcd(f, f'), ``squarefree_decomposition`` asks whether
-f and f' are coprime modulo p: when p divides neither leading
-coefficient, a gcd of degree 0 modulo p proves gcd 1 over Q; any other
-outcome takes the exact sequence, and so does an f that
-``critical.analyze`` already saw with a repeated root modulo p.  Every
-other gcd, ``poly_gcd`` included, runs the sequence alone.
+Arithmetic modulo one fixed prime p = ``GCD_PRIME``, one Euclid
+remainder loop and one packed-slot product over GF(p), serves only
+``critical``'s certificate of the critical-value shape.
 ``_value_image_mod_p`` gives the reduction modulo p of the
 ``resultant_shift`` polynomial, from the power sums of multiplication
-by P in GF(p)[x]/(S) and Newton's identities; ``critical.analyze``
-proves the generic critical-value shape from these images, and on a
-generic side proves P' squarefree from one image, without Yun.
-``_few_roots_mod_p``, two remainders of Euclid on (f, f'), tells that
-route which sides to send to Yun first.
-A prime that divides a denominator or a leading coefficient makes the
-certificate decline, never lie.
+by P in GF(p)[x]/(S) and Newton's identities.  A product of such images
+coprime modulo p to its derivative (``_coprime_mod_p``) proves the
+generic shape, and on a generic side proves P' squarefree, without Yun;
+two sides whose images are coprime modulo p share no critical value.
+``_few_roots_mod_p``, two remainders of Euclid on (f, f'), tells the
+shape route which sides to send to Yun first.  A prime that divides a
+denominator or a leading coefficient makes the certificate decline,
+never lie.
 """
 
 from __future__ import annotations
@@ -432,7 +428,7 @@ class MultiplicityDecomposition(namedtuple("MultiplicityDecomposition", "content
         return out
 
 
-def squarefree_decomposition(p: Poly, _certify: bool = True) -> MultiplicityDecomposition:
+def squarefree_decomposition(p: Poly) -> MultiplicityDecomposition:
     """Yun's algorithm over Q, run on the primitive integer multiple f
     of p (Yun, SYMSAC 1976; von zur Gathen & Gerhard, Modern Computer
     Algebra, ch. 14).
@@ -443,9 +439,7 @@ def squarefree_decomposition(p: Poly, _certify: bool = True) -> MultiplicityDeco
     operands of the next step alike, so the classes come out as over Q,
     each made monic once.  Once one root is left, of multiplicity m, the
     loop's d is (m - i) b', so m is read off without one gcd per step
-    up to it.  A caller that knows p has a repeated root modulo
-    ``GCD_PRIME`` passes ``_certify=False``: the certificate on
-    gcd(f, f') cannot succeed there, and is not tried.
+    up to it.
 
     >>> d = squarefree_decomposition(Poly([0, 0, -2, 0, 1]))  # x^4 - 2x^2
     >>> [(f.to_string(), k) for f, k in d.parts]
@@ -458,10 +452,7 @@ def squarefree_decomposition(p: Poly, _certify: bool = True) -> MultiplicityDeco
         return MultiplicityDecomposition(content, ())
     f = _primitive(p.num)
     df = _derivative(f)
-    h = _primitive(df)
-    # gcd(f, f') is 1 on most dense inputs, and the certificate modulo p
-    # settles that case; the loop's gcds are rarely 1, so they skip it
-    g = [1] if _certify and len(h) > 2 and _certified_coprime(f, h) else _prs_gcd(f, h)
+    g = _prs_gcd(f, df)
     if len(g) == 1:  # squarefree: spare the divisions by 1 and by f itself
         return MultiplicityDecomposition(content, ((p.monic(), 1),))
     parts = []
@@ -540,7 +531,7 @@ def _prs_gcd(a: list, b: list) -> list:
 # one CPython digit, so Euclid modulo p runs on single-digit ints.  A
 # small prime declines more often (it divides a leading coefficient or
 # the resultant of a generic input with chance about 1/p), and a declined
-# certificate costs only the remainder sequence that follows anyway.
+# certificate costs only the exact route that follows anyway.
 GCD_PRIME = 32749
 
 
@@ -617,16 +608,6 @@ def _few_roots_mod_p(f: Poly) -> bool:
         (rr * j * x - sr * y - w * z) % p
         for j, x, y, z in zip(range(1, n + 1), tail, [0] + r, r + [0])
     )
-
-
-def _certified_coprime(a: list, b: list) -> bool:
-    """_coprime_mod_p, and with SEPCURVE_DEBUG_CHECKS=1 every gcd it
-    certifies 1 is rerun through the remainder sequence and compared."""
-    if not _coprime_mod_p(a, b):
-        return False
-    if os.environ.get("SEPCURVE_DEBUG_CHECKS") and not _subresultant_prs(a, b)[1]:
-        raise ArithmeticError("gcd routes disagree: certified 1 modulo p, not 1 over Q")
-    return True
 
 
 # Residue lists travel packed into one int, a 64-bit slot per residue,

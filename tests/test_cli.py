@@ -511,9 +511,10 @@ def test_corpus_pins_every_reachable_rule():
 
 
 def test_verdict_corpus_replays_under_debug_checks(monkeypatch):
-    """SEPCURVE_DEBUG_CHECKS=1 reruns every certified gcd, shape and value
-    image, and every resultant_shift by the determinant route; every
-    record with both degrees at most 9 replays byte-identically."""
+    """SEPCURVE_DEBUG_CHECKS=1 reruns every certified class, shape and
+    value image, every skipped linear-factor search, and every
+    resultant_shift by the determinant route; every record with both
+    degrees at most 9 replays byte-identically."""
     monkeypatch.setenv("SEPCURVE_DEBUG_CHECKS", "1")
     replayed = 0
     for index, line in enumerate(CORPUS.read_text().splitlines()):

@@ -316,24 +316,21 @@ def test_a_wrong_one_class_certificate_is_caught_under_debug_checks(monkeypatch)
 
 
 @pytest.mark.parametrize("a, b", [(3, 2), (4, 1), (2, 5)])
-def test_a_probe_ended_side_tries_no_certificate_on_yuns_first_gcd(monkeypatch, a, b):
+def test_a_probe_ended_side_certifies_the_classes_of_yun(monkeypatch, a, b):
     """P' = 6 u^a (u - 1)^b with u = 2x + 3, an affine image of
     x^a (x - 1)^b, has a repeated root and two distinct roots modulo p:
-    the probe ends, and since gcd(P', P'') mod p is not 1 Yun's
-    decomposition tries no certificate.  Its classes are the ones found
-    with the certificate tried."""
-    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)  # its checks rerun Yun, certificate included
+    the probe ends, the classes are Yun's decomposition of P', run once,
+    and their images certify the shape."""
+    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)  # its checks build the exact table
     u = poly_of(3, 2)
     dp = rat(6) * u**a * (u - poly_of(1)) ** b
     p = Poly([0] + [c / (k + 1) for k, c in enumerate(dp.coeffs)])
     assert p.derivative() == dp and rpoly._few_roots_mod_p(dp)
-    attempts = []
-    real = rpoly._certified_coprime
-    monkeypatch.setattr(rpoly, "_certified_coprime", lambda f, h: attempts.append(f) or real(f, h))
+    calls, real = [], critical.squarefree_decomposition
+    monkeypatch.setattr(critical, "squarefree_decomposition", lambda f: calls.append(f) or real(f))
     cs = analyze(p)
-    assert attempts == [] and cs.image is not None  # certified: no exact table, no other Yun
+    assert calls == [dp] and cs.image is not None  # certified: no exact table, no other Yun
     expected = squarefree_decomposition(dp).parts
-    assert len(attempts) == 1  # the certificate tried and declined
     assert [(c.factor, c.multiplicity) for c in cs.classes] == list(expected)
     assert sorted(k for _, k in expected) == sorted({a, b})
 
@@ -449,13 +446,25 @@ def test_pair_normalization_and_shape_counts():
     "roundtrip", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))]
 )
 def test_pair_and_verdict_copies_keep_the_orientation(roundtrip):
-    for p, q in ((poly_of(0, 0, 1), poly_of(0, 0, 0, 1)), (poly_of(0, -3, 0, 1), poly_of(1, 0, 1))):
-        pair = PolynomialPair(p, q)
+    pairs = ((poly_of(0, 0, 1), poly_of(0, 0, 0, 1)), (poly_of(0, -3, 0, 1), poly_of(1, 0, 1)))
+    for pair in [PolynomialPair(p, q) for p, q in pairs] + [theorem3_pair(3)]:
         out = roundtrip(pair)
         assert (out.p, out.q, out.swapped) == (pair.p, pair.q, pair.swapped)
+        assert out == pair and hash(out) == hash(pair)
         assert out.matching() == pair.matching()
-        verdict = roundtrip(classify(pair))
-        assert verdict.pair.swapped == pair.swapped and verdict.rule == classify(pair).rule
+        verdict = classify(pair)
+        copied = roundtrip(verdict)
+        assert copied.pair.swapped == pair.swapped and copied.rule == verdict.rule
+        assert copied == verdict and hash(copied) == hash(verdict)
+
+
+def test_pairs_are_equal_by_their_sides():
+    p, q = poly_of(0, -3, 0, 1), poly_of(1, 0, 1)
+    pair = PolynomialPair(p, q)
+    pair.matching()  # a filled cache takes no part in equality
+    assert PolynomialPair(p, q) == pair and hash(PolynomialPair(p, q)) == hash(pair)
+    assert PolynomialPair(q, p) != pair  # the same sides, swapped
+    assert pair != (p, q)
 
 
 def test_subleading_support_index():

@@ -79,8 +79,7 @@ FIELDS = {
 
 def _samples() -> dict:
     """One instance of every record, as the package builds it.  The
-    verdict is decide's, with no pair: a PolynomialPair compares by
-    identity, so a copied pair is never equal to its original."""
+    verdict is decide's, with no pair."""
     pair = theorem3_pair(3)  # generic degree 5: Hyperbolic by Theorem 3
     verdict = decide(pair.matching())
     forms, reports = verify_witnesses(classify(pair))

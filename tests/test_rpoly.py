@@ -290,6 +290,25 @@ def test_yun_reads_the_last_root_off_without_a_gcd_per_step(k, monkeypatch):
     assert len(calls) == 3
 
 
+def test_yun_runs_no_kernel_modulo_p(monkeypatch):
+    """Every gcd of Yun's decomposition, its first gcd(f, f') included,
+    runs the remainder sequence: a squarefree dense input, repeated
+    factors, and a value polynomial decompose with the GF(p) kernels
+    unavailable."""
+    value = resultant_shift(poly_of(0, -1, 0, 1), poly_of(0, 0, -2, 0, 1))  # y (y + 1)^2
+    for name in ("_coprime_mod_p", "_euclid_mod_p"):
+        monkeypatch.setattr(rpoly, name, mock.Mock(side_effect=AssertionError(name)))
+    inputs = (
+        poly_of(5, -3, 7, 2, 11),
+        poly_of(0, 1) ** 5 * poly_of(-1, 1) * poly_of(3, 0, 2) ** 2,
+        value,
+    )
+    for p in inputs:
+        assert squarefree_decomposition(p) == reference_squarefree_decomposition(p)
+    assert squarefree_decomposition(inputs[0]).parts == ((inputs[0].monic(), 1),)
+    assert [k for _, k in squarefree_decomposition(value).parts] == [1, 2]
+
+
 @given(a=small_polys, b=small_polys)
 @settings(deadline=None, max_examples=60)
 def test_resultant_swap_sign(a, b):
@@ -319,8 +338,9 @@ def test_resultant_of_constant():
 
 
 def _certificate_is_sound(x, y):
-    """The coprimality certificate modulo p, run as Yun's algorithm runs
-    it on primitive integer operands, proves gcd 1 only where it holds."""
+    """The coprimality certificate modulo p, which ``critical`` runs on
+    value images, proves gcd 1 of primitive integer operands only where
+    it holds."""
     if x.is_zero or y.is_zero:
         return True
     certified = rpoly._coprime_mod_p(rpoly._primitive(x.num), rpoly._primitive(y.num))
@@ -371,7 +391,7 @@ def test_integer_kernels_on_shared_and_repeated_factors(a, b, c, k):
 
 
 def test_generic_gcds_skip_the_remainder_sequence(monkeypatch):
-    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)  # it reruns the sequence
+    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)  # its checks run Yun on both sides
     callers, prs = Counter(), rpoly._subresultant_prs  # calls by calling kernel
     monkeypatch.setattr(
         rpoly, "_subresultant_prs",
@@ -381,21 +401,10 @@ def test_generic_gcds_skip_the_remainder_sequence(monkeypatch):
     p, q = (random_polynomial(rng, 18, 18, sparse=False) for _ in range(2))
     verdict = classify(PolynomialPair(p, q))
     assert verdict.rule == "Theorem 1"
-    assert callers["_prs_gcd"] == 0  # Yun's gcd(f, f') is certified 1 modulo p on both sides
+    assert callers["_prs_gcd"] == 0  # one value image proves P' squarefree: no Yun on either side
     assert callers["_int_resultant"] == 0  # no value piece is built: the shapes are certified
     assert poly_gcd(p * p, (p * p).derivative()) == p.monic()  # poly_gcd runs the sequence
     assert callers["_prs_gcd"] == 1
-
-
-def test_a_wrong_certificate_is_caught_under_debug_checks(monkeypatch):
-    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)
-    monkeypatch.setattr(rpoly, "_coprime_mod_p", lambda a, b: True)
-    p = poly_of(-1, 1) ** 2 * poly_of(2, 1)  # (x - 1)^2 (x + 2): gcd(p, p') = x - 1
-    # the faulty certificate is trusted: p comes out as one squarefree class...
-    assert squarefree_decomposition(p).parts == ((p.monic(), 1),)
-    with mock.patch.dict(os.environ, {"SEPCURVE_DEBUG_CHECKS": "1"}):
-        with pytest.raises(ArithmeticError, match="gcd routes disagree"):
-            squarefree_decomposition(p)  # ...unless debug checks rerun the remainder sequence
 
 
 def test_a_divisor_found_modulo_p_is_settled_by_one_division(monkeypatch):
