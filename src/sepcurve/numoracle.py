@@ -15,13 +15,18 @@ operations.  Roots start from Aberth–Ehrlich sweeps in double precision,
 or, when the doubles cannot hold the polynomial, from circles whose
 radii come from its Newton polygon.  Weierstrass sweeps refine them over
 a ladder of doubling precisions up to the requested one, in the scale
-of the largest root when all roots are small; each doubling of an
-oracle's precision seeds its one sweep run with the previous step's
-iterates.  A root disk's radius is 2n·|w| for the final
-Weierstrass correction w plus 256 units of 2^-F.  It does not bound the
-rounding in w, and the root disks are not proven pairwise disjoint
-(ROADMAP item 8), so root disks are estimates, not certificates.  A
-value disk's radius is the drift of the polynomial over its root disk,
+of the largest root when all roots are small.  A rung below the
+requested precision stops once its corrections show its iterates good
+to about its own bits, all that the next rung's first sweep needs; the
+requested rung sweeps until its corrections are 32 bits finer than its
+precision; and any rung stops once every residual is within the
+rounding of its own Horner evaluation, where its iterates cannot
+improve.  Each doubling of an oracle's precision seeds its one sweep
+run with the previous step's iterates.  A root disk's radius is 2n·|w|
+for the final Weierstrass correction w plus 256 units of 2^-F.  It
+does not bound the rounding in w, and the root disks are not proven
+pairwise disjoint (ROADMAP item 8), so root disks are estimates, not
+certificates.  A value disk's radius is the drift of the polynomial over its root disk,
 a relative slack, and a proven bound on the rounding of its own
 fixed-point Horner evaluation.  Two disks overlap when an exact integer
 comparison of the squared distance of their centres with the squared
@@ -258,13 +263,14 @@ def _correction(coeffs, zs, i, frac):
     zr, zi = zs[i]
     vr, vi = _horner(coeffs, zr, zi, frac)
     top = min(max(abs(vr), abs(vi)).bit_length(), frac) + _GUARD
-    dr, di, e = 1, 0, 0
-    for j, (ur, ui) in enumerate(zs):
-        if j != i:
-            ur, ui = zr - ur, zi - ui
-            dr, di = dr * ur - di * ui, dr * ui + di * ur
-            shift = max(0, max(abs(dr), abs(di)).bit_length() - top)
-            dr, di, e = dr >> shift, di >> shift, e + shift - frac
+    others = zs[:i] + zs[i + 1 :]
+    dr, di, e = 1, 0, -frac * len(others)
+    for ur, ui in others:
+        ur, ui = zr - ur, zi - ui
+        dr, di = dr * ur - di * ui, dr * ui + di * ur
+        size = max(abs(dr), abs(di)).bit_length()
+        if size > top:
+            dr, di, e = dr >> (size - top), di >> (size - top), e + size - top
     norm = dr * dr + di * di
     if not norm:
         return None
@@ -274,6 +280,24 @@ def _correction(coeffs, zs, i, frac):
     else:
         nr, ni = nr << -e, ni << -e
     return nr // norm, ni // norm
+
+
+def _at_rounding_floor(coeffs, zs, frac) -> bool:
+    """Is every residual p(z_i), by :func:`_horner` at scale 2^-frac,
+    within that evaluation's rounding?  Each of its n steps floors a
+    product and adds a floored coefficient, an error below sqrt(5)
+    units, which the later steps multiply by z; for |z_i| < 2^t the
+    total is below 3·sum_(k<n) 2^(kt) units, at most 3n for t <= 0 and
+    3·2^((n-1)t + 1) for t >= 1.  There the iterates cannot improve at
+    this precision."""
+    n = len(coeffs) - 1
+    for zr, zi in zs:
+        t = max(abs(zr), abs(zi)).bit_length() + 1 - frac
+        bound = 3 * n if t <= 0 else 3 << ((n - 1) * t + 1)
+        vr, vi = _horner(coeffs, zr, zi, frac)
+        if vr * vr + vi * vi > bound * bound:
+            return False
+    return True
 
 
 def _isolate(p: Poly, precision_bits: int, iterates=None):
@@ -292,20 +316,24 @@ def _isolate(p: Poly, precision_bits: int, iterates=None):
     and residuals at 2^-(L + 64), and each correction's denominator at
     the precision of its residual (:func:`_correction`).  For rho the
     Newton polygon's largest radius rounded up to a power of two, the
-    sweeps run on y = x / min(1, rho), and each level sweeps until
-    every correction in y is below
-    2^-(level + 32) * max(1, rho), or until its iteration cap.  The
-    radius is 2n·|w| + 256 units for the correction w at the final
-    iterate, rounded up, plus 2 units when y is scaled back to x; an
-    iterate that coincides with another keeps a zero correction, and
-    the two disks share a centre.
+    sweeps run on y = x / min(1, rho).  The top level sweeps until every
+    correction in y is below 2^-(L + 32)·max(1, rho).  A level below it
+    sweeps only until they are below 2^-(floor(L / 2) + 16)·max(1, rho):
+    the Weierstrass step converges quadratically, so its iterates are
+    then good to about L bits, which is all the first sweep of the
+    next level needs.  From its third sweep on, a level that misses its
+    bound also ends once every residual is within the rounding of its
+    Horner evaluation (:func:`_at_rounding_floor`), and any level ends
+    at its iteration cap.  The radius is 2n·|w| + 256 units for the
+    correction w at the final iterate, rounded up, plus 2 units when y
+    is scaled back to x; an iterate that coincides with another keeps a
+    zero correction, and the two disks share a centre.
     """
     n, log_rho = p.degree, _log2_root_radius(p)
     # the iterates stand for y = 2^shift·x, the roots of the monic
     # p(2^-shift·y), so that roots that are all small keep their
     # relative precision; the disks are scaled back to x
-    shift = max(0, -math.ceil(log_rho))
-    target = 2 * (_GUARD // 2 + max(0, math.ceil(log_rho)))  # log2 of the squared bound
+    shift, grow = max(0, -math.ceil(log_rho)), max(0, math.ceil(log_rho))
     if iterates is not None:
         levels, (frac, zs) = [precision_bits], iterates
     else:
@@ -322,7 +350,11 @@ def _isolate(p: Poly, precision_bits: int, iterates=None):
         up, frac = prec + _GUARD - frac, prec + _GUARD
         zs = [(zr << up, zi << up) for zr, zi in zs]
         coeffs = [(c << (frac + shift * (n - k))) // p.num[-1] for k, c in enumerate(p.num)]
-        for _ in range(200 + 20 * n + prec // 8):
+        # log2 of the squared stop bound on a correction, in units of
+        # 2^-frac: 2^-(prec + 32)·max(1, rho) at the top level and
+        # 2^-(prec // 2 + 16)·max(1, rho) below it
+        target = 2 * ((_GUARD // 2 if prec == levels[-1] else frac - prec // 2 - 16) + grow)
+        for sweep in range(200 + 20 * n + prec // 8):
             worst = 0
             for i in range(n):
                 w = _correction(coeffs, zs, i, frac)
@@ -330,7 +362,7 @@ def _isolate(p: Poly, precision_bits: int, iterates=None):
                     wr, wi = w
                     zs[i] = (zs[i][0] - wr, zs[i][1] - wi)
                     worst = max(worst, wr * wr + wi * wi)
-            if worst.bit_length() <= target:
+            if worst.bit_length() <= target or (sweep >= 2 and _at_rounding_floor(coeffs, zs, frac)):
                 break
     disks = []
     for i, (zr, zi) in enumerate(zs):

@@ -19,7 +19,7 @@ an answer.
 of inputs with their full summaries, which the tier-1 suite replays
 (``test_numoracle.py``).  It parses back every input it writes.
 
-The sweep's 3080 items take about 7 s on a 2-CPU x86 host with
+The sweep's 3080 items take about 4 s on a 2-CPU x86 host with
 Python 3.11.
 """
 

@@ -290,6 +290,110 @@ def test_sized_correction_against_the_full_denominator(bits, top):
                     assert abs(a - b) << top_bits <= (size * n << 3) + (1 << top_bits), (p, bits, scale, i)
 
 
+def _fixed_coeffs(p, frac):
+    """The monic fixed-point coefficients of p at scale 2^-frac, floored."""
+    return [(c << frac) // p.num[-1] for c in p.num]
+
+
+def test_correction_outputs_are_pinned():
+    # recorded from a denominator loop that renormalised after every
+    # factor, to keep the loop bit-identical: iterates near the roots of
+    # x^3 - 7x + 6, far from them (the mantissa is cut), two that
+    # coincide, and the triple cluster at F = 192
+    frac = 64
+    one = 1 << frac
+    coeffs = _fixed_coeffs(_linear(1) * _linear(2) * _linear(-3), frac)
+    near = [(one + (one >> 20), 3 << 30), (2 * one - (one >> 10), -(5 << 20)), (-3 * one + 12345, one >> 40)]
+    far = [(5 * one, one), (-one, 7 * one), (one >> 3, -(one >> 5))]
+    cases = [
+        (coeffs, near, 0, frac, (17609382723632, 3224374290)),
+        (coeffs, near, 2, frac, (12347, 16780489)),
+        (coeffs, far, 1, frac, (63269123950736637425, 105749821460516951125)),
+        (coeffs, [near[0], near[0], near[2]], 1, frac, None),
+    ]
+    frac = 192
+    one, e, f = 1 << frac, 1 << (frac - 80), 1 << (frac - 40)
+    eps = rat(1, 2**80)
+    coeffs = _fixed_coeffs(_linear(1) * _linear(1 + eps) * _linear(1 - eps) * _linear(-2), frac)
+    cluster = [(one + 3 * f, f), (one - f // 2, -f), (one + e, 5 * e), (-2 * one + 999, -77)]
+    cases += [
+        (coeffs, cluster, 0, frac, (
+            14052900358958977747125376791396556460546734426,
+            1756612544888045257395586559887658470249902189,
+        )),
+        (coeffs, cluster, 1, frac, (
+            219576568105813360315928456204861416500202379,
+            -1756612544862083773102907462049335792156506224,
+        )),
+        (coeffs, cluster, 2, frac, (257904174850311650043333, -193428131137660436750326)),
+        (coeffs, cluster, 3, frac, (998, -77)),
+    ]
+    for coeffs, zs, i, frac, want in cases:
+        assert numoracle._correction(coeffs, zs, i, frac) == want, (zs, i, frac)
+
+
+def _corrections_by_rung(p, bits):
+    """Run _isolate(p, bits) cold and return {rung bits: [correction]}:
+    every correction it computes, in order, the disk pass last."""
+    real, seen = numoracle._correction, {}
+
+    def recording(coeffs, zs, i, frac):
+        w = real(coeffs, zs, i, frac)
+        seen.setdefault(frac - numoracle._GUARD, []).append(w)
+        return w
+
+    with mock.patch.object(numoracle, "_correction", recording):
+        numoracle._isolate(p, bits)
+    return seen
+
+
+def test_each_rung_below_the_top_only_seeds_the_next():
+    # a rung below the top stops once its corrections are below
+    # 2^-(L/2 + 16)·max(1, rho): here the first sweep from the double
+    # start and the first from the rung below each reach it; the top
+    # rung still sweeps until every correction is below
+    # 2^-(L + 32)·max(1, rho)
+    p = random_polynomial(random.Random("rungs"), 9, 9, sparse=False)
+    assert p.degree == 9 and is_squarefree(p)
+    n, grow = p.degree, max(0, math.ceil(numoracle._log2_root_radius(p)))
+    seen = _corrections_by_rung(p, 256)
+    assert sorted(seen) == [64, 128, 256]
+    assert len(seen[64]) == len(seen[128]) == n
+    top = seen[256]
+    assert len(top) % n == 0 and len(top) >= 2 * n
+    last_sweep = top[-2 * n : -n]
+    assert all(w is not None and (w[0] ** 2 + w[1] ** 2).bit_length() <= 2 * (32 + grow) for w in last_sweep)
+
+
+@pytest.mark.parametrize("bits", [256, 1024, 4096])
+def test_a_cluster_below_rounding_ends_its_rungs(bits):
+    # within about 2^158 units of the triple cluster p(z) is rounding
+    # noise, and the corrections there can cycle far above the stop
+    # target; each rung ends once every residual is within Horner's
+    # rounding, far below its sweep cap
+    eps = rat(1, 2**80)
+    p = _linear(1) * _linear(1 + eps) * _linear(1 - eps) * _linear(-2)
+    seen = _corrections_by_rung(p, bits)
+    for rung, ws in seen.items():
+        assert len(ws) // p.degree <= (200 + 20 * p.degree + rung // 8) // 4, (bits, rung, len(ws))
+    assert sum(map(len, seen.values())) < 600
+
+
+def test_rounding_floor_holds_at_exact_roots():
+    # at a root that fixed point holds exactly, the computed residual is
+    # rounding alone (of the coefficients, which the 1/3 makes inexact,
+    # and of every product), so it is within the bound at every modulus
+    # of the root; 2^(frac/2) units away it is not
+    for frac in (64, 320):
+        for r in (rat(1, 2), rat(-3, 2**20), rat(5 * 2**40), rat(-(2**90))):
+            p = _linear(r) * poly_of(rat(1, 3), 0, 1) * _linear(rat(1, 2**12))
+            coeffs = _fixed_coeffs(p, frac)
+            root = (int(r * 2**frac), 0)
+            assert numoracle._at_rounding_floor(coeffs, [root, ((1 << frac) >> 12, 0)], frac), (frac, r)
+            off = (root[0] + (1 << (frac // 2)), root[1])
+            assert not numoracle._at_rounding_floor(coeffs, [root, off], frac), (frac, r)
+
+
 def test_oracles_run_without_mpmath():
     src = pathlib.Path(__file__).parent.parent / "src"
     code = (
