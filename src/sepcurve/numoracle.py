@@ -11,19 +11,24 @@ ever feeds a verdict.
 The arithmetic is fixed point on Gaussian integers: at a precision step
 of b bits, a complex number is a pair of Python ints (re, im) standing
 for (re + i·im)·2^-F with F = b + 64, so a multiply-add is a few big-int
-operations.  Roots start from Aberth–Ehrlich sweeps in double precision,
-or, when the doubles cannot hold the polynomial, from circles whose
-radii come from its Newton polygon.  Weierstrass sweeps refine them over
-a ladder of doubling precisions up to the requested one, in the scale
-of the largest root when all roots are small.  A rung below the
-requested precision stops once its corrections show its iterates good
-to about its own bits, all that the next rung's first sweep needs; the
-requested rung sweeps until its corrections are 32 bits finer than its
-precision; and any rung stops once every residual is within the
-rounding of its own Horner evaluation, where its iterates cannot
-improve.  Each doubling of an oracle's precision seeds its one sweep
-run with the previous step's iterates.  A root disk's radius is 2n·|w|
-for the final Weierstrass correction w plus 256 units of 2^-F.  It
+operations.  A linear factor starts on its root at the requested
+precision.  Other roots start from Aberth–Ehrlich sweeps in double
+precision, or, when the doubles cannot hold the polynomial, from
+circles whose radii come from its Newton polygon.  Weierstrass sweeps
+refine them over a ladder of doubling precisions up to the requested
+one, in the scale of the largest root when all roots are small.  A
+rung below the requested precision stops once its corrections show its
+iterates good to about its own bits, all that the next rung's first
+sweep needs; the requested rung sweeps until its corrections are 32
+bits finer than its precision; and any rung stops once every residual
+is within the rounding of its own Horner evaluation, where its
+iterates cannot improve.  Each doubling of an oracle's precision seeds
+its one sweep run with the previous step's iterates.  A requested rung
+that starts from seeds (a lower rung, the previous doubling or a
+linear factor's root) takes all corrections of a sweep at the same
+iterates, and its stop sweep is its disk pass: those corrections are
+not applied but give the radii.  A root disk's radius is 2n·|w| for
+the Weierstrass correction w at its centre plus 256 units of 2^-F.  It
 does not bound the rounding in w, and the root disks are not proven
 pairwise disjoint (ROADMAP item 8), so root disks are estimates, not
 certificates.  A value disk's radius is the drift of the polynomial over its root disk,
@@ -97,10 +102,6 @@ class PairCountOracle(
 
     __slots__ = ()
 
-    @property
-    def agrees(self) -> bool:
-        return self.outcome is OracleOutcome.AGREE
-
 
 class HypothesisOracle(
     namedtuple("HypothesisOracle", "outcome symbolic precision_bits cluster_sizes")
@@ -127,14 +128,15 @@ def complex_roots(p: Poly, precision_bits: int = DEFAULT_PRECISION):
     Aberth–Ehrlich sweeps in double precision give the start, or
     circles from the Newton polygon when the doubles cannot hold p, and
     Weierstrass sweeps on fixed-point Gaussian integers refine it over
-    a ladder of doubling precisions (:func:`_isolate`).  The radius of
-    each disk is 2 * deg(p) * |w|, for the Weierstrass correction w at
-    the final iterate, plus a fixed slack of 2^-(precision_bits + 56).
-    It does not bound the rounding in w, and the disks are not proven
-    pairwise disjoint (ROADMAP item 8), so a disk is an estimate, not a
-    certificate.  Raise the precision to shrink the disks
-    (multiplicities are handled symbolically upstream, so repeated
-    roots are a caller bug and raise ValueError).
+    a ladder of doubling precisions (:func:`_isolate`); a linear p
+    starts on its root, and a seeded top rung's stop sweep is its disk
+    pass.  The radius of each disk is 2 * deg(p) * |w|, for the
+    Weierstrass correction w at its centre, plus a fixed slack of
+    2^-(precision_bits + 56).  It does not bound the rounding in w, and
+    the disks are not proven pairwise disjoint (ROADMAP item 8), so a
+    disk is an estimate, not a certificate.  Raise the precision to
+    shrink the disks (multiplicities are handled symbolically upstream,
+    so repeated roots are a caller bug and raise ValueError).
     """
     import mpmath
 
@@ -312,32 +314,45 @@ def _isolate(p: Poly, precision_bits: int, iterates=None):
     cannot hold p, and Weierstrass runs on the ladder
     ceil(precision_bits / 2^j) for j = k, ..., 1, 0, whose lowest level
     is the first one at most 64 bits; iterates move up a level by a left
-    shift.  A level of L bits computes its iterates, monic coefficients
-    and residuals at 2^-(L + 64), and each correction's denominator at
-    the precision of its residual (:func:`_correction`).  For rho the
-    Newton polygon's largest radius rounded up to a power of two, the
-    sweeps run on y = x / min(1, rho).  The top level sweeps until every
-    correction in y is below 2^-(L + 32)·max(1, rho).  A level below it
-    sweeps only until they are below 2^-(floor(L / 2) + 16)·max(1, rho):
-    the Weierstrass step converges quadratically, so its iterates are
-    then good to about L bits, which is all the first sweep of the
-    next level needs.  From its third sweep on, a level that misses its
+    shift.  A linear p = a1·x + a0 ignores both: its one run, at
+    ``precision_bits``, starts on -floor(a0·2^(F + shift) / a1), in y as
+    below, where its fixed-point residual is exactly 0.  A level of L
+    bits computes its iterates, monic coefficients and residuals at
+    2^-(L + 64), and each correction's denominator at the precision of
+    its residual (:func:`_correction`).  For rho the Newton polygon's
+    largest radius rounded up to a power of two, the sweeps run on
+    y = x / min(1, rho).  The top level sweeps until every correction
+    in y is below 2^-(L + 32)·max(1, rho).  A level below it sweeps only
+    until they are below 2^-(floor(L / 2) + 16)·max(1, rho): the
+    Weierstrass step converges quadratically, so its iterates are then
+    good to about L bits, which is all the first sweep of the next
+    level needs.  From its third sweep on, a level that misses its
     bound also ends once every residual is within the rounding of its
     Horner evaluation (:func:`_at_rounding_floor`), and any level ends
-    at its iteration cap.  The radius is 2n·|w| + 256 units for the
-    correction w at the final iterate, rounded up, plus 2 units when y
-    is scaled back to x; an iterate that coincides with another keeps a
-    zero correction, and the two disks share a centre.
+    at its iteration cap.  A level below the top, and a cold top level
+    of at most 64 bits, sweeps in place.  A seeded top level (from a
+    lower level, earlier iterates or a linear p's root) takes all
+    corrections of a sweep at the same iterates, and its stop sweep,
+    applying none, is the disk pass; only a level that ends at its
+    rounding floor or cap takes a separate one.  The radius is
+    2n·|w| + 256 units for the correction w at the disk's centre,
+    rounded up, plus 2 units when y is scaled back to x; an iterate
+    that coincides with another keeps a zero correction, and the two
+    disks share a centre.
     """
     n, log_rho = p.degree, _log2_root_radius(p)
     # the iterates stand for y = 2^shift·x, the roots of the monic
     # p(2^-shift·y), so that roots that are all small keep their
     # relative precision; the disks are scaled back to x
     shift, grow = max(0, -math.ceil(log_rho)), max(0, math.ceil(log_rho))
-    if iterates is not None:
-        levels, (frac, zs) = [precision_bits], iterates
+    levels = [precision_bits]
+    if n == 1:
+        # the point where the fixed-point residual z + a0/a1 is exactly 0
+        frac = precision_bits + _GUARD
+        zs = [(-((p.num[0] << (frac + shift)) // p.num[1]), 0)]
+    elif iterates is not None:
+        frac, zs = iterates
     else:
-        levels = [precision_bits]
         while levels[0] > 64:
             levels.insert(0, -(-levels[0] // 2))
         frac = levels[0] + _GUARD
@@ -346,6 +361,7 @@ def _isolate(p: Poly, precision_bits: int, iterates=None):
             zs = [(_fixed(z.real, frac + shift), _fixed(z.imag, frac + shift)) for z in start]
         else:
             zs = _polygon_start(p, frac + shift)
+    seeded = n == 1 or iterates is not None or len(levels) > 1
     for prec in levels:
         up, frac = prec + _GUARD - frac, prec + _GUARD
         zs = [(zr << up, zi << up) for zr, zi in zs]
@@ -353,20 +369,31 @@ def _isolate(p: Poly, precision_bits: int, iterates=None):
         # log2 of the squared stop bound on a correction, in units of
         # 2^-frac: 2^-(prec + 32)·max(1, rho) at the top level and
         # 2^-(prec // 2 + 16)·max(1, rho) below it
-        target = 2 * ((_GUARD // 2 if prec == levels[-1] else frac - prec // 2 - 16) + grow)
+        top = prec == levels[-1]
+        target = 2 * ((_GUARD // 2 if top else frac - prec // 2 - 16) + grow)
+        together, ws = seeded and top, None
         for sweep in range(200 + 20 * n + prec // 8):
-            worst = 0
-            for i in range(n):
-                w = _correction(coeffs, zs, i, frac)
-                if w is not None:
-                    wr, wi = w
-                    zs[i] = (zs[i][0] - wr, zs[i][1] - wi)
-                    worst = max(worst, wr * wr + wi * wi)
-            if worst.bit_length() <= target or (sweep >= 2 and _at_rounding_floor(coeffs, zs, frac)):
+            if together:
+                ws = [_correction(coeffs, zs, i, frac) or (0, 0) for i in range(n)]
+                if max(wr * wr + wi * wi for wr, wi in ws).bit_length() <= target:
+                    break
+                zs, ws = [(zr - wr, zi - wi) for (zr, zi), (wr, wi) in zip(zs, ws)], None
+            else:
+                worst = 0
+                for i in range(n):
+                    w = _correction(coeffs, zs, i, frac)
+                    if w is not None:
+                        wr, wi = w
+                        zs[i] = (zs[i][0] - wr, zs[i][1] - wi)
+                        worst = max(worst, wr * wr + wi * wi)
+                if worst.bit_length() <= target:
+                    break
+            if sweep >= 2 and _at_rounding_floor(coeffs, zs, frac):
                 break
+    if ws is None:
+        ws = [_correction(coeffs, zs, i, frac) or (0, 0) for i in range(n)]
     disks = []
-    for i, (zr, zi) in enumerate(zs):
-        wr, wi = _correction(coeffs, zs, i, frac) or (0, 0)
+    for (zr, zi), (wr, wi) in zip(zs, ws):
         w = -(-(isqrt(wr * wr + wi * wi) + 1) >> shift)
         disks.append((zr >> shift, zi >> shift, 2 * n * w + 256 + 2 * (shift > 0)))
     return tuple(disks), (frac, zs)

@@ -24,7 +24,7 @@ from helpers import (
 )
 from oracle_sweep import DIGESTS, FULL_RUN_PASSES, FULL_RUN_SEEDS, digest, draw, summary
 from sepcurve import numoracle
-from sepcurve.critical import PolynomialPair, hypothesis_I, match_pairs
+from sepcurve.critical import PolynomialPair, analyze, hypothesis_I, match_pairs
 from sepcurve.instances import random_polynomial
 from sepcurve.parsepoly import parse_poly
 from sepcurve.numoracle import (
@@ -332,9 +332,10 @@ def test_correction_outputs_are_pinned():
         assert numoracle._correction(coeffs, zs, i, frac) == want, (zs, i, frac)
 
 
-def _corrections_by_rung(p, bits):
-    """Run _isolate(p, bits) cold and return {rung bits: [correction]}:
-    every correction it computes, in order, the disk pass last."""
+def _corrections_by_rung(p, bits, iterates=None):
+    """Run _isolate(p, bits, iterates) and return ({rung bits:
+    [correction]}, its result): every correction it computes, in order,
+    a disk pass last."""
     real, seen = numoracle._correction, {}
 
     def recording(coeffs, zs, i, frac):
@@ -343,26 +344,70 @@ def _corrections_by_rung(p, bits):
         return w
 
     with mock.patch.object(numoracle, "_correction", recording):
-        numoracle._isolate(p, bits)
-    return seen
+        result = numoracle._isolate(p, bits, iterates)
+    return seen, result
+
+
+def _below(w, log2_bound):
+    return w is not None and (w[0] ** 2 + w[1] ** 2).bit_length() <= 2 * log2_bound
 
 
 def test_each_rung_below_the_top_only_seeds_the_next():
     # a rung below the top stops once its corrections are below
     # 2^-(L/2 + 16)·max(1, rho): here the first sweep from the double
     # start and the first from the rung below each reach it; the top
-    # rung still sweeps until every correction is below
-    # 2^-(L + 32)·max(1, rho)
+    # rung takes one improving sweep and then its stop sweep, whose
+    # corrections are all below 2^-(L + 32)·max(1, rho) and are its
+    # disk pass
     p = random_polynomial(random.Random("rungs"), 9, 9, sparse=False)
     assert p.degree == 9 and is_squarefree(p)
     n, grow = p.degree, max(0, math.ceil(numoracle._log2_root_radius(p)))
-    seen = _corrections_by_rung(p, 256)
+    seen, _ = _corrections_by_rung(p, 256)
     assert sorted(seen) == [64, 128, 256]
     assert len(seen[64]) == len(seen[128]) == n
     top = seen[256]
-    assert len(top) % n == 0 and len(top) >= 2 * n
-    last_sweep = top[-2 * n : -n]
-    assert all(w is not None and (w[0] ** 2 + w[1] ** 2).bit_length() <= 2 * (32 + grow) for w in last_sweep)
+    assert len(top) == 2 * n
+    assert all(_below(w, 32 + grow) for w in top[-n:])
+
+
+def _radius(w, n, shift):
+    return 2 * n * -(-(math.isqrt(w[0] ** 2 + w[1] ** 2) + 1) >> shift) + 256 + 2 * (shift > 0)
+
+
+def test_a_seeded_doubling_ends_on_its_stop_sweep():
+    # the cubic class of x^4 - 2x^2 + 2^-3000 x, seeded from its
+    # 2048-bit iterates at 4096 bits: one improving sweep and the stop
+    # sweep, each of n corrections taken at the same iterates, and no
+    # correction after it; each radius comes from the stop sweep's w at
+    # the iterates the disks are centred on, which it leaves as they are
+    (cls,) = analyze(poly_of(0, rat(1, 2**3000), -2, 0, 1)).classes
+    f = cls.factor
+    n, shift = f.degree, max(0, -math.ceil(numoracle._log2_root_radius(f)))
+    _, iterates = numoracle._isolate(f, 2048)
+    seen, (disks, (frac, zs)) = _corrections_by_rung(f, 4096, iterates)
+    assert list(seen) == [4096] and len(seen[4096]) == 2 * n
+    stop = seen[4096][-n:]
+    assert all(_below(w, 32) for w in stop)
+    assert frac == 4096 + numoracle._GUARD
+    assert [(zr >> shift, zi >> shift) for zr, zi in zs] == [d[:2] for d in disks]
+    assert [d[2] for d in disks] == [_radius(w, n, shift) for w in stop]
+
+
+@pytest.mark.parametrize("bits", [64, 256, 4096])
+def test_a_linear_factor_starts_on_its_root(bits):
+    # one correction, at the requested precision, and no double start or
+    # ladder; x - 2^-700 runs in the scale y = 2^700 x
+    cases = [
+        (poly_of(1, 3), rat(-1, 3)),
+        (poly_of(rat(7, 3), -5), rat(7, 15)),
+        (poly_of(rat(-1, 2**700), 1), rat(1, 2**700)),
+    ]
+    for p, root in cases:
+        with mock.patch.object(numoracle, "_float_start", side_effect=AssertionError("no double start")):
+            seen, ((disk,), _) = _corrections_by_rung(p, bits)
+        assert list(seen) == [bits] and len(seen[bits]) == 1, (p, bits)
+        frac = bits + numoracle._GUARD
+        assert _holds(disk, (root.numerator << frac, 0, root.denominator)), (p, bits)
 
 
 @pytest.mark.parametrize("bits", [256, 1024, 4096])
@@ -373,7 +418,7 @@ def test_a_cluster_below_rounding_ends_its_rungs(bits):
     # rounding, far below its sweep cap
     eps = rat(1, 2**80)
     p = _linear(1) * _linear(1 + eps) * _linear(1 - eps) * _linear(-2)
-    seen = _corrections_by_rung(p, bits)
+    seen, _ = _corrections_by_rung(p, bits)
     for rung, ws in seen.items():
         assert len(ws) // p.degree <= (200 + 20 * p.degree + rung // 8) // 4, (bits, rung, len(ws))
     assert sum(map(len, seen.values())) < 600
@@ -525,12 +570,12 @@ def test_oracles_refuse_nonpositive_precision(bits):
 def test_pair_count_recount_agreement():
     p = poly_of(0, -3, 0, 1)
     rep = verify_pair_counts(PolynomialPair(p, p))
-    assert rep.agrees and rep.l0_numeric == 2
+    assert rep.outcome is OracleOutcome.AGREE and rep.l0_numeric == 2
 
     rep = verify_pair_counts(
         PolynomialPair(poly_of(0, 0, 0, 0, 0, 1), poly_of(0, 1, 0, 0, 0, 1))
     )
-    assert rep.agrees and rep.l0_numeric == 0
+    assert rep.outcome is OracleOutcome.AGREE and rep.l0_numeric == 0
 
 
 def test_pair_count_refutes_a_wrong_matching():
@@ -585,7 +630,7 @@ def test_pair_recount_random():
         if not (hypothesis_I(pair.p) and hypothesis_I(pair.q)):
             continue
         rep = verify_pair_counts(pair)
-        assert rep.agrees, (pair, rep.detail)
+        assert rep.outcome is OracleOutcome.AGREE, (pair, rep.detail)
         assert rep.l0_numeric == match_pairs(pair).matched_pair_count
         done += 1
 
