@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 
@@ -22,9 +21,9 @@ from .classify import Outcome, Verdict, classify
 from .critical import DEFAULT_PRECISION, PRECISION_CAP, PolynomialPair, corollary1_lhs, theorem1_lhs
 from .parsepoly import parse_poly
 
-# The oracles, the witness audit and the selftest instances are imported
-# by the functions that use them, so importing this module loads none of
-# them; the oracles' precision bounds live in ``critical``.
+# The oracles, the witness audit, the selftest instances and ``json``
+# are imported by the functions that use them, so importing this module
+# loads none of them; the oracles' precision bounds live in ``critical``.
 
 EXIT_BY_OUTCOME = {
     Outcome.HYPERBOLIC: 0,
@@ -195,7 +194,8 @@ def _build_argparser() -> _Parser:
     ap = _Parser(prog="sepcurve", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    cl = sub.add_parser("classify", help="classify one pair P(x) - Q(y)")
+    # main() hands a classify argv to this subparser alone
+    cl = ap.classify_parser = sub.add_parser("classify", help="classify one pair P(x) - Q(y)")
     cl.add_argument("--p", required=True, metavar="POLY", help="P, a polynomial in x")
     cl.add_argument(
         "--q", required=True, metavar="POLY",
@@ -256,10 +256,42 @@ def _run_classify(args) -> int:
         timings=timings,
     )
     if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        from json.encoder import encode_basestring_ascii
+
+        out = []
+        _write_json(report, out, encode_basestring_ascii)
+        print("".join(out))
     else:
         print(render_text(report))
     return EXIT_BY_OUTCOME[verdict.outcome]
+
+
+def _write_json(value, out: list, quote, indent: str = "\n") -> None:
+    """Append to ``out`` the text of ``json.dumps(value, sort_keys=True,
+    indent=2)`` for a JSON value with str keys; ``quote`` is json's
+    ``encode_basestring_ascii``.  Unlike json's indenting encoder it
+    makes no closures, so a call leaves no cyclic garbage."""
+    if isinstance(value, str):
+        out.append(quote(value))
+    elif value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):  # json spells nan, inf and -inf its own way
+        text = float.__repr__(value)
+        out.append({"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text))
+    elif isinstance(value, (dict, list, tuple)):
+        is_dict, inner = isinstance(value, dict), indent + "  "
+        out.append("{" if is_dict else "[")
+        for n, item in enumerate(sorted(value) if is_dict else value):
+            out += ("," if n else "", inner)
+            if is_dict:
+                out += (quote(item), ": ")
+                item = value[item]
+            _write_json(item, out, quote, inner)
+        out.append((indent if value else "") + ("}" if is_dict else "]"))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _selftest_items():
@@ -315,7 +347,12 @@ def main(argv=None) -> int:
     """Usage and input errors exit 1; any other exception is an internal
     fault, reported in one line on stderr, and exits 3."""
     try:
-        args = _build_argparser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        if argv[:1] == ["classify"]:  # the top parser would only hand on the rest
+            parser = _build_argparser().classify_parser
+            args = parser.parse_args(argv[1:], argparse.Namespace(command="classify"))
+        else:
+            args = _build_argparser().parse_args(argv)
         if args.command == "selftest":
             return _run_selftest()
         return _run_classify(args)

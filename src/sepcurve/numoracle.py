@@ -519,12 +519,11 @@ def _steps(structures, precision_bits: int):
                 f = cls.factor
                 if f not in roots:
                     roots[f], iterates[f] = _isolate(f, prec, iterates.get(f))
-        tagged = [
-            (side, cls.multiplicity, disk)
-            for side, cs in enumerate(structures)
-            for cls in cs.classes
-            for disk in _value_disks(cs.poly, roots[cls.factor], prec + _GUARD)
-        ]
+        tagged = []
+        for side, cs in enumerate(structures):  # all classes of a side in one call
+            points = [(cls.multiplicity, z) for cls in cs.classes for z in roots[cls.factor]]
+            disks = _value_disks(cs.poly, [z for _, z in points], prec + _GUARD)
+            tagged += [(side, m, disk) for (m, _), disk in zip(points, disks)]
         yield prec, tagged, _cluster_indices([d for _, _, d in tagged])
         if prec * 2 > PRECISION_CAP:
             return

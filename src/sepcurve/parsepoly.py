@@ -23,9 +23,13 @@ The text is split once into tokens, each a run of ASCII digits or one
 other non-whitespace character (whitespace is ``str.isspace``), and
 the grammar descends over the tokens.  A value is a pair (nums, den) of
 integer numerators over one positive denominator, combined by the ring
-kernels of ``rpoly`` (``_add``, ``_mul``, ``_pow``, ``_neg`` and the
-normaliser ``_normal``), and the Poly is built once at the end.  Token
-positions are recomputed only for an error message.
+kernels of ``rpoly`` (``_add``, ``_mul``, ``_pow`` and the normaliser
+``_normal``), and the Poly is built once at the end.  A term c, c*x,
+c*x^e, x or x^e (c a literal or a/b) is read in one step and each sum
+adds these monomials once, over their least common denominator; any
+other term, or one that a cap or conversion check could refuse, is read
+by the grammar.  Token positions are recomputed only for an error
+message.
 
 >>> parse_poly("x^5 - 3*x + 1").coeffs == (1, -3, 0, 0, 0, 1)
 True
@@ -37,9 +41,9 @@ from __future__ import annotations
 
 import re
 import sys
-from math import gcd
+from math import gcd, lcm
 
-from .rpoly import Poly, _add, _mul, _neg, _normal, _poly, _pow
+from .rpoly import Poly, _add, _mul, _normal, _poly, _pow
 
 MAX_DEGREE = 256
 MAX_POWER_BITS = 1 << 16
@@ -48,6 +52,11 @@ MAX_POWER_BITS = 1 << 16
 # int() refuses, like '²') or one other character; \S is exactly
 # "not str.isspace"
 _TOKEN = re.compile(r"[0-9]+|\S")
+# the tokens that end a term
+_ENDS = frozenset(("+", "-", ")", ""))
+# a literal shorter than CPython's lowest int-to-str digit limit: int()
+# takes it under any limit, and its bits are far below MAX_POWER_BITS
+_SHORT = 640
 
 
 class ParseError(ValueError):
@@ -143,16 +152,60 @@ class _Descent:
         return value
 
     def expr(self) -> tuple:
-        negate = self.toks[self.i] == "-"
-        if negate:
+        toks, acc, monomials = self.toks, ([], 1), []
+        op = toks[self.i]
+        if op == "-":
             self.i += 1
-        acc = self.term()
-        if negate:
-            acc = _neg(acc)
-        while (op := self.toks[self.i]) == "+" or op == "-":
+        while True:
+            if m := self.monomial():
+                monomials.append((m[0], -m[1] if op == "-" else m[1], m[2]))
+            else:
+                acc = _add(acc, self.term(), op == "-")
+            op = toks[self.i]
+            if op != "+" and op != "-":
+                break
             self.i += 1
-            acc = _add(acc, self.term(), op == "-")
+        if monomials:  # summed once, over their least common denominator
+            den = lcm(*[d for _, _, d in monomials])
+            nums = [0] * (max(k for k, _, _ in monomials) + 1)
+            for k, n, d in monomials:
+                nums[k] += n * (den // d)
+            total = _normal(nums, den)
+            acc = _add(acc, total) if acc[0] else total
         return acc
+
+    def monomial(self):
+        """(k, num, den) for a term c, c*x, c*x^e, x or x^e (c a literal
+        or a/b) that ends at '+', '-', ')' or the end of input; else None,
+        and ``term`` reads the term with its caps and messages, as it
+        does a literal of _SHORT digits or more, a zero denominator, or
+        an exponent outside 1..MAX_DEGREE or of more than 3 digits."""
+        toks, i, num, den, k = self.toks, self.i, 1, 1, 0
+        tok = toks[i]
+        if "0" <= tok[:1] <= "9" and len(tok) < _SHORT:
+            num, i = int(tok), i + 1
+            if toks[i] == "/":
+                tok = toks[i + 1]
+                if not ("0" <= tok[:1] <= "9" and len(tok) < _SHORT and (den := int(tok))):
+                    return None
+                i += 2
+            tok = None  # a constant, unless '*' follows
+            if toks[i] == "*":
+                i += 1
+                tok = toks[i]
+        if tok == "x":
+            i, k = i + 1, 1
+            if toks[i] == "^":
+                e = toks[i + 1]
+                if not ("0" <= e[:1] <= "9" and len(e) <= 3 and 1 <= (k := int(e)) <= MAX_DEGREE):
+                    return None
+                i += 2
+        elif tok is not None:
+            return None
+        if toks[i] not in _ENDS:
+            return None
+        self.i = i
+        return k, num, den
 
     def check_degree(self, degree: int, i: int, offset: int = 0):
         if degree > MAX_DEGREE:

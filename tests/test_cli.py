@@ -10,6 +10,7 @@ regenerate both after an intentional schema change with
 """
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -20,6 +21,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sepcurve.cli as cli
 import sepcurve.critical as critical
@@ -158,6 +161,112 @@ def test_argument_parser_is_built_once(monkeypatch, capsys):
     assert main(["classify", "--p", "x^3", "--q", "x^3"]) == 10
     capsys.readouterr()
     assert built == []
+
+
+def _parse_outcome(parse, argv):
+    """(namespace, stdout, stderr, exit code) of one argument parse: the
+    namespace as a dict, or None when the parse ends in a usage error
+    or in help."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace, code = parse(argv)
+        except SystemExit as exc:
+            namespace, code = None, exc.code
+    return namespace, out.getvalue(), err.getvalue(), code
+
+
+def _full_parse(argv):
+    try:
+        return vars(cli._build_argparser().parse_args(argv)), 0
+    except cli._UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None, 1
+
+
+CLASSIFY_ARGV = [
+    ["--he"], ["-h"], ["--p", "x^3", "-h"],
+    ["--p", "x^3", "--q", "x^3", "--js", "--prec", "64", "--witn"],
+    ["--q", "x^3"], ["--p", "x^3"], [], ["--p", "x", "--p", "x^3", "--q", "x^3"], ["--p", "x^3", "--q"],
+    ["--p", "--q", "x^3"], ["--p", "x^3", "--q", "x^3", "--q=x^2"],
+    ["--p", "x^3", "--q", "x^3", "--oracle", "numerics"], ["--p", "x^3", "--q", "x^3", "--oracle"],
+    ["--p", "x^3", "--q", "x^3", "--precision", "0"], ["--p", "x^3", "--q", "x^3", "--precision", "5000"],
+    ["--p", "x^3", "--q", "x^3", "--precision=64", "--oracle=both", "--timings"],
+    ["--"], ["--p", "x^3", "--q", "x^3", "--"], ["--", "--p", "x^3", "--q", "x^3"],
+    ["--p", "x^3", "--q", "x^3", "stray"], ["stray", "--p", "x^3", "--q", "x^3"],
+    ["--p", "x^3", "--q", "x^3", "--json=1"], ["--p=-x^3", "--q", "x^3", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("rest", CLASSIFY_ARGV, ids=" ".join)
+def test_classify_route_parses_as_the_full_parser(rest, monkeypatch):
+    """``main`` hands a ``classify`` argv to the subparser alone; that
+    gives the full parser's namespace, usage-error text, help text and
+    exit code."""
+    def via_main(argv):
+        seen = []
+        monkeypatch.setattr(cli, "_run_classify", lambda args: seen.append(vars(args)) or 0)
+        code = main(argv)
+        return (seen[0] if seen else None), code
+
+    argv = ["classify", *rest]
+    assert _parse_outcome(via_main, argv) == _parse_outcome(_full_parse, argv)
+
+
+def _json_text(value):
+    from json.encoder import encode_basestring_ascii
+
+    out = []
+    cli._write_json(value, out, encode_basestring_ascii)
+    return "".join(out)
+
+
+_JSON_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f e\xe9\u20ac\U0001d11e') | st.characters())
+_JSON_LEAVES = (
+    _JSON_TEXT
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.booleans()
+    | st.none()
+    | st.floats()
+)
+
+
+@given(
+    st.recursive(
+        _JSON_LEAVES,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+        max_leaves=25,
+    )
+)
+@settings(max_examples=300)
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_json_writer_on_reports_and_empty_containers():
+    report = json.loads((GOLDEN_DIR / "case6.json").read_text())
+    for value in (report, {}, [], {"a": {}, "b": [[], {}]}, (1, "x"), [float("nan"), float("-inf"), 1e300]):
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _json_text({"a": {1, 2}})
+
+
+def test_json_run_leaves_no_cyclic_garbage(capsys):
+    argv = ["classify", "--p", "x^5", "--q", "x^5 + x", "--json", "--witness", "--oracle", "geometry"]
+    main(argv)  # builds the parser and imports what the flags need
+    capsys.readouterr()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    json.loads(capsys.readouterr().out)
+    assert garbage == []
 
 
 def test_timings_flag_adds_fields_without_breaking_schema(capsys):
@@ -361,13 +470,13 @@ def test_cli_import_does_not_load_mpmath():
 
 
 def test_cli_import_leaves_the_oracles_and_the_witness_audit_unloaded():
-    """Importing the CLI loads neither oracle, the witness audit nor the
-    selftest instances; the package's exports still resolve on access,
+    """Importing the CLI loads neither oracle, the witness audit, the
+    selftest instances nor ``json``; the package's exports still resolve on access,
     and ``sepcurve.classify`` is the function, not the submodule."""
     src = pathlib.Path(__file__).parent.parent / "src"
     code = (
         "import sys, sepcurve.cli\n"
-        "lazy = ['sepcurve.oneforms', 'sepcurve.numoracle', 'sepcurve.geometry', 'sepcurve.instances', 'mpmath']\n"
+        "lazy = ['sepcurve.oneforms', 'sepcurve.numoracle', 'sepcurve.geometry', 'sepcurve.instances', 'mpmath', 'json']\n"
         "print(sorted(m for m in lazy if m in sys.modules))\n"
         "import sepcurve\n"
         "namespace = {}\n"
@@ -387,17 +496,22 @@ def test_cli_import_leaves_the_oracles_and_the_witness_audit_unloaded():
 
 def test_classify_without_the_numeric_oracle_leaves_it_unloaded():
     """A degree-5 ``classify`` run, which builds the argument parser and
-    checks ``--precision``, loads neither the numeric oracle nor mpmath;
-    ``--oracle numeric`` loads the oracle and still not mpmath."""
+    checks ``--precision``, loads neither the numeric oracle, mpmath nor
+    ``json``; ``--oracle numeric`` loads the oracle and still not mpmath,
+    and ``--json`` loads ``json``."""
     src = pathlib.Path(__file__).parent.parent / "src"
     code = (
         "import contextlib, io, sys\n"
         "from sepcurve.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    main(['classify', '--p', 'x^5', '--q', 'x^5 + x', '--precision', '512', *sys.argv[1:]])\n"
-        "print([m for m in ('sepcurve.numoracle', 'mpmath') if m in sys.modules])\n"
+        "print([m for m in ('sepcurve.numoracle', 'mpmath', 'json') if m in sys.modules])\n"
     )
-    for flags, loaded in (((), "[]"), (("--oracle", "numeric"), "['sepcurve.numoracle']")):
+    for flags, loaded in (
+        ((), "[]"),
+        (("--oracle", "numeric"), "['sepcurve.numoracle']"),
+        (("--json",), "['json']"),
+    ):
         out = subprocess.run(
             [sys.executable, "-c", code, *flags],
             capture_output=True,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import poly_of, reference_parse_poly
+from sepcurve import parsepoly
 from sepcurve.parsepoly import ParseError, parse_poly
 from sepcurve.rationals import rat
 from sepcurve.rpoly import Poly
@@ -261,6 +262,9 @@ def test_fuzzed_expressions_match_the_reference_parser(rng, cut, junk):
         # caps on the reduced coefficients, not on the common denominator
         "(1/2 + 1/3*x) * (2^32767 * 2^32766)", "(1/2 + 1/3*x) * (2^32767 * 2^32767)",
         "(1/2^300 + 1/3^100*x)^150", "(1/2^300 + 1/3^100*x)^218",
+        # terms the one-step monomial reader leaves to the grammar, and sums mixing both
+        "x^257 + 1", "2*x^0", "x^001", "x^0256", "3/0*x", "3/00*x^2", "2*x^3*x", "3/4^2*x", "x^2/3", "-x^2 - -x",
+        "x^2 + (x + 1)^2 - 3/4*x", "1/2 - (x - 1/3) + 5/6*x^2",
     ],
 )
 def test_edge_inputs_match_the_reference_parser(text):
@@ -279,3 +283,50 @@ def test_edge_inputs_match_the_reference_parser(text):
 def test_inputs_at_the_digit_limit_match_the_reference_parser(text):
     with _int_max_str_digits(4300):
         _assert_matches_reference(text)
+
+
+@given(
+    rng=st.randoms(use_true_random=False),
+    degree=st.integers(0, 256),
+    dense=st.booleans(),
+    digits=st.integers(1, 40),
+    cut=st.integers(0, 10**6),
+    junk=st.sampled_from(JUNK + ["^257", "^0", "/00", "*x"]),
+)
+@settings(deadline=None, max_examples=150)
+def test_canonical_texts_match_the_reference_parser(rng, degree, dense, digits, cut, junk):
+    """The texts the monomial reader takes in one step, to_string() of
+    dense and sparse polynomials with coefficients of up to 40 digits,
+    and their cut and spliced variants, parse as the character parser
+    parses them."""
+    top = 10**digits
+    coeffs = [0] * (degree + 1)
+    for k in range(degree + 1) if dense else rng.sample(range(degree + 1), min(degree + 1, 6)):
+        coeffs[k] = rat(rng.randint(-top, top), rng.randint(1, top))
+    coeffs[degree] = rat(rng.randint(1, top), rng.randint(1, top))
+    text = Poly(coeffs).to_string()
+    cut %= len(text) + 1
+    for variant in (text, text[:cut], text[:cut] + junk + text[cut:]):
+        _assert_matches_reference(variant)
+
+
+@pytest.mark.parametrize("digits", [639, 640, 700])
+def test_long_literals_past_the_digit_limit_fail_as_in_the_grammar(digits):
+    # 640 is the lowest limit the interpreter accepts; the reader takes
+    # only shorter literals, so no ValueError can leave it
+    with _int_max_str_digits(640):
+        for text in ("7" * digits + "*x", "x - 1/" + "7" * digits + "*x^2"):
+            _assert_matches_reference(text)
+
+
+def test_a_canonical_text_is_read_without_products_or_powers(monkeypatch):
+    calls = []
+    for name in ("_mul", "_pow", "_size"):
+        real = getattr(parsepoly, name)
+        monkeypatch.setattr(parsepoly, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
+    assert parse_poly("(x + 1)^2 * x") == poly_of(0, 1, 2, 1)
+    assert {"_mul", "_pow", "_size"} <= set(calls)  # the counters count
+    calls.clear()
+    p = Poly([rat((-1) ** k * (k * k + 1), k + 1) for k in range(21)])  # degree 20, 21 denominators
+    assert parse_poly(p.to_string()) == p
+    assert calls == []
