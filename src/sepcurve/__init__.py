@@ -46,7 +46,6 @@ _EXPORTS = {
         "RegularityReport",
         "check_regularity",
         "emit_witnesses",
-        "order_bounds",
         "verify_witnesses",
     ),
     "parsepoly": ("ParseError", "parse_poly"),

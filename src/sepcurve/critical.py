@@ -96,11 +96,6 @@ class CriticalStructure(namedtuple("CriticalStructure", "poly classes image")):
         return tuple((c.factor.degree, (c.multiplicity,)) for c in self.classes)
 
     @property
-    def point_count(self) -> int:
-        """Number of distinct critical points."""
-        return sum(c.factor.degree for c in self.classes)
-
-    @property
     def hypothesis_I(self) -> bool:
         """All critical values simple: every value is taken by exactly
         one critical point."""

@@ -122,15 +122,6 @@ def random_affine_image(pair: PolynomialPair, rng: random.Random) -> PolynomialP
     return affine_image(pair, inner_p, inner_q, outer)
 
 
-def random_theorem3_pool(count: int, rng: random.Random) -> list:
-    """Randomized equal-degree instances that must land on the generic
-    rule: images of the fully-matched family under random transforms."""
-    return [
-        random_affine_image(theorem3_pair(rng.randint(3, 8)), rng)
-        for _ in range(count)
-    ]
-
-
 def random_polynomial(
     rng: random.Random,
     min_degree: int = 2,
@@ -164,12 +155,3 @@ def random_linear_factor_pair(rng: random.Random):
     a_poly = random_polynomial(rng, min_degree=2, max_degree=6)
     a, b = _nonzero_small(rng), _small(rng)
     return PolynomialPair(compose_affine(a_poly, a, b), a_poly), (a, b)
-
-
-def random_perturbed_pair(rng: random.Random) -> PolynomialPair:
-    """Like random_linear_factor_pair but with a nonzero constant added
-    to the Q side, which destroys the factor."""
-    pair, _ = random_linear_factor_pair(rng)
-    c = _nonzero_small(rng, span=5)
-    p, q = (pair.q, pair.p) if pair.swapped else (pair.p, pair.q)
-    return PolynomialPair(p, q + c)

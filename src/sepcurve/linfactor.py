@@ -59,12 +59,6 @@ class LinearFactorWitness(
         except ValueError:  # the int-to-str digit limit
             return f"{family}: coefficients past the int-to-str digit limit"
 
-    def shift_for_scale(self, s):
-        """t for a rational scale s (s must be a root of scale_minpoly)."""
-        if self.scale_minpoly(s) != 0:
-            raise ValueError(f"{s} is not a root of the scale polynomial")
-        return self.shift_numerator(s) / self.shift_denominator
-
 
 def _bezout(e: int, k: int):
     """(u, v) with u*e + v*k = gcd(e, k)."""

@@ -11,23 +11,10 @@ ever feeds a verdict.
 The arithmetic is fixed point on Gaussian integers: at a precision step
 of b bits, a complex number is a pair of Python ints (re, im) standing
 for (re + i·im)·2^-F with F = b + 64, so a multiply-add is a few big-int
-operations.  A linear factor starts on its root at the requested
-precision.  Other roots start from Aberth–Ehrlich sweeps in double
-precision, or, when the doubles cannot hold the polynomial, from
-circles whose radii come from its Newton polygon.  Weierstrass sweeps
-refine them over a ladder of doubling precisions up to the requested
-one, in the scale of the largest root when all roots are small.  A
-rung below the requested precision stops once its corrections show its
-iterates good to about its own bits, all that the next rung's first
-sweep needs; the requested rung sweeps until its corrections are 32
-bits finer than its precision; and any rung stops once every residual
-is within the rounding of its own Horner evaluation, where its
-iterates cannot improve.  Each doubling of an oracle's precision seeds
-its one sweep run with the previous step's iterates.  A requested rung
-that starts from seeds (a lower rung, the previous doubling or a
-linear factor's root) takes all corrections of a sweep at the same
-iterates, and its stop sweep is its disk pass: those corrections are
-not applied but give the radii.  A root disk's radius is 2n·|w| for
+operations.  Roots are refined by Weierstrass sweeps over a ladder of
+doubling precisions; :func:`_isolate` states its start, rung and stop
+rules.  Each doubling of an oracle's precision seeds its one sweep run
+with the previous step's iterates.  A root disk's radius is 2n·|w| for
 the Weierstrass correction w at its centre plus 256 units of 2^-F.  It
 does not bound the rounding in w, and the root disks are not proven
 pairwise disjoint (ROADMAP item 8), so root disks are estimates, not
@@ -43,9 +30,7 @@ Weierstrass denominator prod_(j != i) (z_i - z_j) is a floating-form
 mantissa of min(bits of the residual, F) + 64 bits, since the
 correction is no more accurate than the residual it divides.  The
 terms of a value disk's radius are upper bounds at the fixed scale
-2^-64.  The comparisons of disks are exact.  ``mpmath`` is imported only by
-:func:`complex_roots` and :class:`ComplexApprox`, to hand results out as
-``mpf`` numbers; the oracles never load it.
+2^-64.  The comparisons of disks are exact.
 """
 
 from __future__ import annotations
@@ -53,6 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
+from fractions import Fraction
 from math import isqrt
 
 from .critical import (
@@ -79,18 +65,14 @@ class OracleOutcome(enum.Enum):
 
 
 class ComplexApprox(namedtuple("ComplexApprox", "real imag radius")):
-    """A complex approximation with an error radius, three mpmath.mpf.
+    """A complex approximation with an error radius, three exact dyadic
+    Fractions.
 
     Two approximations are known-distinct only when their disks are
     disjoint; overlapping disks stay inconclusive until refined.
     """
 
     __slots__ = ()
-
-    @property
-    def value(self):
-        import mpmath
-        return mpmath.mpc(self.real, self.imag)
 
 
 class PairCountOracle(
@@ -136,13 +118,10 @@ def complex_roots(p: Poly, precision_bits: int = DEFAULT_PRECISION):
     the disks are not proven pairwise disjoint (ROADMAP item 8), so a
     disk is an estimate, not a certificate.  Raise the precision to
     shrink the disks (multiplicities are handled symbolically upstream,
-    so repeated roots are a caller bug and raise ValueError).
+    so repeated roots are a caller bug and raise ValueError).  Each
+    field is the exact dyadic Fraction of a fixed-point int at 2^-F,
+    F = precision_bits + 64.
     """
-    import mpmath
-
-    def mpf(man, frac):
-        return mpmath.mpf((man, -frac), prec=man.bit_length() + 1)
-
     if p.degree < 1:
         raise ValueError(f"need a nonconstant polynomial, got degree {p.degree}")
     if not is_squarefree(p):
@@ -151,7 +130,7 @@ def complex_roots(p: Poly, precision_bits: int = DEFAULT_PRECISION):
             f"(got {p.to_string()})"
         )
     disks, (frac, _) = _isolate(p, precision_bits)
-    return tuple(ComplexApprox(mpf(zr, frac), mpf(zi, frac), mpf(r, frac)) for zr, zi, r in disks)
+    return tuple(ComplexApprox(*(Fraction(x, 1 << frac) for x in disk)) for disk in disks)
 
 
 def _circle_angle(k: int, n: int) -> float:

@@ -117,38 +117,6 @@ class RegularityReport(namedtuple("RegularityReport", "checks overall notes")):
     __slots__ = ()
 
 
-class OrderBounds(namedtuple("OrderBounds", "bound ratio")):
-    """(bound, ratio): ord(z0 - a*z2) >= bound and the exact relation
-    ord0 : ord1 = ratio[0] : ratio[1] at a matched (p, q) point."""
-
-    __slots__ = ()
-
-
-def order_bounds(p: int, q: int) -> OrderBounds:
-    """Vanishing-order data at a matched (p, q) critical pair.
-
-    Both branches of the relation (p+1)*ord0 = (q+1)*ord1 are encoded
-    in the reduced ratio; the plain lower bound for ord0 is
-    (q+1)/gcd(p+1, q+1), strengthened to max(3, ceil((p+3)/2)) when
-    q = p+2 with p >= 2.
-
-    >>> order_bounds(1, 2).bound
-    3
-    >>> order_bounds(2, 4).bound
-    5
-    >>> order_bounds(3, 3)
-    OrderBounds(bound=1, ratio=(1, 1))
-    """
-    if p < 1 or q < 1:
-        raise ValueError(f"multiplicities must be at least 1 (got p={p}, q={q})")
-    g = math.gcd(p + 1, q + 1)
-    o0, o1 = (q + 1) // g, (p + 1) // g
-    bound = o0
-    if q == p + 2 and p >= 2:
-        bound = max(bound, 3, -(-(p + 3) // 2))
-    return OrderBounds(bound, (o0, o1))
-
-
 _FACTOR_RANK = {"z": 0, "chord": 1, "alpha": 2, "beta": 3}
 
 
@@ -564,7 +532,9 @@ def check_regularity(
             v0, v1 = den["alpha", i], den["beta", i]
             if v0 == 0 and v1 == 0:
                 continue
-            o0, o1 = order_bounds(p, q).ratio
+            # (p+1)*ord0 = (q+1)*ord1, as the reduced ratio ord0 : ord1
+            g = math.gcd(p + 1, q + 1)
+            o0, o1 = (q + 1) // g, (p + 1) // g
             if form.wronskian == W12:
                 ord_w = o1 - 1
             elif form.wronskian == W20:

@@ -421,12 +421,6 @@ class MultiplicityDecomposition(namedtuple("MultiplicityDecomposition", "content
 
     __slots__ = ()
 
-    def reassemble(self) -> Poly:
-        out = Poly.constant(self.content)
-        for f, k in self.parts:
-            out = out * f**k
-        return out
-
 
 def squarefree_decomposition(p: Poly) -> MultiplicityDecomposition:
     """Yun's algorithm over Q, run on the primitive integer multiple f

@@ -4,9 +4,9 @@ the package's faster kernels are compared against."""
 import sys
 from operator import mul
 
-from sepcurve import critical, numoracle, rpoly
+from sepcurve import critical, instances, numoracle, rpoly
 from sepcurve.classify import Outcome, Verdict
-from sepcurve.critical import PairMatching
+from sepcurve.critical import PairMatching, PolynomialPair
 from sepcurve.linfactor import LinearFactorWitness
 from sepcurve.parsepoly import MAX_DEGREE, MAX_POWER_BITS, ParseError
 from sepcurve.rationals import ONE, ZERO, Rat, rat
@@ -47,6 +47,15 @@ def make_matching(matched, unm_p=(), unm_q=(), deg=None):
 def hyperbolic_verdict(rule, matching):
     """Synthetic Hyperbolic verdict for exercising the form emitters."""
     return Verdict(outcome=Outcome.HYPERBOLIC, rule=rule, pair=None, matching=matching)
+
+
+def random_perturbed_pair(rng):
+    """Like instances.random_linear_factor_pair but with a nonzero
+    constant added to the Q side, which destroys the factor."""
+    pair, _ = instances.random_linear_factor_pair(rng)
+    c = instances._nonzero_small(rng, span=5)
+    p, q = (pair.q, pair.p) if pair.swapped else (pair.p, pair.q)
+    return PolynomialPair(p, q + c)
 
 
 def reference_gcd(a, b):
@@ -233,6 +242,14 @@ def reference_linear_factor(pair):
     return LinearFactorWitness(g, shift_num % g, shift_den)
 
 
+def shift_for_scale(w, s):
+    """t for a rational scale s of the witness w (s must be a root of
+    its scale_minpoly)."""
+    if w.scale_minpoly(s) != 0:
+        raise ValueError(f"{s} is not a root of the scale polynomial")
+    return w.shift_numerator(s) / w.shift_denominator
+
+
 # ---------------------------------------------------------------------------
 # reference value disks: the oracles' former mpf kernels, at the working
 # precision mpmath is set to; numoracle's integer kernels are compared
@@ -243,6 +260,25 @@ def reference_linear_factor(pair):
 def to_mpf(x):
     import mpmath
     return mpmath.mpf(int(x.numerator)) / mpmath.mpf(int(x.denominator))
+
+
+def exact_mpf(x):
+    """The mpf of a dyadic Fraction, exactly, at any working precision;
+    an mpf as it is."""
+    import mpmath
+    if not isinstance(x, Rat):
+        return x
+    den = x.denominator
+    if den & (den - 1):
+        raise ValueError(f"{x} is not dyadic")
+    return mpmath.ldexp(x.numerator, 1 - den.bit_length())
+
+
+def to_mpc(disk):
+    """The centre of a ComplexApprox disk as an exact mpc, for the
+    dyadic Fraction fields of complex_roots or for mpf fields."""
+    import mpmath
+    return mpmath.mpc(exact_mpf(disk.real), exact_mpf(disk.imag))
 
 
 def reference_horner(coeffs, z):
@@ -257,9 +293,9 @@ def reference_value_disk(coeffs, root):
     """Disk containing p(z) for every z in the root disk, up to
     rounding, for the p with mpf coefficients ``coeffs`` (low to high)."""
     import mpmath
-    z = root.value
+    z = to_mpc(root)
     center = reference_horner(coeffs, z)
-    az, r = abs(z), root.radius
+    az, r = abs(z), exact_mpf(root.radius)
     # |p(z+e)-p(z)| <= sum |a_k| ((|z|+r)^k - |z|^k) for |e| <= r
     drift = mpmath.mpf(0)
     for k, c in enumerate(coeffs):
@@ -282,7 +318,7 @@ def reference_cluster_indices(disks):
     for i in range(len(disks)):
         for j in range(i + 1, len(disks)):
             di, dj = disks[i], disks[j]
-            if abs(di.value - dj.value) <= di.radius + dj.radius:
+            if abs(to_mpc(di) - to_mpc(dj)) <= di.radius + dj.radius:
                 parent[find(i)] = find(j)
     groups = {}
     for i in range(len(disks)):
@@ -341,7 +377,7 @@ def check_resultant_product(s, p, ys=None, precision_bits=numoracle.DEFAULT_PREC
             center = mpmath.mpc(1)
             hi, lo = mpmath.mpf(1), mpmath.mpf(1)
             for d in value_disks:
-                f = ym - d.value
+                f = ym - to_mpc(d)
                 center *= f
                 hi *= abs(f) + d.radius
                 lo *= abs(f)
@@ -586,6 +622,14 @@ def reference_to_string(p, var="x"):
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
+
+
+def reassemble(dec):
+    """content * prod(factor^multiplicity) of a MultiplicityDecomposition."""
+    out = Poly.constant(dec.content)
+    for f, k in dec.parts:
+        out = out * f**k
+    return out
 
 
 def reference_squarefree_decomposition(p):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_matching, poly_of
+from helpers import make_matching, poly_of, random_perturbed_pair
 import sepcurve.critical as critical
 from sepcurve.classify import (
     Outcome,
@@ -32,7 +32,6 @@ from sepcurve.instances import (
     inconclusive_pair,
     random_affine_image,
     random_linear_factor_pair,
-    random_perturbed_pair,
     random_polynomial,
     theorem1_pair,
     theorem2_pair,

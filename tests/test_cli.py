@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_perturbed_pair
 import sepcurve.cli as cli
 import sepcurve.critical as critical
 import sepcurve.instances as ins
@@ -537,11 +538,11 @@ def _corpus_pairs():
         pair = ins.case_instance(cid)
         pairs += [pair] + [ins.random_affine_image(pair, rng) for _ in range(4)]
     pairs += [ins.theorem3_pair(k) for k in range(3, 12)]
-    pairs += ins.random_theorem3_pool(8, rng)
+    pairs += [ins.random_affine_image(ins.theorem3_pair(rng.randint(3, 8)), rng) for _ in range(8)]
     for rule_pair in (ins.theorem1_pair(), ins.theorem2_pair(), ins.inconclusive_pair()):
         pairs += [rule_pair] + [ins.random_affine_image(rule_pair, rng) for _ in range(2)]
     pairs += [ins.random_linear_factor_pair(rng)[0] for _ in range(35)]
-    pairs += [ins.random_perturbed_pair(rng) for _ in range(35)]
+    pairs += [random_perturbed_pair(rng) for _ in range(35)]
     pairs += [
         (ins.random_polynomial(rng, 2, 9), ins.random_polynomial(rng, 2, 9))
         for _ in range(50)

@@ -63,7 +63,6 @@ def test_analyze_cubic():
     assert cls.multiplicity == 1
     assert cls.factor == poly_of(-1, 0, 1)  # x^2 - 1
     assert cs.values == ((poly_of(-4, 0, 1), (1,)),)  # values +-2, one point each
-    assert cs.point_count == 2
     assert cs.multiset() == (1, 1)
 
 
@@ -172,7 +171,7 @@ def test_hypothesis_I_pinned_radical_degree_rule():
     assert [c.multiplicity for c in cs.classes] == [1, 2]
     # each class alone has simple values; 0 is taken in both classes
     assert dict(cs.values) == {poly_of(0, 1): (2, 1), poly_of(rat(-108, 3125), 1): (1,)}
-    assert (sum(f.degree for f, _ in cs.values), cs.point_count) == (2, 3)
+    assert (sum(f.degree for f, _ in cs.values), sum(c.factor.degree for c in cs.classes)) == (2, 3)
     assert not hypothesis_I(p) and not _hypothesis_I_reference(p)
     assert not hypothesis_I(poly_of(0, 0, -2, 0, 1))  # x^4 - 2x^2
     assert hypothesis_I(poly_of(0, -3, 0, 1))  # x^3 - 3x
@@ -421,7 +420,7 @@ def test_a_two_root_derivative_reaches_no_image_of_its_own(monkeypatch):
     monkeypatch.setattr(critical, "_value_image_mod_p", counting)
     pair = random_affine_image(theorem3_pair(18), random.Random(26))
     for cs in (pair.critical_p(), pair.critical_q()):
-        assert cs.point_count == 2
+        assert sum(c.factor.degree for c in cs.classes) == 2
     assert 19 not in degrees and degrees
 
 
@@ -432,7 +431,7 @@ def test_multiplicity_mass_identity(p):
     assert sum(c.multiplicity * c.factor.degree for c in cs.classes) == p.degree - 1
     for c in cs.classes:
         assert c.factor.lc == 1
-    assert sum(f.degree * len(mults) for f, mults in cs.values) == cs.point_count
+    assert sum(f.degree * len(mults) for f, mults in cs.values) == sum(c.factor.degree for c in cs.classes)
 
 
 def test_pair_normalization_and_shape_counts():

@@ -8,18 +8,23 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     check_resultant_product,
+    exact_mpf,
     poly_of,
     reference_cluster_indices,
     reference_correction,
     reference_value_disk,
     squarefree_part,
+    to_mpc,
     to_mpf,
 )
 from oracle_sweep import DIGESTS, FULL_RUN_PASSES, FULL_RUN_SEEDS, digest, draw, summary
@@ -40,27 +45,42 @@ from sepcurve.rpoly import is_squarefree
 def test_roots_of_x2_plus_1():
     roots = complex_roots(poly_of(1, 0, 1), 128)
     assert len(roots) == 2
-    imags = sorted(complex(r.value).imag for r in roots)
+    imags = sorted(complex(to_mpc(r)).imag for r in roots)
     assert abs(imags[0] + 1) < 1e-30 and abs(imags[1] - 1) < 1e-30
-    assert all(r.radius < mpmath.mpf("1e-30") for r in roots)
+    assert all(r.radius < Fraction(1, 10**30) for r in roots)
 
 
 def test_roots_match_known_irrational():
     roots = complex_roots(poly_of(-3, 0, 1), 128)
     with mpmath.workprec(200):
         s3 = mpmath.sqrt(3)
-        reals = sorted(r.value.real for r in roots)
-        assert abs(reals[0] + s3) < roots[0].radius + mpmath.mpf("1e-35")
-        assert abs(reals[1] - s3) < roots[0].radius + mpmath.mpf("1e-35")
+        reals = sorted(to_mpc(r).real for r in roots)
+        radius = exact_mpf(roots[0].radius)
+        assert abs(reals[0] + s3) < radius + mpmath.mpf("1e-35")
+        assert abs(reals[1] - s3) < radius + mpmath.mpf("1e-35")
 
 
 def test_roots_pairwise_disjoint():
     roots = complex_roots(poly_of(0, -1, 0, 1), 256)  # x^3 - x
-    reals = sorted(complex(r.value).real for r in roots)
+    reals = sorted(complex(to_mpc(r)).real for r in roots)
     assert all(abs(a - b) < 1e-60 for a, b in zip(reals, (-1, 0, 1)))
     for i, a in enumerate(roots):
         for b in roots[i + 1 :]:
-            assert abs(a.value - b.value) > a.radius + b.radius
+            assert abs(to_mpc(a) - to_mpc(b)) > exact_mpf(a.radius + b.radius)
+
+
+@given(coeffs=st.lists(st.integers(-50, 50), min_size=2, max_size=9), lead=st.integers(1, 9))
+@settings(deadline=None, max_examples=20)
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_disks_are_the_exact_dyadic_fixed_point_values(bits, coeffs, lead):
+    p = squarefree_part(poly_of(*coeffs, rat(lead, 7)))
+    assume(p.degree >= 1)
+    disks, _ = numoracle._isolate(p, bits)
+    unit = 2 ** (bits + numoracle._GUARD)
+    for approx, disk in zip(complex_roots(p, bits), disks, strict=True):
+        for field, x in zip(approx, disk, strict=True):
+            assert type(field) is Fraction and field.denominator & (field.denominator - 1) == 0
+            assert field == Fraction(x, unit)
 
 
 @functools.cache
@@ -77,7 +97,7 @@ def _assert_one_root_per_disk(p, bits, ref=None):
     ref = _reference_roots(p, bits) if ref is None else ref
     assert len(disks) == len(ref) == p.degree
     with mpmath.workprec(2 * (bits + numoracle._GUARD)):
-        inside = [[abs(r - d.value) <= d.radius for r in ref] for d in disks]
+        inside = [[abs(r - to_mpc(d)) <= exact_mpf(d.radius) for r in ref] for d in disks]
     assert all(sum(row) == 1 for row in inside), (p, bits)
     assert all(sum(col) == 1 for col in zip(*inside)), (p, bits)
 
@@ -228,7 +248,7 @@ def test_newton_polygon_start_on_roots_far_apart():
     started = time.perf_counter()
     disks = complex_roots(p, 64)
     assert time.perf_counter() - started < 0.5
-    assert max(d.radius for d in disks) < mpmath.mpf(2) ** -100
+    assert max(d.radius for d in disks) < Fraction(1, 2**100)
     # the reference isolates the roots of p(2^100 y) / 2^100 =
     # y^12 + y - 2^-100, of moduli about 2^-100 and 1: from its unit
     # circle start it converges too slowly on p itself
@@ -440,24 +460,36 @@ def test_rounding_floor_holds_at_exact_roots():
 
 
 def test_oracles_run_without_mpmath():
-    src = pathlib.Path(__file__).parent.parent / "src"
+    # a None entry in sys.modules makes every ``import mpmath`` raise
+    # ImportError: the CLI, both oracles and complex_roots must not need
+    # it, and pyproject.toml keeps it out of the runtime dependencies
+    root = pathlib.Path(__file__).parent.parent
     code = (
         "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from sepcurve import cli\n"
         "from sepcurve.critical import PolynomialPair\n"
-        "from sepcurve.numoracle import corroborate_hypothesis_I, verify_pair_counts\n"
+        "from sepcurve.numoracle import complex_roots, corroborate_hypothesis_I, verify_pair_counts\n"
         "from sepcurve.parsepoly import parse_poly\n"
+        "code = cli.main(['classify', '--p=x^5', '--q=x^5 + x', '--json', '--witness', '--oracle', 'both'])\n"
         "p, q = parse_poly('x^4 - 2*x^2 + 1/3*x'), parse_poly('x^3 - 3*x')\n"
-        "print(corroborate_hypothesis_I(p).outcome.value, verify_pair_counts(PolynomialPair(p, q)).outcome.value)\n"
-        "print('mpmath' in sys.modules)\n"
+        "print(code, corroborate_hypothesis_I(p).outcome.value, verify_pair_counts(PolynomialPair(p, q)).outcome.value,\n"
+        "      len(complex_roots(p)), file=sys.stderr)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
         check=True,
     )
-    assert out.stdout.split() == ["Agree", "Agree", "False"]
+    report = json.loads(out.stdout)
+    assert (report["verdict"], report["oracle"]["numeric"]["outcome"]) == ("Hyperbolic", "Agree")
+    assert out.stderr.split() == ["0", "Agree", "Agree", "4"]
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+    assert any(req.startswith("mpmath") for req in project["optional-dependencies"]["test"])
 
 
 def test_oracle_answers_replay_the_golden_file():

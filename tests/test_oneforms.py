@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from helpers import hyperbolic_verdict, make_matching, poly_of
@@ -11,7 +9,6 @@ from sepcurve.oneforms import (
     OneFormSpec,
     check_regularity,
     emit_witnesses,
-    order_bounds,
     verify_witnesses,
 )
 from sepcurve.parsepoly import parse_poly
@@ -526,20 +523,21 @@ def test_infinity_rejects_too_little_z2_in_the_numerator():
     assert _failed(bad, v.pair.matching(), meta) == [("z2-numerator", "infinity", -1)]
 
 
-def test_order_bounds_examples():
-    assert order_bounds(1, 2).bound == 3
-    assert order_bounds(2, 4).bound == 5
-    assert order_bounds(3, 3) == (1, (1, 1))
-    assert order_bounds(2, 2).ratio == (1, 1)
-    with pytest.raises(ValueError):
-        order_bounds(0, 2)
-
-
-def test_order_bounds_ratio_identity_and_symmetry():
-    for p, q in itertools.product(range(1, 13), repeat=2):
-        o0, o1 = order_bounds(p, q).ratio
-        assert (p + 1) * o0 == (q + 1) * o1
-        assert order_bounds(q, p).ratio == (o1, o0)
+def test_pole_order_reads_the_reduced_order_ratio():
+    # at a matched (1, 3) point (p+1)*ord0 = (q+1)*ord1 gives ord0 : ord1
+    # = 2 : 1, and gcd(2, 4) = 2; the unreduced 4 : 2 would read each
+    # margin m as 2m + 1, here 1 and -3
+    m = make_matching([(1, 3)], unm_p=(1, 1))
+    cancelled = OneFormSpec(
+        ((("alpha", 1), 1),),
+        ((("alpha", 1), 1), (("alpha", 2), 1), (("alpha", 3), 1)),
+        (1, 2),
+        "x",
+    )
+    (pole,) = [c for c in check_regularity(cancelled, m).checks if c.clause == "pole-order"]
+    assert (pole.satisfied, pole.margin) == (True, 0)
+    bare = OneFormSpec((), ((("alpha", 1), 1), (("alpha", 3), 1)), (1, 2), "x")
+    assert _failed(bare, m) == [("pole-order", "point 1 (p=1, q=3)", -2)]
 
 
 def test_degree_balance_is_enforced():

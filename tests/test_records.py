@@ -41,10 +41,8 @@ from sepcurve.numoracle import (
 )
 from sepcurve.oneforms import (
     OneFormSpec,
-    OrderBounds,
     RegularityCheck,
     RegularityReport,
-    order_bounds,
     verify_witnesses,
 )
 from sepcurve.rpoly import MultiplicityDecomposition, squarefree_decomposition
@@ -73,7 +71,6 @@ FIELDS = {
     OneFormSpec: ("numerator_factors", "denominator_factors", "wronskian", "source_rule"),
     RegularityCheck: ("subject", "clause", "satisfied", "margin"),
     RegularityReport: ("checks", "overall", "notes"),
-    OrderBounds: ("bound", "ratio"),
 }
 
 
@@ -99,7 +96,6 @@ def _samples() -> dict:
         OneFormSpec: forms[0],
         RegularityCheck: reports[0].checks[0],
         RegularityReport: reports[0],
-        OrderBounds: order_bounds(2, 1),
     }
     assert all(type(r) is cls for cls, r in out.items())
     return out
