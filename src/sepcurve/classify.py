@@ -139,7 +139,8 @@ def decide(matching: PairMatching) -> Verdict:
     """The aggregate steps of the cascade, on the matching alone.
 
     Both sides are taken to have simple critical values (Hypothesis I),
-    so the verdict has ``hyp_p = hyp_q = True`` and no pair; its trace
+    so each side's matched plus unmatched mass must be its degree - 1;
+    the verdict has ``hyp_p = hyp_q = True`` and no pair, and its trace
     holds only these steps.
 
     >>> from sepcurve.critical import PairMatching

@@ -1,11 +1,12 @@
 """Wronskian-type 1-form witnesses for the hyperbolicity verdicts.
 
-Each Hyperbolic rule comes with two explicit rational 1-forms on the
-projective curve, given as symbolic factor lists: linear forms through
-the singular points (``alpha``/``beta`` tags index the matched critical
-pairs, ``chord`` a line through two of them), coordinate factors, and a
-Wronskian W(zi, zj).  Nothing is expanded into coordinates — every
-regularity condition is arithmetic in the multiplicity aggregates.
+Each rule a verdict can cite comes with two explicit rational 1-forms
+on the projective curve, given as symbolic factor lists: linear forms
+through the singular points (``alpha``/``beta`` tags index the matched
+critical pairs, ``chord`` a line through two of them), coordinate
+factors, and a Wronskian W(zi, zj).  Nothing is expanded into
+coordinates — every regularity condition is arithmetic in the
+multiplicity aggregates.
 
 Each rule's emitter returns its two forms as (numerator, denominator)
 factor lists; ``emit_witnesses`` adds the Wronskian the denominator
@@ -251,16 +252,6 @@ def _emit_big2c(matching):
     if matching.unmatched_p_mass != 1 or any(p > q for p, q in pts):
         raise _unsupported(matching, "shape is handled by an excess rule first")
     u1 = l0 + 1
-    wide = [(i, p, q) for i, (p, q) in enumerate(pts, 1) if q - p == 2]
-    if wide:
-        i, p, q = wide[0]
-        j = 1 if i != 1 else 2
-        form1 = ([(_alpha(i), p)], [(_beta(i), q)])
-        form2 = (
-            [(_chord(*sorted((i, j))), 2), (_alpha(i), p - 1)],
-            [(_beta(i), q), (_beta(j), 1)],
-        )
-        return form1, form2
     p1 = pts[0][0]
     base_den = [(_alpha(1), 1), (_alpha(2), 1), (_alpha(u1), 1)]
     form1 = ([(_chord(1, 2), 1)], base_den)
@@ -368,8 +359,6 @@ def _mirror_tag(tag, index_map, l0):
     if kind == "chord":
         i, j = (index_map[k] for k in idx)
         return ("chord", tuple(sorted((i, j))))
-    if kind == "z":
-        return ("z", {0: 1, 1: 0, 2: 2}[idx])
     raise ValueError(f"unknown factor kind {kind!r}")
 
 
@@ -391,11 +380,9 @@ def _mirrored(builder):
 _EMITTERS = {
     "Theorem 2": _emit_theorem2,
     "Theorem 1": _emit_theorem1,
-    "Corollary 1": _mirrored(_emit_theorem1),
     "big2(a)": _emit_big2a,
     "big2(b)": _emit_big2b,
     "big2(c)": _emit_big2c,
-    "big2c(a)": _mirrored(_emit_big2a),
     "big2c(b)": _mirrored(_emit_big2b),
     "big2c(c)": _mirrored(_emit_big2c),
     "Theorem 3": _emit_theorem3,

@@ -460,14 +460,42 @@ def test_mirrored_matching_fires_the_mirrored_rules():
         assert seen[label] > 0, label
 
 
+def _partitions(total, largest=None):
+    """The partitions of total, each a descending tuple."""
+    if total == 0:
+        yield ()
+    for k in range(min(total, largest or total), 0, -1):
+        for rest in _partitions(total - k, k):
+            yield (k,) + rest
+
+
+def _pair_multisets(ps, qs):
+    """Every multiset of matched (p, q) points drawing its p's from the
+    multiset ps and its q's from qs, each once, with what is left of
+    ps and qs unmatched: (matched, unmatched p's, unmatched q's)."""
+    kinds = list(itertools.product(sorted(set(ps)), sorted(set(qs))))
+
+    def extend(i, ps, qs):
+        if i == len(kinds):
+            yield (), tuple(ps.elements()), tuple(qs.elements())
+            return
+        p, q = kinds[i]
+        for c in range(min(ps[p], qs[q]) + 1):
+            for rest, unm_p, unm_q in extend(i + 1, ps - Counter({p: c}), qs - Counter({q: c})):
+                yield ((p, q),) * c + rest, unm_p, unm_q
+
+    yield from extend(0, Counter(ps), Counter(qs))
+
+
 def _mass_identity_matchings():
-    """The small matchings of degree >= 2 a pair satisfying Hypothesis I
-    can have: matched plus unmatched mass is deg - 1 on each side."""
-    for m in _small_equal_degree_matchings():
-        p_mass = sum(p for p, _ in m.matched_points) + m.unmatched_p_mass
-        q_mass = sum(q for _, q in m.matched_points) + m.unmatched_q_mass
-        if m.deg_p >= 2 and (p_mass, q_mass) == (m.deg_p - 1, m.deg_q - 1):
-            yield m
+    """Every matching a pair satisfying Hypothesis I can have with
+    n >= m >= 2 and n <= 8: P's multiplicities are a partition of n - 1,
+    Q's of m - 1, and any multiset of pairs of them is matched."""
+    for n in range(2, 9):
+        for m in range(2, n + 1):
+            for ps, qs in itertools.product(_partitions(n - 1), _partitions(m - 1)):
+                for matched, unm_p, unm_q in _pair_multisets(ps, qs):
+                    yield make_matching(matched, unm_p, unm_q)
 
 
 def test_decide_feeds_the_witness_audit_on_bare_matchings():
@@ -475,6 +503,11 @@ def test_decide_feeds_the_witness_audit_on_bare_matchings():
     for m in _mass_identity_matchings():
         v = decide(m)
         rules[v.rule] += 1
+        # the mass identity: theorem1_lhs - corollary1_lhs = n - m, so
+        # each mirrored rule without an emitter fires with its P-side rule
+        fired = set(v.fired_rules)
+        assert ("Corollary 1" in fired) == ("Theorem 1" in fired), m
+        assert ("big2c(a)" in fired) == ("big2(a)" in fired), m
         if v.outcome is not Outcome.HYPERBOLIC:
             continue
         try:
@@ -484,13 +517,14 @@ def test_decide_feeds_the_witness_audit_on_bare_matchings():
             continue
         assert all(r.overall for r in reports), (m, v.rule)
         audited += 1
-    assert sum(rules.values()) == 642 and audited == 609
-    # x^4 vs y^4: one triple point a side, both at value 0.  decide calls
-    # it Theorem 3, but the pair has linear factors y = i^k x, so the
-    # linear-factor step of classify reports case 1 before decide runs
-    assert refused == [make_matching([(3, 3)])]
+    assert sum(rules.values()) == 9858 and audited == 7373
+    # x^n vs y^n: one point of multiplicity n - 1 a side, both at value 0.
+    # decide calls it Theorem 3, but the pair has linear factors
+    # y = zeta x, so the linear-factor step of classify reports case 1
+    # before decide runs
+    assert refused == [make_matching([(k, k)]) for k in range(3, 8)]
     assert classify(PolynomialPair(poly_of(0, 0, 0, 0, 1), poly_of(0, 0, 0, 0, 1))).case == 1
-    # a mirrored rule is reached only when the p-side rule also fires
+    # so neither is ever a verdict's rule
     assert rules["Corollary 1"] == rules["big2c(a)"] == 0
 
 

@@ -311,6 +311,22 @@ def test_precision_must_be_positive(bits, capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_precision_must_be_an_integer(capsys):
+    code = main(["classify", "--p", "x^3", "--q", "x^3", "--oracle", "numeric", "--precision", "abc"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert f"must be an integer in 1..{PRECISION_CAP}, got 'abc'" in captured.err
+
+
+def test_text_report_renders_oracles_and_timings(capsys):
+    code = main(["classify", "--p", "x^7 + x", "--q", "x^7 + 2*x", "--oracle", "both", "--timings"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[-3].startswith("geometry oracle: delta=")
+    assert lines[-2] == "numeric oracle: Agree at 256 bits (l0=0)"
+    assert lines[-1].startswith("timings: classify_ms=") and ", parse_ms=" in lines[-1]
+
+
 def test_oversized_coefficients_are_usage_errors():
     """A coefficient past the int-to-str digit limit is refused by the
     parser, not met as a traceback while the report is printed."""

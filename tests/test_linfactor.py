@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import poly_of, random_perturbed_pair, reference_linear_factor, shift_for_scale
 from sepcurve import linfactor
+from sepcurve.classify import classify
 from sepcurve.critical import PolynomialPair
 from sepcurve.instances import (
     _nonzero_small,
@@ -27,6 +29,23 @@ def test_diagonal_cubic_family():
     assert w.scale_minpoly(rat(1)) == 0
     assert shift_for_scale(w, rat(1)) == 0
     assert "y - (s*x + t)" in w.description
+
+
+def test_family_past_the_digit_limit_keeps_its_verdict():
+    # P = A(2x + 7^6000): the shift t has 5071 digits, past 4300
+    a = poly_of(1, 1, 0, 1)
+    pair = PolynomialPair(compose_affine(a, rat(2), rat(7**6000)), a)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        v = classify(pair)
+        assert v.rule == "Theorem 3 case 1"
+        assert v.linear_witness.description == (
+            "family of 1 linear factor(s) y - (s*x + t): "
+            "coefficients past the int-to-str digit limit"
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_rational_substitution_is_found_and_verified():

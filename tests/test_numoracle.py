@@ -27,9 +27,9 @@ from helpers import (
     to_mpc,
     to_mpf,
 )
-from oracle_sweep import DIGESTS, FULL_RUN_PASSES, FULL_RUN_SEEDS, digest, draw, summary
+from oracle_sweep import DIGESTS, FULL_RUN_PASSES, FULL_RUN_SEEDS, digest, draw, summary, sweep
 from sepcurve import numoracle
-from sepcurve.critical import PolynomialPair, analyze, hypothesis_I, match_pairs
+from sepcurve.critical import CriticalStructure, PolynomialPair, analyze, hypothesis_I, match_pairs
 from sepcurve.instances import random_polynomial
 from sepcurve.parsepoly import parse_poly
 from sepcurve.numoracle import (
@@ -537,6 +537,16 @@ def test_oracle_answers_match_the_sweep_digests(seed):
             assert digest(s) == recorded[key][i], (key, i, kind, [p.to_string() for p in polys], s)
 
 
+def test_oracle_sweep_compare_finds_no_difference(capsys):
+    """tests/oracle_sweep.py's compare over all of its items.  Debug
+    checks are off for it: their reruns take the sweep from about 4 s
+    to about 50 s."""
+    with mock.patch.dict(os.environ):
+        os.environ.pop("SEPCURVE_DEBUG_CHECKS", None)
+        assert sweep(write=False) == 0
+    assert capsys.readouterr().out == "3080 items, 0 differ\n"
+
+
 def test_non_squarefree_input_refused():
     with pytest.raises(ValueError, match="squarefree"):
         complex_roots(poly_of(0, 0, 1))
@@ -586,6 +596,18 @@ def test_hypothesis_corroboration_simple_and_clustered():
     rep = corroborate_hypothesis_I(poly_of(0, 0, -2, 0, 1))  # x^4 - 2x^2
     assert rep.outcome is OracleOutcome.AGREE and rep.symbolic is False
     assert rep.cluster_sizes == (2, 1)
+
+
+@pytest.mark.parametrize("claimed", [(2,), (3,)])
+def test_hypothesis_corroboration_disagrees_with_a_wrong_exact_picture(claimed):
+    # x^3 - 3x has critical values 2 and -2 in disjoint disks: an exact
+    # picture with both points at one value, or with three points, is
+    # refuted at the first step
+    wrong = property(lambda self: claimed)
+    with mock.patch.object(CriticalStructure, "value_multiplicities", wrong):
+        rep = corroborate_hypothesis_I(poly_of(0, -3, 0, 1))
+    assert rep.outcome is OracleOutcome.DISAGREE
+    assert (rep.precision_bits, rep.cluster_sizes) == (256, (1, 1))
 
 
 @pytest.mark.parametrize("bits", [0, -8])
