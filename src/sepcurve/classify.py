@@ -23,9 +23,9 @@ Rule labels are the report vocabulary used by the CLI/JSON interface.
 from __future__ import annotations
 
 import enum
-import os
 from collections import namedtuple
 
+from . import rpoly
 from .critical import PairMatching, PolynomialPair, corollary1_lhs, theorem1_lhs
 from .linfactor import find_linear_factor
 
@@ -204,13 +204,14 @@ def _no_shared_value(pair: PolynomialPair) -> bool:
     give P(x) = Q(s*x + t), so every critical value of P is one of Q's
     (Kozen & Landau, J. Symb. Comp. 7, 1989).  Asked only where the
     cascade reads the matching next when the pair has no linear factor.
-    With SEPCURVE_DEBUG_CHECKS=1 the skipped search runs and must find
+    With ``rpoly.DEBUG_CHECKS`` on (SEPCURVE_DEBUG_CHECKS set when the
+    package is first imported) the skipped search runs and must find
     nothing."""
     if not (pair.critical_p().hypothesis_I and pair.critical_q().hypothesis_I):
         return False
     if pair.matching().matched_pair_count:
         return False
-    if os.environ.get("SEPCURVE_DEBUG_CHECKS") and find_linear_factor(pair) is not None:
+    if rpoly.DEBUG_CHECKS and find_linear_factor(pair) is not None:
         raise ArithmeticError("linear factor found on a pair that shares no critical value")
     return True
 

@@ -23,10 +23,10 @@ multiplicity classes need no Yun decomposition.
 
 from __future__ import annotations
 
-import os
 from collections import namedtuple
 from functools import cached_property, reduce
 
+from . import rpoly
 from .rpoly import (
     Poly,
     _coprime_mod_p,
@@ -171,7 +171,8 @@ def analyze(p: Poly) -> CriticalStructure:
     the image of S declines; a single class S then takes no second image.
     Any other outcome, an unlucky prime included, builds the exact table
     (one ``resultant_shift`` and one Yun decomposition per class) and
-    reads the shape from it.  With SEPCURVE_DEBUG_CHECKS=1 a side
+    reads the shape from it.  With ``rpoly.DEBUG_CHECKS`` on
+    (SEPCURVE_DEBUG_CHECKS set when the package is first imported) a side
     certified without Yun is also run through Yun, every certified shape
     is compared with the exact table's, and the image with the product
     of the exact ``resultant_shift`` polynomials reduced mod p.
@@ -191,7 +192,7 @@ def analyze(p: Poly) -> CriticalStructure:
         image = _certified_images(p, tried)
     if image is not None:
         classes = tried
-        if os.environ.get("SEPCURVE_DEBUG_CHECKS"):
+        if rpoly.DEBUG_CHECKS:
             if squarefree_decomposition(dp).parts != ((tried[0].factor, 1),):
                 raise ArithmeticError("critical classes disagree: one class modulo p, not Yun's")
     else:
@@ -200,7 +201,7 @@ def analyze(p: Poly) -> CriticalStructure:
             image = _certified_images(p, classes)
     cs = CriticalStructure(p, classes, image)
     cs.shape  # an uncertified side builds its exact table here
-    if cs.image is not None and os.environ.get("SEPCURVE_DEBUG_CHECKS"):
+    if cs.image is not None and rpoly.DEBUG_CHECKS:
         if _shape(_value_table(p, classes)) != cs.shape:
             raise ArithmeticError("critical-value shapes disagree: certified modulo p, not over Q")
         exact = (_residues(resultant_shift(c.factor, p)) for c in classes)

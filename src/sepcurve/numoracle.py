@@ -41,13 +41,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
-from .critical import (
-    DEFAULT_PRECISION,
-    PRECISION_CAP,
-    PairMatching,
-    PolynomialPair,
-    analyze,
-)
+from .critical import DEFAULT_PRECISION, PRECISION_CAP, PolynomialPair, analyze
 from .rpoly import Poly, is_squarefree
 
 _GUARD = 64
@@ -536,9 +530,7 @@ def corroborate_hypothesis_I(
 
 
 def verify_pair_counts(
-    pp: PolynomialPair,
-    pm: PairMatching | None = None,
-    precision_bits: int = DEFAULT_PRECISION,
+    pp: PolynomialPair, precision_bits: int = DEFAULT_PRECISION
 ) -> PairCountOracle:
     """Recount the matched critical-value pairs with error disks.
 
@@ -551,7 +543,7 @@ def verify_pair_counts(
     """
     if precision_bits < 1:
         raise ValueError(f"precision_bits must be at least 1, got {precision_bits}")
-    pm = pm or pp.matching()
+    pm = pp.matching()
     if not (pp.critical_p().hypothesis_I and pp.critical_q().hypothesis_I):
         return PairCountOracle(
             OracleOutcome.AMBIGUOUS,

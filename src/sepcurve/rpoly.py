@@ -52,6 +52,13 @@ from operator import mul
 
 from .rationals import ZERO, Rat, rat
 
+# SEPCURVE_DEBUG_CHECKS, read once, when the package is first imported:
+# any non-empty value turns on the cross-checks that rerun a fast route
+# by an independent one, here in ``resultant_shift`` and in
+# ``critical.analyze`` and ``classify``, which read it as
+# ``rpoly.DEBUG_CHECKS`` so that a test can switch it.
+DEBUG_CHECKS = bool(os.environ.get("SEPCURVE_DEBUG_CHECKS"))
+
 
 def _coerce(value):
     if isinstance(value, Poly):
@@ -578,8 +585,8 @@ def _few_roots_mod_p(f: Poly) -> bool:
     not a certificate.  f has deg f - deg gcd(f, f') distinct roots, and
     the gcd divides r = f mod f', so it has degree deg f - 1 exactly when
     r = 0, and deg f - 2 >= 1 exactly when r has that degree and divides
-    f'.  Both remainders have a linear quotient, so each is one pass over
-    GF(p), written out below up to a unit factor, O(deg f) in all.
+    f'.  Both remainders have a linear quotient, so each is one pass of
+    ``_rem_mod_p``, O(deg f) in all.
 
     >>> _few_roots_mod_p(Poly([0, 0, -1, 1])), _few_roots_mod_p(Poly([0, 2, -3, 1]))
     (True, False)
@@ -588,20 +595,10 @@ def _few_roots_mod_p(f: Poly) -> bool:
     a = [c % p for c in f.num]
     if n < 2 or not a[n]:
         return False
-    # n^2 lc(f) (f mod f') = n^2 lc(f) (f - (x/n + c) f'), c = a[n-1] / (n^2 lc(f))
-    s, t, tail = n * a[n], a[n - 1], a[1:]
-    r = [(s * i * x - t * j * y) % p for i, x, j, y in zip(range(n, 1, -1), a, range(1, n), tail)]
-    if not any(r):
+    da = [c % p for c in _derivative(a)]  # lc n * a[n] is a unit: n < p
+    if not (r := _rem_mod_p(a, da)):
         return True
-    if n < 3 or not r[-1]:
-        return False
-    # r | f' exactly when R^2 f' = (s R x + w) r, R = lc(r), s = lc(f')
-    big_r = r[-1]
-    sr, rr, w = s * big_r, big_r * big_r, (n - 1) * t * big_r - s * r[-2]
-    return not any(
-        (rr * j * x - sr * y - w * z) % p
-        for j, x, y, z in zip(range(1, n + 1), tail, [0] + r, r + [0])
-    )
+    return n >= 3 and len(r) == n - 1 and not _rem_mod_p(da, r)
 
 
 # Residue lists travel packed into one int, a 64-bit slot per residue,
@@ -845,8 +842,8 @@ def resultant_shift(s: Poly, p: Poly) -> Poly:
     sigma^deg r * rho^deg S * prod (y - P(a)) lies in Z[y]; it is
     evaluated by integer resultants at y = 0..deg S, interpolated in
     integers and divided once by sigma^deg r * rho^deg S.  With
-    SEPCURVE_DEBUG_CHECKS=1 an independent determinant route is run and
-    compared.
+    ``DEBUG_CHECKS`` on (SEPCURVE_DEBUG_CHECKS set when the package is
+    first imported) an independent determinant route is run and compared.
 
     >>> resultant_shift(Poly([-1, 0, 1]), Poly([0, 0, 1])).to_string("y")
     'y^2 - 2*y + 1'
@@ -869,7 +866,7 @@ def resultant_shift(s: Poly, p: Poly) -> Poly:
         out = _make(u, s.den**r.degree * rho**n)
     if out.degree != n or out.num[-1] != out.den:
         raise ArithmeticError("interpolated image polynomial is malformed")
-    if os.environ.get("SEPCURVE_DEBUG_CHECKS"):
+    if DEBUG_CHECKS:
         alt = _sylvester_resultant_shift(s, p)
         if alt != out:
             raise ArithmeticError(

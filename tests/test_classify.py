@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from unittest import mock
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -137,10 +137,10 @@ def test_natural_case_5_shape():
     assert (v.case, v.rule) == (5, "Theorem 3 case 5")
 
 
-def test_a_dense_pair_runs_no_yun_and_no_linear_factor_search(monkeypatch):
+def test_a_dense_pair_runs_no_yun_and_no_linear_factor_search(monkeypatch, debug_checks):
     """Both sides certified as one class and no value shared: neither
     Yun's decomposition nor the linear-factor search runs."""
-    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)  # they rerun both
+    debug_checks(False)  # they rerun both
     calls = Counter()
     for module, name in ((critical, "squarefree_decomposition"), (cascade, "find_linear_factor")):
         real = getattr(module, name)
@@ -164,18 +164,18 @@ def test_the_gap_rule_pair_searches_for_a_linear_factor_before_any_analysis(monk
     assert events == ["find_linear_factor"]
 
 
-def test_a_skipped_linear_factor_search_is_rerun_under_debug_checks(monkeypatch):
+def test_a_skipped_linear_factor_search_is_rerun_under_debug_checks(monkeypatch, debug_checks):
     """A matching that wrongly shares no value skips the search; the
     debug checks run it and find the factor."""
-    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)
+    debug_checks(False)
     p = theorem3_pair(4).p  # 5x^6 - 6x^5: points of multiplicity 4 and 1, values 0 and -1
     unshared = make_matching((), (4, 1), (4, 1))
     monkeypatch.setattr(critical, "match_pairs", lambda pair: unshared)
     v = classify(PolynomialPair(p, p.shift_argument(3)))  # y = x - 3 is a factor
     assert v.linear_witness is None  # the faulty matching is trusted...
-    with mock.patch.dict(os.environ, {"SEPCURVE_DEBUG_CHECKS": "1"}):
-        with pytest.raises(ArithmeticError, match="linear factor found"):
-            classify(PolynomialPair(p, p.shift_argument(3)))  # ...unless debug checks search
+    debug_checks(True)
+    with pytest.raises(ArithmeticError, match="linear factor found"):
+        classify(PolynomialPair(p, p.shift_argument(3)))  # ...unless debug checks search
 
 
 _NO_FACTOR = "linear factor: none"
@@ -526,6 +526,48 @@ def test_decide_feeds_the_witness_audit_on_bare_matchings():
     assert classify(PolynomialPair(poly_of(0, 0, 0, 0, 1), poly_of(0, 0, 0, 0, 1))).case == 1
     # so neither is ever a verdict's rule
     assert rules["Corollary 1"] == rules["big2c(a)"] == 0
+
+
+def _euler_characteristic(matching):
+    """χ of the curve P(x) = Q(y) read off a bare matching under
+    Hypothesis I, by Riemann–Hurwitz over the t-line: 2nm, less
+    nm - gcd(n, m) at infinity.  A matched (p, q) is one value where P
+    has one point of index e = p + 1 and Q one of index f = q + 1: that
+    pair loses ef - gcd(e, f), Q's point against P's n - e others f - 1
+    each, and P's against Q's m - f others e - 1 each.  An unmatched
+    point of P of multiplicity p loses p·m, and one of Q, q·n."""
+    n, m = matching.deg_p, matching.deg_q
+    chi = n * m + gcd(n, m)
+    chi -= m * sum(matching.unmatched_p_points) + n * sum(matching.unmatched_q_points)
+    for p, q in matching.matched_points:
+        e, f = p + 1, q + 1
+        chi -= e * f - gcd(e, f) + (e - 1) * (m - f) + (f - 1) * (n - e)
+    return chi
+
+
+def test_euler_characteristic_agrees_with_decide_on_bare_matchings():
+    """χ is even on every shape of the degree-8 sweep, at least 0 on
+    every shape decide sends to Theorem 3 cases 2-7 (a component of
+    genus at most one), and at most -2 on every Hyperbolic shape but
+    six.  Those six force Q = P∘affine, so the linear-factor step of
+    classify decides them before decide is asked."""
+    shapes, low, exceptions = 0, 0, {}
+    for m in _mass_identity_matchings():
+        v, chi = decide(m), _euler_characteristic(m)
+        assert chi % 2 == 0, m
+        shapes += 1
+        if v.case in range(2, 8):
+            assert chi >= 0, m
+            low += 1
+        elif v.outcome is Outcome.HYPERBOLIC and chi > -2:
+            exceptions[m] = chi
+    assert (shapes, low) == (9858, 42)
+    # x^n vs y^n, n = k + 1: χ = 2k + 2, and the emitter refuses them
+    pinned = {make_matching([(k, k)]): 2 * k + 2 for k in range(3, 8)}
+    # n = 6 with shared values of multiplicities 3 and 2: χ = 0, and its
+    # witnesses pass the audit
+    pinned[make_matching([(3, 3), (2, 2)])] = 0
+    assert exceptions == pinned
 
 
 def test_excluded_shape_and_near_miss_notes_on_both_sides():

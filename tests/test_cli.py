@@ -9,6 +9,7 @@ regenerate both after an intentional schema change with
     python3 tests/test_cli.py --regen
 """
 
+import collections
 import contextlib
 import gc
 import io
@@ -641,12 +642,12 @@ def test_corpus_pins_every_reachable_rule():
     assert reachable <= rules
 
 
-def test_verdict_corpus_replays_under_debug_checks(monkeypatch):
+def test_verdict_corpus_replays_under_debug_checks(debug_checks):
     """SEPCURVE_DEBUG_CHECKS=1 reruns every certified class, shape and
     value image, every skipped linear-factor search, and every
     resultant_shift by the determinant route; every record with both
     degrees at most 9 replays byte-identically."""
-    monkeypatch.setenv("SEPCURVE_DEBUG_CHECKS", "1")
+    debug_checks(True)
     replayed = 0
     for index, line in enumerate(CORPUS.read_text().splitlines()):
         rep = json.loads(line)
@@ -656,6 +657,53 @@ def test_verdict_corpus_replays_under_debug_checks(monkeypatch):
         assert _corpus_record(_corpus_argv(p, q, index)) == line, (p, q)
         replayed += 1
     assert replayed >= 250
+
+
+@pytest.mark.parametrize("value, on", [("1", True), ("0", True), ("", False), (None, False)])
+def test_debug_switch_is_read_from_the_starting_environment(value, on):
+    """A process that starts with SEPCURVE_DEBUG_CHECKS set to any
+    non-empty value has rpoly.DEBUG_CHECKS on; without it, off."""
+    env = {k: v for k, v in os.environ.items() if k != "SEPCURVE_DEBUG_CHECKS"}
+    env["PYTHONPATH"] = str(pathlib.Path(__file__).parent.parent / "src")
+    if value is not None:
+        env["SEPCURVE_DEBUG_CHECKS"] = value
+    run = subprocess.run(
+        [sys.executable, "-c", "from sepcurve import rpoly; print(rpoly.DEBUG_CHECKS)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert run.stdout == f"{on}\n"
+
+
+class _CountingEnviron(collections.UserDict):
+    """An ``os.environ`` stand-in that records every key looked up."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.read = []
+
+    def __contains__(self, key):
+        self.read.append(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return super().__getitem__(key)
+
+
+def test_cli_runs_never_look_up_the_debug_switch(monkeypatch, capsys):
+    """The switch is read once, at import: classifying the selftest pairs
+    and a linear-factor pair, with witnesses and the geometry oracle,
+    looks SEPCURVE_DEBUG_CHECKS up in no call."""
+    environ = _CountingEnviron(os.environ)
+    monkeypatch.setattr(os, "environ", environ)
+    pairs = [pair for _, pair, *_ in cli._selftest_items()]
+    pairs.append(ins.random_linear_factor_pair(random.Random(37))[0])
+    for pair in pairs:
+        argv = ["--p", pair.p.to_string(), "--q", pair.q.to_string(), "--json", "--witness"]
+        main(["classify", *argv, "--oracle", "geometry"])
+        json.loads(capsys.readouterr().out)
+    assert len(pairs) == 17
+    assert "SEPCURVE_DEBUG_CHECKS" not in environ.read
 
 
 def _regen():

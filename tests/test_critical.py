@@ -1,5 +1,4 @@
 import copy
-import os
 import pickle
 import random
 from functools import reduce
@@ -178,11 +177,11 @@ def test_hypothesis_I_pinned_radical_degree_rule():
     assert analyze(poly_of(0, -3, 0, 1)).values == ((poly_of(-4, 0, 1), (1,)),)
 
 
-def test_classify_shifts_once_per_class_per_side(monkeypatch):
+def test_classify_shifts_once_per_class_per_side(monkeypatch, debug_checks):
     """At most one shift per class per side: none when both shapes are
     certified and no value is shared, one per class when the matching
     reads the pieces or a shape is not certified."""
-    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)  # it builds every table
+    debug_checks(False)  # it builds every table
     calls = []
 
     def counting(s, p):
@@ -261,8 +260,8 @@ def test_certified_sides_sharing_a_value_match_through_the_exact_pieces():
     assert (m.matched_points, m.unmatched_p_points, m.unmatched_q_points) == (((2, 1),), (1,), ())
 
 
-def test_a_wrong_shape_certificate_is_caught_under_debug_checks(monkeypatch):
-    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)
+def test_a_wrong_shape_certificate_is_caught_under_debug_checks(monkeypatch, debug_checks):
+    debug_checks(False)
     monkeypatch.setattr(  # certify every shape, generic or not
         critical,
         "_certified_images",
@@ -272,15 +271,15 @@ def test_a_wrong_shape_certificate_is_caught_under_debug_checks(monkeypatch):
     )
     p = poly_of(0, 0, -2, 0, 1)  # x^4 - 2x^2: -1 taken twice
     assert analyze(p).hypothesis_I  # the faulty certificate is trusted...
-    with mock.patch.dict(os.environ, {"SEPCURVE_DEBUG_CHECKS": "1"}):
-        with pytest.raises(ArithmeticError, match="shapes disagree"):
-            analyze(p)  # ...unless debug checks build the exact table
+    debug_checks(True)
+    with pytest.raises(ArithmeticError, match="shapes disagree"):
+        analyze(p)  # ...unless debug checks build the exact table
 
 
-def test_a_wrong_value_image_is_caught_under_debug_checks(monkeypatch):
+def test_a_wrong_value_image_is_caught_under_debug_checks(monkeypatch, debug_checks):
     """An image of the right shape but the wrong values: U(y + 1) for U,
     still squarefree, so only the image comparison can catch it."""
-    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)
+    debug_checks(False)
 
     def shifted(s, f):
         image = Poly(_value_image_mod_p(s, f)).shift_argument(1)
@@ -289,15 +288,15 @@ def test_a_wrong_value_image_is_caught_under_debug_checks(monkeypatch):
     monkeypatch.setattr(critical, "_value_image_mod_p", shifted)
     p = poly_of(0, -3, 0, 1)  # x^3 - 3x: values +-2, image y^2 - 4
     assert analyze(p).image == (GCD_PRIME - 3, 2, 1)  # the faulty kernel is trusted...
-    with mock.patch.dict(os.environ, {"SEPCURVE_DEBUG_CHECKS": "1"}):
-        with pytest.raises(ArithmeticError, match="value images disagree"):
-            analyze(p)  # ...unless debug checks compare each image with the exact one
+    debug_checks(True)
+    with pytest.raises(ArithmeticError, match="value images disagree"):
+        analyze(p)  # ...unless debug checks compare each image with the exact one
 
 
-def test_a_wrong_one_class_certificate_is_caught_under_debug_checks(monkeypatch):
+def test_a_wrong_one_class_certificate_is_caught_under_debug_checks(monkeypatch, debug_checks):
     """A side certified as the one class S = P' made monic skips Yun; the
     debug checks run Yun and compare."""
-    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)
+    debug_checks(False)
     monkeypatch.setattr(  # certify every class, squarefree or not
         critical,
         "_certified_images",
@@ -309,18 +308,18 @@ def test_a_wrong_one_class_certificate_is_caught_under_debug_checks(monkeypatch)
     assert not rpoly._few_roots_mod_p(p.derivative())
     (cls,) = analyze(p).classes  # the faulty certificate is trusted...
     assert (cls.factor.degree, cls.multiplicity) == (4, 1)
-    with mock.patch.dict(os.environ, {"SEPCURVE_DEBUG_CHECKS": "1"}):
-        with pytest.raises(ArithmeticError, match="critical classes disagree"):
-            analyze(p)  # ...unless debug checks run Yun's decomposition
+    debug_checks(True)
+    with pytest.raises(ArithmeticError, match="critical classes disagree"):
+        analyze(p)  # ...unless debug checks run Yun's decomposition
 
 
 @pytest.mark.parametrize("a, b", [(3, 2), (4, 1), (2, 5)])
-def test_a_probe_ended_side_certifies_the_classes_of_yun(monkeypatch, a, b):
+def test_a_probe_ended_side_certifies_the_classes_of_yun(monkeypatch, debug_checks, a, b):
     """P' = 6 u^a (u - 1)^b with u = 2x + 3, an affine image of
     x^a (x - 1)^b, has a repeated root and two distinct roots modulo p:
     the probe ends, the classes are Yun's decomposition of P', run once,
     and their images certify the shape."""
-    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)  # its checks build the exact table
+    debug_checks(False)  # its checks build the exact table
     u = poly_of(3, 2)
     dp = rat(6) * u**a * (u - poly_of(1)) ** b
     p = Poly([0] + [c / (k + 1) for k, c in enumerate(dp.coeffs)])

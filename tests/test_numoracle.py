@@ -28,7 +28,7 @@ from helpers import (
     to_mpf,
 )
 from oracle_sweep import DIGESTS, FULL_RUN_PASSES, FULL_RUN_SEEDS, digest, draw, summary, sweep
-from sepcurve import numoracle
+from sepcurve import critical, numoracle
 from sepcurve.critical import CriticalStructure, PolynomialPair, analyze, hypothesis_I, match_pairs
 from sepcurve.instances import random_polynomial
 from sepcurve.parsepoly import parse_poly
@@ -537,13 +537,12 @@ def test_oracle_answers_match_the_sweep_digests(seed):
             assert digest(s) == recorded[key][i], (key, i, kind, [p.to_string() for p in polys], s)
 
 
-def test_oracle_sweep_compare_finds_no_difference(capsys):
+def test_oracle_sweep_compare_finds_no_difference(capsys, debug_checks):
     """tests/oracle_sweep.py's compare over all of its items.  Debug
     checks are off for it: their reruns take the sweep from about 4 s
     to about 50 s."""
-    with mock.patch.dict(os.environ):
-        os.environ.pop("SEPCURVE_DEBUG_CHECKS", None)
-        assert sweep(write=False) == 0
+    debug_checks(False)
+    assert sweep(write=False) == 0
     assert capsys.readouterr().out == "3080 items, 0 differ\n"
 
 
@@ -632,10 +631,10 @@ def test_pair_count_recount_agreement():
     assert rep.outcome is OracleOutcome.AGREE and rep.l0_numeric == 0
 
 
-def test_pair_count_refutes_a_wrong_matching():
+def test_pair_count_refutes_a_wrong_matching(monkeypatch):
     diagonal = match_pairs(PolynomialPair(poly_of(0, -3, 0, 1), poly_of(0, -3, 0, 1)))
-    mismatched = PolynomialPair(poly_of(0, -3, 0, 1), poly_of(1, 0, 0, 1))
-    rep = verify_pair_counts(mismatched, diagonal)
+    monkeypatch.setattr(critical, "match_pairs", lambda pair: diagonal)
+    rep = verify_pair_counts(PolynomialPair(poly_of(0, -3, 0, 1), poly_of(1, 0, 0, 1)))
     assert rep.outcome is OracleOutcome.DISAGREE
     assert "disjoint disks" in rep.detail
 

@@ -191,10 +191,10 @@ def test_records_copy_and_pickle(cls, roundtrip):
     assert type(out) is cls and out == r
 
 
-def test_critical_structure_values_are_computed_once(monkeypatch):
+def test_critical_structure_values_are_computed_once(monkeypatch, debug_checks):
     """One resultant_shift per class, on first read or in analyze, and
     never again: the cached values sit in the instance dict."""
-    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)  # rebuilds the table
+    debug_checks(False)  # rebuilds the table
     calls = []
     real = critical.resultant_shift
     monkeypatch.setattr(critical, "resultant_shift", lambda s, p: calls.append(s) or real(s, p))

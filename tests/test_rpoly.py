@@ -1,5 +1,4 @@
 import copy
-import os
 import pickle
 import random
 import sys
@@ -391,8 +390,8 @@ def test_integer_kernels_on_shared_and_repeated_factors(a, b, c, k):
         assert _certificate_is_sound(x, y)
 
 
-def test_generic_gcds_skip_the_remainder_sequence(monkeypatch):
-    monkeypatch.delenv("SEPCURVE_DEBUG_CHECKS", raising=False)  # its checks run Yun on both sides
+def test_generic_gcds_skip_the_remainder_sequence(monkeypatch, debug_checks):
+    debug_checks(False)  # its checks run Yun on both sides
     callers, prs = Counter(), rpoly._subresultant_prs  # calls by calling kernel
     monkeypatch.setattr(
         rpoly, "_subresultant_prs",
@@ -465,8 +464,7 @@ def critical_classes(draw):
 @settings(deadline=None, max_examples=30)
 def test_value_image_at_the_class_degrees_of_dense_inputs(case):
     s, f = case
-    with mock.patch.dict(os.environ):
-        os.environ.pop("SEPCURVE_DEBUG_CHECKS", None)  # its determinant route takes seconds here
+    with mock.patch.object(rpoly, "DEBUG_CHECKS", False):  # its determinant route takes seconds here
         expected = _image_of_shift(s, f, P)
     assert rpoly._value_image_mod_p(s, f) == reference_value_image_mod_p(s, f) == expected
 
@@ -646,16 +644,13 @@ def test_resultant_shift_dual_route(sdata, p):
     """With debug checks on, resultant_shift compares the integer
     interpolation route against a Sylvester determinant and raises on
     any mismatch."""
-    import os
-    from unittest import mock
-
     s = Poly.one()
     for r in sdata:
         s = s * poly_of(-r, 1)
     s = squarefree_part(s)
     if p.degree < 1:
         p = poly_of(0, 0, 1)
-    with mock.patch.dict(os.environ, {"SEPCURVE_DEBUG_CHECKS": "1"}):
+    with mock.patch.object(rpoly, "DEBUG_CHECKS", True):
         resultant_shift(s, p)  # raises ArithmeticError if the routes disagree
 
 
