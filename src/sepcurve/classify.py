@@ -199,17 +199,16 @@ def decide(matching: PairMatching) -> Verdict:
 
 
 def _no_shared_value(pair: PolynomialPair) -> bool:
-    """True when both sides have simple critical values and the matching
-    shares none, so the pair has no linear factor: y = s*x + t would
-    give P(x) = Q(s*x + t), so every critical value of P is one of Q's
-    (Kozen & Landau, J. Symb. Comp. 7, 1989).  Asked only where the
-    cascade reads the matching next when the pair has no linear factor.
-    With ``rpoly.DEBUG_CHECKS`` on (SEPCURVE_DEBUG_CHECKS set when the
-    package is first imported) the skipped search runs and must find
-    nothing."""
-    if not (pair.critical_p().hypothesis_I and pair.critical_q().hypothesis_I):
-        return False
-    if pair.matching().matched_pair_count:
+    """True when the certificate proves that the sides share no critical
+    value: both sides certified, so each has simple critical values, and
+    their value images coprime mod p.  Then the pair has no linear
+    factor: y = s*x + t would give P(x) = Q(s*x + t), so every critical
+    value of P is one of Q's (Kozen & Landau, J. Symb. Comp. 7, 1989).
+    Only the certificate is read; any other pair is searched, and no
+    exact matching is built here.  With ``rpoly.DEBUG_CHECKS`` on
+    (SEPCURVE_DEBUG_CHECKS set when the package is first imported) the
+    skipped search runs and must find nothing."""
+    if not pair.images_coprime():
         return False
     if rpoly.DEBUG_CHECKS and find_linear_factor(pair) is not None:
         raise ArithmeticError("linear factor found on a pair that shares no critical value")
@@ -225,7 +224,7 @@ def classify(pair: PolynomialPair) -> Verdict:
 
     witness = None  # unequal degrees admit no linear factor
     if n == m and (gap_fires or not _no_shared_value(pair)):
-        witness = find_linear_factor(pair)
+        witness = pair.linear_factor()
     if witness is not None:  # so n == m
         hyp_p = pair.critical_p().hypothesis_I
         hyp_q = pair.critical_q().hypothesis_I

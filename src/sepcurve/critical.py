@@ -6,9 +6,11 @@ multiplicity (the order of vanishing of P'), each group carried as a
 monic squarefree factor.  The critical values are carried once, in a
 value table: pairwise coprime monic squarefree pieces, each with the
 multiplicities of the critical points that take each of its roots.
-All matching between the P-side and the Q-side happens through gcds of
-those pieces, never through the points themselves.  Each polynomial's
-data is computed once, by :func:`analyze`, and cached on the pair.
+Matching between the P-side and the Q-side happens through gcds of
+those pieces, never through the points themselves, except on a pair
+with a linear factor, whose matching is read from P's shape alone.
+Each polynomial's data is computed once, by :func:`analyze`, and cached
+on the pair.
 
 The verdicts read only the table's shape: the degree of each piece and
 its multiplicities, and the degrees of the gcds across the sides.  For
@@ -18,7 +20,8 @@ product of the class images mod p, and the exact pieces are built only
 when a caller reads them; two sides whose images are coprime mod p
 share no value, and match without them.  A generic side's image is the
 image of P' made monic, which proves P' squarefree as well, so its
-multiplicity classes need no Yun decomposition.
+multiplicity classes need no Yun decomposition; where that image
+declines, P' and P'' coprime mod p prove the same.
 """
 
 from __future__ import annotations
@@ -165,17 +168,22 @@ def analyze(p: Poly) -> CriticalStructure:
     as one class, S = P' made monic: an image of S squarefree mod p
     proves S squarefree too (a repeated root a of S would make
     (y - P(a))^2 divide it), so S is the whole of Yun's decomposition
-    and Yun is not run.  Yun's decomposition of P' gives the classes,
-    each with its own image, when ``rpoly._few_roots_mod_p`` shows P'
-    with a repeated root and at most two distinct roots mod p, or when
-    the image of S declines; a single class S then takes no second image.
+    and Yun is not run.  When the image of S declines, P' and P''
+    coprime mod p still prove S squarefree, by Brown's lemma (see
+    ``rpoly._coprime_mod_p``, which declines when p divides a leading
+    coefficient): S stays the one class, uncertified, and Yun is not run
+    either.  Yun's decomposition of P' gives the classes, each with its
+    own image, when ``rpoly._few_roots_mod_p`` shows P' with a repeated
+    root and at most two distinct roots mod p, or when neither test
+    proves S squarefree; a single class S then takes no second image.
     Any other outcome, an unlucky prime included, builds the exact table
     (one ``resultant_shift`` and one Yun decomposition per class) and
     reads the shape from it.  With ``rpoly.DEBUG_CHECKS`` on
     (SEPCURVE_DEBUG_CHECKS set when the package is first imported) a side
-    certified without Yun is also run through Yun, every certified shape
-    is compared with the exact table's, and the image with the product
-    of the exact ``resultant_shift`` polynomials reduced mod p.
+    whose one class was proven without Yun is also run through Yun,
+    every certified shape is compared with the exact table's, and the
+    image with the product of the exact ``resultant_shift`` polynomials
+    reduced mod p.
 
     >>> cs = analyze(Poly([0, 0, -2, 0, 1]))  # x^4 - 2x^2: 0 once, -1 twice
     >>> [(f.to_string("y"), mults) for f, mults in cs.values]
@@ -190,7 +198,7 @@ def analyze(p: Poly) -> CriticalStructure:
     if not _few_roots_mod_p(dp):
         tried = (CriticalClass(dp.monic(), 1),)
         image = _certified_images(p, tried)
-    if image is not None:
+    if image is not None or (tried and _coprime_mod_p(dp.num, dp.derivative().num)):
         classes = tried
         if rpoly.DEBUG_CHECKS:
             if squarefree_decomposition(dp).parts != ((tried[0].factor, 1),):
@@ -238,9 +246,11 @@ class PolynomialPair:
 
     ``swapped`` records whether the constructor exchanged the inputs to
     keep that normalization.  The pair caches what is computed from it:
-    each side's :class:`CriticalStructure` (``critical_p``/``critical_q``)
-    and their :class:`PairMatching` (``matching``), each computed on
-    first use only.  Equality and hashing read ``p``, ``q`` and ``swapped``.
+    each side's :class:`CriticalStructure` (``critical_p``/``critical_q``),
+    whether their value images are coprime (``images_coprime``), its
+    linear-factor witness (``linear_factor``) and their
+    :class:`PairMatching` (``matching``), each computed on first use
+    only.  Equality and hashing read ``p``, ``q`` and ``swapped``.
     """
 
     __slots__ = ("p", "q", "swapped", "_cs")
@@ -301,8 +311,23 @@ class PolynomialPair:
     def critical_q(self) -> CriticalStructure:
         return self._cached("q", analyze, self.q)
 
+    def images_coprime(self) -> bool:
+        """True when both sides are certified and their value images are
+        coprime mod p: then the sides share no critical value, since the
+        resultant of their value polynomials is nonzero mod p, so
+        nonzero.  A certified side has simple critical values."""
+        return self._cached("coprime", _images_coprime, self)
+
+    def linear_factor(self):
+        """The pair's linear-factor witness (``linfactor.find_linear_factor``),
+        or None, computed once.  A pair that holds a witness reads its
+        matching from it."""
+        from .linfactor import find_linear_factor  # linfactor imports this module
+
+        return self._cached("witness", find_linear_factor, self)
+
     def matching(self) -> "PairMatching":
-        return self._cached("matching", match_pairs, self)
+        return self._cached("matching", _pair_matching, self)
 
     def __repr__(self):
         return f"PolynomialPair(p={self.p.to_string()!r}, q={self.q.to_string()!r})"
@@ -374,6 +399,32 @@ class PairMatching(
         )
 
 
+def _images_coprime(pair: PolynomialPair) -> bool:
+    image_p, image_q = pair.critical_p().image, pair.critical_q().image
+    return image_p is not None and image_q is not None and _coprime_mod_p(image_p, image_q)
+
+
+def _pair_matching(pair: PolynomialPair) -> PairMatching:
+    """The matching of a pair, by :func:`match_pairs` unless the pair
+    holds a linear-factor witness.  Then P(x) = Q(s*x + t) for each
+    scale s of the family, so P'(x) = s*Q'(s*x + t): x -> s*x + t maps
+    the critical points of P onto those of Q with equal multiplicities
+    and equal values.  Each piece (d, mults) of P's shape is then shared
+    whole, and pairs every multiplicity in mults with every one, d
+    times; no point is unmatched, and Q's multiset is P's.  With
+    ``rpoly.DEBUG_CHECKS`` on, :func:`match_pairs` runs as well and must
+    agree."""
+    if pair._cs.get("witness") is None:
+        return match_pairs(pair)
+    cs_p = pair.critical_p()
+    matched = [(a, b) for d, mults in cs_p.shape for a in mults for b in mults for _ in range(d)]
+    multiset = cs_p.multiset()
+    m = PairMatching(pair.n, pair.m, tuple(sorted(matched, reverse=True)), (), (), multiset, multiset)
+    if rpoly.DEBUG_CHECKS and match_pairs(pair) != m:
+        raise ArithmeticError("matchings disagree: read from the linear factor, not match_pairs")
+    return m
+
+
 def match_pairs(pair: PolynomialPair) -> PairMatching:
     """Match the critical points of P and Q that share a value.
 
@@ -386,7 +437,7 @@ def match_pairs(pair: PolynomialPair) -> PairMatching:
     p are coprime share no value and match without building a piece.
     """
     cs_p, cs_q = pair.critical_p(), pair.critical_q()
-    shared = _shared_degrees(cs_p, cs_q)
+    shared = _shared_degrees(pair)
     matched = []
     for (_, p_mults), degs in zip(cs_p.shape, shared):
         for (_, q_mults), d in zip(cs_q.shape, degs):
@@ -408,14 +459,14 @@ def match_pairs(pair: PolynomialPair) -> PairMatching:
     )
 
 
-def _shared_degrees(cs_p: CriticalStructure, cs_q: CriticalStructure) -> list:
+def _shared_degrees(pair: PolynomialPair) -> list:
     """deg gcd of every P piece with every Q piece.  Two sides whose
-    images mod p are coprime share no value (the resultant of their
-    value polynomials is nonzero mod p, so nonzero), and no piece is
-    built; otherwise every pair of exact pieces takes one gcd."""
-    if cs_p.image is not None and cs_q.image is not None:
-        if _coprime_mod_p(cs_p.image, cs_q.image):
-            return [[0] * len(cs_q.classes) for _ in cs_p.classes]
+    images mod p are coprime share no value (``images_coprime``, tested
+    once per pair), and no piece is built; otherwise every pair of exact
+    pieces takes one gcd."""
+    cs_p, cs_q = pair.critical_p(), pair.critical_q()
+    if pair.images_coprime():
+        return [[0] * len(cs_q.classes) for _ in cs_p.classes]
     return [[poly_gcd(a, b).degree for b, _ in cs_q.values] for a, _ in cs_p.values]
 
 

@@ -9,22 +9,40 @@ t = s*a - b (Kozen & Landau, J. Symb. Comp. 7, 1989), that is when
 * p~_0 = q~_0 and p~_k = 0 exactly when q~_k = 0, and
 * s^n = p_n/q_n and s^k = p~_k/q~_k for every other k.
 
+The search runs on integer numerators.  For P = sum N_k x^k / D and
+w = n*N_n the centring shift is a = N_(n-1)/w.  The numerators are
+first shifted by the integer b nearest a, at their own size, which
+leaves a - b = u/w with |u| <= |w|/2.  With N' the shifted numerators,
+C(y) = sum N'_k * w^(n-k) * y^k has C(w*x) = D * w^n * P(x - b), and
+the integer Taylor shift A(y) = C(y - u) gives p~_k = A_k / (D * w^(n-k)).
+No rational is built: the centred constants, read first by Horner on
+the numerators, the centred coefficients and the ratios p~_k/q~_k are
+compared by cross-multiplication, with the factors that the two sides'
+D * w^(n-k) share divided out once.
+
 The common roots of z^e - c and z^k - r are all the roots of
 z^gcd(e, k) - c^u*r^v (u*e + v*k = gcd(e, k)) when
 c^(k/gcd) = r^(e/gcd), and none otherwise.  Folding that rule over k
 gives the scales as the roots of one monic binomial, from integer gcds
-on exponents and rational powers.  Before a witness is returned the
-claim P(x) = Q(z*x + t(z)) in Q[z]/(g) is re-verified exactly from the
-centred forms, without the fold, so a reported witness is always sound.
+on exponents and rational powers; c is reduced only when e drops, at
+most 1 + log2 n times.  Before a witness is returned the claim
+P(x) = Q(z*x + t(z)) in Q[z]/(z^e - c) is re-verified exactly from the
+centred numerators alone, without the fold: the scalings by w^(n-k)
+and the denominators D * w^(n-k) are rebuilt from P and Q, not taken
+from the search, and both shifts are undone, so a reported witness is
+always sound.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import accumulate
+from math import gcd
+from operator import mul
 
 from .critical import PolynomialPair
-from .rationals import ONE, Rat, rat
-from .rpoly import Poly
+from .rationals import ONE, ZERO, Rat, rat
+from .rpoly import Poly, taylor_shift
 
 
 class LinearFactorWitness(
@@ -70,50 +88,122 @@ def _bezout(e: int, k: int):
     return u0, v0
 
 
-def _scale_binomial(pt: Poly, qt: Poly):
+def _centred_constant(p: Poly) -> int:
+    """A_0 = sum N_k * (-u)^k * w^(n-k) = D * w^n * P(-a): p~_0 times
+    D * w^n, by Horner on the numerators at -a = -u / w, homogeneous in
+    w, with u = num_(n-1)."""
+    num, n = p.num, p.degree
+    acc, w_k, u, w = num[n], 1, -num[n - 1], n * num[n]
+    for c in reversed(num[:-1]):
+        w_k *= w
+        acc = acc * u + c * w_k
+    return acc
+
+
+def _centred(p: Poly) -> tuple:
+    """The centred form (P, N, A) of P = sum num_k x^k / D.  N are the
+    numerators of P(x - b) for the integer b nearest the centring shift
+    a = num_(n-1) / w, w = n * num_n, so a - b = u / w with u = N_(n-1)
+    and |u| <= |w| / 2; with C_k = N_k * w^(n-k), C(w*x) = D * w^n *
+    P(x - b), and A(y) = C(y - u), so p~_k = A_k / (D * w^(n-k)).  The
+    shift by b runs on the unscaled numerators, so the scaled C is
+    shifted by u alone."""
+    n = p.degree
+    w = n * p.num[n]
+    b, r = divmod(p.num[-2], w)
+    nums = taylor_shift(p.num, -(b + (2 * abs(r) > abs(w))))
+    w_pows = list(accumulate([1] + [w] * n, mul))
+    return p, nums, taylor_shift([c * w_pows[n - k] for k, c in enumerate(nums)], -nums[-2])
+
+
+def _denominators(p: Poly, q: Poly) -> tuple:
+    """(dens, dens'), low to high: D * w^(n-k) and D' * w'^(n-k) with
+    the common factors of D and D' and of w and w' divided out, so that
+    p~_k / q~_k = (A_k * dens'_k) / (B_k * dens_k)."""
+    n = p.degree
+    w_p, w_q = n * p.num[n], n * q.num[n]
+    g, h = gcd(w_p, w_q), gcd(p.den, q.den)
+    return tuple(
+        list(accumulate([d // h] + [w // g] * n, mul))[::-1] for d, w in ((p.den, w_p), (q.den, w_q))
+    )
+
+
+def _scale_binomial(a: list, dp: list, b: list, dq: list):
     """(e, c) such that the scales s with P~(u) = Q~(s*u) are exactly
-    the roots of z^e - c, or None when there are none, for centred P~
-    and Q~ of equal degree n with p~_0 = q~_0.  Each ratio p~_k / q~_k
-    is formed once, cross-multiplied from the integer numerators."""
-    pn, qn, n = pt.num, qt.num, pt.degree
-    if any(bool(pn[k]) != bool(qn[k]) for k in range(1, n - 1)):
+    the roots of z^e - c, or None when there are none, for the centred
+    numerators A and B of equal degree n, with p~_0 = q~_0 and the
+    denominators from :func:`_denominators`.  Each ratio
+    p~_k / q~_k = (A_k * dens'_k) / (B_k * dens_k) stays a pair of
+    integers, checked against c by cross-multiplication; c is reduced
+    only when e drops."""
+    n = len(a) - 1
+    if any(bool(a[k]) != bool(b[k]) for k in range(1, n - 1)):
         return None
-
-    def ratio(k):
-        return Rat(pn[k] * qt.den, qn[k] * pt.den)
-
-    e, c = n, ratio(n)
+    e, c = n, Rat(a[n] * dq[n], b[n] * dp[n])
     for k in range(n - 2, 0, -1):
-        if not qn[k]:
+        if not b[k]:
             continue
-        r = ratio(k)
+        rn, rd = a[k] * dq[k], b[k] * dp[k]
         u, v = _bezout(e, k)
         g = u * e + v * k
-        if c ** (k // g) != r ** (e // g):
+        if c.numerator ** (k // g) * rd ** (e // g) != rn ** (e // g) * c.denominator ** (k // g):
             return None
-        e, c = g, c**u * r**v
+        if g < e:
+            e, c = g, c**u * Rat(rn, rd) ** v
     return e, c
 
 
-def _centring_shift(p: Poly):
-    """a with P(x) = P~(x + a) and no x^(n-1) term in P~."""
-    return p.coeff(p.degree - 1) / (p.degree * p.lc)
+def _mod_binomial(terms, e: int, c) -> Poly:
+    """The sum of coefficient * z^k over the (k, coefficient) terms,
+    reduced modulo z^e - c by z^k = c^(k // e) * z^(k % e)."""
+    out = [ZERO] * e
+    for k, ck in terms:
+        out[k % e] += ck * c ** (k // e)
+    return Poly(out)
 
 
-def _verify(p: Poly, p_centred: tuple, q: Poly, q_centred: tuple, g: Poly, t: Poly) -> bool:
-    """P(x) = Q(z*x + t(z)) in Q[z]/(g), checked from the centred forms
-    (P~, a) and (Q~, b) without the exponent fold: P~(x + a) = P and
-    Q~(y + b) = Q, then p~_k = q~_k * z^k and t = z*a - b mod g, which
-    give P(x) = Q~(z*(x + a)) = Q~(z*x + t + b) = Q(z*x + t)."""
-    (pt, a), (qt, b) = p_centred, q_centred
-    if pt.shift_argument(a) != p or qt.shift_argument(b) != q:
+def _unshifted_scales(side: Poly, nums: list, centred: list):
+    """D * w^(n-k), low to high, for the centred form (P, N, A) of
+    P = side when it shifts back to P, else None.  Everything is
+    rebuilt from P, N and A alone: C_k = N_k * w^(n-k) with
+    w = n * num_n, then A(y + N_(n-1)) = C(y), and N shifted back by
+    the integer b = (num_(n-1) - N_(n-1)) / w gives P's numerators."""
+    n, w = side.degree, side.degree * side.num[-1]
+    w_pows = list(accumulate([1] + [w] * n, mul))[::-1]
+    if taylor_shift(centred, nums[-2]) != [c * w_k for c, w_k in zip(nums, w_pows)]:
+        return None
+    if taylor_shift(nums, (side.num[-2] - nums[-2]) // w) != list(side.num):
+        return None
+    return [side.den * w_k for w_k in w_pows]
+
+
+def _verify(p_centred: tuple, q_centred: tuple, e: int, c, t: Poly) -> bool:
+    """P(x) = Q(z*x + t(z)) in Q[z]/(z^e - c), checked from the centred
+    forms (P, N, A) and (Q, N', B) without the exponent fold, and
+    without the search's scalings: both shifts are undone by
+    :func:`_unshifted_scales`, so P~(x + a) = P and Q~(y + b) = Q with
+    p~_k = A_k / (D * w^(n-k)) and q~_k = B_k / (D' * w'^(n-k)).  Then
+    z^k = c^(k // e) * z^(k % e) turns p~_k = q~_k * z^k into
+    A_k = B_k = 0 when e does not divide k and
+    A_k * D' * w'^(n-k) * den(c)^j = B_k * D * w^(n-k) * num(c)^j for
+    k = j*e, and t = z*a - b mod z^e - c; together these give
+    P(x) = Q~(z*(x + a)) = Q~(z*x + t + b) = Q(z*x + t)."""
+    (p, _, a), (q, _, b) = p_centred, q_centred
+    dp, dq = _unshifted_scales(*p_centred), _unshifted_scales(*q_centred)
+    if dp is None or dq is None:
         return False
-    z_k = Poly.one()
-    for k in range(p.degree + 1):
-        if not (pt.coeff(k) - z_k * qt.coeff(k)).is_zero:
+    cn_j = cd_j = 1  # num(c)^j and den(c)^j at k = j*e
+    for k, (ak, bk) in enumerate(zip(a, b)):
+        if k % e:
+            if ak or bk:
+                return False
+            continue
+        if ak * dq[k] * cd_j != bk * dp[k] * cn_j:
             return False
-        z_k = (z_k * Poly.x()) % g
-    return ((t - Poly((-b, a))) % g).is_zero
+        cn_j, cd_j = cn_j * c.numerator, cd_j * c.denominator
+    shift_p = Rat(p.num[-2], p.degree * p.num[-1])
+    shift_q = Rat(q.num[-2], q.degree * q.num[-1])
+    return _mod_binomial(enumerate((t - Poly((-shift_q, shift_p))).coeffs), e, c).is_zero
 
 
 def find_linear_factor(pair: PolynomialPair):
@@ -125,21 +215,18 @@ def find_linear_factor(pair: PolynomialPair):
     if pair.n != pair.m:
         return None
     p, q, n = pair.p, pair.q, pair.n
-    a, b = _centring_shift(p), _centring_shift(q)
-    if p(-a) != q(-b):  # p~_0 != q~_0, so no scale matches: spare both shifts
-        return None
-    p_centred, q_centred = (p.shift_argument(-a), a), (q.shift_argument(-b), b)
-    binomial = _scale_binomial(p_centred[0], q_centred[0])
+    dp, dq = _denominators(p, q)
+    if _centred_constant(p) * dq[0] != _centred_constant(q) * dp[0]:
+        return None  # p~_0 != q~_0, so no scale matches: spare both centrings
+    p_centred, q_centred = _centred(p), _centred(q)
+    binomial = _scale_binomial(p_centred[2], dp, q_centred[2], dq)
     if binomial is None:
         return None
     e, c = binomial
-    g = Poly.monomial(1, e) - Poly.constant(c)
 
-    shift_num = (
-        Poly.constant(p.coeff(n - 1)) - Poly.monomial(q.coeff(n - 1), n - 1)
-    ) * Poly.x() % g
+    shift_num = _mod_binomial(((1, p.coeff(n - 1)), (n, -q.coeff(n - 1))), e, c)
     shift_den = rat(n) * p.lc
-    if not _verify(p, p_centred, q, q_centred, g, shift_num * (ONE / shift_den)):
+    if not _verify(p_centred, q_centred, e, c, shift_num * (ONE / shift_den)):
         raise ArithmeticError("linear-factor witness failed its exact re-verification")
 
-    return LinearFactorWitness(g, shift_num, shift_den)
+    return LinearFactorWitness(Poly.monomial(1, e) - Poly.constant(c), shift_num, shift_den)

@@ -247,10 +247,7 @@ class Poly:
         v_pows = [1]
         for _ in range(n):
             v_pows.append(v_pows[-1] * v)
-        cs = [c * v_pows[n - k] for k, c in enumerate(self.num)]
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                cs[j] += u * cs[j + 1]
+        cs = taylor_shift([c * v_pows[n - k] for k, c in enumerate(self.num)], u)
         return _make([c * v_pows[k] for k, c in enumerate(cs)], self.den * v_pows[-1])
 
     def scale_argument(self, s) -> "Poly":
@@ -299,6 +296,17 @@ class Poly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+
+def taylor_shift(cs, u: int) -> list:
+    """C(y + u) for integer coefficients C, low to high: deg C rounds of
+    synthetic division by y - u."""
+    cs, n = list(cs), len(cs) - 1
+    if u:
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                cs[j] += u * cs[j + 1]
+    return cs
 
 
 def _make(num: list, den: int = 1) -> Poly:

@@ -1,7 +1,9 @@
 """Builders shared across the test modules, and the reference routes
 the package's faster kernels are compared against."""
 
+import importlib
 import sys
+from collections import Counter
 from operator import mul
 
 from sepcurve import critical, instances, numoracle, rpoly
@@ -248,6 +250,46 @@ def shift_for_scale(w, s):
     if w.scale_minpoly(s) != 0:
         raise ValueError(f"{s} is not a root of the scale polynomial")
     return w.shift_numerator(s) / w.shift_denominator
+
+
+# ---------------------------------------------------------------------------
+# counting wrappers: how often the package's exact kernels run
+# ---------------------------------------------------------------------------
+
+# the kernels the count budgets read; match_pairs is the exact route of a
+# pair's matching
+COUNTED = (
+    "resultant_shift",
+    "poly_gcd",
+    "squarefree_decomposition",
+    "_coprime_mod_p",
+    "find_linear_factor",
+    "match_pairs",
+)
+
+
+def count_calls(monkeypatch, names=COUNTED):
+    """A Counter of the calls of the package functions with these names
+    until the test ends: every ``sepcurve`` module that binds one gets a
+    counting wrapper, so calls through ``from ... import`` names count
+    too.  The modules the CLI imports lazily are imported first, so none
+    of them binds a wrapper that outlives the test."""
+    for lazy in ("cli", "geometry", "instances", "numoracle", "oneforms"):
+        importlib.import_module(f"sepcurve.{lazy}")
+    counts = Counter()
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("sepcurve.")]:
+        for name in names:
+            if callable(real := getattr(module, name, None)):
+                monkeypatch.setattr(module, name, counting(name, real))
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import make_matching, poly_of, random_perturbed_pair
 import sepcurve.critical as critical
+import sepcurve.linfactor as linfactor
 from sepcurve.classify import (
     Outcome,
     classify,
@@ -142,7 +143,11 @@ def test_a_dense_pair_runs_no_yun_and_no_linear_factor_search(monkeypatch, debug
     Yun's decomposition nor the linear-factor search runs."""
     debug_checks(False)  # they rerun both
     calls = Counter()
-    for module, name in ((critical, "squarefree_decomposition"), (cascade, "find_linear_factor")):
+    for module, name in (
+        (critical, "squarefree_decomposition"),
+        (cascade, "find_linear_factor"),
+        (linfactor, "find_linear_factor"),
+    ):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, r=real, n=name: calls.update([n]) or r(*a))
     rng = random.Random(26)
@@ -155,7 +160,11 @@ def test_a_dense_pair_runs_no_yun_and_no_linear_factor_search(monkeypatch, debug
 
 def test_the_gap_rule_pair_searches_for_a_linear_factor_before_any_analysis(monkeypatch):
     events = []
-    for module, name in ((critical, "analyze"), (cascade, "find_linear_factor")):
+    for module, name in (
+        (critical, "analyze"),
+        (cascade, "find_linear_factor"),
+        (linfactor, "find_linear_factor"),
+    ):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda a, r=real, n=name: events.append(n) or r(a))
     x7 = poly_of(0, 0, 0, 0, 0, 0, 0, 1)
@@ -165,14 +174,13 @@ def test_the_gap_rule_pair_searches_for_a_linear_factor_before_any_analysis(monk
 
 
 def test_a_skipped_linear_factor_search_is_rerun_under_debug_checks(monkeypatch, debug_checks):
-    """A matching that wrongly shares no value skips the search; the
-    debug checks run it and find the factor."""
+    """A certificate that wrongly says the value images are coprime
+    skips the search; the debug checks run it and find the factor."""
     debug_checks(False)
     p = theorem3_pair(4).p  # 5x^6 - 6x^5: points of multiplicity 4 and 1, values 0 and -1
-    unshared = make_matching((), (4, 1), (4, 1))
-    monkeypatch.setattr(critical, "match_pairs", lambda pair: unshared)
+    monkeypatch.setattr(critical, "_images_coprime", lambda pair: True)
     v = classify(PolynomialPair(p, p.shift_argument(3)))  # y = x - 3 is a factor
-    assert v.linear_witness is None  # the faulty matching is trusted...
+    assert v.linear_witness is None  # the faulty certificate is trusted...
     debug_checks(True)
     with pytest.raises(ArithmeticError, match="linear factor found"):
         classify(PolynomialPair(p, p.shift_argument(3)))  # ...unless debug checks search

@@ -458,7 +458,12 @@ def test_selftest_reports_a_failing_witness_audit(fails, monkeypatch, capsys):
     "p, q",
     [("x^7 + x", "x^7 + 2*x"), ("x^5", "x^5 + x"), ("x^3", "x^3"), ("x^5", "x^2")],
 )
-def test_matching_is_computed_once_per_call(p, q, monkeypatch, capsys):
+def test_matching_is_computed_once_per_call(p, q, monkeypatch, capsys, debug_checks):
+    """The exact route runs at most once per call, and not at all on
+    x^3 against x^3, whose linear-factor witness gives the matching
+    (debug checks rerun it)."""
+    debug_checks(False)
+    exact = 0 if p == q else 1
     calls = []
     original = critical.match_pairs
 
@@ -471,7 +476,7 @@ def test_matching_is_computed_once_per_call(p, q, monkeypatch, capsys):
             monkeypatch.setattr(mod, "match_pairs", counting)
     main(["classify", "--p", p, "--q", q, "--json", "--witness", "--oracle", "geometry"])
     json.loads(capsys.readouterr().out)
-    assert len(calls) == 1
+    assert len(calls) == exact
 
 
 def test_cli_import_does_not_load_mpmath():

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import poly_of, random_perturbed_pair, reference_linear_factor, shift_for_scale
 from sepcurve import linfactor
 from sepcurve.classify import classify
-from sepcurve.critical import PolynomialPair
+from sepcurve.critical import PolynomialPair, match_pairs
 from sepcurve.instances import (
     _nonzero_small,
     _small,
@@ -16,10 +17,10 @@ from sepcurve.instances import (
     random_linear_factor_pair,
     random_polynomial,
 )
-from sepcurve.linfactor import _verify, find_linear_factor
+from sepcurve.linfactor import _centred, _verify, find_linear_factor
 from sepcurve.parsepoly import parse_poly
-from sepcurve.rationals import ZERO, rat
-from sepcurve.rpoly import Poly
+from sepcurve.rationals import rat
+from sepcurve.rpoly import Poly, taylor_shift
 
 
 def test_diagonal_cubic_family():
@@ -137,8 +138,8 @@ def test_unequal_centred_constants_skip_both_shifts(monkeypatch):
     # a = b = 1/(6*3^10000) and p~_0 - q~_0 = P(-a) - Q(-a) = -2*a^2, so
     # the pair is rejected before either side is shifted
     calls = []
-    shift = Poly.shift_argument
-    monkeypatch.setattr(Poly, "shift_argument", lambda p, a: calls.append(a) or shift(p, a))
+    shift = linfactor.taylor_shift
+    monkeypatch.setattr(linfactor, "taylor_shift", lambda cs, u: calls.append(u) or shift(cs, u))
     # built without the parser: 3^10000 is past the int-to-str digit limit it enforces
     pair = PolynomialPair(*(poly_of(1, 0, c, 0, 0, 1, 3**10000) for c in (5, 7)))
     assert find_linear_factor(pair) is None
@@ -179,15 +180,35 @@ def test_degree_two_factor_iff_centred_constants_agree(p, q):
 
 def test_reverification_rejects_a_wrong_family():
     pair = _pair("x^4 + x^2", "x^4 - x^2")
-    p, q = pair.p, pair.q
-    sides = (p, (p, ZERO), q, (q, ZERO))  # both already centred
-    assert _verify(*sides, poly_of(1, 0, 1), Poly.zero())
-    assert not _verify(*sides, poly_of(-1, 0, 1), Poly.zero())
-    assert not _verify(*sides, poly_of(1, 0, 1), Poly.one())
+    p_centred, q_centred = _centred(pair.p), _centred(pair.q)
+    assert _verify(p_centred, q_centred, 2, rat(-1), Poly.zero())  # z^2 + 1
+    assert not _verify(p_centred, q_centred, 2, rat(1), Poly.zero())
+    assert not _verify(p_centred, q_centred, 2, rat(-1), Poly.one())
+    # centred forms that do not shift back to their side: A off by one, or
+    # N and A of another side with the same leading coefficient
+    side, nums, centred = p_centred
+    other = _centred(parse_poly("x^4 + 2*x^2"))
+    for wrong in ((side, nums, [c + 1 for c in centred]), (side, *other[1:])):
+        assert not _verify(wrong, q_centred, 2, rat(-1), Poly.zero())
+
+
+def test_reverification_rebuilds_the_scalings():
+    """Centred numerators scaled by a wrong w, with denominators scaled
+    to match, agree with each other, and the search accepts them; the
+    re-verification rebuilds the scalings from P and rejects them."""
+    pair = _pair("x^3 + x^2", "x^3 + x^2")
+    p_centred = _centred(pair.p)
+    assert _verify(p_centred, p_centred, 1, rat(1), Poly.zero())
+    side, nums, _ = p_centred
+    w = 2 * 3  # twice the true w = n * num_n
+    wrong = (side, nums, taylor_shift([c * w ** (3 - k) for k, c in enumerate(nums)], -nums[-2]))
+    wrong_dens = [side.den * w ** (3 - k) for k in range(4)]
+    assert linfactor._scale_binomial(wrong[2], wrong_dens, wrong[2], wrong_dens) == (1, rat(1))
+    assert not _verify(wrong, wrong, 1, rat(1), Poly.zero())
 
 
 def test_a_faulty_fold_never_ships_a_witness(monkeypatch):
-    monkeypatch.setattr(linfactor, "_scale_binomial", lambda pc, qc: (2, rat(1)))
+    monkeypatch.setattr(linfactor, "_scale_binomial", lambda *forms: (2, rat(1)))
     with pytest.raises(ArithmeticError, match="re-verification"):
         find_linear_factor(_pair("x^4 + x^2", "x^4 - x^2"))
 
@@ -232,3 +253,75 @@ def test_matches_the_quotient_ring_reference(pair):
         assert got.shift_numerator == want.shift_numerator
         assert got.shift_denominator == want.shift_denominator
         assert got.description == want.description
+
+
+def _chebyshev(n):
+    a, b = Poly.one(), Poly.x()
+    for _ in range(n - 1):
+        a, b = b, 2 * Poly.x() * b - a
+    return b
+
+
+_HYPOTHESIS_I_FAILS = [
+    poly_of(0, 0, -2, 0, 1),  # x^4 - 2x^2: the value -1 twice
+    poly_of(0, 0, 0, 1, -2, 1),  # x^3 (x - 1)^2: the value 0 in two classes
+    poly_of(-1, 0, 3, 0, -3, 0, 1),  # (x^2 - 1)^3
+]
+
+
+@st.composite
+def pairs_with_a_linear_factor(draw):
+    """Two affine images of one side A, from random draws and from the
+    non-generic families (A even, A = B(C(x)), Chebyshev, A failing
+    Hypothesis I), or a family of e > 1 scales."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["random", "even", "composed", "chebyshev", "failing", "e > 1"]))
+    if kind == "random":
+        return random_linear_factor_pair(rng)[0]
+    if kind == "e > 1":  # x^4 + x^2 against x^4 - x^2 (s^2 = -1), or x^6 + c against it at s*x
+        c = draw(st.sampled_from([None, rat(1), rat(-2), rat(3, 5)]))
+        if c is None:
+            return PolynomialPair(poly_of(0, 0, 1, 0, 1), poly_of(0, 0, -1, 0, 1))
+        p = Poly.monomial(1, 6) + c
+        return PolynomialPair(p, p.scale_argument(_nonzero_small(rng)))
+    if kind == "even":
+        a = random_polynomial(rng, 1, 3)(Poly.monomial(1, 2))
+    elif kind == "composed":
+        a = random_polynomial(rng, 2, 3)(random_polynomial(rng, 2, 2))
+    elif kind == "chebyshev":
+        a = _chebyshev(draw(st.integers(2, 7)))
+    else:
+        a = draw(st.sampled_from(_HYPOTHESIS_I_FAILS))
+    return PolynomialPair(*(compose_affine(a, _nonzero_small(rng), _small(rng)) for _ in "pq"))
+
+
+@given(pair=pairs_with_a_linear_factor())
+@settings(deadline=None, max_examples=80)
+def test_the_matching_read_from_the_witness_is_the_exact_one(pair):
+    witness = pair.linear_factor()
+    assert witness is not None
+    assert witness == reference_linear_factor(pair)
+    assert classify(pair).linear_witness == witness
+    assert pair.matching() == match_pairs(pair)  # read from the witness, then by gcds
+
+
+@pytest.mark.parametrize(
+    "n", [20, pytest.param(40, marks=pytest.mark.slow), pytest.param(80, marks=pytest.mark.slow)]
+)
+def test_a_huge_leading_coefficient_costs_the_search_alone(n, debug_checks, capsys):
+    """P = 3^9000*x^n + x^(n-1) + 5x^2 + 1 against P(x + 1): the search
+    runs on integers and the matching comes from the witness, so no exact
+    value polynomial of 3^9000-sized coefficients is built.  The time is
+    logged, not asserted."""
+    debug_checks(False)  # the cross-checks build the exact pieces
+    p = Poly([1, 0, 5] + [0] * (n - 4) + [1, 3**9000])
+    pair = PolynomialPair(p, p.shift_argument(1))
+    start = time.perf_counter()
+    v = classify(pair)
+    matching = pair.matching()
+    with capsys.disabled():
+        print(f"\n3^9000 pair at n = {n}: classify and matching in {time.perf_counter() - start:.3f} s")
+    assert v.rule == "Theorem 3 case 1"
+    assert v.linear_witness.scale_minpoly == poly_of(-1, 1)
+    assert shift_for_scale(v.linear_witness, rat(1)) == -1
+    assert matching.matched_pair_count == n - 1
