@@ -21,7 +21,11 @@ when a caller reads them; two sides whose images are coprime mod p
 share no value, and match without them.  A generic side's image is the
 image of P' made monic, which proves P' squarefree as well, so its
 multiplicity classes need no Yun decomposition; where that image
-declines, P' and P'' coprime mod p prove the same.
+declines, P' and P'' coprime mod p prove the same.  A side whose P' has
+at most two distinct roots, such as x^a (x - 1)^b and its affine
+images, reads its classes off one exact identity instead, and a side
+whose critical points are all rational builds its exact table from P
+at those points, with no image of its own.
 """
 
 from __future__ import annotations
@@ -30,12 +34,16 @@ from collections import namedtuple
 from functools import cached_property, reduce
 
 from . import rpoly
+from .rationals import Rat
 from .rpoly import (
+    GCD_PRIME,
     Poly,
     _coprime_mod_p,
     _few_roots_mod_p,
+    _make,
     _mul_mod_p,
     _residues,
+    _two_root_parts,
     _value_image_mod_p,
     poly_gcd,
     resultant_shift,
@@ -60,8 +68,9 @@ class CriticalClass(namedtuple("CriticalClass", "factor multiplicity")):
 class CriticalStructure(namedtuple("CriticalStructure", "poly classes image")):
     """Everything the verdicts need about one polynomial's critical
     points, computed once by :func:`analyze`: the multiplicity classes
-    of P', from Yun's decomposition or, on a side certified as one
-    class, from the image alone, and the value ``image``, the residues
+    of P', from Yun's decomposition, from the identity g P'' = h P' or,
+    on a side certified as one class, from the image alone, and the
+    value ``image``, the residues
     mod p of the product of the class image polynomials when it proved
     the generic shape, else None.
 
@@ -71,8 +80,10 @@ class CriticalStructure(namedtuple("CriticalStructure", "poly classes image")):
     is the value of exactly the critical points whose multiplicities are
     listed, largest first, in ``mults``.  The verdicts read only the
     ``shape``, one (degree, mults) per piece; both are computed on first
-    use.  On a certified side piece i is the image polynomial of class
-    i, and the shape needs no piece.
+    use, except the table of a side whose classes are all linear, which
+    :func:`analyze` builds at once from P at the critical points.  On a
+    certified side piece i is the image polynomial of class i, and the
+    shape needs no piece.
 
     ``poly`` is the Poly, ``classes`` its CriticalClass tuple with
     multiplicities strictly increasing.  No ``__slots__``: the instance
@@ -158,32 +169,76 @@ def _certified_images(p: Poly, classes: tuple):
     return tuple(product)
 
 
+def _point_table(p: Poly, classes: tuple) -> tuple:
+    """The exact value table of linear classes: P at each rational
+    critical point by Horner, each piece y - P(a), and a value an
+    earlier class also takes merged into one piece, last, as
+    :func:`_value_table` merges it."""
+    table = []
+    for c in classes:
+        v = p(Rat(-c.factor.num[0], c.factor.den))
+        piece, mults = _make([-v.numerator, v.denominator], v.denominator), (c.multiplicity,)
+        for i, (a, a_mults) in enumerate(table):
+            if a == piece:
+                del table[i]
+                mults = tuple(sorted(a_mults + mults, reverse=True))
+                break
+        table.append((piece, mults))
+    return tuple(table)
+
+
+def _point_image(p: Poly, classes: tuple, table: tuple):
+    """:func:`_certified_images` of linear classes, read from their
+    exact table: the product of the pieces y - P(a) mod p when p divides
+    no denominator of P or of a critical point and the values are
+    distinct mod p, else None."""
+    if not p.den % GCD_PRIME or any(not c.factor.den % GCD_PRIME for c in classes):
+        return None
+    images = [_residues(f) for f, _ in table]
+    if len(images) < len(classes) or len({r[0] for r in images}) < len(images):
+        return None
+    return tuple(reduce(_mul_mod_p, images))
+
+
 def analyze(p: Poly) -> CriticalStructure:
     """Critical structure of a polynomial of degree >= 2.
 
     The shape of the value table is certified modulo p =
     ``rpoly.GCD_PRIME`` when it can be: one simple value per critical
     point, one piece per class, read off the product of the class images
-    mod p with no exact value polynomial.  A generic side is tried first
-    as one class, S = P' made monic: an image of S squarefree mod p
-    proves S squarefree too (a repeated root a of S would make
-    (y - P(a))^2 divide it), so S is the whole of Yun's decomposition
-    and Yun is not run.  When the image of S declines, P' and P''
-    coprime mod p still prove S squarefree, by Brown's lemma (see
-    ``rpoly._coprime_mod_p``, which declines when p divides a leading
-    coefficient): S stays the one class, uncertified, and Yun is not run
-    either.  Yun's decomposition of P' gives the classes, each with its
-    own image, when ``rpoly._few_roots_mod_p`` shows P' with a repeated
-    root and at most two distinct roots mod p, or when neither test
-    proves S squarefree; a single class S then takes no second image.
-    Any other outcome, an unlucky prime included, builds the exact table
-    (one ``resultant_shift`` and one Yun decomposition per class) and
-    reads the shape from it.  With ``rpoly.DEBUG_CHECKS`` on
-    (SEPCURVE_DEBUG_CHECKS set when the package is first imported) a side
-    whose one class was proven without Yun is also run through Yun,
-    every certified shape is compared with the exact table's, and the
-    image with the product of the exact ``resultant_shift`` polynomials
-    reduced mod p.
+    mod p with no exact value polynomial.  The classes come first, by
+    the first of these routes that applies:
+
+    1. P' is linear, or ``rpoly._few_roots_mod_p`` shows P' with a
+       repeated root and at most two distinct roots mod p:
+       ``rpoly._two_root_parts`` tests g P'' = h P' over Q, which holds
+       exactly when P' has at most two distinct roots, and then gives
+       Yun's parts with no gcd.
+    2. Where the probe does not end, the side is tried as one class,
+       S = P' made monic: an image of S squarefree mod p proves S
+       squarefree too (a repeated root a of S would make (y - P(a))^2
+       divide it), so S is the whole of Yun's decomposition.  When that
+       image declines, P' and P'' coprime mod p still prove S
+       squarefree, by Brown's lemma (see ``rpoly._coprime_mod_p``, which
+       declines when p divides a leading coefficient): S stays the one
+       class, uncertified.
+    3. Yun's decomposition of P', where the route taken proves nothing.
+
+    A side whose classes are then all linear has only rational critical
+    points: its exact table is P at each of them (:func:`_point_table`)
+    and its image the product of those values mod p
+    (:func:`_point_image`), None exactly where the class images would
+    decline.  Any other side takes one image per class, except a single
+    class S whose image has just declined.  An image that declines,
+    an unlucky prime included, leaves the exact table (one
+    ``resultant_shift`` and one Yun decomposition per class) to give the
+    shape.  With ``rpoly.DEBUG_CHECKS`` on (SEPCURVE_DEBUG_CHECKS set
+    when the package is first imported) every side whose classes were
+    proven without Yun is also run through Yun, a table read at the
+    points is compared with :func:`_value_table` and its image with
+    :func:`_certified_images`, every other certified shape with the
+    exact table's, and its image with the product of the exact
+    ``resultant_shift`` polynomials reduced mod p.
 
     >>> cs = analyze(Poly([0, 0, -2, 0, 1]))  # x^4 - 2x^2: 0 once, -1 twice
     >>> [(f.to_string("y"), mults) for f, mults in cs.values]
@@ -195,28 +250,41 @@ def analyze(p: Poly) -> CriticalStructure:
         raise ValueError(f"degree must be at least 2, got {p.degree}")
     dp = p.derivative()
     tried = image = None  # tried: the one class S, when its image goes first
-    if not _few_roots_mod_p(dp):
+    if dp.degree == 1 or _few_roots_mod_p(dp):
+        parts = _two_root_parts(dp)  # None: P' has three roots or more
+    else:
         tried = (CriticalClass(dp.monic(), 1),)
         image = _certified_images(p, tried)
-    if image is not None or (tried and _coprime_mod_p(dp.num, dp.derivative().num)):
-        classes = tried
-        if rpoly.DEBUG_CHECKS:
-            if squarefree_decomposition(dp).parts != ((tried[0].factor, 1),):
-                raise ArithmeticError("critical classes disagree: one class modulo p, not Yun's")
-    else:
+        proven = image is not None or _coprime_mod_p(dp.num, dp.derivative().num)
+        parts = tried if proven else None
+    if parts is None:
         classes = tuple(CriticalClass(f, k) for f, k in squarefree_decomposition(dp).parts)
-        if classes != tried:  # a class whose image declined declines again
-            image = _certified_images(p, classes)
+    else:
+        classes = tuple(CriticalClass(f, k) for f, k in parts)
+        if rpoly.DEBUG_CHECKS and squarefree_decomposition(dp).parts != classes:
+            raise ArithmeticError("critical classes disagree: proven without Yun, not Yun's")
+    table = None  # the exact table, when every critical point is rational
+    if all(c.factor.degree == 1 for c in classes):
+        table = _point_table(p, classes)
+        image = _point_image(p, classes, table)
+    elif classes != tried:  # a class whose image declined declines again
+        image = _certified_images(p, classes)
     cs = CriticalStructure(p, classes, image)
+    if table:
+        vars(cs)["values"] = table  # the cache ``values`` fills on first use
     cs.shape  # an uncertified side builds its exact table here
-    if cs.image is not None and rpoly.DEBUG_CHECKS:
-        if _shape(_value_table(p, classes)) != cs.shape:
-            raise ArithmeticError("critical-value shapes disagree: certified modulo p, not over Q")
-        exact = (_residues(resultant_shift(c.factor, p)) for c in classes)
-        if tuple(reduce(_mul_mod_p, exact)) != cs.image:
-            raise ArithmeticError(
-                "value images disagree: the kernel modulo p against resultant_shift"
-            )
+    if rpoly.DEBUG_CHECKS:
+        if table:
+            if _value_table(p, classes) != table or _certified_images(p, classes) != image:
+                raise ArithmeticError("value tables disagree: at the points, not by resultant_shift")
+        elif image is not None:
+            if _shape(_value_table(p, classes)) != cs.shape:
+                raise ArithmeticError("critical-value shapes disagree: certified modulo p, not over Q")
+            exact = (_residues(resultant_shift(c.factor, p)) for c in classes)
+            if tuple(reduce(_mul_mod_p, exact)) != image:
+                raise ArithmeticError(
+                    "value images disagree: the kernel modulo p against resultant_shift"
+                )
     return cs
 
 
@@ -467,7 +535,13 @@ def _shared_degrees(pair: PolynomialPair) -> list:
     cs_p, cs_q = pair.critical_p(), pair.critical_q()
     if pair.images_coprime():
         return [[0] * len(cs_q.classes) for _ in cs_p.classes]
-    return [[poly_gcd(a, b).degree for b, _ in cs_q.values] for a, _ in cs_p.values]
+    return [[_common_degree(a, b) for b, _ in cs_q.values] for a, _ in cs_p.values]
+
+
+def _common_degree(a: Poly, b: Poly) -> int:
+    """deg gcd(a, b) of two monic pieces: two linear ones share their
+    root exactly when they are equal."""
+    return int(a == b) if a.degree == b.degree == 1 else poly_gcd(a, b).degree
 
 
 def theorem1_lhs(matching: PairMatching) -> int:

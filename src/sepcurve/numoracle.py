@@ -479,9 +479,10 @@ def _steps(structures, precision_bits: int):
     critical point, and ``groups`` the indices into it clustered by
     overlap.  The class factors come from :func:`analyze`, each
     squarefree, so none is checked again: a class from Yun's
-    decomposition is squarefree by construction, and a side certified
-    as the one class P' made monic has an image U with disc(U) != 0 mod
-    p, which a repeated root of the class would make 0.  Each distinct
+    decomposition is squarefree by construction, a side certified as
+    the one class P' made monic has an image U with disc(U) != 0 mod p,
+    which a repeated root of the class would make 0, and a class read
+    off g P'' = h P' is a linear factor or a g with disc g != 0.  Each distinct
     factor is isolated once per step, seeded with its iterates from the
     step before."""
     prec, iterates = precision_bits, {}

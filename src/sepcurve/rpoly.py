@@ -36,9 +36,10 @@ coprime modulo p to its derivative (``_coprime_mod_p``) proves the
 generic shape, and on a generic side proves P' squarefree, without Yun;
 two sides whose images are coprime modulo p share no critical value.
 ``_few_roots_mod_p``, two remainders of Euclid on (f, f'), tells the
-shape route which sides to send to Yun first.  A prime that divides a
-denominator or a leading coefficient makes the certificate decline,
-never lie.
+shape route which sides to try first as P' with at most two distinct
+roots, whose Yun parts ``_two_root_parts`` reads off the exact identity
+g f' = h f with no gcd.  A prime that divides a denominator or a
+leading coefficient makes the certificate decline, never lie.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import os
 import sys
 from collections import namedtuple
 from functools import reduce
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .rationals import ZERO, Rat, rat
@@ -607,6 +608,62 @@ def _few_roots_mod_p(f: Poly) -> bool:
     if not (r := _rem_mod_p(a, da)):
         return True
     return n >= 3 and len(r) == n - 1 and not _rem_mod_p(da, r)
+
+
+def _two_root_parts(f: Poly):
+    """``squarefree_decomposition(f).parts`` for f of degree d >= 1 with
+    at most two distinct roots, None for every other f, without a gcd.
+
+    f = c (x - alpha)^a (x - beta)^b exactly when g f' = h f for a monic
+    quadratic g and h = d x + B: then g = (x - alpha)(x - beta), and
+    conversely f'/f = h/g, whose partial fractions a/(x - alpha) +
+    b/(x - beta) name the roots and multiplicities of f, as f'/f has a
+    simple pole of residue k at each root of multiplicity k.  One root,
+    (x - alpha) f' = d f, is tried first; its alpha is read off the top
+    two numerators N of f.  Otherwise g = x^2 + A x + C and B solve the
+    identity's coefficients at x^d, x^(d-1) and x^(d-2), linear in them
+    over the top four numerators; their determinant, 2 d N_d N_(d-2) -
+    (d - 1) N_(d-1)^2 = -N_d^2 a b (alpha - beta)^2, is nonzero on every
+    f with two roots.  Each coefficient of either identity is checked as
+    one integer relation, O(d) products in all.  Two rational roots
+    (disc g a square) of unequal multiplicities a = h(alpha)/(alpha -
+    beta) and b = d - a are two linear parts; equal ones, or conjugate
+    roots, are the one part (g, d/2).
+
+    >>> [(g.to_string(), k) for g, k in _two_root_parts(Poly([0, 0, -2, 1]))]  # x^2 (x - 2)
+    [('x - 2', 1), ('x', 2)]
+    >>> _two_root_parts(Poly([0, -1, 0, 1])) is None  # three roots
+    True
+    """
+    num, d = f.num, len(f.num) - 1
+    top, sub = num[-1], num[-2]
+    if all(sub * (k + 1) * num[k + 1] == d * top * (d - k) * num[k] for k in range(d - 1)):
+        return ((_make([sub, d * top], d * top), d),)  # x - alpha, alpha = -sub / (d top)
+    n2, n3 = num[d - 2], num[d - 3] if d >= 3 else 0
+    det = 2 * d * top * n2 - (d - 1) * sub * sub
+    if not det:
+        return None
+    # g = x^2 + (ga x + gc) / den and h = d x + hb / den
+    r1, r2 = 2 * top * n2 - sub * sub, 3 * top * n3 - sub * n2
+    den = top * det
+    ga, gc = (d - 1) * sub * r1 - d * top * r2, 2 * n2 * r1 - sub * r2
+    hb = d * ga - sub * det
+    ext = [0, *num, 0]  # ext[k + 1] = N_k, zero outside 0..d
+    if any(  # den times the coefficient of x^k in g f' - h f
+        (k - 1 - d) * den * ext[k] + (ga * k - hb) * ext[k + 1] + gc * (k + 1) * ext[k + 2]
+        for k in range(d + 1)
+    ):
+        return None
+    disc = ga * ga - 4 * gc * den  # den^2 disc g, nonzero as g has two roots
+    s = isqrt(disc) if disc > 0 else -1
+    if s * s != disc:  # conjugate roots, of equal multiplicity
+        return ((_make([gc, ga, den], den), _exact_div(d, 2)),)
+    # alpha, beta = (-ga +- s) / (2 den), and a = h(alpha) / (alpha - beta)
+    a = _exact_div(d * (s - ga) + 2 * hb, 2 * s)
+    if 2 * a == d:
+        return ((_make([gc, ga, den], den), a),)
+    alpha, beta = _make([ga - s, 2 * den], 2 * den), _make([ga + s, 2 * den], 2 * den)
+    return ((alpha, a), (beta, d - a)) if 2 * a < d else ((beta, d - a), (alpha, a))
 
 
 # Residue lists travel packed into one int, a 64-bit slot per residue,

@@ -262,6 +262,7 @@ COUNTED = (
     "resultant_shift",
     "poly_gcd",
     "squarefree_decomposition",
+    "_value_image_mod_p",
     "_coprime_mod_p",
     "find_linear_factor",
     "match_pairs",

@@ -439,6 +439,45 @@ def test_swapping_p_and_q_mirrors_the_verdict():
     assert hyp_failures > 0
 
 
+def _centred_forms(max_degree=5, height=2):
+    """x^n + a_(n-2) x^(n-2) + ... + a_1 x for 2 <= n <= max_degree and
+    every |a_k| <= height: 156 forms at the defaults."""
+    for n in range(2, max_degree + 1):
+        for cs in itertools.product(range(-height, height + 1), repeat=n - 2):
+            yield poly_of(0, *cs, 0, 1)
+
+
+def test_small_centred_pairs_hold_under_debug_checks(debug_checks):
+    """A seeded sample of 120 pairs (P, Q + c) of centred forms, c in
+    -2..2, and Q = P(-x) for every eighth, end to end under debug checks:
+    every side proven without Yun reruns Yun, every table read at the
+    critical points is rebuilt by resultant_shift, and every matching
+    read from a linear factor is rebuilt by match_pairs.  Swapping P and
+    Q mirrors each verdict."""
+    debug_checks(True)
+    forms = list(_centred_forms())
+    rng = random.Random(15)
+    reached = Counter()
+    for i in range(120):
+        p = rng.choice(forms)
+        q = p.scale_argument(-1) if i % 8 == 0 else rng.choice(forms) + poly_of(rng.randint(-2, 2))
+        pair, swapped = PolynomialPair(p, q), PolynomialPair(q, p)
+        v, w = classify(pair), classify(swapped)
+        assert (w.outcome, w.case) == (v.outcome, v.case), pair
+        if pair.n == pair.m:
+            assert (w.hyp_p, w.hyp_q) == (v.hyp_q, v.hyp_p), pair
+            assert _swapped_labels(w.fired_rules) == Counter(v.fired_rules), pair
+            assert swapped.matching() == pair.matching().mirrored(), pair
+        else:  # the same pair, normalized
+            assert w._replace(pair=pair) == v, pair
+        for cs in (pair.critical_p(), pair.critical_q()):
+            reached["rational points"] += all(c.factor.degree == 1 for c in cs.classes)
+            reached["two points"] += sum(c.factor.degree for c in cs.classes) <= 2
+        reached[v.rule] += 1
+    assert reached["rational points"] and reached["two points"] > reached["rational points"]
+    assert reached["linear factor"] + reached["Theorem 3 case 1"] > 0
+
+
 def _small_equal_degree_matchings():
     points = [(p, q) for p in range(1, 4) for q in range(1, 4)]
     unmatched = [(), (1,), (2,), (1, 1)]

@@ -17,30 +17,33 @@ from sepcurve import cli, instances
 from sepcurve.critical import PolynomialPair
 
 # Per call, in the order of helpers.COUNTED: resultant_shift, poly_gcd,
-# squarefree_decomposition, _coprime_mod_p, find_linear_factor and the
-# exact match_pairs.  An affine image of a pair keeps its pair's budget.
+# squarefree_decomposition, _value_image_mod_p, _coprime_mod_p,
+# find_linear_factor and the exact match_pairs.  An affine image of a pair
+# keeps its pair's budget.
 BUDGETS = {
     # a certified pair with a linear factor reads its matching from the
     # witness: no value polynomial and no gcd
-    "case 1": (0, 0, 2, 3, 1, 0),
-    "case 2": (0, 0, 1, 3, 0, 1),
-    "case 3": (2, 1, 1, 3, 1, 1),
-    "case 4": (3, 2, 2, 3, 1, 1),
-    "case 5": (4, 4, 2, 3, 1, 1),
+    "case 1": (0, 0, 0, 0, 1, 1, 0),
+    "case 2": (0, 0, 0, 1, 2, 0, 1),
+    "case 3": (1, 1, 0, 1, 2, 1, 1),
+    # every critical point rational, at most two a side from g P'' = h P':
+    # the tables are P at the points, with no image, Yun, shift or gcd
+    "case 4": (0, 0, 0, 0, 1, 1, 1),
+    "case 5": (0, 0, 0, 0, 1, 1, 1),
     # P' has a repeated root and three distinct roots mod p: each side's
     # one-class image declines and P', P'' are tested for a common root
-    "case 6": (4, 4, 2, 7, 1, 1),
-    "case 7": (0, 0, 2, 3, 1, 0),
-    "gap rule": (0, 0, 0, 3, 1, 1),
-    "count threshold": (0, 0, 1, 3, 0, 1),
-    "below thresholds": (2, 1, 1, 3, 0, 1),
-    "theorem3 k=3": (3, 2, 2, 3, 1, 1),
-    "theorem3 k>=4": (4, 4, 2, 3, 1, 1),
+    "case 6": (4, 3, 2, 6, 7, 1, 1),
+    "case 7": (0, 0, 0, 2, 3, 1, 0),
+    "gap rule": (0, 0, 0, 2, 3, 1, 1),
+    "count threshold": (0, 0, 0, 1, 2, 0, 1),
+    "below thresholds": (0, 0, 0, 0, 1, 0, 1),
+    "theorem3 k=3": (1, 2, 0, 1, 2, 1, 1),
+    "theorem3 k>=4": (0, 0, 0, 0, 1, 1, 1),
     # the seeded random_linear_factor_pair draws, all certified
-    "linear factor": (0, 0, 2, 7, 1, 0),
+    "linear factor": (0, 0, 2, 6, 7, 1, 0),
     # two certified sides whose images are coprime: the three mod-p
     # tests, two of the sides and one of the pair, and nothing exact
-    "dense degree 12": (0, 0, 0, 3, 0, 1),
+    "dense degree 12": (0, 0, 0, 2, 3, 0, 1),
 }
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import sepcurve.critical as critical
 import sepcurve.rpoly as rpoly
 from helpers import (
+    count_calls,
     make_matching,
     poly_of,
     reference_squarefree_decomposition,
@@ -19,6 +20,7 @@ from helpers import (
 )
 from sepcurve.classify import classify
 from sepcurve.critical import (
+    CriticalClass,
     PolynomialPair,
     analyze,
     corollary1_lhs,
@@ -27,7 +29,7 @@ from sepcurve.critical import (
     match_pairs,
     theorem1_lhs,
 )
-from sepcurve.instances import random_affine_image, random_polynomial, theorem3_pair
+from sepcurve.instances import case_instance, random_affine_image, random_polynomial, theorem3_pair
 from sepcurve.oneforms import _mirrored_matching
 from sepcurve.rationals import rat
 from sepcurve.rpoly import (
@@ -179,8 +181,10 @@ def test_hypothesis_I_pinned_radical_degree_rule():
 
 def test_classify_shifts_once_per_class_per_side(monkeypatch, debug_checks):
     """At most one shift per class per side: none when both shapes are
-    certified and no value is shared, one per class when the matching
-    reads the pieces or a shape is not certified."""
+    certified and no value is shared, none on a side whose critical
+    points are all rational, whose table holds P at each of them, and
+    one per class when the matching reads the pieces of any other side
+    or a shape is not certified."""
     debug_checks(False)  # it builds every table
     calls = []
 
@@ -195,13 +199,22 @@ def test_classify_shifts_once_per_class_per_side(monkeypatch, debug_checks):
     assert verdict.matching is pair.matching()
     assert None not in (pair.critical_p().image, pair.critical_q().image)
     assert calls == []
-    # both critical values shared: the matching reads every piece
+    # both critical values shared, at two rational points a side: the
+    # matching compares the linear pieces y - P(a) and shifts nothing
     pair = random_affine_image(theorem3_pair(5), rng)
     verdict = classify(pair)
-    assert verdict.matching is pair.matching()
-    assert calls.count(pair.p) == len(pair.critical_p().classes)
-    assert calls.count(pair.q) == len(pair.critical_q().classes)
-    assert len(calls) == len(pair.critical_p().classes) + len(pair.critical_q().classes)
+    assert verdict.matching is pair.matching() and verdict.matching.matched_pair_count == 2
+    for cs in (pair.critical_p(), pair.critical_q()):
+        assert [c.factor.degree for c in cs.classes] == [1, 1]
+    assert calls == []
+    # case 6: two conjugate critical points a side, whose values the
+    # matching reads from one shift per class
+    pair = random_affine_image(case_instance(6), rng)
+    verdict = classify(pair)
+    assert verdict.matching is pair.matching() and verdict.case == 6
+    assert calls.count(pair.p) == len(pair.critical_p().classes) == 2
+    assert calls.count(pair.q) == len(pair.critical_q().classes) == 2
+    assert len(calls) == 4
     # -1 taken twice: the shape comes from the exact table
     calls.clear()
     cs = analyze(poly_of(0, 0, -2, 0, 1))
@@ -226,6 +239,50 @@ def test_values_that_coincide_only_modulo_p_decline():
     assert cs.image is None
     assert cs.hypothesis_I and hypothesis_I(p)
     assert cs.values == ((poly_of(rat(-(GCD_PRIME**2), 4), 0, 1), (1,)),)
+
+
+@st.composite
+def rational_point_polys(draw):
+    """c times an integral of prod (x - r_i)^(e_i), distinct e_i: every
+    class of Yun's decomposition of P' is linear."""
+    roots = draw(st.lists(rationals, min_size=1, max_size=3, unique=True))
+    exps = draw(st.lists(st.integers(1, 4), min_size=len(roots), max_size=len(roots), unique=True))
+    f = reduce(lambda acc, re: acc * poly_of(-re[0], 1) ** re[1], zip(roots, exps), Poly.one())
+    return draw(rationals.filter(bool)) * _integral(f, draw(rationals))
+
+
+_MERGED = poly_of(0, 0, 0, 1) * poly_of(-1, 1) ** 4  # x^3 (x - 1)^4: P(0) = P(1) = 0
+
+
+@given(p=st.one_of(rational_point_polys(), polys_multiclass()))
+@settings(deadline=None, max_examples=150)
+@example(p=_MERGED)
+@example(p=_MERGED * rat(1, GCD_PRIME))  # p divides den P
+@example(p=_integral(poly_of(0, 0, 1) * poly_of(-1, GCD_PRIME), 0))  # and a critical point's den
+@example(p=_integral(poly_of(0, 12 * GCD_PRIME) * poly_of(-1, 1) ** 2, 0))  # P(1) - P(0) = p
+def test_the_point_table_equals_the_exact_table(p):
+    """A side of linear classes: P at each critical point gives the table
+    _value_table builds, its shape, and the image _certified_images
+    gives, None included."""
+    classes = tuple(CriticalClass(f, k) for f, k in squarefree_decomposition(p.derivative()).parts)
+    assume(all(c.factor.degree == 1 for c in classes))
+    table = critical._point_table(p, classes)
+    assert table == critical._value_table(p, classes)
+    image = critical._point_image(p, classes, table)
+    assert image == critical._certified_images(p, classes)
+    cs = analyze(p)
+    assert (cs.classes, cs.image, cs.values) == (classes, image, table)
+    assert cs.shape == critical._shape(table)
+
+
+def test_the_point_table_merges_a_value_last():
+    # classes x - 3/7, x, x - 1 of multiplicities 1, 2, 3; x and x - 1 take 0
+    cs = analyze(_MERGED)
+    v = _MERGED(rat(3, 7))
+    assert cs.values == ((poly_of(-v, 1), (1,)), (poly_of(0, 1), (3, 2)))
+    assert cs.image is None and not cs.hypothesis_I
+    assert analyze(_MERGED * rat(1, GCD_PRIME)).image is None
+    assert analyze(_MERGED + poly_of(1)).image is None  # the values still merge
 
 
 @pytest.mark.parametrize(
@@ -317,20 +374,23 @@ def test_a_wrong_one_class_certificate_is_caught_under_debug_checks(monkeypatch,
 def test_a_probe_ended_side_certifies_the_classes_of_yun(monkeypatch, debug_checks, a, b):
     """P' = 6 u^a (u - 1)^b with u = 2x + 3, an affine image of
     x^a (x - 1)^b, has a repeated root and two distinct roots modulo p:
-    the probe ends, the classes are Yun's decomposition of P', run once,
-    and their images certify the shape."""
-    debug_checks(False)  # its checks build the exact table
+    the probe ends, g P'' = h P' gives Yun's decomposition of P' with no
+    Yun run, and P at the two rational critical points certifies the
+    shape with no value image.  Under debug checks Yun runs once."""
+    debug_checks(False)
     u = poly_of(3, 2)
     dp = rat(6) * u**a * (u - poly_of(1)) ** b
     p = Poly([0] + [c / (k + 1) for k, c in enumerate(dp.coeffs)])
     assert p.derivative() == dp and rpoly._few_roots_mod_p(dp)
-    calls, real = [], critical.squarefree_decomposition
-    monkeypatch.setattr(critical, "squarefree_decomposition", lambda f: calls.append(f) or real(f))
+    kernels = ("squarefree_decomposition", "_value_image_mod_p", "resultant_shift", "poly_gcd")
+    counts = count_calls(monkeypatch, kernels)
     cs = analyze(p)
-    assert calls == [dp] and cs.image is not None  # certified: no exact table, no other Yun
-    expected = squarefree_decomposition(dp).parts
-    assert [(c.factor, c.multiplicity) for c in cs.classes] == list(expected)
-    assert sorted(k for _, k in expected) == sorted({a, b})
+    assert not counts and cs.image is not None
+    assert cs.classes == squarefree_decomposition(dp).parts
+    assert sorted(c.multiplicity for c in cs.classes) == sorted((a, b))
+    assert {f for f, _ in cs.values} == {poly_of(-p(x), 1) for x in (rat(-3, 2), -1)}
+    debug_checks(True)
+    assert analyze(p) == cs and counts["squarefree_decomposition"] == 1 + len(cs.classes)
 
 
 def _chebyshev(n: int) -> Poly:
@@ -407,20 +467,19 @@ def test_analyze_equals_the_yun_first_route(p):
     assert cs.values == ref.values
 
 
-def test_a_two_root_derivative_reaches_no_image_of_its_own(monkeypatch):
+def test_a_two_root_derivative_reaches_no_image_of_its_own(monkeypatch, debug_checks):
     """theorem3_pair(18): P' = c x^18 (x - 1) and Q' of the same two-root
-    kind; the probe ends, so no side takes an image of S at degree 19."""
-    degrees = []
-
-    def counting(s, f):
-        degrees.append(s.degree)
-        return _value_image_mod_p(s, f)
-
-    monkeypatch.setattr(critical, "_value_image_mod_p", counting)
+    kind; the probe ends and g P'' = h P' names both critical points of
+    each side, so no side takes a value image, a Yun decomposition or a
+    shift, and the matching compares the pieces y - P(a) with no gcd."""
+    debug_checks(False)
+    kernels = ("_value_image_mod_p", "squarefree_decomposition", "resultant_shift", "poly_gcd")
+    counts = count_calls(monkeypatch, kernels)
     pair = random_affine_image(theorem3_pair(18), random.Random(26))
     for cs in (pair.critical_p(), pair.critical_q()):
-        assert sum(c.factor.degree for c in cs.classes) == 2
-    assert 19 not in degrees and degrees
+        assert [c.factor.degree for c in cs.classes] == [1, 1] and cs.image is not None
+    assert pair.matching().matched_pair_count == 2
+    assert not counts
 
 
 @given(p=polys_deg2plus())

@@ -574,6 +574,64 @@ def test_the_probe_pinned(f, ends):
     assert rpoly._few_roots_mod_p(f) is ends
 
 
+small_rationals = st.builds(rat, st.integers(-5, 5), st.integers(1, 4))
+nonzero_rationals = small_rationals.filter(bool)
+
+
+@st.composite
+def at_most_two_roots(draw):
+    """c (u x + v)^a (u x + w)^b, a = b or not, c g^a with g an
+    irreducible quadratic, c (u x + v)^d, and every f of degree 1 or 2."""
+    c, u = draw(nonzero_rationals), draw(nonzero_rationals)
+    v, w = draw(small_rationals), draw(small_rationals)
+    a, b = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["two", "equal", "conjugate", "one", "low"]))
+    if kind == "two":
+        return c * poly_of(v, u) ** a * poly_of(w, u) ** b
+    if kind == "equal":
+        return c * (poly_of(v, u) * poly_of(w, u)) ** a
+    if kind == "conjugate":  # (x - v)^2 - k t^2, k no square
+        k, t = draw(st.sampled_from([-3, -1, 2, 3, 5, 6])), draw(nonzero_rationals)
+        return c * (poly_of(-v, 1) ** 2 - Poly.constant(k * t * t)) ** a
+    if kind == "one":
+        return c * poly_of(v, u) ** (a + b)
+    f = c * Poly([v, w, draw(small_rationals)] if draw(st.booleans()) else [v, u])
+    assume(f.degree >= 1)
+    return f
+
+
+@given(f=at_most_two_roots())
+@settings(deadline=None, max_examples=300)
+@example(f=poly_of(0, 1))  # x: degree 1
+@example(f=poly_of(-2, 0, 1))  # x^2 - 2: one conjugate class
+@example(f=poly_of(0, 0, 0, 1) * poly_of(-1, 1) ** 3)  # x^3 (x - 1)^3: one rational class
+def test_two_root_parts_equal_yuns_parts(f):
+    """g f' = h f read by integer relations gives what Yun gives."""
+    assert rpoly._two_root_parts(f) == squarefree_decomposition(f).parts
+
+
+@given(
+    roots=st.lists(small_rationals, min_size=3, max_size=5, unique=True),
+    exps=st.lists(st.integers(1, 4), min_size=5, max_size=5),
+    c=nonzero_rationals,
+)
+@settings(deadline=None, max_examples=150)
+@example(roots=[0, 1, 2], exps=[1, 1, 1, 1, 1], c=1)
+def test_two_root_parts_decline_three_roots(roots, exps, c):
+    f = c * poly_of(1)
+    for r, e in zip(roots, exps):
+        f *= poly_of(-r, 1) ** e
+    assert rpoly._two_root_parts(f) is None
+    assert rpoly._two_root_parts(f * poly_of(1, 0, 1)) is None  # and a conjugate pair
+
+
+def test_two_root_parts_decline_case_6():
+    # P' of 16x^5 - 20x^4 - 500x^3 is 20 x^2 (4x^2 - 4x - 75): a double
+    # root and two conjugate simple ones
+    dp = Poly([0, 0, 0, -500, -20, 16]).derivative()
+    assert rpoly._two_root_parts(dp) is None
+
+
 @pytest.mark.parametrize(
     "roundtrip", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))]
 )
