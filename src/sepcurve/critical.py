@@ -18,14 +18,15 @@ a generic polynomial, one simple critical value per critical point, the
 shape is proven modulo one prime from one value image per side, the
 product of the class images mod p, and the exact pieces are built only
 when a caller reads them; two sides whose images are coprime mod p
-share no value, and match without them.  A generic side's image is the
-image of P' made monic, which proves P' squarefree as well, so its
-multiplicity classes need no Yun decomposition; where that image
-declines, P' and P'' coprime mod p prove the same.  A side whose P' has
-at most two distinct roots, such as x^a (x - 1)^b and its affine
-images, reads its classes off one exact identity instead, and a side
-whose critical points are all rational builds its exact table from P
-at those points, with no image of its own.
+share no value, and match without them.  Every side first tests one
+exact identity, which holds exactly when P' has at most two distinct
+roots, as when P' is x^a (x - 1)^b or an affine image of it, and then
+gives its multiplicity classes.  Where it fails, the side's image is
+the image of P' made monic, which proves P' squarefree as well, so its
+classes need no Yun decomposition; where that image declines, P' and
+P'' coprime mod p prove the same.  A side whose critical points are all
+rational builds its exact table from P at those points, with no image
+of its own.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .rpoly import (
     GCD_PRIME,
     Poly,
     _coprime_mod_p,
-    _few_roots_mod_p,
     _make,
     _mul_mod_p,
     _residues,
@@ -209,12 +209,11 @@ def analyze(p: Poly) -> CriticalStructure:
     mod p with no exact value polynomial.  The classes come first, by
     the first of these routes that applies:
 
-    1. P' is linear, or ``rpoly._few_roots_mod_p`` shows P' with a
-       repeated root and at most two distinct roots mod p:
-       ``rpoly._two_root_parts`` tests g P'' = h P' over Q, which holds
-       exactly when P' has at most two distinct roots, and then gives
-       Yun's parts with no gcd.
-    2. Where the probe does not end, the side is tried as one class,
+    1. ``rpoly._two_root_parts`` tests g P'' = h P' over Q in O(deg P')
+       integer products, which holds exactly when P' has at most two
+       distinct roots, a linear P' included, and then gives Yun's parts
+       with no gcd.
+    2. Where the identity fails, the side is tried as one class,
        S = P' made monic: an image of S squarefree mod p proves S
        squarefree too (a repeated root a of S would make (y - P(a))^2
        divide it), so S is the whole of Yun's decomposition.  When that
@@ -245,14 +244,18 @@ def analyze(p: Poly) -> CriticalStructure:
     [('y', (1,)), ('y + 1', (1, 1))]
     >>> analyze(Poly([0, -3, 0, 1])).shape  # x^3 - 3x: values +-2, certified
     ((2, (1,)),)
+    >>> cs = analyze(Poly([0, 0, 0, 0, 15, -24, 10]))  # P' = 60 x^3 (x - 1)^2
+    >>> [(c.factor.to_string(), c.multiplicity) for c in cs.classes]
+    [('x - 1', 2), ('x', 3)]
+    >>> [(f.to_string("y"), mults) for f, mults in cs.values]
+    [('y - 1', (2,)), ('y', (3,))]
     """
     if p.degree < 2:
         raise ValueError(f"degree must be at least 2, got {p.degree}")
     dp = p.derivative()
     tried = image = None  # tried: the one class S, when its image goes first
-    if dp.degree == 1 or _few_roots_mod_p(dp):
-        parts = _two_root_parts(dp)  # None: P' has three roots or more
-    else:
+    parts = _two_root_parts(dp)  # None: P' has three roots or more
+    if parts is None:
         tried = (CriticalClass(dp.monic(), 1),)
         image = _certified_images(p, tried)
         proven = image is not None or _coprime_mod_p(dp.num, dp.derivative().num)
@@ -539,9 +542,13 @@ def _shared_degrees(pair: PolynomialPair) -> list:
 
 
 def _common_degree(a: Poly, b: Poly) -> int:
-    """deg gcd(a, b) of two monic pieces: two linear ones share their
-    root exactly when they are equal."""
-    return int(a == b) if a.degree == b.degree == 1 else poly_gcd(a, b).degree
+    """deg gcd(a, b) of two monic squarefree pieces: a linear one, y - v,
+    shares its root with the other exactly when the other vanishes at v."""
+    if b.degree == 1:
+        a, b = b, a
+    if a.degree == 1:
+        return int(not b(Rat(-a.num[0], a.den)))
+    return poly_gcd(a, b).degree
 
 
 def theorem1_lhs(matching: PairMatching) -> int:

@@ -35,11 +35,11 @@ by P in GF(p)[x]/(S) and Newton's identities.  A product of such images
 coprime modulo p to its derivative (``_coprime_mod_p``) proves the
 generic shape, and on a generic side proves P' squarefree, without Yun;
 two sides whose images are coprime modulo p share no critical value.
-``_few_roots_mod_p``, two remainders of Euclid on (f, f'), tells the
-shape route which sides to try first as P' with at most two distinct
-roots, whose Yun parts ``_two_root_parts`` reads off the exact identity
-g f' = h f with no gcd.  A prime that divides a denominator or a
-leading coefficient makes the certificate decline, never lie.
+A prime that divides a denominator or a leading coefficient makes the
+certificate decline, never lie.  Before any of them, ``critical`` tests
+every P' by the exact identity g f' = h f of ``_two_root_parts``, which
+holds exactly when f has at most two distinct roots and then gives
+Yun's parts with no gcd.
 """
 
 from __future__ import annotations
@@ -586,28 +586,6 @@ def _coprime_mod_p(a: list, b: list) -> bool:
     if len(a) < len(b):
         a, b = b, a
     return len(_euclid_mod_p([c % p for c in a], [c % p for c in b])) == 1
-
-
-def _few_roots_mod_p(f: Poly) -> bool:
-    """True when f has a repeated root and at most two distinct roots
-    modulo p = GCD_PRIME (deg f < p), False when p divides lc f: a probe,
-    not a certificate.  f has deg f - deg gcd(f, f') distinct roots, and
-    the gcd divides r = f mod f', so it has degree deg f - 1 exactly when
-    r = 0, and deg f - 2 >= 1 exactly when r has that degree and divides
-    f'.  Both remainders have a linear quotient, so each is one pass of
-    ``_rem_mod_p``, O(deg f) in all.
-
-    >>> _few_roots_mod_p(Poly([0, 0, -1, 1])), _few_roots_mod_p(Poly([0, 2, -3, 1]))
-    (True, False)
-    """
-    p, n = GCD_PRIME, len(f.num) - 1
-    a = [c % p for c in f.num]
-    if n < 2 or not a[n]:
-        return False
-    da = [c % p for c in _derivative(a)]  # lc n * a[n] is a unit: n < p
-    if not (r := _rem_mod_p(a, da)):
-        return True
-    return n >= 3 and len(r) == n - 1 and not _rem_mod_p(da, r)
 
 
 def _two_root_parts(f: Poly):

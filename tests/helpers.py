@@ -20,6 +20,15 @@ def poly_of(*coeffs):
     return Poly([Rat(c) for c in coeffs])
 
 
+def chebyshev(n):
+    """The Chebyshev polynomial T_n: its critical values are +-1, each
+    taken by several critical points once n >= 3."""
+    a, b = poly_of(1), poly_of(0, 1)
+    for _ in range(n):
+        a, b = b, poly_of(0, 2) * b - a
+    return a
+
+
 def squarefree_part(p):
     """Monic product of the distinct irreducible factors of p."""
     return (p // poly_gcd(p, p.derivative())).monic()

@@ -12,9 +12,10 @@ import io
 import json
 import random
 
-from helpers import COUNTED, count_calls
+from helpers import COUNTED, chebyshev, count_calls
 from sepcurve import cli, instances
 from sepcurve.critical import PolynomialPair
+from sepcurve.rpoly import Poly
 
 # Per call, in the order of helpers.COUNTED: resultant_shift, poly_gcd,
 # squarefree_decomposition, _value_image_mod_p, _coprime_mod_p,
@@ -25,25 +26,32 @@ BUDGETS = {
     # witness: no value polynomial and no gcd
     "case 1": (0, 0, 0, 0, 1, 1, 0),
     "case 2": (0, 0, 0, 1, 2, 0, 1),
-    "case 3": (1, 1, 0, 1, 2, 1, 1),
+    "case 3": (1, 0, 0, 1, 2, 1, 1),
     # every critical point rational, at most two a side from g P'' = h P':
     # the tables are P at the points, with no image, Yun, shift or gcd
     "case 4": (0, 0, 0, 0, 1, 1, 1),
     "case 5": (0, 0, 0, 0, 1, 1, 1),
-    # P' has a repeated root and three distinct roots mod p: each side's
-    # one-class image declines and P', P'' are tested for a common root
-    "case 6": (4, 3, 2, 6, 7, 1, 1),
+    # P' has a repeated root and three distinct roots: each side's
+    # one-class image declines and P', P'' are tested for a common root;
+    # a linear piece meets a quadratic one by evaluation, not by a gcd
+    "case 6": (4, 1, 2, 6, 7, 1, 1),
     "case 7": (0, 0, 0, 2, 3, 1, 0),
     "gap rule": (0, 0, 0, 2, 3, 1, 1),
     "count threshold": (0, 0, 0, 1, 2, 0, 1),
     "below thresholds": (0, 0, 0, 0, 1, 0, 1),
-    "theorem3 k=3": (1, 2, 0, 1, 2, 1, 1),
+    "theorem3 k=3": (1, 0, 0, 1, 2, 1, 1),
     "theorem3 k>=4": (0, 0, 0, 0, 1, 1, 1),
     # the seeded random_linear_factor_pair draws, all certified
     "linear factor": (0, 0, 2, 6, 7, 1, 0),
     # two certified sides whose images are coprime: the three mod-p
     # tests, two of the sides and one of the pair, and nothing exact
     "dense degree 12": (0, 0, 0, 2, 3, 0, 1),
+    # a side with squarefree P' whose critical values repeat: its one-class
+    # image declines, P' and P'' coprime mod p keep S = P' made monic as
+    # the one class with no Yun of P', and the exact table takes one shift
+    # and one Yun of the value polynomial per side
+    "chebyshev": (2, 0, 2, 2, 4, 1, 0),
+    "composition": (2, 0, 2, 2, 4, 1, 0),
 }
 
 
@@ -79,6 +87,17 @@ def _pinned_draw(seed):
     return out
 
 
+def _nongeneric_pairs():
+    """T_n against T_n(x + 1), and R(S(x)) against its shift by 1, for R
+    and S fixed cubic and quintic: the values of each side repeat."""
+    out = []
+    for n in (5, 10, 20, 30):
+        t = chebyshev(n)
+        out.append(("chebyshev", PolynomialPair(t, t.shift_argument(1))))
+    rs = Poly([2, -1, 3, 1])(Poly([1, 0, -2, 1, 0, 1]))
+    return out + [("composition", PolynomialPair(rs, rs.shift_argument(1)))]
+
+
 def _dense_pair():
     rng = random.Random(26)
     return PolynomialPair(*(instances.random_polynomial(rng, 12, 12, sparse=False) for _ in "pq"))
@@ -88,6 +107,7 @@ def test_kernel_counts_per_cli_call_stay_within_budget(monkeypatch, debug_checks
     debug_checks(False)  # the cross-checks rerun the kernels
     counts = count_calls(monkeypatch)
     calls = _selftest_pairs() + _pinned_draw(1) + [("dense degree 12", _dense_pair())]
+    calls += _nongeneric_pairs()
     over = []
     for row, pair in calls:
         counts.clear()
@@ -98,5 +118,5 @@ def test_kernel_counts_per_cli_call_stay_within_budget(monkeypatch, debug_checks
         got = tuple(counts[name] for name in COUNTED)
         if any(g > b for g, b in zip(got, BUDGETS[row])):
             over.append((row, pair, got))
-    assert len(calls) == 16 + 31 + 1
+    assert len(calls) == 16 + 31 + 1 + 5
     assert over == []

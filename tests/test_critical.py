@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import sepcurve.critical as critical
 import sepcurve.rpoly as rpoly
 from helpers import (
+    chebyshev,
     count_calls,
     make_matching,
     poly_of,
@@ -361,8 +362,7 @@ def test_a_wrong_one_class_certificate_is_caught_under_debug_checks(monkeypatch,
             reduce(_mul_mod_p, (_value_image_mod_p(c.factor, p) for c in classes))
         ),
     )
-    p = poly_of(0, 0, 0, 40, -45, 12)  # P' = 60 x^2 (x - 1)(x - 2): the probe does not end
-    assert not rpoly._few_roots_mod_p(p.derivative())
+    p = poly_of(0, 0, 0, 40, -45, 12)  # P' = 60 x^2 (x - 1)(x - 2): three roots
     (cls,) = analyze(p).classes  # the faulty certificate is trusted...
     assert (cls.factor.degree, cls.multiplicity) == (4, 1)
     debug_checks(True)
@@ -371,17 +371,17 @@ def test_a_wrong_one_class_certificate_is_caught_under_debug_checks(monkeypatch,
 
 
 @pytest.mark.parametrize("a, b", [(3, 2), (4, 1), (2, 5)])
-def test_a_probe_ended_side_certifies_the_classes_of_yun(monkeypatch, debug_checks, a, b):
+def test_a_two_root_identity_side_certifies_the_classes_of_yun(monkeypatch, debug_checks, a, b):
     """P' = 6 u^a (u - 1)^b with u = 2x + 3, an affine image of
-    x^a (x - 1)^b, has a repeated root and two distinct roots modulo p:
-    the probe ends, g P'' = h P' gives Yun's decomposition of P' with no
-    Yun run, and P at the two rational critical points certifies the
-    shape with no value image.  Under debug checks Yun runs once."""
+    x^a (x - 1)^b, has two distinct roots: g P'' = h P' gives Yun's
+    decomposition of P' with no Yun run, and P at the two rational
+    critical points certifies the shape with no value image.  Under
+    debug checks Yun runs once."""
     debug_checks(False)
     u = poly_of(3, 2)
     dp = rat(6) * u**a * (u - poly_of(1)) ** b
     p = Poly([0] + [c / (k + 1) for k, c in enumerate(dp.coeffs)])
-    assert p.derivative() == dp and rpoly._few_roots_mod_p(dp)
+    assert p.derivative() == dp
     kernels = ("squarefree_decomposition", "_value_image_mod_p", "resultant_shift", "poly_gcd")
     counts = count_calls(monkeypatch, kernels)
     cs = analyze(p)
@@ -393,11 +393,16 @@ def test_a_probe_ended_side_certifies_the_classes_of_yun(monkeypatch, debug_chec
     assert analyze(p) == cs and counts["squarefree_decomposition"] == 1 + len(cs.classes)
 
 
-def _chebyshev(n: int) -> Poly:
-    a, b = poly_of(1), poly_of(0, 1)
-    for _ in range(n):
-        a, b = b, poly_of(0, 2) * b - a
-    return a
+def test_a_two_root_side_with_p_dividing_its_lc_runs_no_yun(monkeypatch, debug_checks):
+    """P' = p x^2 (x - 1), p = GCD_PRIME: the tests modulo p decline on a
+    P' whose leading coefficient p divides, but g P'' = h P' over Q names
+    its two classes with no Yun run."""
+    debug_checks(False)
+    dp = rat(GCD_PRIME) * poly_of(0, 0, 1) * poly_of(-1, 1)
+    counts = count_calls(monkeypatch, ("squarefree_decomposition",))
+    cs = analyze(_integral(dp, 0))
+    assert not counts
+    assert cs.classes == squarefree_decomposition(dp).parts
 
 
 small_rats = st.builds(rat, st.integers(-4, 4), st.integers(1, 3))
@@ -433,7 +438,7 @@ def colliding_value_polys(draw):
     compositions R(S(x))."""
     kind = draw(st.sampled_from(["chebyshev", "w", "composition"]))
     if kind == "chebyshev":
-        return _chebyshev(draw(st.integers(3, 12)))
+        return chebyshev(draw(st.integers(3, 12)))
     if kind == "w":
         return poly_of(0, 0, -2, 0, 1)
     r, s = (draw(polys_deg2plus(max_degree=3)) for _ in "rs")
@@ -458,8 +463,8 @@ def _scaled_by_p(p, where):
 )
 @settings(deadline=None, max_examples=250)
 def test_analyze_equals_the_yun_first_route(p):
-    """The one-class certificate, the probe and Yun's fallback give what
-    Yun's classes with one image each give."""
+    """The two-root identity, the one-class certificate and Yun's
+    fallback give what Yun's classes with one image each give."""
     cs, ref = analyze(p), yun_first_analyze(p)
     assert cs.classes == ref.classes
     assert cs.image == ref.image
@@ -469,9 +474,9 @@ def test_analyze_equals_the_yun_first_route(p):
 
 def test_a_two_root_derivative_reaches_no_image_of_its_own(monkeypatch, debug_checks):
     """theorem3_pair(18): P' = c x^18 (x - 1) and Q' of the same two-root
-    kind; the probe ends and g P'' = h P' names both critical points of
-    each side, so no side takes a value image, a Yun decomposition or a
-    shift, and the matching compares the pieces y - P(a) with no gcd."""
+    kind; g P'' = h P' names both critical points of each side, so no
+    side takes a value image, a Yun decomposition or a shift, and the
+    matching compares the pieces y - P(a) with no gcd."""
     debug_checks(False)
     kernels = ("_value_image_mod_p", "squarefree_decomposition", "resultant_shift", "poly_gcd")
     counts = count_calls(monkeypatch, kernels)

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import poly_of, random_perturbed_pair, reference_linear_factor, shift_for_scale
+from helpers import (
+    chebyshev,
+    poly_of,
+    random_perturbed_pair,
+    reference_linear_factor,
+    shift_for_scale,
+)
 from sepcurve import linfactor
 from sepcurve.classify import classify
 from sepcurve.critical import PolynomialPair, match_pairs
@@ -255,13 +261,6 @@ def test_matches_the_quotient_ring_reference(pair):
         assert got.description == want.description
 
 
-def _chebyshev(n):
-    a, b = Poly.one(), Poly.x()
-    for _ in range(n - 1):
-        a, b = b, 2 * Poly.x() * b - a
-    return b
-
-
 _HYPOTHESIS_I_FAILS = [
     poly_of(0, 0, -2, 0, 1),  # x^4 - 2x^2: the value -1 twice
     poly_of(0, 0, 0, 1, -2, 1),  # x^3 (x - 1)^2: the value 0 in two classes
@@ -289,7 +288,7 @@ def pairs_with_a_linear_factor(draw):
     elif kind == "composed":
         a = random_polynomial(rng, 2, 3)(random_polynomial(rng, 2, 2))
     elif kind == "chebyshev":
-        a = _chebyshev(draw(st.integers(2, 7)))
+        a = chebyshev(draw(st.integers(2, 7)))
     else:
         a = draw(st.sampled_from(_HYPOTHESIS_I_FAILS))
     return PolynomialPair(*(compose_affine(a, _nonzero_small(rng), _small(rng)) for _ in "pq"))

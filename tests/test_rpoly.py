@@ -527,53 +527,6 @@ def test_value_image_runs_no_euclid(monkeypatch):
     assert image == _image_of_shift(s, f, P)
 
 
-@st.composite
-def two_root_powers(draw):
-    """lc (x - b)^i (x - c)^j of degree >= 2 with a repeated root and at
-    most two distinct roots, p dividing no lc and no root's denominator."""
-    b, c = (draw(st.builds(rat, st.integers(-6, 6), st.integers(1, 5))) for _ in "bc")
-    i, j = draw(st.integers(0, 8)), draw(st.integers(0, 8))
-    assume(i + j >= 2 and (max(i, j) >= 2 or b == c))
-    return draw(rationals.filter(bool)) * poly_of(-b, 1) ** i * poly_of(-c, 1) ** j
-
-
-@given(f=two_root_powers())
-@settings(deadline=None, max_examples=150)
-def test_the_probe_ends_on_two_roots_and_a_repeated_one(f):
-    assert rpoly._few_roots_mod_p(f)
-    assert not rpoly._few_roots_mod_p(rat(P) * f)  # p divides lc
-
-
-@given(f=st.one_of(polys, modular_polys, two_root_powers()))
-@settings(deadline=None, max_examples=300)
-def test_the_probe_ends_exactly_on_few_roots_mod_p(f):
-    """The probe reads deg gcd(f, f') mod p >= max(deg f - 2, 1), the full
-    Euclid's answer: never True on an f squarefree modulo p."""
-    assume(f.degree >= 1)
-    a = [c % P for c in f.num]
-    few = False
-    if a[-1] and f.degree >= 2:
-        g = rpoly._euclid_mod_p(a, [k * c % P for k, c in enumerate(a)][1:])
-        few = len(g) - 1 >= max(f.degree - 2, 1)
-    assert rpoly._few_roots_mod_p(f) is few
-
-
-@pytest.mark.parametrize(
-    "f, ends",
-    [
-        (poly_of(0, 0, 1), True),  # x^2
-        (poly_of(0, 0, 0, 1) * poly_of(-1, 1) ** 5, True),  # x^3 (x - 1)^5
-        (poly_of(0, 0, 60) * poly_of(-1, 1) * poly_of(-2, 1), False),  # three roots
-        (poly_of(0, -P, 1), True),  # x (x - p): squarefree over Q, x^2 modulo p
-        (poly_of(-1, 0, 1), False),  # squarefree
-        (poly_of(1, 1), False),  # degree 1
-        (poly_of(0, 0, P), False),  # p divides lc
-    ],
-)
-def test_the_probe_pinned(f, ends):
-    assert rpoly._few_roots_mod_p(f) is ends
-
-
 small_rationals = st.builds(rat, st.integers(-5, 5), st.integers(1, 4))
 nonzero_rationals = small_rationals.filter(bool)
 
