@@ -12,18 +12,19 @@ and is therefore kept out of golden runs.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 import time
+from types import SimpleNamespace
 
 from .classify import Outcome, Verdict, classify
 from .critical import DEFAULT_PRECISION, PRECISION_CAP, PolynomialPair, corollary1_lhs, theorem1_lhs
 from .parsepoly import parse_poly
 
-# The oracles, the witness audit, the selftest instances and ``json``
-# are imported by the functions that use them, so importing this module
-# loads none of them; the oracles' precision bounds live in ``critical``.
+# The oracles, the witness audit, the selftest instances, ``json`` and
+# ``argparse`` are imported by the functions that use them, so importing
+# this module loads none of them; the oracles' precision bounds live in
+# ``critical``.
 
 EXIT_BY_OUTCOME = {
     Outcome.HYPERBOLIC: 0,
@@ -34,12 +35,6 @@ EXIT_BY_OUTCOME = {
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad usage; the contract wants 1.
-    def error(self, message):
-        raise _UsageError(message)
 
 
 def _critical_summary(pair: PolynomialPair) -> dict:
@@ -176,21 +171,39 @@ def render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _precision_bits(text: str) -> int:
+def _precision_in_range(text: str) -> int | None:
+    """``text`` read as a numeric oracle precision in 1..PRECISION_CAP,
+    or None if it is not one."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if not 1 <= value <= PRECISION_CAP:
-        raise argparse.ArgumentTypeError(f"must be an integer in 1..{PRECISION_CAP}, got {text!r}")
-    return value
+        return None
+    return value if 1 <= value <= PRECISION_CAP else None
+
+
+_ORACLE_CHOICES = ("geometry", "numeric", "both")
+_VALUED_OPTIONS = frozenset(("--p", "--q", "--oracle", "--precision"))
+_FLAG_OPTIONS = frozenset(("--json", "--witness", "--timings"))
 
 
 # One parser per process, built on first use so that importing builds
 # none: a parser holds reference cycles that only the cyclic collector
 # frees, so one per call would leave that garbage behind every call.
 @functools.cache
-def _build_argparser() -> _Parser:
+def _build_argparser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with 2 on bad usage; the contract wants 1.
+        def error(self, message):
+            raise _UsageError(message)
+
+    def precision_bits(text):
+        value = _precision_in_range(text)
+        if value is None:
+            raise argparse.ArgumentTypeError(f"must be an integer in 1..{PRECISION_CAP}, got {text!r}")
+        return value
+
     ap = _Parser(prog="sepcurve", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -207,7 +220,7 @@ def _build_argparser() -> _Parser:
         help="emit holomorphic one-forms for hyperbolic verdicts",
     )
     cl.add_argument(
-        "--oracle", choices=("geometry", "numeric", "both"),
+        "--oracle", choices=_ORACLE_CHOICES,
         help=(
             "cross-check with the genus count and/or numeric error disks: "
             "fixed-point integer arithmetic, value disks that bound their own "
@@ -216,7 +229,7 @@ def _build_argparser() -> _Parser:
         ),
     )
     cl.add_argument(
-        "--precision", type=_precision_bits, default=DEFAULT_PRECISION, metavar="BITS",
+        "--precision", type=precision_bits, default=DEFAULT_PRECISION, metavar="BITS",
         help=f"numeric oracle start precision, 1..{PRECISION_CAP} (default {DEFAULT_PRECISION})",
     )
     cl.add_argument(
@@ -226,6 +239,49 @@ def _build_argparser() -> _Parser:
 
     sub.add_parser("selftest", help="run the pinned golden instances")
     return ap
+
+
+def _read_spelled_out(rest: list) -> SimpleNamespace | None:
+    """The namespace the classify subparser builds from ``rest``, when
+    every option in it is spelled in full and given at most once, each
+    value is valid and both --p and --q are present; otherwise None, and
+    argparse reads ``rest`` (and words any usage error or help).
+
+    A value follows its option after "=" (but is not "--"), or is the
+    next argument when that does not start with "-"; the flags take
+    none."""
+    given = {}
+    i = 0
+    while i < len(rest):
+        name, eq, value = rest[i].partition("=")
+        if name in _FLAG_OPTIONS and not eq:
+            value = True
+        elif name not in _VALUED_OPTIONS or value == "--":  # argparse drops a "--" value
+            return None
+        elif not eq:
+            i += 1
+            if i == len(rest) or rest[i].startswith("-"):
+                return None
+            value = rest[i]
+        if name in given:
+            return None
+        given[name] = value
+        i += 1
+    if "--p" not in given or "--q" not in given:
+        return None
+    oracle = given.get("--oracle")
+    if oracle is not None and oracle not in _ORACLE_CHOICES:
+        return None
+    precision = DEFAULT_PRECISION
+    if "--precision" in given:
+        precision = _precision_in_range(given["--precision"])
+        if precision is None:
+            return None
+    return SimpleNamespace(
+        command="classify", p=given["--p"], q=given["--q"], json="--json" in given,
+        witness="--witness" in given, oracle=oracle, precision=precision,
+        timings="--timings" in given,
+    )
 
 
 def _run_classify(args) -> int:
@@ -349,8 +405,10 @@ def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
         if argv[:1] == ["classify"]:  # the top parser would only hand on the rest
-            parser = _build_argparser().classify_parser
-            args = parser.parse_args(argv[1:], argparse.Namespace(command="classify"))
+            args = _read_spelled_out(argv[1:])
+            if args is None:
+                parser = _build_argparser().classify_parser
+                args = parser.parse_args(argv[1:], SimpleNamespace(command="classify"))
         else:
             args = _build_argparser().parse_args(argv)
         if args.command == "selftest":

@@ -575,6 +575,13 @@ def test_decide_feeds_the_witness_audit_on_bare_matchings():
     assert rules["Corollary 1"] == rules["big2c(a)"] == 0
 
 
+def test_no_equal_degree_shape_is_inconclusive():
+    """The paper's necessity half on the shape sweep: with n = m, every
+    matching that Hypothesis I allows gets a verdict."""
+    outcomes = Counter(decide(m).outcome for m in _mass_identity_matchings() if m.deg_p == m.deg_q)
+    assert outcomes == {Outcome.HYPERBOLIC: 4489, Outcome.HAS_LOW_GENUS_COMPONENT: 42}
+
+
 def _euler_characteristic(matching):
     """χ of the curve P(x) = Q(y) read off a bare matching under
     Hypothesis I, by Riemann–Hurwitz over the t-line: 2nm, less

@@ -12,7 +12,9 @@ regenerate both after an intentional schema change with
 import collections
 import contextlib
 import gc
+import importlib.util
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -20,6 +22,8 @@ import random
 import subprocess
 import sys
 import time
+from enum import IntEnum
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -155,14 +159,18 @@ def test_negative_leading_coefficient_via_equals_form(capsys):
     capsys.readouterr()
 
 
-def test_argument_parser_is_built_once(monkeypatch, capsys):
-    # a parser per call leaves ~140 cyclic objects behind every call
-    main(["classify", "--p", "x^3", "--q", "x^3"])
-    built = []
-    monkeypatch.setattr(cli._Parser, "__init__", lambda self, *a, **kw: built.append(a))
+def test_argument_parser_is_built_once(capsys):
+    """A parser per call leaves ~140 cyclic objects behind every call:
+    argvs that argparse reads build it once per process, and a
+    spelled-out one builds none."""
+    cli._build_argparser.cache_clear()
     assert main(["classify", "--p", "x^3", "--q", "x^3"]) == 10
+    assert cli._build_argparser.cache_info().currsize == 0
+    for _ in range(3):
+        assert main(["classify", "--p", "x^3", "--q", "x^3", "--js"]) == 10
+    info = cli._build_argparser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
     capsys.readouterr()
-    assert built == []
 
 
 def _parse_outcome(parse, argv):
@@ -186,33 +194,122 @@ def _full_parse(argv):
         return None, 1
 
 
-CLASSIFY_ARGV = [
+# argvs the spelled-out read takes: each option in full, at most once,
+# with a valid value after "=" or as the next argument
+SPELLED_OUT_ARGV = [
+    ["--p", "x^3", "--q", "x^3", "--precision=64", "--oracle=both", "--timings"],
+    ["--p=x^3", "--q=x^3"], ["--q", "x^3", "--p", "x^3"], ["--p", "x^3", "--q=x^3", "--oracle", "both"],
+    ["--json", "--witness", "--timings", "--oracle", "numeric", "--precision", "1", "--q=x^2", "--p", "x^3"],
+    ["--p", "x^3", "--q", "x^3", "--precision=4096"], ["--p", "x^3 + x", "--q=x^3 - 2*x"],
+    ["--p=a=b", "--q", "x = 3"], ["--p=", "--q", "x^3"], ["--p=-x^3", "--q=-x^3", "--oracle=geometry"],
+]
+# near misses, which argparse reads: abbreviations, help, "--", strays,
+# repeats, and bad, missing or "-"-led values
+ARGPARSE_ARGV = [
     ["--he"], ["-h"], ["--p", "x^3", "-h"],
     ["--p", "x^3", "--q", "x^3", "--js", "--prec", "64", "--witn"],
     ["--q", "x^3"], ["--p", "x^3"], [], ["--p", "x", "--p", "x^3", "--q", "x^3"], ["--p", "x^3", "--q"],
     ["--p", "--q", "x^3"], ["--p", "x^3", "--q", "x^3", "--q=x^2"],
     ["--p", "x^3", "--q", "x^3", "--oracle", "numerics"], ["--p", "x^3", "--q", "x^3", "--oracle"],
     ["--p", "x^3", "--q", "x^3", "--precision", "0"], ["--p", "x^3", "--q", "x^3", "--precision", "5000"],
-    ["--p", "x^3", "--q", "x^3", "--precision=64", "--oracle=both", "--timings"],
     ["--"], ["--p", "x^3", "--q", "x^3", "--"], ["--", "--p", "x^3", "--q", "x^3"],
     ["--p", "x^3", "--q", "x^3", "stray"], ["stray", "--p", "x^3", "--q", "x^3"],
     ["--p", "x^3", "--q", "x^3", "--json=1"], ["--p=-x^3", "--q", "x^3", "--bogus"],
+    ["--p", "-x^3", "--q", "x^3"], ["--p", "x^3", "--q", "x^3", "--precision", "-5"],
+    ["--p", "x^3", "--q", "x^3", "--precision", "1e3"], ["--p", "x^3", "--q", "x^3", "--oracle=Both"],
+    ["--p=--", "--q", "x^3"], ["--p", "x^3", "--q", "x^3", "--oracle=both", "--oracle", "both"],
+    ["--p", "x^3", "--q", "x^3", "--precision", "64", "--precision=64"],
+    *(["--p", "x^3", "--q", "x^3", flag, flag] for flag in ("--json", "--witness", "--timings")),
 ]
+CLASSIFY_ARGV = SPELLED_OUT_ARGV + ARGPARSE_ARGV
+
+
+def _via_main(argv):
+    """``main``'s namespace for ``argv`` and its exit code, with the
+    classify run itself replaced by a stub."""
+    seen = []
+    with mock.patch.object(cli, "_run_classify", lambda args: seen.append(vars(args)) or 0):
+        code = main(argv)
+    return (seen[0] if seen else None), code
 
 
 @pytest.mark.parametrize("rest", CLASSIFY_ARGV, ids=" ".join)
-def test_classify_route_parses_as_the_full_parser(rest, monkeypatch):
-    """``main`` hands a ``classify`` argv to the subparser alone; that
-    gives the full parser's namespace, usage-error text, help text and
-    exit code."""
-    def via_main(argv):
-        seen = []
-        monkeypatch.setattr(cli, "_run_classify", lambda args: seen.append(vars(args)) or 0)
-        code = main(argv)
-        return (seen[0] if seen else None), code
-
+def test_classify_route_parses_as_the_full_parser(rest):
+    """``main`` reads a spelled-out ``classify`` argv itself and hands
+    any other to the subparser alone; either way it gives the full
+    parser's namespace, usage-error text, help text and exit code."""
     argv = ["classify", *rest]
-    assert _parse_outcome(via_main, argv) == _parse_outcome(_full_parse, argv)
+    assert _parse_outcome(_via_main, argv) == _parse_outcome(_full_parse, argv)
+
+
+def test_the_spelled_out_read_takes_exactly_its_argvs():
+    assert all(cli._read_spelled_out(rest) is not None for rest in SPELLED_OUT_ARGV)
+    assert [rest for rest in ARGPARSE_ARGV if cli._read_spelled_out(rest) is not None] == []
+
+
+def test_every_option_order_reads_as_the_full_parser():
+    options = (["--p", "x^3"], ["--q=x^2"], ["--json"], ["--witness"], ["--timings"],
+               ["--oracle", "both"], ["--precision=512"])
+    for order in itertools.permutations(options):
+        rest = [token for option in order for token in option]
+        assert vars(cli._read_spelled_out(rest)) == _full_parse(["classify", *rest])[0], rest
+
+
+_OPTION_VALUES = {
+    "--p": ("x^3", "x^3 + x", "-x^3", "", "a=b", "--"),
+    "--q": ("x^2", "2*x^3 - 1", "-x^2", "=x"),
+    "--oracle": ("geometry", "numeric", "both", "Both", ""),
+    "--precision": ("1", "64", "4096", "0", "4097", "-5", "1e3", " 7", "+8"),
+}
+
+
+def _option(name):
+    """``name`` with a value after "=" or as the next argument."""
+    return st.tuples(st.sampled_from(_OPTION_VALUES[name]), st.booleans()).map(
+        lambda pair: [f"{name}={pair[0]}"] if pair[1] else [name, pair[0]]
+    )
+
+
+_EXTRA_OPTION = st.one_of(
+    st.sampled_from(sorted(_OPTION_VALUES)).flatmap(_option),
+    st.sampled_from(["--json", "--witness", "--timings", "--json=1", "--js", "--", "-h", "stray", "--oracle"]).map(
+        lambda token: [token]
+    ),
+)
+
+
+@given(
+    st.tuples(_option("--p"), _option("--q"), st.lists(_EXTRA_OPTION, max_size=5))
+    .flatmap(lambda t: st.permutations([t[0], t[1], *t[2]]))
+    .map(lambda options: [token for option in options for token in option])
+)
+@settings(max_examples=300, deadline=None)
+def test_drawn_classify_argvs_parse_as_the_full_parser(rest):
+    argv = ["classify", *rest]
+    assert _parse_outcome(_via_main, argv) == _parse_outcome(_full_parse, argv)
+
+
+def _load_perfbench_workloads():
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: module}):  # its dataclasses look it up
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_and_the_corpus_take_the_spelled_out_read():
+    """The argvs of the pinned-cli benchmark, the corpus and the golden
+    files are all read without argparse, so the route the benchmark
+    times is the one the corpus replays."""
+    workload = _load_perfbench_workloads().PinnedCli()
+    argvs = [workload.argv(item) for item in workload.items(1, 1)]
+    for index, line in enumerate(CORPUS.read_text().splitlines()):
+        rep = json.loads(line)
+        argvs.append(_corpus_argv(rep["input"]["p"], rep["input"]["q"], index))
+    argvs += [_argv(p, q) for (p, q), _ in GOLDEN_INSTANCES.values()]
+    assert len(argvs) == 47 + 276 + 10
+    assert [argv for argv in argvs if cli._read_spelled_out(argv[1:]) is None] == []
 
 
 def _json_text(value):
@@ -246,9 +343,15 @@ def test_json_writer_matches_json_dumps(value):
     assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
+class _Level(IntEnum):
+    HIGH = 3
+
+
 def test_json_writer_on_reports_and_empty_containers():
     report = json.loads((GOLDEN_DIR / "case6.json").read_text())
-    for value in (report, {}, [], {"a": {}, "b": [[], {}]}, (1, "x"), [float("nan"), float("-inf"), 1e300]):
+    values = (report, {}, [], {"a": {}, "b": [[], {}]}, (1, "x"), [float("nan"), float("-inf"), 1e300],
+              [1, True], [_Level.HIGH, 2], {"level": _Level.HIGH})
+    for value in values:
         assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
     with pytest.raises(TypeError):
         _json_text({"a": {1, 2}})
@@ -494,12 +597,14 @@ def test_cli_import_does_not_load_mpmath():
 
 def test_cli_import_leaves_the_oracles_and_the_witness_audit_unloaded():
     """Importing the CLI loads neither oracle, the witness audit, the
-    selftest instances nor ``json``; the package's exports still resolve on access,
-    and ``sepcurve.classify`` is the function, not the submodule."""
+    selftest instances, ``json``, ``argparse`` nor ``gettext``; the
+    package's exports still resolve on access, and ``sepcurve.classify``
+    is the function, not the submodule."""
     src = pathlib.Path(__file__).parent.parent / "src"
     code = (
         "import sys, sepcurve.cli\n"
-        "lazy = ['sepcurve.oneforms', 'sepcurve.numoracle', 'sepcurve.geometry', 'sepcurve.instances', 'mpmath', 'json']\n"
+        "lazy = ['sepcurve.oneforms', 'sepcurve.numoracle', 'sepcurve.geometry', 'sepcurve.instances', 'mpmath', 'json',\n"
+        "        'argparse', 'gettext']\n"
         "print(sorted(m for m in lazy if m in sys.modules))\n"
         "import sepcurve\n"
         "namespace = {}\n"
@@ -518,17 +623,17 @@ def test_cli_import_leaves_the_oracles_and_the_witness_audit_unloaded():
 
 
 def test_classify_without_the_numeric_oracle_leaves_it_unloaded():
-    """A degree-5 ``classify`` run, which builds the argument parser and
-    checks ``--precision``, loads neither the numeric oracle, mpmath nor
-    ``json``; ``--oracle numeric`` loads the oracle and still not mpmath,
-    and ``--json`` loads ``json``."""
+    """A degree-5 ``classify`` run whose options are spelled in full,
+    ``--precision`` among them, loads neither the numeric oracle, mpmath,
+    ``json``, ``argparse`` nor ``gettext``; ``--oracle numeric`` loads the
+    oracle and still not mpmath, and ``--json`` loads ``json``."""
     src = pathlib.Path(__file__).parent.parent / "src"
     code = (
         "import contextlib, io, sys\n"
         "from sepcurve.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    main(['classify', '--p', 'x^5', '--q', 'x^5 + x', '--precision', '512', *sys.argv[1:]])\n"
-        "print([m for m in ('sepcurve.numoracle', 'mpmath', 'json') if m in sys.modules])\n"
+        "print([m for m in ('sepcurve.numoracle', 'mpmath', 'json', 'argparse', 'gettext') if m in sys.modules])\n"
     )
     for flags, loaded in (
         ((), "[]"),
