@@ -198,6 +198,12 @@ def _build_argparser():
         def error(self, message):
             raise _UsageError(message)
 
+    class _One(argparse.Action):  # argparse reads "--p=--" as the value []
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                raise argparse.ArgumentError(self, "expected one argument")
+            setattr(namespace, self.dest, values)
+
     def precision_bits(text):
         value = _precision_in_range(text)
         if value is None:
@@ -209,9 +215,9 @@ def _build_argparser():
 
     # main() hands a classify argv to this subparser alone
     cl = ap.classify_parser = sub.add_parser("classify", help="classify one pair P(x) - Q(y)")
-    cl.add_argument("--p", required=True, metavar="POLY", help="P, a polynomial in x")
+    cl.add_argument("--p", action=_One, required=True, metavar="POLY", help="P, a polynomial in x")
     cl.add_argument(
-        "--q", required=True, metavar="POLY",
+        "--q", action=_One, required=True, metavar="POLY",
         help="Q, a polynomial in x (the y-side of the curve)",
     )
     cl.add_argument("--json", action="store_true", help="machine-readable report")
@@ -220,7 +226,7 @@ def _build_argparser():
         help="emit holomorphic one-forms for hyperbolic verdicts",
     )
     cl.add_argument(
-        "--oracle", choices=_ORACLE_CHOICES,
+        "--oracle", action=_One, choices=_ORACLE_CHOICES,
         help=(
             "cross-check with the genus count and/or numeric error disks: "
             "fixed-point integer arithmetic, value disks that bound their own "
@@ -229,7 +235,7 @@ def _build_argparser():
         ),
     )
     cl.add_argument(
-        "--precision", type=precision_bits, default=DEFAULT_PRECISION, metavar="BITS",
+        "--precision", action=_One, type=precision_bits, default=DEFAULT_PRECISION, metavar="BITS",
         help=f"numeric oracle start precision, 1..{PRECISION_CAP} (default {DEFAULT_PRECISION})",
     )
     cl.add_argument(

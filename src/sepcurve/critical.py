@@ -6,11 +6,13 @@ multiplicity (the order of vanishing of P'), each group carried as a
 monic squarefree factor.  The critical values are carried once, in a
 value table: pairwise coprime monic squarefree pieces, each with the
 multiplicities of the critical points that take each of its roots.
-Matching between the P-side and the Q-side happens through gcds of
-those pieces, never through the points themselves, except on a pair
-with a linear factor, whose matching is read from P's shape alone.
-Each polynomial's data is computed once, by :func:`analyze`, and cached
-on the pair.
+One builder gives every table, :func:`_value_table`: P at the root of
+each linear class, one image polynomial and its Yun decomposition for
+any other class.  One rule, :func:`_common_factor`, says where two
+pieces meet, within a table and across the sides; the points themselves
+are never matched, and a pair with a linear factor reads its matching
+from P's shape alone.  Each polynomial's data is computed once, by
+:func:`analyze`, and cached on the pair.
 
 The verdicts read only the table's shape: the degree of each piece and
 its multiplicities, and the degrees of the gcds across the sides.  For
@@ -24,9 +26,8 @@ roots, as when P' is x^a (x - 1)^b or an affine image of it, and then
 gives its multiplicity classes.  Where it fails, the side's image is
 the image of P' made monic, which proves P' squarefree as well, so its
 classes need no Yun decomposition; where that image declines, P' and
-P'' coprime mod p prove the same.  A side whose critical points are all
-rational builds its exact table from P at those points, with no image
-of its own.
+P'' coprime mod p prove the same.  A side whose critical points are
+all rational reads its image mod p from its table.
 """
 
 from __future__ import annotations
@@ -70,9 +71,8 @@ class CriticalStructure(namedtuple("CriticalStructure", "poly classes image")):
     points, computed once by :func:`analyze`: the multiplicity classes
     of P', from Yun's decomposition, from the identity g P'' = h P' or,
     on a side certified as one class, from the image alone, and the
-    value ``image``, the residues
-    mod p of the product of the class image polynomials when it proved
-    the generic shape, else None.
+    value ``image``, the residues mod p of the product of the class
+    image polynomials when it proved the generic shape, else None.
 
     The value table ``values`` is a tuple of (piece, mults).  The pieces
     are pairwise coprime, monic and squarefree, their product is the
@@ -80,10 +80,10 @@ class CriticalStructure(namedtuple("CriticalStructure", "poly classes image")):
     is the value of exactly the critical points whose multiplicities are
     listed, largest first, in ``mults``.  The verdicts read only the
     ``shape``, one (degree, mults) per piece; both are computed on first
-    use, except the table of a side whose classes are all linear, which
-    :func:`analyze` builds at once from P at the critical points.  On a
-    certified side piece i is the image polynomial of class i, and the
-    shape needs no piece.
+    use by :func:`_value_table`, except the table of a side whose classes
+    are all linear, which :func:`analyze` builds at once.  On a certified
+    side piece i is the image polynomial of class i, y - P(a) for a
+    linear class x - a, and the shape needs no piece.
 
     ``poly`` is the Poly, ``classes`` its CriticalClass tuple with
     multiplicities strictly increasing.  No ``__slots__``: the instance
@@ -98,9 +98,7 @@ class CriticalStructure(namedtuple("CriticalStructure", "poly classes image")):
         if self.image is None:
             return _value_table(self.poly, self.classes)
         # certified: each class's image polynomial is one squarefree piece
-        return tuple(
-            (resultant_shift(c.factor, self.poly), (c.multiplicity,)) for c in self.classes
-        )
+        return tuple((_image(c.factor, self.poly), (c.multiplicity,)) for c in self.classes)
 
     @cached_property
     def shape(self) -> tuple:
@@ -129,25 +127,50 @@ class CriticalStructure(namedtuple("CriticalStructure", "poly classes image")):
         return tuple(sorted(out, reverse=True))
 
 
+def _image(s: Poly, p: Poly) -> Poly:
+    """The image polynomial of the class S, whose roots are P at the roots
+    of S: y - P(a) by one Horner evaluation for a linear S = x - a, else
+    ``resultant_shift``."""
+    if s.degree > 1:
+        return resultant_shift(s, p)
+    v = p(Rat(-s.num[0], s.den))
+    return _make([-v.numerator, v.denominator], v.denominator)
+
+
 def _value_table(p: Poly, classes: tuple) -> tuple:
-    """The exact value table: one ``resultant_shift`` and one Yun
-    decomposition per class, and the values an earlier class also takes
-    split off by gcds."""
+    """The exact value table: one evaluation per linear class, one
+    ``resultant_shift`` and one Yun decomposition per other class, and
+    the values an earlier class also takes split off by
+    :func:`_common_factor`."""
     table = []  # pairwise coprime (piece, mults) so far
     for c in classes:
+        u = _image(c.factor, p)
         new = []
-        for f, j in squarefree_decomposition(resultant_shift(c.factor, p)).parts:
+        for f, j in ((u, 1),) if u.degree == 1 else squarefree_decomposition(u).parts:
             # each root of f is taken by j points of this class; an
             # earlier class may take some of the same values: split them off
             mults = (c.multiplicity,) * j
             for i, (a, a_mults) in enumerate(table):
-                g = poly_gcd(a, f)
+                g = _common_factor(a, f)
                 if g.degree > 0:
                     table[i], f = (a // g, a_mults), f // g
                     new.append((g, tuple(sorted(a_mults + mults, reverse=True))))
             new.append((f, mults))
         table = [(a, ms) for a, ms in table + new if a.degree > 0]
     return tuple(table)
+
+
+def _common_factor(a: Poly, b: Poly) -> Poly:
+    """gcd(a, b) of two monic squarefree pieces.  Two linear pieces share
+    their root exactly when they are equal, a linear piece y - v meets any
+    other piece exactly when that vanishes at v, and any other pair takes
+    ``poly_gcd``."""
+    if b.degree == 1:
+        a, b = b, a
+    if a.degree != 1:
+        return poly_gcd(a, b)
+    shared = a == b if b.degree == 1 else not b(Rat(-a.num[0], a.den))
+    return a if shared else Poly.one()
 
 
 def _shape(table: tuple) -> tuple:
@@ -167,24 +190,6 @@ def _certified_images(p: Poly, classes: tuple):
     if not _coprime_mod_p(product, [k * c for k, c in enumerate(product)][1:]):
         return None
     return tuple(product)
-
-
-def _point_table(p: Poly, classes: tuple) -> tuple:
-    """The exact value table of linear classes: P at each rational
-    critical point by Horner, each piece y - P(a), and a value an
-    earlier class also takes merged into one piece, last, as
-    :func:`_value_table` merges it."""
-    table = []
-    for c in classes:
-        v = p(Rat(-c.factor.num[0], c.factor.den))
-        piece, mults = _make([-v.numerator, v.denominator], v.denominator), (c.multiplicity,)
-        for i, (a, a_mults) in enumerate(table):
-            if a == piece:
-                del table[i]
-                mults = tuple(sorted(a_mults + mults, reverse=True))
-                break
-        table.append((piece, mults))
-    return tuple(table)
 
 
 def _point_image(p: Poly, classes: tuple, table: tuple):
@@ -224,20 +229,19 @@ def analyze(p: Poly) -> CriticalStructure:
     3. Yun's decomposition of P', where the route taken proves nothing.
 
     A side whose classes are then all linear has only rational critical
-    points: its exact table is P at each of them (:func:`_point_table`)
-    and its image the product of those values mod p
-    (:func:`_point_image`), None exactly where the class images would
-    decline.  Any other side takes one image per class, except a single
-    class S whose image has just declined.  An image that declines,
-    an unlucky prime included, leaves the exact table (one
-    ``resultant_shift`` and one Yun decomposition per class) to give the
-    shape.  With ``rpoly.DEBUG_CHECKS`` on (SEPCURVE_DEBUG_CHECKS set
-    when the package is first imported) every side whose classes were
-    proven without Yun is also run through Yun, a table read at the
-    points is compared with :func:`_value_table` and its image with
-    :func:`_certified_images`, every other certified shape with the
-    exact table's, and its image with the product of the exact
-    ``resultant_shift`` polynomials reduced mod p.
+    points: its exact table is built at once, and its image is the
+    product of its values mod p (:func:`_point_image`), None exactly
+    where the class images would decline.  Any other side takes one
+    image per class, except a single class S whose image has just
+    declined.  An image that declines, an unlucky prime included, leaves
+    the exact table (:func:`_value_table`) to give the shape.  With
+    ``rpoly.DEBUG_CHECKS`` on (SEPCURVE_DEBUG_CHECKS set when the package
+    is first imported) every side whose classes were proven without Yun
+    is also run through Yun, the pieces of an all-linear side are
+    compared with ``resultant_shift`` and so with its determinant route,
+    and its image with :func:`_certified_images`, every other certified
+    shape with the exact table's, and its image with the product of the
+    exact ``resultant_shift`` polynomials reduced mod p.
 
     >>> cs = analyze(Poly([0, 0, -2, 0, 1]))  # x^4 - 2x^2: 0 once, -1 twice
     >>> [(f.to_string("y"), mults) for f, mults in cs.values]
@@ -268,7 +272,7 @@ def analyze(p: Poly) -> CriticalStructure:
             raise ArithmeticError("critical classes disagree: proven without Yun, not Yun's")
     table = None  # the exact table, when every critical point is rational
     if all(c.factor.degree == 1 for c in classes):
-        table = _point_table(p, classes)
+        table = _value_table(p, classes)
         image = _point_image(p, classes, table)
     elif classes != tried:  # a class whose image declined declines again
         image = _certified_images(p, classes)
@@ -278,7 +282,8 @@ def analyze(p: Poly) -> CriticalStructure:
     cs.shape  # an uncertified side builds its exact table here
     if rpoly.DEBUG_CHECKS:
         if table:
-            if _value_table(p, classes) != table or _certified_images(p, classes) != image:
+            shifted = {resultant_shift(c.factor, p) for c in classes}
+            if shifted != set(dict(table)) or _certified_images(p, classes) != image:
                 raise ArithmeticError("value tables disagree: at the points, not by resultant_shift")
         elif image is not None:
             if _shape(_value_table(p, classes)) != cs.shape:
@@ -538,17 +543,7 @@ def _shared_degrees(pair: PolynomialPair) -> list:
     cs_p, cs_q = pair.critical_p(), pair.critical_q()
     if pair.images_coprime():
         return [[0] * len(cs_q.classes) for _ in cs_p.classes]
-    return [[_common_degree(a, b) for b, _ in cs_q.values] for a, _ in cs_p.values]
-
-
-def _common_degree(a: Poly, b: Poly) -> int:
-    """deg gcd(a, b) of two monic squarefree pieces: a linear one, y - v,
-    shares its root with the other exactly when the other vanishes at v."""
-    if b.degree == 1:
-        a, b = b, a
-    if a.degree == 1:
-        return int(not b(Rat(-a.num[0], a.den)))
-    return poly_gcd(a, b).degree
+    return [[_common_factor(a, b).degree for b, _ in cs_q.values] for a, _ in cs_p.values]
 
 
 def theorem1_lhs(matching: PairMatching) -> int:

@@ -878,9 +878,8 @@ def resultant_shift(s: Poly, p: Poly) -> Poly:
     """Monic polynomial whose roots are P(a), a running over the roots
     of S with multiplicity; degree equals deg S.
 
-    S must be monic of degree >= 1.  A linear S costs one evaluation
-    of P at its root.  Otherwise P is first reduced mod S, which keeps
-    every P(a).  With S = s/sigma and P mod S = r/rho for integer
+    S must be monic of degree >= 1.  P is first reduced mod S, which
+    keeps every P(a).  With S = s/sigma and P mod S = r/rho for integer
     polynomials s and r, U(y) = Res_x(s, rho*y - r) =
     sigma^deg r * rho^deg S * prod (y - P(a)) lies in Z[y]; it is
     evaluated by integer resultants at y = 0..deg S, interpolated in
@@ -896,10 +895,7 @@ def resultant_shift(s: Poly, p: Poly) -> Poly:
     if s.num[-1] != s.den:
         raise ValueError("first argument must be monic")
     n = s.degree
-    if n == 1:  # U = y - P(a) at the one root a of S: Horner costs less than a division
-        v = p(Rat(-s.num[0], s.den))
-        out = _make([-v.numerator, v.denominator], v.denominator)
-    elif (r := p % s).degree < 1:  # every P(a) is the constant r
+    if (r := p % s).degree < 1:  # every P(a) is the constant r, as for a linear S
         out = Poly((-r.coeff(0), 1)) ** n
     else:
         rho, neg = r.den, [-c for c in r.num]

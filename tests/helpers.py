@@ -29,6 +29,11 @@ def chebyshev(n):
     return a
 
 
+def integral(p_prime, constant=0):
+    """The P with derivative p_prime and P(0) = constant."""
+    return Poly([constant] + [c / (k + 1) for k, c in enumerate(p_prime.coeffs)])
+
+
 def squarefree_part(p):
     """Monic product of the distinct irreducible factors of p."""
     return (p // poly_gcd(p, p.derivative())).monic()
@@ -718,3 +723,24 @@ def yun_first_analyze(p):
     parts = rpoly.squarefree_decomposition(p.derivative()).parts
     classes = tuple(critical.CriticalClass(f, k) for f, k in parts)
     return critical.CriticalStructure(p, classes, critical._certified_images(p, classes))
+
+
+def reference_value_table(p, classes):
+    """The exact value table built one way for every class: one
+    ``resultant_shift`` and one Yun decomposition per class, and the
+    values an earlier class also takes split off by ``poly_gcd``.  The
+    route ``critical._value_table`` is compared against, which reads a
+    linear class by evaluation and meets a linear piece with no gcd."""
+    table = []  # pairwise coprime (piece, mults) so far
+    for c in classes:
+        new = []
+        for f, j in rpoly.squarefree_decomposition(resultant_shift(c.factor, p)).parts:
+            mults = (c.multiplicity,) * j
+            for i, (a, a_mults) in enumerate(table):
+                g = poly_gcd(a, f)
+                if g.degree > 0:
+                    table[i], f = (a // g, a_mults), f // g
+                    new.append((g, tuple(sorted(a_mults + mults, reverse=True))))
+            new.append((f, mults))
+        table = [(a, ms) for a, ms in table + new if a.degree > 0]
+    return tuple(table)

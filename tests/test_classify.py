@@ -599,6 +599,53 @@ def _euler_characteristic(matching):
     return chi
 
 
+def _centred_triples():
+    """(P, Q, c) for every pair (P, Q + c) of the 156 centred forms, c in
+    -2..2."""
+    forms = list(_centred_forms())
+    return list(itertools.product(forms, forms, range(-2, 3)))
+
+
+def _check_necessity_and_chi(triples):
+    """On each pair with Hypothesis I on both sides: χ is even, a
+    Hyperbolic verdict has χ <= -2, a HasLowGenusComponent verdict has
+    χ >= 0 or a linear witness, and with deg P = deg Q the verdict is
+    never Inconclusive, the paper's necessity half.  Returns how many
+    pairs held Hypothesis I, and how many of those had equal degrees."""
+    held = equal = 0
+    for p, q, c in triples:
+        pair = PolynomialPair(p, q + poly_of(c))
+        if not (pair.critical_p().hypothesis_I and pair.critical_q().hypothesis_I):
+            continue
+        v, chi = classify(pair), _euler_characteristic(pair.matching())
+        assert chi % 2 == 0, pair
+        if v.outcome is Outcome.HYPERBOLIC:
+            assert chi <= -2, pair
+        elif v.outcome is Outcome.HAS_LOW_GENUS_COMPONENT:
+            assert chi >= 0 or v.linear_witness is not None, pair
+        if pair.n == pair.m:
+            assert v.outcome is not Outcome.INCONCLUSIVE, pair
+        held += 1
+        equal += pair.n == pair.m
+    return held, equal
+
+
+def test_small_centred_pairs_bear_out_chi_and_necessity():
+    """A seeded sample of the small centred pairs; the slow-marked test
+    below covers all of them."""
+    held, equal = _check_necessity_and_chi(random.Random(42).sample(_centred_triples(), 3000))
+    assert held > 2500 and 0 < equal < held
+
+
+@pytest.mark.slow
+def test_all_small_centred_pairs_bear_out_chi_and_necessity():
+    triples = _centred_triples()
+    assert len(triples) == 121680
+    # 150 of the 156 forms hold Hypothesis I, whatever constant is added:
+    # 150^2 * 5 pairs, 77980 of them of equal degrees
+    assert _check_necessity_and_chi(triples) == (112500, 77980)
+
+
 def test_euler_characteristic_agrees_with_decide_on_bare_matchings():
     """χ is even on every shape of the degree-8 sweep, at least 0 on
     every shape decide sends to Theorem 3 cases 2-7 (a component of

@@ -148,6 +148,24 @@ def test_usage_error_exit_code(capsys):
     assert "required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rest, option",
+    [
+        (["--p=--", "--q", "x^3"], "--p"),
+        (["--p", "x^3", "--q=--"], "--q"),
+        (["--p", "x^3", "--q", "x^3", "--oracle", "numeric", "--precision=--"], "--precision"),
+        (["--p", "x^3", "--q", "x^3", "--oracle=--"], "--oracle"),
+    ],
+)
+def test_a_double_dash_value_after_equals_is_a_usage_error(rest, option, capsys):
+    """argparse strips a "--" given after "=" and would store []: the
+    option reads as one given no value."""
+    assert main(["classify", *rest]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: argument {option}: expected one argument\n"
+
+
 def test_degree_guard_diagnostics(capsys):
     assert main(["classify", "--p", "x", "--q", "x^3"]) == 1
     assert "degree at least 2" in capsys.readouterr().err
@@ -217,7 +235,9 @@ ARGPARSE_ARGV = [
     ["--p", "x^3", "--q", "x^3", "--json=1"], ["--p=-x^3", "--q", "x^3", "--bogus"],
     ["--p", "-x^3", "--q", "x^3"], ["--p", "x^3", "--q", "x^3", "--precision", "-5"],
     ["--p", "x^3", "--q", "x^3", "--precision", "1e3"], ["--p", "x^3", "--q", "x^3", "--oracle=Both"],
-    ["--p=--", "--q", "x^3"], ["--p", "x^3", "--q", "x^3", "--oracle=both", "--oracle", "both"],
+    ["--p=--", "--q", "x^3"], ["--p", "x^3", "--q=--"], ["--p", "x^3", "--q", "x^3", "--oracle=--"],
+    ["--p", "x^3", "--q", "x^3", "--precision=--"],
+    ["--p", "x^3", "--q", "x^3", "--oracle=both", "--oracle", "both"],
     ["--p", "x^3", "--q", "x^3", "--precision", "64", "--precision=64"],
     *(["--p", "x^3", "--q", "x^3", flag, flag] for flag in ("--json", "--witness", "--timings")),
 ]

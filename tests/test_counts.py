@@ -28,13 +28,15 @@ BUDGETS = {
     "case 2": (0, 0, 0, 1, 2, 0, 1),
     "case 3": (1, 0, 0, 1, 2, 1, 1),
     # every critical point rational, at most two a side from g P'' = h P':
-    # the tables are P at the points, with no image, Yun, shift or gcd
+    # the value table reads P at each of them, and its pieces meet by
+    # equality or evaluation, with no image, Yun, shift or gcd
     "case 4": (0, 0, 0, 0, 1, 1, 1),
     "case 5": (0, 0, 0, 0, 1, 1, 1),
     # P' has a repeated root and three distinct roots: each side's
     # one-class image declines and P', P'' are tested for a common root;
-    # a linear piece meets a quadratic one by evaluation, not by a gcd
-    "case 6": (4, 1, 2, 6, 7, 1, 1),
+    # the linear class gives its piece by evaluation, the quadratic one
+    # by a shift, and a linear piece meets a quadratic one by evaluation
+    "case 6": (2, 1, 2, 6, 7, 1, 1),
     "case 7": (0, 0, 0, 2, 3, 1, 0),
     "gap rule": (0, 0, 0, 2, 3, 1, 1),
     "count threshold": (0, 0, 0, 1, 2, 0, 1),
@@ -52,6 +54,10 @@ BUDGETS = {
     # and one Yun of the value polynomial per side
     "chebyshev": (2, 0, 2, 2, 4, 1, 0),
     "composition": (2, 0, 2, 2, 4, 1, 0),
+    # x^6 - 3x^4 against its shift: classes x^2 - 2 and x, and -4 taken
+    # twice, so no side is certified; each side's table takes one shift
+    # and one Yun for x^2 - 2 and one evaluation for x, and no gcd
+    "mixed": (2, 0, 4, 6, 6, 1, 0),
 }
 
 
@@ -88,14 +94,19 @@ def _pinned_draw(seed):
 
 
 def _nongeneric_pairs():
-    """T_n against T_n(x + 1), and R(S(x)) against its shift by 1, for R
-    and S fixed cubic and quintic: the values of each side repeat."""
+    """T_n against T_n(x + 1), R(S(x)) against its shift by 1, for R and
+    S fixed cubic and quintic, and x^6 - 3x^4 against its shift by 1:
+    the values of each side repeat."""
     out = []
     for n in (5, 10, 20, 30):
         t = chebyshev(n)
         out.append(("chebyshev", PolynomialPair(t, t.shift_argument(1))))
     rs = Poly([2, -1, 3, 1])(Poly([1, 0, -2, 1, 0, 1]))
-    return out + [("composition", PolynomialPair(rs, rs.shift_argument(1)))]
+    mixed = Poly([0, 0, 0, 0, -3, 0, 1])
+    return out + [
+        ("composition", PolynomialPair(rs, rs.shift_argument(1))),
+        ("mixed", PolynomialPair(mixed, mixed.shift_argument(1))),
+    ]
 
 
 def _dense_pair():
@@ -118,5 +129,5 @@ def test_kernel_counts_per_cli_call_stay_within_budget(monkeypatch, debug_checks
         got = tuple(counts[name] for name in COUNTED)
         if any(g > b for g, b in zip(got, BUDGETS[row])):
             over.append((row, pair, got))
-    assert len(calls) == 16 + 31 + 1 + 5
+    assert len(calls) == 16 + 31 + 1 + 6
     assert over == []

@@ -13,9 +13,11 @@ import sepcurve.rpoly as rpoly
 from helpers import (
     chebyshev,
     count_calls,
+    integral,
     make_matching,
     poly_of,
     reference_squarefree_decomposition,
+    reference_value_table,
     squarefree_part,
     yun_first_analyze,
 )
@@ -93,10 +95,6 @@ def test_values_with_shared_roots_are_not_squarefree():
     assert hypothesis_I(poly_of(0, -3, 0, 1))
 
 
-def _integral(p_prime: Poly, constant) -> Poly:
-    return Poly([constant] + [c / (k + 1) for k, c in enumerate(p_prime.coeffs)])
-
-
 @st.composite
 def polys_multiclass(draw):
     """P whose derivative has several Yun classes: either P itself a
@@ -108,7 +106,7 @@ def polys_multiclass(draw):
     for r in roots:
         prod = prod * poly_of(-r, 1) ** draw(st.integers(1, 3))
     if prod.degree < 2 or draw(st.booleans()):
-        return _integral(prod, draw(rationals))
+        return integral(prod, draw(rationals))
     return prod + Poly.constant(draw(rationals))
 
 
@@ -182,10 +180,9 @@ def test_hypothesis_I_pinned_radical_degree_rule():
 
 def test_classify_shifts_once_per_class_per_side(monkeypatch, debug_checks):
     """At most one shift per class per side: none when both shapes are
-    certified and no value is shared, none on a side whose critical
-    points are all rational, whose table holds P at each of them, and
-    one per class when the matching reads the pieces of any other side
-    or a shape is not certified."""
+    certified and no value is shared, none for a linear class x - a,
+    whose piece is y - P(a), and one per other class when the matching
+    reads the pieces of its side or a shape is not certified."""
     debug_checks(False)  # it builds every table
     calls = []
 
@@ -208,14 +205,16 @@ def test_classify_shifts_once_per_class_per_side(monkeypatch, debug_checks):
     for cs in (pair.critical_p(), pair.critical_q()):
         assert [c.factor.degree for c in cs.classes] == [1, 1]
     assert calls == []
-    # case 6: two conjugate critical points a side, whose values the
-    # matching reads from one shift per class
+    # case 6: two conjugate simple critical points and one rational
+    # double one a side; the matching reads the conjugate values from one
+    # shift and the rational one from P at it
     pair = random_affine_image(case_instance(6), rng)
     verdict = classify(pair)
     assert verdict.matching is pair.matching() and verdict.case == 6
-    assert calls.count(pair.p) == len(pair.critical_p().classes) == 2
-    assert calls.count(pair.q) == len(pair.critical_q().classes) == 2
-    assert len(calls) == 4
+    for cs in (pair.critical_p(), pair.critical_q()):
+        assert [c.factor.degree for c in cs.classes] == [2, 1]
+        assert calls.count(cs.poly) == 1
+    assert len(calls) == 2
     # -1 taken twice: the shape comes from the exact table
     calls.clear()
     cs = analyze(poly_of(0, 0, -2, 0, 1))
@@ -249,7 +248,7 @@ def rational_point_polys(draw):
     roots = draw(st.lists(rationals, min_size=1, max_size=3, unique=True))
     exps = draw(st.lists(st.integers(1, 4), min_size=len(roots), max_size=len(roots), unique=True))
     f = reduce(lambda acc, re: acc * poly_of(-re[0], 1) ** re[1], zip(roots, exps), Poly.one())
-    return draw(rationals.filter(bool)) * _integral(f, draw(rationals))
+    return draw(rationals.filter(bool)) * integral(f, draw(rationals))
 
 
 _MERGED = poly_of(0, 0, 0, 1) * poly_of(-1, 1) ** 4  # x^3 (x - 1)^4: P(0) = P(1) = 0
@@ -258,25 +257,28 @@ _MERGED = poly_of(0, 0, 0, 1) * poly_of(-1, 1) ** 4  # x^3 (x - 1)^4: P(0) = P(1
 @given(p=st.one_of(rational_point_polys(), polys_multiclass()))
 @settings(deadline=None, max_examples=150)
 @example(p=_MERGED)
+@example(p=poly_of(0, 0, 0, 4, 4, 1))  # x^3 (x + 2)^2: the class x meets y (y + 3456/3125)
+@example(p=poly_of(0, 0, 0, 0, -3, 0, 1))  # x^6 - 3x^4: classes x^2 - 2 and x
 @example(p=_MERGED * rat(1, GCD_PRIME))  # p divides den P
-@example(p=_integral(poly_of(0, 0, 1) * poly_of(-1, GCD_PRIME), 0))  # and a critical point's den
-@example(p=_integral(poly_of(0, 12 * GCD_PRIME) * poly_of(-1, 1) ** 2, 0))  # P(1) - P(0) = p
-def test_the_point_table_equals_the_exact_table(p):
-    """A side of linear classes: P at each critical point gives the table
-    _value_table builds, its shape, and the image _certified_images
-    gives, None included."""
+@example(p=integral(poly_of(0, 0, 1) * poly_of(-1, GCD_PRIME), 0))  # and a critical point's den
+@example(p=integral(poly_of(0, 12 * GCD_PRIME) * poly_of(-1, 1) ** 2, 0))  # P(1) - P(0) = p
+def test_the_value_table_equals_the_reference_table(p):
+    """_value_table, P at the root of each linear class and one rule for
+    where two pieces meet, builds the table that resultant_shift, Yun and
+    poly_gcd build for every class.  On a side of linear classes the
+    image read from that table is the one _certified_images gives, None
+    included."""
     classes = tuple(CriticalClass(f, k) for f, k in squarefree_decomposition(p.derivative()).parts)
-    assume(all(c.factor.degree == 1 for c in classes))
-    table = critical._point_table(p, classes)
-    assert table == critical._value_table(p, classes)
-    image = critical._point_image(p, classes, table)
-    assert image == critical._certified_images(p, classes)
+    table = critical._value_table(p, classes)
+    assert table == reference_value_table(p, classes)
     cs = analyze(p)
-    assert (cs.classes, cs.image, cs.values) == (classes, image, table)
-    assert cs.shape == critical._shape(table)
+    assert (cs.classes, cs.values, cs.shape) == (classes, table, critical._shape(table))
+    if all(c.factor.degree == 1 for c in classes):
+        image = critical._point_image(p, classes, table)
+        assert cs.image == image == critical._certified_images(p, classes)
 
 
-def test_the_point_table_merges_a_value_last():
+def test_the_value_table_merges_a_shared_value_last():
     # classes x - 3/7, x, x - 1 of multiplicities 1, 2, 3; x and x - 1 take 0
     cs = analyze(_MERGED)
     v = _MERGED(rat(3, 7))
@@ -376,7 +378,7 @@ def test_a_two_root_identity_side_certifies_the_classes_of_yun(monkeypatch, debu
     x^a (x - 1)^b, has two distinct roots: g P'' = h P' gives Yun's
     decomposition of P' with no Yun run, and P at the two rational
     critical points certifies the shape with no value image.  Under
-    debug checks Yun runs once."""
+    debug checks Yun runs once, and resultant_shift once per class."""
     debug_checks(False)
     u = poly_of(3, 2)
     dp = rat(6) * u**a * (u - poly_of(1)) ** b
@@ -389,8 +391,9 @@ def test_a_two_root_identity_side_certifies_the_classes_of_yun(monkeypatch, debu
     assert cs.classes == squarefree_decomposition(dp).parts
     assert sorted(c.multiplicity for c in cs.classes) == sorted((a, b))
     assert {f for f, _ in cs.values} == {poly_of(-p(x), 1) for x in (rat(-3, 2), -1)}
-    debug_checks(True)
-    assert analyze(p) == cs and counts["squarefree_decomposition"] == 1 + len(cs.classes)
+    debug_checks(True)  # Yun checks the classes; resultant_shift checks each piece
+    assert analyze(p) == cs and counts["squarefree_decomposition"] == 1
+    assert counts["resultant_shift"] == len(cs.classes)
 
 
 def test_a_two_root_side_with_p_dividing_its_lc_runs_no_yun(monkeypatch, debug_checks):
@@ -400,7 +403,7 @@ def test_a_two_root_side_with_p_dividing_its_lc_runs_no_yun(monkeypatch, debug_c
     debug_checks(False)
     dp = rat(GCD_PRIME) * poly_of(0, 0, 1) * poly_of(-1, 1)
     counts = count_calls(monkeypatch, ("squarefree_decomposition",))
-    cs = analyze(_integral(dp, 0))
+    cs = analyze(integral(dp, 0))
     assert not counts
     assert cs.classes == squarefree_decomposition(dp).parts
 
@@ -417,7 +420,7 @@ def affine_two_root_polys(draw):
     i, j = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     assume(i + j >= 2)
     f = poly_of(-beta, 1) ** i * poly_of(-gamma, 1) ** j
-    p = _integral(f, draw(small_rats)) if draw(st.booleans()) else f
+    p = integral(f, draw(small_rats)) if draw(st.booleans()) else f
     a, b, u, v = draw(nonzero_rats), draw(small_rats), draw(nonzero_rats), draw(small_rats)
     return u * p.shift_argument(b).scale_argument(a) + Poly.constant(v)
 
@@ -429,7 +432,7 @@ def three_root_heavy_polys(draw):
     roots = draw(st.lists(small_rats, min_size=3, max_size=3, unique=True))
     exps = draw(st.lists(st.integers(1, 4), min_size=3, max_size=3).filter(lambda e: max(e) >= 2))
     f = reduce(lambda acc, re: acc * poly_of(-re[0], 1) ** re[1], zip(roots, exps), Poly.one())
-    return _integral(draw(nonzero_rats) * f, draw(small_rats))
+    return integral(draw(nonzero_rats) * f, draw(small_rats))
 
 
 @st.composite
