@@ -213,8 +213,7 @@ def _build_argparser():
     ap = _Parser(prog="sepcurve", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    # main() hands a classify argv to this subparser alone
-    cl = ap.classify_parser = sub.add_parser("classify", help="classify one pair P(x) - Q(y)")
+    cl = sub.add_parser("classify", help="classify one pair P(x) - Q(y)")
     cl.add_argument("--p", action=_One, required=True, metavar="POLY", help="P, a polynomial in x")
     cl.add_argument(
         "--q", action=_One, required=True, metavar="POLY",
@@ -248,10 +247,10 @@ def _build_argparser():
 
 
 def _read_spelled_out(rest: list) -> SimpleNamespace | None:
-    """The namespace the classify subparser builds from ``rest``, when
-    every option in it is spelled in full and given at most once, each
-    value is valid and both --p and --q are present; otherwise None, and
-    argparse reads ``rest`` (and words any usage error or help).
+    """The parser's namespace for ``classify`` and ``rest`` when every
+    option in it is spelled in full and given at most once, each value
+    is valid and both --p and --q are present; otherwise None, and
+    argparse reads it (and words any usage error or help).
 
     A value follows its option after "=" (but is not "--"), or is the
     next argument when that does not start with "-"; the flags take
@@ -410,12 +409,8 @@ def main(argv=None) -> int:
     fault, reported in one line on stderr, and exits 3."""
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
-        if argv[:1] == ["classify"]:  # the top parser would only hand on the rest
-            args = _read_spelled_out(argv[1:])
-            if args is None:
-                parser = _build_argparser().classify_parser
-                args = parser.parse_args(argv[1:], SimpleNamespace(command="classify"))
-        else:
+        args = _read_spelled_out(argv[1:]) if argv[:1] == ["classify"] else None
+        if args is None:
             args = _build_argparser().parse_args(argv)
         if args.command == "selftest":
             return _run_selftest()

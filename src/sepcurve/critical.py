@@ -26,8 +26,8 @@ roots, as when P' is x^a (x - 1)^b or an affine image of it, and then
 gives its multiplicity classes.  Where it fails, the side's image is
 the image of P' made monic, which proves P' squarefree as well, so its
 classes need no Yun decomposition; where that image declines, P' and
-P'' coprime mod p prove the same.  A side whose critical points are
-all rational reads its image mod p from its table.
+P'' coprime mod p prove the same.  A linear class x - a gives its
+image y - P(a) mod p by one evaluation.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ from functools import cached_property, reduce
 from . import rpoly
 from .rationals import Rat
 from .rpoly import (
-    GCD_PRIME,
     Poly,
     _coprime_mod_p,
     _make,
     _mul_mod_p,
+    _point_images_mod_p,
     _residues,
     _two_root_parts,
     _value_image_mod_p,
@@ -80,10 +80,9 @@ class CriticalStructure(namedtuple("CriticalStructure", "poly classes image")):
     is the value of exactly the critical points whose multiplicities are
     listed, largest first, in ``mults``.  The verdicts read only the
     ``shape``, one (degree, mults) per piece; both are computed on first
-    use by :func:`_value_table`, except the table of a side whose classes
-    are all linear, which :func:`analyze` builds at once.  On a certified
-    side piece i is the image polynomial of class i, y - P(a) for a
-    linear class x - a, and the shape needs no piece.
+    use, by :func:`_value_table` on a side whose shape is not certified.
+    On a certified side piece i is the image polynomial of class i,
+    y - P(a) for a linear class x - a, and the shape needs no piece.
 
     ``poly`` is the Poly, ``classes`` its CriticalClass tuple with
     multiplicities strictly increasing.  No ``__slots__``: the instance
@@ -130,11 +129,14 @@ class CriticalStructure(namedtuple("CriticalStructure", "poly classes image")):
 def _image(s: Poly, p: Poly) -> Poly:
     """The image polynomial of the class S, whose roots are P at the roots
     of S: y - P(a) by one Horner evaluation for a linear S = x - a, else
-    ``resultant_shift``."""
+    ``resultant_shift``; debug checks compare a linear piece with it."""
     if s.degree > 1:
         return resultant_shift(s, p)
     v = p(Rat(-s.num[0], s.den))
-    return _make([-v.numerator, v.denominator], v.denominator)
+    u = _make([-v.numerator, v.denominator], v.denominator)
+    if rpoly.DEBUG_CHECKS and resultant_shift(s, p) != u:
+        raise ArithmeticError("value pieces disagree: P at the point, not by resultant_shift")
+    return u
 
 
 def _value_table(p: Poly, classes: tuple) -> tuple:
@@ -182,27 +184,19 @@ def _certified_images(p: Poly, classes: tuple):
     squarefree mod p, else None.  Each image is U_c, the class's image
     polynomial, reduced mod p at full degree, so disc(U mod p) != 0
     gives disc(U) != 0: every U_c is squarefree and no two share a root,
-    which is the generic shape, one simple value per critical point."""
-    images = [_value_image_mod_p(c.factor, p) for c in classes]
+    which is the generic shape, one simple value per critical point.
+    Linear images alone are squarefree exactly when their roots differ."""
+    linear = [c.factor for c in classes if c.factor.degree == 1]
+    images = _point_images_mod_p(p, linear) if linear else []
+    images += [_value_image_mod_p(c.factor, p) for c in classes if c.factor.degree > 1]
     if None in images:
         return None
     product = reduce(_mul_mod_p, images)
-    if not _coprime_mod_p(product, [k * c for k, c in enumerate(product)][1:]):
-        return None
-    return tuple(product)
-
-
-def _point_image(p: Poly, classes: tuple, table: tuple):
-    """:func:`_certified_images` of linear classes, read from their
-    exact table: the product of the pieces y - P(a) mod p when p divides
-    no denominator of P or of a critical point and the values are
-    distinct mod p, else None."""
-    if not p.den % GCD_PRIME or any(not c.factor.den % GCD_PRIME for c in classes):
-        return None
-    images = [_residues(f) for f, _ in table]
-    if len(images) < len(classes) or len({r[0] for r in images}) < len(images):
-        return None
-    return tuple(reduce(_mul_mod_p, images))
+    if len(linear) == len(classes):
+        squarefree = len({u[0] for u in images}) == len(images)
+    else:
+        squarefree = _coprime_mod_p(product, [k * c for k, c in enumerate(product)][1:])
+    return tuple(product) if squarefree else None
 
 
 def analyze(p: Poly) -> CriticalStructure:
@@ -228,20 +222,15 @@ def analyze(p: Poly) -> CriticalStructure:
        class, uncertified.
     3. Yun's decomposition of P', where the route taken proves nothing.
 
-    A side whose classes are then all linear has only rational critical
-    points: its exact table is built at once, and its image is the
-    product of its values mod p (:func:`_point_image`), None exactly
-    where the class images would decline.  Any other side takes one
-    image per class, except a single class S whose image has just
-    declined.  An image that declines, an unlucky prime included, leaves
-    the exact table (:func:`_value_table`) to give the shape.  With
-    ``rpoly.DEBUG_CHECKS`` on (SEPCURVE_DEBUG_CHECKS set when the package
-    is first imported) every side whose classes were proven without Yun
-    is also run through Yun, the pieces of an all-linear side are
-    compared with ``resultant_shift`` and so with its determinant route,
-    and its image with :func:`_certified_images`, every other certified
-    shape with the exact table's, and its image with the product of the
-    exact ``resultant_shift`` polynomials reduced mod p.
+    Every side then takes one image per class (:func:`_certified_images`),
+    except a single class S whose image has just declined.  An image that
+    declines, an unlucky prime included, leaves the exact table
+    (:func:`_value_table`) to give the shape; a certified side builds it
+    only when read.  With ``rpoly.DEBUG_CHECKS`` on (SEPCURVE_DEBUG_CHECKS
+    set when the package is first imported) every side whose classes were
+    proven without Yun is also run through Yun, each linear piece is
+    compared with ``resultant_shift`` (:func:`_image`), and a certified
+    side's exact table must have its shape and, reduced mod p, its image.
 
     >>> cs = analyze(Poly([0, 0, -2, 0, 1]))  # x^4 - 2x^2: 0 once, -1 twice
     >>> [(f.to_string("y"), mults) for f, mults in cs.values]
@@ -270,29 +259,16 @@ def analyze(p: Poly) -> CriticalStructure:
         classes = tuple(CriticalClass(f, k) for f, k in parts)
         if rpoly.DEBUG_CHECKS and squarefree_decomposition(dp).parts != classes:
             raise ArithmeticError("critical classes disagree: proven without Yun, not Yun's")
-    table = None  # the exact table, when every critical point is rational
-    if all(c.factor.degree == 1 for c in classes):
-        table = _value_table(p, classes)
-        image = _point_image(p, classes, table)
-    elif classes != tried:  # a class whose image declined declines again
+    if classes != tried:  # a class whose image declined declines again
         image = _certified_images(p, classes)
     cs = CriticalStructure(p, classes, image)
-    if table:
-        vars(cs)["values"] = table  # the cache ``values`` fills on first use
     cs.shape  # an uncertified side builds its exact table here
-    if rpoly.DEBUG_CHECKS:
-        if table:
-            shifted = {resultant_shift(c.factor, p) for c in classes}
-            if shifted != set(dict(table)) or _certified_images(p, classes) != image:
-                raise ArithmeticError("value tables disagree: at the points, not by resultant_shift")
-        elif image is not None:
-            if _shape(_value_table(p, classes)) != cs.shape:
-                raise ArithmeticError("critical-value shapes disagree: certified modulo p, not over Q")
-            exact = (_residues(resultant_shift(c.factor, p)) for c in classes)
-            if tuple(reduce(_mul_mod_p, exact)) != image:
-                raise ArithmeticError(
-                    "value images disagree: the kernel modulo p against resultant_shift"
-                )
+    if rpoly.DEBUG_CHECKS and image is not None:
+        table = _value_table(p, classes)
+        if _shape(table) != cs.shape:
+            raise ArithmeticError("critical-value shapes disagree: certified modulo p, not over Q")
+        if tuple(reduce(_mul_mod_p, (_residues(f) for f, _ in table))) != image:
+            raise ArithmeticError("value images disagree: the kernel modulo p against the exact table")
     return cs
 
 

@@ -10,7 +10,8 @@ Grammar (whitespace-insensitive, no implicit multiplication):
 
 All arithmetic is exact; "(x-1)^2*(x+2)" comes back expanded.  Errors
 carry the 0-based character position where scanning gave up.  Oversized
-input fails before anything large is built: a literal longer than the
+input fails before anything large is built: parentheses nested past
+MAX_NESTING (far inside the recursion limit), a literal longer than the
 interpreter converts to int, a product or power of degree above
 MAX_DEGREE, a power whose exponent times the bit size of its base's
 largest coefficient exceeds MAX_POWER_BITS, or a product whose factors'
@@ -46,6 +47,7 @@ from math import gcd, lcm
 from .rpoly import Poly, _add, _mul, _normal, _poly, _pow
 
 MAX_DEGREE = 256
+MAX_NESTING = 100
 MAX_POWER_BITS = 1 << 16
 
 # a run of digits 0-9 (str.isdigit and regex \d also accept digits
@@ -120,15 +122,16 @@ def _bits(value: tuple) -> int:
 
 class _Descent:
     """The grammar over the tokens of one text; ``i`` indexes the next
-    token, and the end of input is the empty token."""
+    token, ``depth`` counts the parentheses open, and the end of input is
+    the empty token."""
 
-    __slots__ = ("text", "toks", "i")
+    __slots__ = ("text", "toks", "i", "depth")
 
     def __init__(self, text: str):
         self.text = text
         self.toks = _TOKEN.findall(text)
         self.toks.append("")
-        self.i = 0
+        self.i = self.depth = 0
 
     def error(self, message: str, i: int, offset: int = 0) -> ParseError:
         """ParseError at the start of token i, plus offset."""
@@ -246,11 +249,13 @@ class _Descent:
     def atom(self) -> tuple:
         tok = self.toks[self.i]
         if tok == "(":
-            self.i += 1
+            if self.depth == MAX_NESTING:
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING}", self.i)
+            self.i, self.depth = self.i + 1, self.depth + 1
             inner = self.expr()
             if self.toks[self.i] != ")":
                 raise self.error(f"expected ')', got {self.got()}", self.i)
-            self.i += 1
+            self.i, self.depth = self.i + 1, self.depth - 1
             return inner
         if tok == "x":
             self.i += 1

@@ -28,18 +28,21 @@ algorithms prove exact is checked.
 
 Arithmetic modulo one fixed prime p = ``GCD_PRIME``, one Euclid
 remainder loop and one packed-slot product over GF(p), serves only
-``critical``'s certificate of the critical-value shape.
-``_value_image_mod_p`` gives the reduction modulo p of the
-``resultant_shift`` polynomial, from the power sums of multiplication
-by P in GF(p)[x]/(S) and Newton's identities.  A product of such images
-coprime modulo p to its derivative (``_coprime_mod_p``) proves the
-generic shape, and on a generic side proves P' squarefree, without Yun;
-two sides whose images are coprime modulo p share no critical value.
-A prime that divides a denominator or a leading coefficient makes the
-certificate decline, never lie.  Before any of them, ``critical`` tests
-every P' by the exact identity g f' = h f of ``_two_root_parts``, which
-holds exactly when f has at most two distinct roots and then gives
-Yun's parts with no gcd.
+``critical``'s certificate of the critical-value shape, and this is the
+one module that knows the prime.  ``_value_image_mod_p`` gives the
+reduction modulo p of the ``resultant_shift`` polynomial, from the
+power sums of multiplication by P in GF(p)[x]/(S) and Newton's
+identities; ``_point_images_mod_p`` gives the same image y - P(a) of
+each linear class x - a by one Horner pass modulo p.  A product of such
+images coprime modulo p to its derivative (``_coprime_mod_p``), or of
+linear images with distinct roots, proves the generic shape, and on a
+generic side proves P' squarefree, without Yun; two sides whose images
+are coprime modulo p share no critical value.  A prime that divides a
+denominator or a leading coefficient makes the certificate decline,
+never lie.  Before any of them, ``critical`` tests every P' by the
+exact identity g f' = h f of ``_two_root_parts``, which holds exactly
+when f has at most two distinct roots and then gives Yun's parts with
+no gcd.
 """
 
 from __future__ import annotations
@@ -834,6 +837,24 @@ def _value_image_mod_p(s: Poly, f: Poly):
     for k in range(1, n + 1):
         u.append(-sum(map(mul, u[::-1], traces)) * pow(k, -1, p) % p)
     return u[::-1]
+
+
+def _point_images_mod_p(f: Poly, points: list) -> list:
+    """``_value_image_mod_p(s, f)`` for each linear s = x - a in ``points``,
+    [-f(a) mod p, 1] or None where p = GCD_PRIME divides f.den or a's
+    denominator: one Horner pass over f's numerators mod p per point."""
+    p = GCD_PRIME
+    neg_inv, top_down = f.den % p and p - pow(f.den, -1, p), [c % p for c in reversed(f.num)]
+    out = []
+    for s in points:
+        if not (neg_inv and s.den % p):
+            out.append(None)
+            continue
+        a, v = -s.num[0] * pow(s.den, -1, p) % p, 0
+        for c in top_down:
+            v = (v * a + c) % p
+        out.append([v * neg_inv % p, 1])
+    return out
 
 
 def _sylvester_resultant_shift(s: Poly, p: Poly) -> Poly:

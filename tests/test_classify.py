@@ -599,6 +599,31 @@ def _euler_characteristic(matching):
     return chi
 
 
+def _chi_from_shapes(pair):
+    """χ of P(x) = Q(y) from each side's shape and the shared degrees,
+    with or without Hypothesis I.  A value that P takes at points of
+    multiplicities pm and Q at points of multiplicities qm loses, for
+    every pair of those points, ef - gcd(e, f) with e = a + 1, f = b + 1;
+    for each of P's points Q's other points over the value, m - Σ(b + 1)
+    of them, a each; and for each of Q's points P's other ones,
+    n - Σ(a + 1), b each.  A value that only P takes loses m·Σa, one that
+    only Q takes n·Σb.  With one point a side it is _euler_characteristic's
+    matched pair."""
+    n, m = pair.n, pair.m
+    p_shape, q_shape = pair.critical_p().shape, pair.critical_q().shape
+    shared = critical._shared_degrees(pair)
+    chi = n * m + gcd(n, m)
+    for (deg, pm), degs in zip(p_shape, shared):
+        chi -= (deg - sum(degs)) * m * sum(pm)
+        for (_, qm), d in zip(q_shape, degs):
+            pairs = sum((a + 1) * (b + 1) - gcd(a + 1, b + 1) for a in pm for b in qm)
+            others = (m - sum(b + 1 for b in qm)) * sum(pm) + (n - sum(a + 1 for a in pm)) * sum(qm)
+            chi -= d * (pairs + others)
+    for (deg, qm), degs in zip(q_shape, zip(*shared)):
+        chi -= (deg - sum(degs)) * n * sum(qm)
+    return chi
+
+
 def _centred_triples():
     """(P, Q, c) for every pair (P, Q + c) of the 156 centred forms, c in
     -2..2."""
@@ -618,7 +643,7 @@ def _check_necessity_and_chi(triples):
         if not (pair.critical_p().hypothesis_I and pair.critical_q().hypothesis_I):
             continue
         v, chi = classify(pair), _euler_characteristic(pair.matching())
-        assert chi % 2 == 0, pair
+        assert chi % 2 == 0 and chi == _chi_from_shapes(pair), pair
         if v.outcome is Outcome.HYPERBOLIC:
             assert chi <= -2, pair
         elif v.outcome is Outcome.HAS_LOW_GENUS_COMPONENT:
@@ -644,6 +669,47 @@ def test_all_small_centred_pairs_bear_out_chi_and_necessity():
     # 150 of the 156 forms hold Hypothesis I, whatever constant is added:
     # 150^2 * 5 pairs, 77980 of them of equal degrees
     assert _check_necessity_and_chi(triples) == (112500, 77980)
+
+
+def _centred_triples_without_hypothesis_I():
+    """The centred triples with a side that fails Hypothesis I; adding a
+    constant keeps it, so each form is analysed once."""
+    failing = {f for f in _centred_forms() if not critical.analyze(f).hypothesis_I}
+    return [(p, q, c) for p, q, c in _centred_triples() if p in failing or q in failing]
+
+
+def _check_chi_without_hypothesis_I(triples):
+    """χ from the shapes is even on every pair, at most 2 where the
+    degrees are coprime, at least 0 on a linear-factor verdict, and no
+    verdict is Hyperbolic.  Returns the counts of pairs, of pairs of
+    coprime degrees and of linear-factor verdicts."""
+    coprime = linear = 0
+    for p, q, c in triples:
+        pair = PolynomialPair(p, q + poly_of(c))
+        v, chi = classify(pair), _chi_from_shapes(pair)
+        assert chi % 2 == 0, pair
+        assert v.outcome is not Outcome.HYPERBOLIC, pair
+        if gcd(pair.n, pair.m) == 1:
+            assert chi <= 2, pair
+            coprime += 1
+        if v.rule == "linear factor":
+            assert chi >= 0, pair
+            linear += 1
+    return len(triples), coprime, linear
+
+
+def test_small_centred_pairs_without_hypothesis_I_bear_out_chi():
+    """A seeded sample of the small centred pairs that fail Hypothesis I
+    on a side; the slow-marked test below covers all of them."""
+    triples = random.Random(43).sample(_centred_triples_without_hypothesis_I(), 500)
+    total, coprime, _ = _check_chi_without_hypothesis_I(triples)
+    assert total == 500 and 0 < coprime < total
+
+
+@pytest.mark.slow
+def test_all_small_centred_pairs_without_hypothesis_I_bear_out_chi():
+    triples = _centred_triples_without_hypothesis_I()
+    assert _check_chi_without_hypothesis_I(triples) == (9180, 5740, 10)
 
 
 def test_euler_characteristic_agrees_with_decide_on_bare_matchings():

@@ -143,6 +143,14 @@ def test_parse_error_diagnostics(capsys):
     assert "position 2" in captured.err
 
 
+def test_deep_parentheses_are_a_parse_error(capsys):
+    deep = "(" * 10_000 + "x" + ")" * 10_000 + "^2"
+    assert main(["classify", f"--p={deep}", "--q=x^2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: parentheses nested deeper than 100 (at position 100)\n"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["classify", "--p", "x^3"]) == 1
     assert "required" in capsys.readouterr().err
@@ -256,8 +264,8 @@ def _via_main(argv):
 @pytest.mark.parametrize("rest", CLASSIFY_ARGV, ids=" ".join)
 def test_classify_route_parses_as_the_full_parser(rest):
     """``main`` reads a spelled-out ``classify`` argv itself and hands
-    any other to the subparser alone; either way it gives the full
-    parser's namespace, usage-error text, help text and exit code."""
+    any other to the full parser; either way it gives the full parser's
+    namespace, usage-error text, help text and exit code."""
     argv = ["classify", *rest]
     assert _parse_outcome(_via_main, argv) == _parse_outcome(_full_parse, argv)
 

@@ -10,6 +10,7 @@ that raises a budget says why.
 import contextlib
 import io
 import json
+import pathlib
 import random
 
 from helpers import COUNTED, chebyshev, count_calls
@@ -28,15 +29,18 @@ BUDGETS = {
     "case 2": (0, 0, 0, 1, 2, 0, 1),
     "case 3": (1, 0, 0, 1, 2, 1, 1),
     # every critical point rational, at most two a side from g P'' = h P':
-    # the value table reads P at each of them, and its pieces meet by
-    # equality or evaluation, with no image, Yun, shift or gcd
+    # each side's image is P at each of them mod p, and the value table,
+    # read where the images are not coprime, is P at each of them over Q,
+    # its pieces meeting by equality or evaluation: no value image, Yun,
+    # shift or gcd
     "case 4": (0, 0, 0, 0, 1, 1, 1),
     "case 5": (0, 0, 0, 0, 1, 1, 1),
     # P' has a repeated root and three distinct roots: each side's
     # one-class image declines and P', P'' are tested for a common root;
-    # the linear class gives its piece by evaluation, the quadratic one
-    # by a shift, and a linear piece meets a quadratic one by evaluation
-    "case 6": (2, 1, 2, 6, 7, 1, 1),
+    # the linear class gives its image and its piece by evaluation, the
+    # quadratic one by a value image and a shift, and a linear piece
+    # meets a quadratic one by evaluation
+    "case 6": (2, 1, 2, 4, 7, 1, 1),
     "case 7": (0, 0, 0, 2, 3, 1, 0),
     "gap rule": (0, 0, 0, 2, 3, 1, 1),
     "count threshold": (0, 0, 0, 1, 2, 0, 1),
@@ -44,7 +48,7 @@ BUDGETS = {
     "theorem3 k=3": (1, 0, 0, 1, 2, 1, 1),
     "theorem3 k>=4": (0, 0, 0, 0, 1, 1, 1),
     # the seeded random_linear_factor_pair draws, all certified
-    "linear factor": (0, 0, 2, 6, 7, 1, 0),
+    "linear factor": (0, 0, 2, 4, 7, 1, 0),
     # two certified sides whose images are coprime: the three mod-p
     # tests, two of the sides and one of the pair, and nothing exact
     "dense degree 12": (0, 0, 0, 2, 3, 0, 1),
@@ -57,8 +61,12 @@ BUDGETS = {
     # x^6 - 3x^4 against its shift: classes x^2 - 2 and x, and -4 taken
     # twice, so no side is certified; each side's table takes one shift
     # and one Yun for x^2 - 2 and one evaluation for x, and no gcd
-    "mixed": (2, 0, 4, 6, 6, 1, 0),
+    "mixed": (2, 0, 4, 4, 6, 1, 0),
+    # the 276 records of tests/golden/corpus.jsonl, each run as the corpus
+    # runs it; CORPUS_TOTALS holds their sums
+    "corpus": (3, 1, 4, 4, 7, 1, 1),
 }
+CORPUS_TOTALS = (104, 12, 122, 404, 730, 100, 231)
 
 
 def _selftest_pairs():
@@ -114,6 +122,16 @@ def _dense_pair():
     return PolynomialPair(*(instances.random_polynomial(rng, 12, 12, sparse=False) for _ in "pq"))
 
 
+def _counted_run(counts, argv):
+    """The kernel counts of one ``cli.main`` run of ``argv``, in the order
+    of helpers.COUNTED."""
+    counts.clear()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli.main(argv)
+    json.loads(out.getvalue())
+    return tuple(counts[name] for name in COUNTED)
+
+
 def test_kernel_counts_per_cli_call_stay_within_budget(monkeypatch, debug_checks):
     debug_checks(False)  # the cross-checks rerun the kernels
     counts = count_calls(monkeypatch)
@@ -121,13 +139,30 @@ def test_kernel_counts_per_cli_call_stay_within_budget(monkeypatch, debug_checks
     calls += _nongeneric_pairs()
     over = []
     for row, pair in calls:
-        counts.clear()
         argv = ["classify", f"--p={pair.p.to_string()}", f"--q={pair.q.to_string()}"]
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            cli.main(argv + ["--json", "--witness", "--oracle", "geometry"])
-        json.loads(out.getvalue())
-        got = tuple(counts[name] for name in COUNTED)
+        got = _counted_run(counts, argv + ["--json", "--witness", "--oracle", "geometry"])
         if any(g > b for g, b in zip(got, BUDGETS[row])):
             over.append((row, pair, got))
     assert len(calls) == 16 + 31 + 1 + 6
     assert over == []
+
+
+def test_kernel_counts_over_the_corpus_stay_within_budget(monkeypatch, debug_checks):
+    """Every corpus record, with the numeric oracle on every 25th as the
+    corpus runs it: each call within the ``corpus`` row, and the sums
+    within CORPUS_TOTALS."""
+    debug_checks(False)
+    counts = count_calls(monkeypatch)
+    lines = (pathlib.Path(__file__).parent / "golden" / "corpus.jsonl").read_text().splitlines()
+    over, totals = [], [0] * len(COUNTED)
+    for index, line in enumerate(lines):
+        inputs = json.loads(line)["input"]
+        oracle = "both" if index % 25 == 0 else "geometry"
+        argv = ["classify", f"--p={inputs['p']}", f"--q={inputs['q']}", "--json", "--witness"]
+        got = _counted_run(counts, argv + ["--oracle", oracle])
+        totals = [t + g for t, g in zip(totals, got)]
+        if any(g > b for g, b in zip(got, BUDGETS["corpus"])):
+            over.append((inputs, got))
+    assert len(lines) == 276
+    assert over == []
+    assert all(t <= b for t, b in zip(totals, CORPUS_TOTALS)), totals

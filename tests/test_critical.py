@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 from functools import reduce
@@ -39,6 +40,7 @@ from sepcurve.rpoly import (
     GCD_PRIME,
     Poly,
     _mul_mod_p,
+    _residues,
     _value_image_mod_p,
     is_squarefree,
     poly_gcd,
@@ -265,17 +267,23 @@ _MERGED = poly_of(0, 0, 0, 1) * poly_of(-1, 1) ** 4  # x^3 (x - 1)^4: P(0) = P(1
 def test_the_value_table_equals_the_reference_table(p):
     """_value_table, P at the root of each linear class and one rule for
     where two pieces meet, builds the table that resultant_shift, Yun and
-    poly_gcd build for every class.  On a side of linear classes the
-    image read from that table is the one _certified_images gives, None
-    included."""
+    poly_gcd build for every class.  A side of linear classes has an
+    image exactly when p divides no denominator of P or of a point and
+    no two values agree mod p, and then it is the table's pieces mod p."""
     classes = tuple(CriticalClass(f, k) for f, k in squarefree_decomposition(p.derivative()).parts)
     table = critical._value_table(p, classes)
     assert table == reference_value_table(p, classes)
     cs = analyze(p)
     assert (cs.classes, cs.values, cs.shape) == (classes, table, critical._shape(table))
     if all(c.factor.degree == 1 for c in classes):
-        image = critical._point_image(p, classes, table)
-        assert cs.image == image == critical._certified_images(p, classes)
+        values = [p(rat(-c.factor.num[0], c.factor.den)) for c in classes]
+        declines = any(not d % GCD_PRIME for d in [p.den] + [c.factor.den for c in classes])
+        declines = declines or any(
+            not (u - v).numerator % GCD_PRIME for u, v in itertools.combinations(values, 2)
+        )
+        assert (cs.image is None) == declines
+        if not declines:
+            assert cs.image == tuple(reduce(_mul_mod_p, (_residues(f) for f, _ in table)))
 
 
 def test_the_value_table_merges_a_shared_value_last():

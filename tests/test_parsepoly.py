@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import poly_of, reference_parse_poly
 from sepcurve import parsepoly
-from sepcurve.parsepoly import ParseError, parse_poly
+from sepcurve.parsepoly import MAX_NESTING, ParseError, parse_poly
 from sepcurve.rationals import rat
 from sepcurve.rpoly import Poly
 
@@ -130,6 +130,18 @@ def test_long_products_of_capped_powers_fail_at_the_first_star():
         parse_poly(text)
     assert "product" in str(err.value)
     assert err.value.position == 7
+
+
+def test_nesting_past_the_cap_fails_at_the_first_paren_past_it():
+    deep = MAX_NESTING * "(" + "x" + MAX_NESTING * ")"
+    assert parse_poly(deep + "^2 + 1") == poly_of(1, 0, 1)
+    for depth in (MAX_NESTING + 1, 10_000):
+        with pytest.raises(ParseError) as err:
+            parse_poly("1 + " + depth * "(" + "x" + depth * ")")
+        assert f"nested deeper than {MAX_NESTING}" in str(err.value)
+        assert err.value.position == 4 + MAX_NESTING
+    # depth counts the parentheses open, not those seen
+    assert parse_poly(" + ".join([MAX_NESTING * "(" + "x" + MAX_NESTING * ")"] * 3)) == poly_of(0, 3)
 
 
 def test_no_implicit_multiplication():

@@ -445,6 +445,32 @@ def test_value_image_is_the_shift_reduced_modulo_p(s, f):
         assert image is None
 
 
+points_over_p = st.builds(lambda k, d: rat(k, d * P), st.integers(-9, 9), st.integers(1, 3))
+
+
+@given(
+    points=st.lists(st.one_of(rationals, bits70, points_over_p), max_size=4),
+    f=st.one_of(wide_polys, modular_polys),
+)
+@example(points=[rat(2), rat(1, P)], f=poly_of(1, 0, 1))  # p divides a point's den
+@example(points=[rat(1), rat(-1)], f=poly_of(0, rat(1, P)))  # p divides den P
+@example(points=[rat(3), rat(1, 2)], f=poly_of(P - 3, 1))  # P(3) = p, 0 mod p
+@settings(deadline=None, max_examples=80)
+def test_point_images_are_the_value_images_of_linear_classes(points, f):
+    """One evaluation mod p per linear class x - a gives the value image
+    of the power-sum kernel and of the interpolating reference, declines
+    included."""
+    classes = [poly_of(-a, 1) for a in points]
+    images = rpoly._point_images_mod_p(f, classes)
+    assert images == [rpoly._value_image_mod_p(s, f) for s in classes]
+    assert images == [reference_value_image_mod_p(s, f) for s in classes]
+    for a, image in zip(points, images):
+        if a.denominator % P and f.den % P:
+            assert image == [-f(a).numerator * pow(f(a).denominator, -1, P) % P, 1]
+        else:
+            assert image is None
+
+
 @st.composite
 def critical_classes(draw):
     """(class, P) for a Yun class of P' of a dense P of degree <= 31, or
